@@ -17,11 +17,15 @@ pub const WALK_ROOTS: [&str; 2] = ["crates", "src"];
 /// desired behavior. Every library and the `dpipe` CLI are in scope.
 const NO_PANIC_EXEMPT: [&str; 1] = ["crates/bench/"];
 
-/// Modules that must stay wall-clock free: the discrete-event simulator
-/// and the core replay entry point. `crates/core/src/planner.rs` is
-/// explicitly *not* listed — it times its own search for `PlanStats`,
-/// which never feeds a plan document.
-const WALL_CLOCK_SCOPE: [&str; 2] = ["crates/sim/", "crates/core/src/simulate.rs"];
+/// Modules that must stay wall-clock free: the discrete-event simulator,
+/// the core replay entry point and the lowering it replays.
+/// `crates/core/src/planner.rs` is explicitly *not* listed — it times its
+/// own search for `PlanStats`, which never feeds a plan document.
+const WALL_CLOCK_SCOPE: [&str; 3] = [
+    "crates/sim/",
+    "crates/core/src/simulate.rs",
+    "crates/core/src/instructions.rs",
+];
 
 /// Fingerprint- and JSON-emitting modules whose output must be
 /// byte-stable across processes: the stable hasher, the whole spec

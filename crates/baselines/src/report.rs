@@ -1,9 +1,7 @@
 //! Common result type for baselines.
 
-use serde::{Deserialize, Serialize};
-
 /// Performance summary of one system on one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineReport {
     /// System name, e.g. `"deepspeed"` or `"gpipe"`.
     pub name: String,

@@ -1,8 +1,8 @@
 //! Shared helpers for the table/figure harness binaries.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (§6); `cargo bench` additionally times the algorithmic
-//! kernels themselves. See `EXPERIMENTS.md` for the recorded outputs.
+//! paper's evaluation (§6) and prints paper-vs-measured numbers. Planner
+//! and server speed is measured by the standalone `perfbench/` package.
 
 use dpipe_cluster::ClusterSpec;
 use dpipe_model::ModelSpec;

@@ -8,13 +8,11 @@
 //! machine; when it carries none, every machine is the implicit reference
 //! class and all cost arithmetic is bit-identical to the homogeneous model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::DeviceId;
 
 /// One GPU generation / SKU family, parameterised relative to the reference
 /// A100-class device (`compute_scale == 1.0`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceClass {
     /// Class name (`a100`, `h100`, `a10g`, ...), informational and hashed
     /// into cluster fingerprints.

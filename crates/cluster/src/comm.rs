@@ -2,10 +2,9 @@
 
 use crate::device::DeviceId;
 use crate::topology::ClusterSpec;
-use serde::{Deserialize, Serialize};
 
 /// Bandwidth/latency pair for one link class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
     /// Achievable bandwidth in bytes/second.
     pub bandwidth: f64,

@@ -1,19 +1,14 @@
 //! Device and machine identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Global rank of a device in the cluster (0-based, row-major over
 /// machines: machine `m` hosts ranks `m*dpm .. (m+1)*dpm`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DeviceId(pub usize);
 
 /// Index of a machine (node) in the cluster.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MachineId(pub usize);
 
 impl DeviceId {

@@ -2,12 +2,11 @@
 
 use crate::device::DeviceId;
 use crate::topology::ClusterSpec;
-use serde::{Deserialize, Serialize};
 
 /// A pipeline-parallel group: the minimum set of devices over which a
 /// complete set of pipeline communications is performed (paper §3.1,
 /// footnote 1). Devices are a contiguous rank chain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineGroup {
     /// Group index (0-based).
     pub index: usize,
@@ -31,7 +30,7 @@ impl PipelineGroup {
 /// Mixed data + pipeline parallelism (paper Fig. 8): the world is divided
 /// into `world/D` pipeline groups; groups replicate the same model stages
 /// and synchronise gradients data-parallel across groups.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataParallelLayout {
     /// Pipeline-parallel group size `D`.
     pub group_size: usize,

@@ -4,7 +4,6 @@ use crate::class::{ClassMap, DeviceClass};
 use crate::comm::{CommModel, LinkParams};
 use crate::device::{DeviceId, MachineId};
 use dpipe_stablehash::StableHasher;
-use serde::{Deserialize, Serialize};
 
 /// Description of a GPU cluster — homogeneous by default, optionally with a
 /// per-machine [`DeviceClass`] for mixed-generation fleets.
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// link scale 1.0 — and every cost query is bit-identical to the original
 /// homogeneous model. A non-empty vector assigns one class per machine; see
 /// [`ClusterSpec::mixed`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Number of machines (nodes).
     pub machines: usize,

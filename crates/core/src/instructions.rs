@@ -4,168 +4,181 @@
 //! One stream is emitted per chain slot (a stage's replicas run in
 //! lockstep, so one stream represents all of them). Streams contain the
 //! paper's instruction set — micro-batch stage forwards/backwards (and
-//! self-conditioning forwards), rendezvous send/receive between adjacent
-//! stages, non-trainable forwards placed into bubbles, and the leftover
-//! frozen tail — and can be replayed on the instruction-level simulator to
-//! validate that the realised makespan matches the analytic schedule.
+//! self-conditioning forwards), rendezvous send/receive along every
+//! schedule dependency, and non-trainable forwards placed into bubbles.
+//!
+//! This is the one lowering: `dpipe plan --instructions` prints it and
+//! [`crate::simulate_plan`] replays it. The replay is *exact* — with no
+//! faults it agrees with [`Plan::iteration_time`] to floating-point noise.
+//! Communication stays as delay edges (eager sends); the leftover frozen
+//! tail and the gradient syncs are not in the streams and are accounted
+//! analytically by the simulator.
 
 use crate::plan::Plan;
-use dpipe_schedule::{OpKind, PipelineDirection, ScheduledOp};
+use dpipe_schedule::{OpKind, PipelineDirection};
 use dpipe_sim::Instruction;
+use std::collections::HashMap;
 
-/// Deterministic rendezvous tag for a transfer.
-fn tag(direction: PipelineDirection, kind: OpKind, micro_batch: usize, boundary: usize) -> u64 {
-    let d = matches!(direction, PipelineDirection::Up) as u64;
-    let k = match kind {
-        OpKind::Forward => 0u64,
-        OpKind::SelfCondForward => 1,
-        OpKind::Backward => 2,
-    };
-    (d << 40) | (k << 32) | ((micro_batch as u64) << 16) | boundary as u64
+/// What one instruction in a lowered stream stands for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum StreamMeta {
+    /// A backbone op (forward/self-cond/backward).
+    Op {
+        kind: OpKind,
+        direction: PipelineDirection,
+    },
+    /// Frozen work filled into a bubble.
+    Fill,
+    /// A communication edge (send or recv).
+    Comm,
 }
 
-/// Generates per-slot instruction streams realising the plan's iteration:
-/// the pipelined trainable part, the bubble fills at their positions, and
-/// the leftover frozen tail. Gradient synchronisation is overlappable
-/// communication and is not represented in the compute streams.
-pub fn generate_instructions(plan: &Plan) -> Vec<Vec<Instruction>> {
-    let num_slots = plan.schedule.num_slots;
-    // Per-slot ops in execution order.
-    let mut per_slot: Vec<Vec<&ScheduledOp>> = vec![Vec::new(); num_slots];
-    for op in &plan.schedule.ops {
-        per_slot[op.op.slot].push(op);
-    }
-    for list in &mut per_slot {
-        list.sort_by(|a, b| a.start.total_cmp(&b.start));
-    }
-    // Slot of each (direction, stage).
-    let slot_of = |direction: PipelineDirection, stage: usize| -> Option<usize> {
-        plan.schedule
-            .ops
-            .iter()
-            .find(|o| o.op.direction == direction && o.op.stage == stage)
-            .map(|o| o.op.slot)
-    };
-    let max_stage = |direction: PipelineDirection| -> usize {
-        plan.schedule
-            .ops
-            .iter()
-            .filter(|o| o.op.direction == direction)
-            .map(|o| o.op.stage)
-            .max()
-            .unwrap_or(0)
-    };
+/// A plan lowered to per-slot instruction streams.
+pub struct Lowered {
+    /// Instruction stream per chain slot.
+    pub streams: Vec<Vec<Instruction>>,
+    /// Parallel metadata per instruction.
+    pub(crate) meta: Vec<Vec<StreamMeta>>,
+    /// Analytic end of the last backward per (slot, direction) — the
+    /// anchor each gradient sync starts from.
+    pub(crate) last_backward: HashMap<(usize, PipelineDirection), f64>,
+}
 
-    // Fill items per slot, positioned by their bubble's start time.
-    let mut fills: Vec<Vec<(f64, f64, String)>> = vec![Vec::new(); num_slots]; // (time, dur, label)
+/// Lowers the plan's analytic schedule to exact instruction streams.
+///
+/// Per slot, ops are laid out in realized start order; every dependency
+/// becomes an eager `Send` (duration = the edge's communication delay)
+/// right after its producer and a `Recv` right before its consumer, under
+/// a globally unique tag. Fill items become plain `Compute` entries at the
+/// front of their bubble on every idle slot, mirroring
+/// [`dpipe_sim::CombinedIteration`]'s accounting.
+pub fn lower_plan(plan: &Plan) -> Lowered {
+    let sched = &plan.schedule;
+    let num_slots = sched.num_slots;
+
+    // Dependency edges, tagged globally.
+    struct Edge {
+        src_slot: usize,
+        dst_slot: usize,
+        delay: f64,
+        tag: u64,
+    }
+    let mut edges: Vec<Edge> = Vec::new();
+    let mut incoming: Vec<Vec<usize>> = vec![Vec::new(); sched.ops.len()];
+    let mut outgoing: Vec<Vec<usize>> = vec![Vec::new(); sched.ops.len()];
+    for (j, op) in sched.ops.iter().enumerate() {
+        for &(dep, delay) in &op.op.deps {
+            let id = edges.len();
+            edges.push(Edge {
+                src_slot: sched.ops[dep.0].op.slot,
+                dst_slot: op.op.slot,
+                delay,
+                tag: id as u64,
+            });
+            incoming[j].push(id);
+            outgoing[dep.0].push(id);
+        }
+    }
+
+    // Per-slot items in realized order: key (start, class, order) with
+    // fills (class 0) ahead of ops (class 1) on the vanishingly rare exact
+    // tie — a fill always occupies the *front* of an idle window.
+    enum Item {
+        Op(usize),
+        Fill { label: String, seconds: f64 },
+    }
+    let mut items: Vec<Vec<(f64, u8, usize, Item)>> = (0..num_slots).map(|_| Vec::new()).collect();
+    for (j, op) in sched.ops.iter().enumerate() {
+        items[op.op.slot].push((op.start, 1, op.op.priority, Item::Op(j)));
+    }
+    let mut fill_seq = 0usize;
     for bf in &plan.fill.bubbles {
         let bubble = &plan.bubbles[bf.bubble_index];
         let mut t = bubble.start;
         for item in &bf.items {
-            for &slot in &bubble.slots {
-                fills[slot].push((
-                    t,
-                    item.duration,
-                    format!("frozen c{} l{}", item.component.index(), item.layer),
-                ));
+            if item.duration > 0.0 {
+                for &slot in &bubble.slots {
+                    items[slot].push((
+                        t,
+                        0,
+                        fill_seq,
+                        Item::Fill {
+                            label: format!("fill c{} l{}", item.component.0, item.layer),
+                            seconds: item.duration,
+                        },
+                    ));
+                }
             }
             t += item.duration;
+            fill_seq += 1;
         }
+    }
+    for list in &mut items {
+        list.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
     }
 
-    let mut streams: Vec<Vec<Instruction>> = Vec::with_capacity(num_slots);
-    for slot in 0..num_slots {
-        let mut prog: Vec<Instruction> = Vec::new();
-        let mut fill_iter = {
-            let mut f = std::mem::take(&mut fills[slot]);
-            f.sort_by(|a, b| a.0.total_cmp(&b.0));
-            f.into_iter().peekable()
-        };
-        for op in &per_slot[slot] {
-            // Emit any fill work scheduled before this op starts.
-            while let Some(&(t, dur, _)) = fill_iter.peek() {
-                if t < op.start - 1e-12 {
-                    let Some((_, _, label)) = fill_iter.next() else {
-                        break;
-                    };
-                    prog.push(Instruction::Compute {
-                        label,
-                        seconds: dur,
+    let mut streams: Vec<Vec<Instruction>> = (0..num_slots).map(|_| Vec::new()).collect();
+    let mut meta: Vec<Vec<StreamMeta>> = (0..num_slots).map(|_| Vec::new()).collect();
+    let mut last_backward: HashMap<(usize, PipelineDirection), f64> = HashMap::new();
+    for (slot, list) in items.iter().enumerate() {
+        for (_, _, _, item) in list {
+            match item {
+                Item::Fill { label, seconds } => {
+                    streams[slot].push(Instruction::Compute {
+                        label: label.clone(),
+                        seconds: *seconds,
                     });
-                    let _ = (t, dur);
-                } else {
-                    break;
+                    meta[slot].push(StreamMeta::Fill);
                 }
-            }
-            let o = &op.op;
-            let dir = o.direction;
-            let last = max_stage(dir);
-            match o.kind {
-                OpKind::Forward | OpKind::SelfCondForward => {
-                    if o.stage > 0 {
-                        if let Some(peer) = slot_of(dir, o.stage - 1) {
-                            prog.push(Instruction::Recv {
-                                peer,
-                                tag: tag(dir, o.kind, o.micro_batch, o.stage),
-                            });
-                        }
+                Item::Op(j) => {
+                    let sop = &sched.ops[*j];
+                    for &e in &incoming[*j] {
+                        streams[slot].push(Instruction::Recv {
+                            peer: edges[e].src_slot,
+                            tag: edges[e].tag,
+                        });
+                        meta[slot].push(StreamMeta::Comm);
                     }
-                    prog.push(Instruction::Compute {
-                        label: format!("{} s{} mb{}", o.kind, o.stage, o.micro_batch),
-                        seconds: op.end - op.start,
+                    streams[slot].push(Instruction::Compute {
+                        label: format!(
+                            "{}{} s{} mb{}",
+                            sop.op.kind,
+                            match sop.op.direction {
+                                PipelineDirection::Down => "",
+                                PipelineDirection::Up => "^",
+                            },
+                            sop.op.stage,
+                            sop.op.micro_batch
+                        ),
+                        seconds: sop.op.duration,
                     });
-                    if o.stage < last {
-                        if let Some(peer) = slot_of(dir, o.stage + 1) {
-                            prog.push(Instruction::Send {
-                                peer,
-                                tag: tag(dir, o.kind, o.micro_batch, o.stage + 1),
-                                seconds: 0.0,
-                            });
-                        }
-                    }
-                }
-                OpKind::Backward => {
-                    if o.stage < last {
-                        if let Some(peer) = slot_of(dir, o.stage + 1) {
-                            prog.push(Instruction::Recv {
-                                peer,
-                                tag: tag(dir, o.kind, o.micro_batch, o.stage),
-                            });
-                        }
-                    }
-                    prog.push(Instruction::Compute {
-                        label: format!("B s{} mb{}", o.stage, o.micro_batch),
-                        seconds: op.end - op.start,
+                    meta[slot].push(StreamMeta::Op {
+                        kind: sop.op.kind,
+                        direction: sop.op.direction,
                     });
-                    if o.stage > 0 {
-                        if let Some(peer) = slot_of(dir, o.stage - 1) {
-                            prog.push(Instruction::Send {
-                                peer,
-                                tag: tag(dir, o.kind, o.micro_batch, o.stage - 1),
-                                seconds: 0.0,
-                            });
-                        }
+                    for &e in &outgoing[*j] {
+                        streams[slot].push(Instruction::Send {
+                            peer: edges[e].dst_slot,
+                            tag: edges[e].tag,
+                            seconds: edges[e].delay,
+                        });
+                        meta[slot].push(StreamMeta::Comm);
+                    }
+                    if sop.op.kind == OpKind::Backward {
+                        let entry = last_backward
+                            .entry((slot, sop.op.direction))
+                            .or_insert(f64::NEG_INFINITY);
+                        *entry = entry.max(sop.end);
                     }
                 }
             }
         }
-        // Remaining fills (bubbles after the slot's last op).
-        for (_, dur, label) in fill_iter {
-            prog.push(Instruction::Compute {
-                label,
-                seconds: dur,
-            });
-        }
-        // Leftover frozen tail runs on every slot.
-        if plan.fill.leftover_time > 0.0 {
-            prog.push(Instruction::Compute {
-                label: "frozen leftover tail".to_owned(),
-                seconds: plan.fill.leftover_time,
-            });
-        }
-        streams.push(prog);
     }
-    streams
+    Lowered {
+        streams,
+        meta,
+        last_backward,
+    }
 }
 
 #[cfg(test)]
@@ -182,10 +195,25 @@ mod tests {
             .unwrap()
     }
 
+    /// Relative gap between the replayed end of the last backbone op and
+    /// the schedule's analytic compute end (the leftover tail and the
+    /// syncs are not in the streams).
+    fn replay_error(plan: &Plan) -> f64 {
+        let lowered = lower_plan(plan);
+        let (traces, _) = InstructionSim::run(&lowered.streams).unwrap();
+        let replayed = traces
+            .iter()
+            .filter(|t| matches!(lowered.meta[t.device][t.index], StreamMeta::Op { .. }))
+            .map(|t| t.end)
+            .fold(0.0, f64::max);
+        let analytic = plan.schedule.compute_end();
+        (replayed - analytic).abs() / analytic
+    }
+
     #[test]
     fn streams_execute_without_deadlock() {
         let plan = plan_for(zoo::stable_diffusion_v2_1(), 256);
-        let streams = generate_instructions(&plan);
+        let streams = lower_plan(&plan).streams;
         assert_eq!(streams.len(), plan.schedule.num_slots);
         let (traces, makespan) = InstructionSim::run(&streams).unwrap();
         assert!(!traces.is_empty());
@@ -195,24 +223,14 @@ mod tests {
     #[test]
     fn makespan_matches_analytic_iteration() {
         let plan = plan_for(zoo::controlnet_v1_0(), 384);
-        let streams = generate_instructions(&plan);
-        let (_, makespan) = InstructionSim::run(&streams).unwrap();
-        // Compute-side iteration: the analytic compute end plus the tail
-        // (sync overlaps and is not in the streams). Rendezvous blocking
-        // can add small serialisation relative to the analytic model.
-        let analytic = plan.schedule.compute_end() + plan.fill.leftover_time;
-        let rel = (makespan - analytic).abs() / analytic;
-        assert!(
-            rel < 0.05,
-            "instruction makespan {makespan} vs analytic {analytic} ({:.1}%)",
-            rel * 100.0
-        );
+        let rel = replay_error(&plan);
+        assert!(rel < 1e-9, "replay misses the schedule by {rel:e}");
     }
 
     #[test]
     fn sends_and_recvs_are_balanced() {
         let plan = plan_for(zoo::stable_diffusion_v2_1(), 128);
-        let streams = generate_instructions(&plan);
+        let streams = lower_plan(&plan).streams;
         let count = |pred: &dyn Fn(&Instruction) -> bool| -> usize {
             streams.iter().flatten().filter(|i| pred(i)).count()
         };
@@ -224,28 +242,30 @@ mod tests {
     #[test]
     fn bidirectional_plans_lower_too() {
         let plan = plan_for(zoo::cdm_lsun(), 256);
-        let streams = generate_instructions(&plan);
-        let (_, makespan) = InstructionSim::run(&streams).unwrap();
-        let analytic = plan.schedule.compute_end() + plan.fill.leftover_time;
-        let rel = (makespan - analytic).abs() / analytic;
-        assert!(rel < 0.08, "{makespan} vs {analytic}");
+        let rel = replay_error(&plan);
+        assert!(rel < 1e-9, "replay misses the schedule by {rel:e}");
     }
 
     #[test]
     fn fill_work_appears_in_streams() {
         let plan = plan_for(zoo::controlnet_v1_0(), 384);
         assert!(plan.fill.filled_time() > 0.0, "plan should fill bubbles");
-        let streams = generate_instructions(&plan);
+        let streams = lower_plan(&plan).streams;
         let frozen_items = streams
             .iter()
             .flatten()
-            .filter(|i| matches!(i, Instruction::Compute { label, .. } if label.starts_with("frozen c")))
+            .filter(
+                |i| matches!(i, Instruction::Compute { label, .. } if label.starts_with("fill c")),
+            )
             .count();
         let expected: usize = plan
             .fill
             .bubbles
             .iter()
-            .map(|b| b.items.len() * plan.bubbles[b.bubble_index].slots.len())
+            .map(|b| {
+                let items = b.items.iter().filter(|i| i.duration > 0.0).count();
+                items * plan.bubbles[b.bubble_index].slots.len()
+            })
             .sum();
         assert_eq!(frozen_items, expected);
     }

@@ -37,7 +37,7 @@ mod planner;
 mod simulate;
 
 pub use error::PlanError;
-pub use instructions::generate_instructions;
+pub use instructions::{lower_plan, Lowered};
 pub use json::plan_json;
 pub use plan::{BackbonePartition, Plan, PreprocessingReport};
 pub use planner::{PlanStats, Planner, PlannerOptions};

@@ -4,10 +4,9 @@ use dpipe_fill::FillPlan;
 use dpipe_partition::{BidirectionalPlan, HyperParams, PartitionPlan};
 use dpipe_schedule::{Bubble, PipelineSchedule};
 use dpipe_stablehash::StableHasher;
-use serde::{Deserialize, Serialize};
 
 /// Partitioning result for the trainable part.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BackbonePartition {
     /// One backbone, unidirectional pipeline.
     Single(PartitionPlan),
@@ -32,7 +31,7 @@ impl BackbonePartition {
 /// the default) that equals wall time, while a parallel search sums CPU
 /// seconds across its workers and can therefore exceed the call's wall
 /// time. `profiling_seconds` is always the simulated profiling wall time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PreprocessingReport {
     /// Simulated profiling wall time (parallel across the cluster).
     pub profiling_seconds: f64,
@@ -45,7 +44,7 @@ pub struct PreprocessingReport {
 
 /// A complete DiffusionPipe execution plan: the best configuration found,
 /// its schedule, its bubble-filling assignment, and headline metrics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
     /// Winning hyper-parameters (S, M, D).
     pub hyper: HyperParams,

@@ -683,9 +683,8 @@ impl Planner {
     /// fill short-circuiting.
     ///
     /// [`Planner::plan`] must return a byte-identical plan; the golden
-    /// equivalence suite and `plan_bench` (which exits non-zero on any
-    /// divergence) assert exactly that, and `plan_bench` uses the runtime
-    /// ratio as the speedup headline.
+    /// equivalence suite and the benchmark's `plan_cold` oracle assert
+    /// exactly that.
     ///
     /// # Errors
     ///

@@ -2,22 +2,21 @@
 //! re-planning.
 //!
 //! The planner's schedule is analytic: every op carries its simulated start
-//! and end time. This module lowers that schedule to per-slot instruction
-//! streams ([`dpipe_sim::Instruction`]) whose discrete-event replay is
-//! *exact* — with no faults the replayed iteration time agrees with
+//! and end time. This module replays the plan's lowering to per-slot
+//! instruction streams ([`crate::lower_plan`]), whose discrete-event replay
+//! is *exact* — with no faults the replayed iteration time agrees with
 //! [`Plan::iteration_time`] to floating-point noise. A seeded
 //! [`FaultSpec`] (stragglers, degraded links, node drops) then perturbs the
 //! replay per data-parallel group, yielding a reproducible degraded
 //! timeline, throughput deltas, and — when machines drop — a re-plan on the
 //! surviving cluster with a [`MigrationDiff`] describing how stages move.
 //!
-//! The lowering keeps communication as delay edges (eager sends), handles
-//! bubble-filled frozen work as extra compute at the front of each bubble,
-//! and accounts for the leftover frozen tail and gradient syncs
-//! analytically, shifting each sync by how much its stage's last backward
-//! slipped in the replay.
+//! The leftover frozen tail and the gradient syncs are not in the streams;
+//! they are accounted analytically, shifting each sync by how much its
+//! stage's last backward slipped in the replay.
 
 use crate::error::PlanError;
+use crate::instructions::{lower_plan, Lowered, StreamMeta};
 use crate::plan::{BackbonePartition, Plan};
 use dpipe_cluster::{DataParallelLayout, MachineId, PipelineGroup};
 use dpipe_schedule::{OpKind, PipelineDirection};
@@ -25,170 +24,7 @@ use dpipe_sim::{FaultPlan, FaultSpec, FaultedRun, Instruction, InstructionSim};
 use dpipe_spec::json::JsonValue;
 use dpipe_spec::PlanSpec;
 use dpipe_trace::{SpanId, Tracer};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-
-/// What one instruction in a lowered stream stands for.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum StreamMeta {
-    /// A backbone op (forward/self-cond/backward).
-    Op {
-        kind: OpKind,
-        direction: PipelineDirection,
-    },
-    /// Frozen work filled into a bubble.
-    Fill,
-    /// A communication edge (send or recv).
-    Comm,
-}
-
-/// A plan lowered to per-slot instruction streams.
-struct Lowered {
-    /// Instruction stream per chain slot.
-    streams: Vec<Vec<Instruction>>,
-    /// Parallel metadata per instruction.
-    meta: Vec<Vec<StreamMeta>>,
-    /// Analytic end of the last backward per (slot, direction) — the
-    /// anchor each gradient sync starts from.
-    last_backward: HashMap<(usize, PipelineDirection), f64>,
-}
-
-/// Lowers the plan's analytic schedule to exact instruction streams.
-///
-/// Per slot, ops are laid out in realized start order; every dependency
-/// becomes an eager `Send` (duration = the edge's communication delay)
-/// right after its producer and a `Recv` right before its consumer, under
-/// a globally unique tag. Fill items become plain `Compute` entries at the
-/// front of their bubble on every idle slot, mirroring
-/// [`dpipe_sim::CombinedIteration`]'s accounting.
-fn lower_plan(plan: &Plan) -> Lowered {
-    let sched = &plan.schedule;
-    let num_slots = sched.num_slots;
-
-    // Dependency edges, tagged globally.
-    struct Edge {
-        src_slot: usize,
-        dst_slot: usize,
-        delay: f64,
-        tag: u64,
-    }
-    let mut edges: Vec<Edge> = Vec::new();
-    let mut incoming: Vec<Vec<usize>> = vec![Vec::new(); sched.ops.len()];
-    let mut outgoing: Vec<Vec<usize>> = vec![Vec::new(); sched.ops.len()];
-    for (j, op) in sched.ops.iter().enumerate() {
-        for &(dep, delay) in &op.op.deps {
-            let id = edges.len();
-            edges.push(Edge {
-                src_slot: sched.ops[dep.0].op.slot,
-                dst_slot: op.op.slot,
-                delay,
-                tag: id as u64,
-            });
-            incoming[j].push(id);
-            outgoing[dep.0].push(id);
-        }
-    }
-
-    // Per-slot items in realized order: key (start, class, order) with
-    // fills (class 0) ahead of ops (class 1) on the vanishingly rare exact
-    // tie — a fill always occupies the *front* of an idle window.
-    enum Item {
-        Op(usize),
-        Fill { label: String, seconds: f64 },
-    }
-    let mut items: Vec<Vec<(f64, u8, usize, Item)>> = (0..num_slots).map(|_| Vec::new()).collect();
-    for (j, op) in sched.ops.iter().enumerate() {
-        items[op.op.slot].push((op.start, 1, op.op.priority, Item::Op(j)));
-    }
-    let mut fill_seq = 0usize;
-    for bf in &plan.fill.bubbles {
-        let bubble = &plan.bubbles[bf.bubble_index];
-        let mut t = bubble.start;
-        for item in &bf.items {
-            if item.duration > 0.0 {
-                for &slot in &bubble.slots {
-                    items[slot].push((
-                        t,
-                        0,
-                        fill_seq,
-                        Item::Fill {
-                            label: format!("fill c{} l{}", item.component.0, item.layer),
-                            seconds: item.duration,
-                        },
-                    ));
-                }
-            }
-            t += item.duration;
-            fill_seq += 1;
-        }
-    }
-    for list in &mut items {
-        list.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-    }
-
-    let mut streams: Vec<Vec<Instruction>> = (0..num_slots).map(|_| Vec::new()).collect();
-    let mut meta: Vec<Vec<StreamMeta>> = (0..num_slots).map(|_| Vec::new()).collect();
-    let mut last_backward: HashMap<(usize, PipelineDirection), f64> = HashMap::new();
-    for (slot, list) in items.iter().enumerate() {
-        for (_, _, _, item) in list {
-            match item {
-                Item::Fill { label, seconds } => {
-                    streams[slot].push(Instruction::Compute {
-                        label: label.clone(),
-                        seconds: *seconds,
-                    });
-                    meta[slot].push(StreamMeta::Fill);
-                }
-                Item::Op(j) => {
-                    let sop = &sched.ops[*j];
-                    for &e in &incoming[*j] {
-                        streams[slot].push(Instruction::Recv {
-                            peer: edges[e].src_slot,
-                            tag: edges[e].tag,
-                        });
-                        meta[slot].push(StreamMeta::Comm);
-                    }
-                    streams[slot].push(Instruction::Compute {
-                        label: format!(
-                            "{}{} s{} mb{}",
-                            sop.op.kind,
-                            match sop.op.direction {
-                                PipelineDirection::Down => "",
-                                PipelineDirection::Up => "^",
-                            },
-                            sop.op.stage,
-                            sop.op.micro_batch
-                        ),
-                        seconds: sop.op.duration,
-                    });
-                    meta[slot].push(StreamMeta::Op {
-                        kind: sop.op.kind,
-                        direction: sop.op.direction,
-                    });
-                    for &e in &outgoing[*j] {
-                        streams[slot].push(Instruction::Send {
-                            peer: edges[e].dst_slot,
-                            tag: edges[e].tag,
-                            seconds: edges[e].delay,
-                        });
-                        meta[slot].push(StreamMeta::Comm);
-                    }
-                    if sop.op.kind == OpKind::Backward {
-                        let entry = last_backward
-                            .entry((slot, sop.op.direction))
-                            .or_insert(f64::NEG_INFINITY);
-                        *entry = entry.max(sop.end);
-                    }
-                }
-            }
-        }
-    }
-    Lowered {
-        streams,
-        meta,
-        last_backward,
-    }
-}
 
 /// Global device ranks executing each chain slot, for one pipeline group.
 ///
@@ -287,7 +123,7 @@ fn run_group(plan: &Plan, lowered: &Lowered, fplan: &FaultPlan) -> Result<GroupE
 }
 
 /// One labelled span of a degraded timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimelineSpan {
     /// Human-readable label (`"F s1 mb2"`, `"fill c0 l3"`).
     pub label: String,
@@ -298,7 +134,7 @@ pub struct TimelineSpan {
 }
 
 /// The degraded timeline of one chain slot (group 0).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlotTimeline {
     /// Chain slot index.
     pub slot: usize,
@@ -309,7 +145,7 @@ pub struct SlotTimeline {
 }
 
 /// Headline figures of a fault-injected simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Fingerprint of the fault spec driving the run.
     pub fault_fingerprint: u64,
@@ -350,7 +186,7 @@ pub struct SimReport {
 }
 
 /// Where a stage of the plan lives: the unit the migration diff compares.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageLayout {
     /// `"down"` or `"up"`.
     pub direction: String,
@@ -367,7 +203,7 @@ pub struct StageLayout {
 }
 
 /// One edit step of a [`MigrationDiff`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StageEdit {
     /// Stage `index` changes shape or placement.
     Changed {
@@ -396,7 +232,7 @@ pub enum StageEdit {
 
 /// A constructive diff between two plans' stage layouts: applying the
 /// edits to the old layout yields the new one exactly.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrationDiff {
     /// Edit script, aligned changes first, then removals (descending),
     /// then additions (ascending).
@@ -528,7 +364,7 @@ impl MigrationDiff {
 }
 
 /// Outcome of re-planning on the surviving cluster after node drops.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Replan {
     /// Machines removed from the cluster.
     pub dropped_machines: Vec<usize>,
@@ -547,7 +383,7 @@ pub struct Replan {
 }
 
 /// A complete fault-injected simulation result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationOutcome {
     /// Headline figures.
     pub report: SimReport,

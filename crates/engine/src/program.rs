@@ -1,9 +1,7 @@
 //! Pipeline instruction generation (paper Fig. 7, step 6).
 
-use serde::{Deserialize, Serialize};
-
 /// Engine configuration for one training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Raw layers per pipeline stage (must sum to the backbone layer count;
     /// one device per stage per group).
@@ -15,7 +13,6 @@ pub struct EngineConfig {
     /// SGD learning rate (used when `optimizer` is `None`).
     pub lr: f32,
     /// Optimiser override; `None` means SGD at `lr`.
-    #[serde(skip)]
     pub optimizer: Option<dpipe_tensor::Optimizer>,
 }
 
@@ -30,7 +27,7 @@ impl EngineConfig {
 /// One back-end pipeline instruction. Mirrors the paper's instruction set:
 /// load micro-batch data, trainable stage forward/backward, non-trainable
 /// stage forward, send/receive, synchronisation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineInstr {
     /// Load micro-batch `mb` of the (already encoded) input onto the device.
     LoadMicroBatch {

@@ -1,9 +1,7 @@
 //! Bubble-filling configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Knobs for the bubble-filling algorithm, with the paper's defaults.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FillConfig {
     /// Bubbles shorter than this are ignored (§5 footnote: 10 ms, under
     /// which input/output setup cost is not amortised).

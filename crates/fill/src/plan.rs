@@ -1,10 +1,9 @@
 //! Bubble-filling results.
 
 use dpipe_model::ComponentId;
-use serde::{Deserialize, Serialize};
 
 /// One scheduled piece of frozen work inside a bubble.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FillItem {
     /// Frozen component.
     pub component: ComponentId,
@@ -20,7 +19,7 @@ pub struct FillItem {
 }
 
 /// What one bubble got filled with.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BubbleFill {
     /// Index into the input bubble list.
     pub bubble_index: usize,
@@ -45,7 +44,7 @@ impl BubbleFill {
 }
 
 /// Complete bubble-filling plan for one iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FillPlan {
     /// Per-bubble assignments (bubbles the algorithm considered).
     pub bubbles: Vec<BubbleFill>,

@@ -2,10 +2,9 @@
 
 use dpipe_model::{ComponentId, ModelSpec};
 use dpipe_profile::ProfileDb;
-use serde::{Deserialize, Serialize};
 
 /// Progress of one frozen component.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentProgress {
     /// Component id.
     pub component: ComponentId,

@@ -1,5 +1,5 @@
 //! A minimal blocking HTTP/1.1 client with keep-alive, used by the
-//! integration tests and the closed-loop load generator (`http_bench`).
+//! integration tests and the benchmark's load generator (`perfbench`).
 //! Deliberately tiny: one connection, one request in flight, enough header
 //! parsing to read a `Content-Length` response from our own server.
 

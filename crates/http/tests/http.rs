@@ -405,20 +405,15 @@ fn trace_dir_writes_chrome_trace_files_per_request() {
     assert_eq!(planned.status, 200, "{}", planned.text());
     // The trace file is written by the connection worker after the /plan
     // response but before it reads the next keep-alive request, so a second
-    // round trip on the same connection is a deterministic barrier.
+    // round trip on the same connection is a deterministic barrier. The
+    // /plan request is the sink's first record, so its file name is known;
+    // the /healthz trace may not exist yet.
     let health = client.request("GET", "/healthz", b"").unwrap();
     assert_eq!(health.status, 200);
 
-    let files: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .collect();
-    assert!(
-        !files.is_empty(),
-        "no trace file written to {}",
-        dir.display()
-    );
-    let text = std::fs::read_to_string(&files[0]).unwrap();
+    let plan_trace = dir.join("request-000000-200.json");
+    let text = std::fs::read_to_string(&plan_trace)
+        .unwrap_or_else(|e| panic!("no /plan trace at {}: {e}", plan_trace.display()));
     let doc = parse(&text).expect("trace file is valid JSON");
     let events = doc
         .get("traceEvents")
@@ -447,6 +442,9 @@ fn trace_dir_writes_chrome_trace_files_per_request() {
             "span {expected} missing from {names:?}"
         );
     }
+    // Close the keep-alive connection first: drain would otherwise wait
+    // out the server's read timeout on it.
+    drop(client);
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -471,6 +469,7 @@ fn trace_sampling_skips_unselected_requests() {
     // Request 0 is sampled (0 % 1000 == 0); the rest are skipped.
     let files = std::fs::read_dir(&dir).unwrap().count();
     assert_eq!(files, 1, "sample=1000 must keep only the first request");
+    drop(client);
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,11 +1,10 @@
 //! Model components: trainable backbones and frozen encoders.
 
 use crate::{ComponentId, LayerId, LayerSpec};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Whether a component is pipelined-and-trained or frozen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Role {
     /// Trainable backbone (e.g. U-Net): partitioned into pipeline stages,
     /// runs forward and backward, participates in gradient synchronisation.
@@ -28,7 +27,7 @@ impl fmt::Display for Role {
 ///
 /// Layers within a component are linearly dependent (layer `i+1` consumes
 /// layer `i`'s output); components themselves form a DAG via [`Component::deps`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Component {
     /// Human-readable name, e.g. `"unet"` or `"vae_encoder"`.
     pub name: String,

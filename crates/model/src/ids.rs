@@ -1,6 +1,5 @@
 //! Typed identifiers for components and layers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a component within a [`crate::ModelSpec`].
@@ -8,15 +7,11 @@ use std::fmt;
 /// Components are stored in a `Vec`; a `ComponentId` is the index into that
 /// vector. The newtype prevents accidentally mixing component indices with
 /// layer indices or device ranks.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ComponentId(pub usize);
 
 /// Index of a layer within a [`crate::Component`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LayerId(pub usize);
 
 impl ComponentId {

@@ -1,6 +1,5 @@
 //! Per-layer cost metadata.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Coarse operator category of a layer.
@@ -8,7 +7,7 @@ use std::fmt;
 /// The kind does not affect planning directly; it feeds the profiler's cost
 /// model (e.g. attention layers have worse small-batch efficiency than convs)
 /// and makes timelines and plans human-readable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// Convolution (or conv-dominated residual block).
     Conv,
@@ -47,7 +46,7 @@ impl fmt::Display for LayerKind {
 /// batch-independent kernel-launch / framework overhead paid once per layer
 /// invocation. The profiler combines these with a device model to produce
 /// execution times; see `dpipe_profile`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerSpec {
     /// Human-readable name, e.g. `"down.3.resblock"`.
     pub name: String,

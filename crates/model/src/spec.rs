@@ -1,14 +1,13 @@
 //! Whole-model specification and validation.
 
 use crate::{Component, ComponentId, LayerKind, ModelError, Role, StableHasher};
-use serde::{Deserialize, Serialize};
 
 /// Self-conditioning configuration (Chen et al., 2022).
 ///
 /// When enabled, each training step runs an *extra* forward pass of the
 /// backbone with probability `probability`, whose output is fed back as a
 /// conditional input (the `Cf` edge in Fig. 10 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelfConditioning {
     /// Probability that a given iteration performs the extra forward pass.
     /// The paper's reference value is 0.5.
@@ -31,7 +30,7 @@ impl Default for SelfConditioning {
 
 /// A complete diffusion model: components, roles, dependencies and training
 /// options.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSpec {
     /// Model name (e.g. `"stable-diffusion-v2.1"`).
     pub name: String,

@@ -15,13 +15,12 @@ use crate::single::Partitioner;
 use crate::stage_cost::StageTerms;
 use dpipe_model::ComponentId;
 use dpipe_profile::CostPrefix;
-use serde::{Deserialize, Serialize};
 
 /// Result of bidirectional partitioning: one plan per backbone sharing the
 /// same device chain. The *down* backbone pipelines from chain offset 0 to
 /// the end; the *up* backbone pipelines in the reverse direction, so up's
 /// stage 0 occupies the chain's last devices (paper Fig. 3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BidirectionalPlan {
     /// Partition of the down-pipelined backbone (stage 0 at chain start).
     pub down: PartitionPlan,

@@ -1,11 +1,9 @@
 //! Partitioning configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// One (S, M, B_group) configuration for the partitioner, where `B_group`
 /// is the batch handled by a single pipeline-parallel group (the global
 /// batch divided by the data-parallel degree).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionConfig {
     /// Number of pipeline stages `S`.
     pub num_stages: usize,

@@ -2,12 +2,11 @@
 
 use dpipe_cluster::{DeviceId, PipelineGroup};
 use dpipe_model::ComponentId;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// One pipeline stage: a contiguous layer range of a backbone, replicated
 /// over a suffix of the group's device chain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StagePlan {
     /// The backbone this stage belongs to.
     pub component: ComponentId,
@@ -45,7 +44,7 @@ impl StagePlan {
 
 /// A complete partition of one backbone, plus the cost-bound bookkeeping the
 /// optimiser used to select it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionPlan {
     /// Stages in pipeline order (stage 0 first).
     pub stages: Vec<StagePlan>,

@@ -15,8 +15,8 @@
 //! * cost arithmetic is expression-for-expression the same as the fast
 //!   path's, with interval sums evaluated naively.
 //!
-//! The golden-equivalence suite and `plan_bench` run these to prove the
-//! optimised planner changes nothing but speed.
+//! The golden-equivalence suite runs these to prove the optimised planner
+//! changes nothing but speed.
 
 use crate::config::PartitionConfig;
 use crate::error::PartitionError;

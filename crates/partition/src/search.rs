@@ -1,11 +1,10 @@
 //! Hyper-parameter enumeration: the (S, M, D) combinations of Table 3.
 
 use dpipe_cluster::{ClusterSpec, DataParallelLayout};
-use serde::{Deserialize, Serialize};
 
 /// One hyper-parameter combination of the paper's Table 3: stage count `S`,
 /// micro-batch count `M` and pipeline-parallel group size `D`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HyperParams {
     /// Number of model stages.
     pub num_stages: usize,
@@ -24,7 +23,7 @@ impl HyperParams {
 }
 
 /// Bounds for the hyper-parameter search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchSpace {
     /// Maximum stage count to consider.
     pub max_stages: usize,

@@ -3,7 +3,6 @@
 use crate::device::DeviceModel;
 use crate::records::RecordTable;
 use dpipe_model::{ComponentId, LayerId, ModelSpec};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -13,7 +12,7 @@ use std::sync::Arc;
 /// `1 + sigma * u` where `u ∈ [-1, 1]` is a hash of (component, layer).
 /// This reproduces the paper's observation (§6.2) that the gap between
 /// profiled and actual execution time leaves a little bubble time unfilled.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseConfig {
     /// Relative noise amplitude (e.g. 0.03 for ±3%).
     pub sigma: f64,

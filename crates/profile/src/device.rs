@@ -1,7 +1,5 @@
 //! Analytical device model.
 
-use serde::{Deserialize, Serialize};
-
 /// A compute device characterised by an effective sustained throughput and
 /// a batch-efficiency curve.
 ///
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// out-run data parallelism even without synchronisation overhead: pipeline
 /// stages and bubble-filled frozen layers process larger local batches than
 /// a fully data-parallel layout (paper §6.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceModel {
     /// Device name, informational.
     pub name: String,

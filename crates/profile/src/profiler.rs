@@ -4,11 +4,10 @@ use crate::db::ProfileDb;
 use crate::device::DeviceModel;
 use crate::records::RecordTable;
 use dpipe_model::{ComponentId, LayerId, ModelSpec};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One profiled measurement: a layer at one batch size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfileRecord {
     /// Component owning the layer.
     pub component: ComponentId,
@@ -25,7 +24,7 @@ pub struct ProfileRecord {
 }
 
 /// Summary of a profiling run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfilingReport {
     /// Simulated wall-clock duration of the profiling pass, assuming it runs
     /// data-parallel on `world_size` devices with `repeats` timed repetitions

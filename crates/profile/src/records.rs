@@ -4,11 +4,10 @@
 
 use crate::error::ProfileError;
 use dpipe_model::{ComponentId, LayerId, ModelSpec};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Timing samples for one layer: sorted `(batch, fwd_seconds, bwd_seconds)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LayerSamples {
     samples: Vec<(f64, f64, f64)>,
 }
@@ -67,7 +66,7 @@ impl LayerSamples {
 }
 
 /// A table of per-layer timing samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RecordTable {
     layers: HashMap<(usize, usize), LayerSamples>,
 }

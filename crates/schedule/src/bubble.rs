@@ -1,10 +1,8 @@
 //! Pipeline bubble extraction.
 
-use serde::{Deserialize, Serialize};
-
 /// A pipeline bubble: a maximal time span during which a fixed set of chain
 /// slots is idle (paper §5's `(start time, end time, idle devices)` tuple).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Bubble {
     /// Start time (seconds from iteration start).
     pub start: f64,

@@ -1,16 +1,13 @@
 //! Pipeline operations.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an operation within one schedule.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct OpId(pub usize);
 
 /// Which pipeline a stage belongs to (bidirectional schedules run two).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PipelineDirection {
     /// Chain offset 0 → end (the only direction for single backbones).
     Down,
@@ -19,7 +16,7 @@ pub enum PipelineDirection {
 }
 
 /// What an operation does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Forward pass of a micro-batch through one stage.
     Forward,
@@ -41,7 +38,7 @@ impl fmt::Display for OpKind {
 
 /// One pipeline operation before simulation: where it runs, how long it
 /// takes, and which ops (plus communication delays) must precede it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Op {
     /// Chain slot (device position within the pipeline group) the op runs on.
     pub slot: usize,

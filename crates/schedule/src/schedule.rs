@@ -2,10 +2,9 @@
 
 use crate::bubble::{extract_bubbles, Bubble};
 use crate::op::{Op, OpKind, PipelineDirection};
-use serde::{Deserialize, Serialize};
 
 /// An operation with simulated start/end times.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledOp {
     /// The operation.
     pub op: Op,
@@ -16,7 +15,7 @@ pub struct ScheduledOp {
 }
 
 /// A gradient synchronisation (pipeline flush) for one stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyncOp {
     /// Chain slot whose stage synchronises.
     pub slot: usize,
@@ -30,7 +29,7 @@ pub struct SyncOp {
 
 /// A fully simulated pipeline iteration: timed compute ops, per-stage
 /// gradient syncs, and bubble accounting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineSchedule {
     /// All compute ops with times.
     pub ops: Vec<ScheduledOp>,

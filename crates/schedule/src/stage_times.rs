@@ -4,10 +4,9 @@
 use dpipe_cluster::{ClusterSpec, DataParallelLayout};
 use dpipe_partition::PartitionPlan;
 use dpipe_profile::ProfileDb;
-use serde::{Deserialize, Serialize};
 
 /// Concrete per-micro-batch stage times for one pipelined backbone.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageTimes {
     /// Forward time per stage (one micro-batch at local batch `B̄/r`).
     pub fwd: Vec<f64>,

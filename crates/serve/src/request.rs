@@ -191,13 +191,8 @@ impl PlanRequest {
         if let Err(e) = self.spec.cluster.validate_classes() {
             return Err(PlanError::InvalidRequest(e));
         }
-        Planner::new(self.model().clone(), self.spec.cluster.clone())
-            .with_options(self.spec.options)
-            .with_search_space(self.spec.search)
-            .with_fill_config(self.spec.fill.clone())
-            .with_schedule_kind(self.spec.schedule)
+        Planner::from_spec(&self.spec)?
             .with_parallelism(workers)
-            .with_record_backed_profiles(self.spec.record_backed)
             .with_tracer(tracer.clone())
             .with_trace_parent(parent)
             .plan(self.spec.global_batch)

@@ -3,13 +3,12 @@
 
 use dpipe_fill::FillPlan;
 use dpipe_schedule::{extract_bubbles, Bubble, PipelineSchedule};
-use serde::{Deserialize, Serialize};
 
 /// One complete training iteration under cross-iteration pipelining
 /// (paper §3.2 / Fig. 9): the backbone pipeline of iteration `t` with its
 /// bubbles hosting the frozen computation of iteration `t+1`, the leftover
 /// frozen tail, and gradient syncs overlapped with both.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CombinedIteration {
     /// Per-slot busy intervals of the merged timeline.
     busy: Vec<Vec<(f64, f64)>>,

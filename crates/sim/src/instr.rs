@@ -8,13 +8,12 @@
 
 use crate::des::{EventQueue, SimError};
 use crate::fault::FaultPlan;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
 /// One back-end pipeline instruction (paper Fig. 7, right side).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Instruction {
     /// Local computation for `seconds` (stage forward/backward, frozen
     /// layer execution, or micro-batch load).
@@ -58,7 +57,7 @@ pub enum Instruction {
 }
 
 /// Per-instruction execution record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstructionTrace {
     /// Device index.
     pub device: usize,

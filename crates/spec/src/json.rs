@@ -1,11 +1,11 @@
 //! A minimal JSON tree: emitter *and* parser.
 //!
-//! The workspace's `serde` is an inert offline shim (its derives expand to
-//! nothing), so serialization has to be explicit. This module provides the
-//! subset the declarative spec API needs: a [`JsonValue`] tree with a
-//! spec-conformant `Display` (string escaping, non-finite numbers as
-//! `null`), typed accessors, and a hand-written recursive-descent
-//! [`parse`]r with positioned [`JsonError`] diagnostics.
+//! The workspace has no serialization framework, so serialization is
+//! explicit. This module provides the subset the declarative spec API
+//! needs: a [`JsonValue`] tree with a spec-conformant `Display` (string
+//! escaping, non-finite numbers as `null`), typed accessors, and a
+//! hand-written recursive-descent [`parse`]r with positioned
+//! [`JsonError`] diagnostics.
 //!
 //! Number round-trip note: `Display` for `f64` uses Rust's shortest
 //! round-trippable representation, and [`parse`] reads numbers back with

@@ -25,9 +25,9 @@
 //! first-class axis points).
 //!
 //! The [`json`] module is the crate's foundation: a dependency-free JSON
-//! tree with an emitter *and* a hand-written parser (the workspace `serde`
-//! is an inert offline shim), re-homed here from `dpipe_serve` so the core
-//! planner can consume specs without a dependency cycle.
+//! tree with an emitter *and* a hand-written parser, re-homed here from
+//! `dpipe_serve` so the core planner can consume specs without a
+//! dependency cycle.
 //!
 //! # Example
 //!

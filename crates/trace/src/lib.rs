@@ -12,8 +12,8 @@
 //! carries no collector at all — every API call is a `None` check. An
 //! allocated collector can additionally be switched off at runtime via an
 //! atomic flag ([`Tracer::set_enabled`]), which reduces every span site to
-//! one relaxed atomic load; `plan_bench` guards that this stays in the
-//! noise.
+//! one relaxed atomic load. The benchmark reports what tracing costs as
+//! `trace.overhead_frac`.
 //!
 //! Exporters: [`Trace::to_chrome_json`] emits Chrome trace-event JSON
 //! (loadable in Perfetto / `chrome://tracing`), [`Trace::render_tree`] a

@@ -17,8 +17,8 @@
 
 use diffusionpipe::baselines::{ddp, gpipe, spp, zero3};
 use diffusionpipe::core::{
-    generate_instructions, render_sim_timeline, simulate_plan, BackbonePartition, FaultSpec,
-    PlanError, Planner, PlannerOptions,
+    lower_plan, render_sim_timeline, simulate_plan, BackbonePartition, FaultSpec, PlanError,
+    Planner, PlannerOptions,
 };
 use diffusionpipe::partition::SearchSpace;
 use diffusionpipe::prelude::*;
@@ -362,8 +362,7 @@ fn cmd_plan(args: &Args) -> ExitCode {
         println!("\n{}", render_timeline(&plan.schedule, 100));
     }
     if args.has("instructions") {
-        let streams = generate_instructions(&plan);
-        for (slot, prog) in streams.iter().enumerate() {
+        for (slot, prog) in lower_plan(&plan).streams.iter().enumerate() {
             println!("\ndevice slot {slot} ({} instructions):", prog.len());
             for instr in prog.iter().take(12) {
                 println!("  {instr:?}");

@@ -14,8 +14,8 @@
 //! This workspace substitutes the paper's 64×A100 testbed with calibrated
 //! analytical cost models and a deterministic simulator, plus a real
 //! multi-threaded execution engine over a CPU tensor substrate that
-//! validates the equivalence claim numerically. See `DESIGN.md` for the
-//! substitution table and `EXPERIMENTS.md` for paper-vs-measured results.
+//! validates the equivalence claim numerically. See `README.md` for the
+//! substitution and the `dpipe_bench` binaries for paper-vs-measured results.
 //!
 //! ## Quickstart
 //!

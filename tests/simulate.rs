@@ -3,7 +3,9 @@
 //! serves exactly that document, and a node drop yields a re-plan whose
 //! migration diff really is a constructive edit script.
 
-use diffusionpipe::core::{simulate_plan, stage_layouts, FaultSpec, PlanError};
+use diffusionpipe::core::{
+    lower_plan, simulate_plan, stage_layouts, FaultSpec, PlanError, Planner,
+};
 use diffusionpipe::http::{HttpClient, HttpServer, ServerConfig};
 use diffusionpipe::serve::json::simulate_response_doc;
 use diffusionpipe::serve::{PlanRequest, PlanService, ServiceConfig};
@@ -136,6 +138,69 @@ fn node_drop_replans_and_the_migration_diff_round_trips() {
         assert!(
             outcome.report.dropped_devices.contains(device),
             "retired device {device} was never dropped"
+        );
+    }
+}
+
+/// `dpipe plan --instructions` prints the lowering the simulator replays:
+/// every slot header carries that slot's stream length, and a zero-fault
+/// replay executes exactly those streams once per data-parallel group.
+#[test]
+fn plan_instructions_print_the_replayed_lowering() {
+    for name in ["sd_8gpu_b256.json", "sd_64gpu_b256.json"] {
+        let spec_path = format!("{SPEC_DIR}/{name}");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_dpipe"))
+            .args([
+                "plan",
+                "--spec",
+                &spec_path,
+                "--workers",
+                "1",
+                "--instructions",
+            ])
+            .output()
+            .expect("run dpipe");
+        assert!(
+            out.status.success(),
+            "{name}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+        let headers: Vec<(usize, usize)> = stdout
+            .lines()
+            .filter_map(|line| {
+                let (slot, count) = line.strip_prefix("device slot ")?.split_once(" (")?;
+                let count = count.strip_suffix(" instructions):")?;
+                Some((slot.parse().ok()?, count.parse().ok()?))
+            })
+            .collect();
+
+        let spec = load_spec(name);
+        let plan = Planner::plan_spec(&spec).expect("plan");
+        let lowered = lower_plan(&plan);
+        assert_eq!(
+            headers.len(),
+            lowered.streams.len(),
+            "{name}: one header per slot in\n{stdout}"
+        );
+        for (slot, count) in headers {
+            assert_eq!(count, lowered.streams[slot].len(), "{name}: slot {slot}");
+        }
+
+        let outcome = simulate_plan(
+            &spec,
+            &plan,
+            &FaultSpec::none(),
+            &Tracer::off(),
+            None,
+            Planner::plan_spec,
+        )
+        .expect("simulate");
+        let per_group: usize = lowered.streams.iter().map(Vec::len).sum();
+        assert_eq!(
+            outcome.report.total_instructions,
+            outcome.report.dp_groups * per_group,
+            "{name}"
         );
     }
 }
