@@ -35,6 +35,16 @@ pub struct PlanStats {
     /// evaluation order, so it may vary across parallel runs (the selected
     /// plan never does).
     pub fill_skipped: usize,
+    /// Configurations skipped before partitioning because their
+    /// throughput bound ([`Planner::evaluate_config`]) was strictly below
+    /// the best plan found so far. Order-dependent like `fill_skipped`.
+    pub bound_skipped: usize,
+    /// Partition DPs run (one per configuration that reached the DP).
+    pub partitions_run: usize,
+    /// Pipeline schedules built and simulated.
+    pub schedules_built: usize,
+    /// Bubble-filling passes run.
+    pub fills_run: usize,
     /// Worker threads the config search actually used.
     pub parallelism: usize,
 }
@@ -47,6 +57,9 @@ struct ConfigOutcome {
     fill_seconds: f64,
     stats: DpStats,
     fill_skipped: bool,
+    partitioned: bool,
+    scheduled: bool,
+    filled: bool,
 }
 
 /// Per-worker reduction state (internal).
@@ -58,6 +71,10 @@ struct WorkerResult {
     fill_seconds: f64,
     stats: DpStats,
     fill_skipped: usize,
+    bound_skipped: usize,
+    partitions_run: usize,
+    schedules_built: usize,
+    fills_run: usize,
 }
 
 impl WorkerResult {
@@ -68,6 +85,9 @@ impl WorkerResult {
         self.fill_seconds += outcome.fill_seconds;
         self.stats.merge(&outcome.stats);
         self.fill_skipped += usize::from(outcome.fill_skipped);
+        self.partitions_run += usize::from(outcome.partitioned);
+        self.schedules_built += usize::from(outcome.scheduled);
+        self.fills_run += usize::from(outcome.filled);
         if let Some(plan) = outcome.plan {
             self.feasible += 1;
             // Strictly-better-throughput wins, so the earliest config index
@@ -90,6 +110,10 @@ impl WorkerResult {
         self.fill_seconds += other.fill_seconds;
         self.stats.merge(&other.stats);
         self.fill_skipped += other.fill_skipped;
+        self.bound_skipped += other.bound_skipped;
+        self.partitions_run += other.partitions_run;
+        self.schedules_built += other.schedules_built;
+        self.fills_run += other.fills_run;
         if let Some((oi, op)) = other.best {
             let replace = match &self.best {
                 None => true,
@@ -468,6 +492,10 @@ impl Planner {
         search_span.set("workers", workers);
         search_span.set("feasible", result.feasible);
         search_span.set("fill_skipped", result.fill_skipped);
+        search_span.set("bound_skipped", result.bound_skipped);
+        search_span.set("partitions_run", result.partitions_run);
+        search_span.set("schedules_built", result.schedules_built);
+        search_span.set("fills_run", result.fills_run);
         search_span.set("dp_candidates", result.stats.candidates);
         search_span.set("dp_pruned", result.stats.pruned);
         search_span.finish();
@@ -478,6 +506,10 @@ impl Planner {
             feasible: result.feasible,
             dp: result.stats,
             fill_skipped: result.fill_skipped,
+            bound_skipped: result.bound_skipped,
+            partitions_run: result.partitions_run,
+            schedules_built: result.schedules_built,
+            fills_run: result.fills_run,
             parallelism: workers,
         };
         let (best_index, mut plan) = result.best.ok_or(PlanError::NoFeasibleConfig)?;
@@ -573,6 +605,9 @@ impl Planner {
             fill_seconds: 0.0,
             stats: DpStats::default(),
             fill_skipped: false,
+            partitioned: false,
+            scheduled: false,
+            filled: false,
         };
         let world = self.cluster.world_size();
         let Some(layout) = DataParallelLayout::new(&self.cluster, hp.group_size) else {
@@ -587,6 +622,7 @@ impl Planner {
 
         let t0 = Instant::now();
         let partition_span = self.tracer.child_span("partition", span.id());
+        outcome.partitioned = true;
         let partition = if backbones.len() == 1 {
             match part.partition_single_with(backbones[0], &cfg, &prefixes[0], &mut outcome.stats) {
                 Ok(p) => BackbonePartition::Single(p),
@@ -610,6 +646,7 @@ impl Planner {
 
         let t1 = Instant::now();
         let schedule_span = self.tracer.child_span("schedule", span.id());
+        outcome.scheduled = true;
         let builder = ScheduleBuilder::new(&dbs[0], &self.cluster, &layout).with_class_dbs(dbs);
         let schedule = match &partition {
             BackbonePartition::Single(p) => builder.build_single(p, self.schedule),
@@ -633,6 +670,7 @@ impl Planner {
         }
 
         let mut fill_span = self.tracer.child_span("fill", span.id());
+        outcome.filled = true;
         let bubbles = schedule.bubbles(fill_cfg.min_bubble_seconds);
         // The frozen part runs data-parallel on every device; its tail is
         // gated by the slowest device class.
