@@ -35,8 +35,9 @@ impl BackbonePartition {
 pub struct PreprocessingReport {
     /// Simulated profiling wall time (parallel across the cluster).
     pub profiling_seconds: f64,
-    /// Partitioning-DP CPU seconds summed across all configs (and, in a
-    /// parallel search, across workers).
+    /// Partitioning-DP CPU seconds summed over the configs whose DP
+    /// actually ran (configs the search skipped by their throughput bound
+    /// cost nothing here) and, in a parallel search, across workers.
     pub partition_seconds: f64,
     /// Schedule simulation + bubble filling CPU seconds, summed likewise.
     pub fill_seconds: f64,

@@ -7,7 +7,8 @@ use dpipe_cluster::{ClassMap, ClusterSpec, DataParallelLayout};
 use dpipe_fill::{FillConfig, Filler};
 use dpipe_model::{ComponentId, ModelSpec};
 use dpipe_partition::{
-    enumerate_configs, DpStats, HyperParams, PartitionConfig, Partitioner, SearchSpace,
+    enumerate_configs, layer_work, DpStats, HyperParams, PartitionConfig, Partitioner, SearchSpace,
+    BOUND_MARGIN,
 };
 use dpipe_profile::{CostPrefix, DeviceModel, ProfileDb, Profiler, ProfilingReport};
 use dpipe_schedule::{ScheduleBuilder, ScheduleKind};
@@ -25,7 +26,8 @@ pub use dpipe_spec::PlannerOptions;
 pub struct PlanStats {
     /// Hyper-parameter configurations enumerated.
     pub configs: usize,
-    /// Configurations that produced a complete, memory-feasible candidate.
+    /// Evaluated configurations that produced a complete, memory-feasible
+    /// candidate (configs skipped by a bound are not counted).
     pub feasible: usize,
     /// Partition-DP counters summed over every configuration.
     pub dp: DpStats,
@@ -78,8 +80,26 @@ struct WorkerResult {
 }
 
 impl WorkerResult {
-    /// Folds one config outcome in; `outcome.index` must be increasing per
-    /// worker, which the work-stealing cursor guarantees.
+    /// Throughput of the best plan so far (the incumbent), or −∞.
+    fn incumbent(&self) -> f64 {
+        self.best
+            .as_ref()
+            .map_or(f64::NEG_INFINITY, |(_, b)| b.throughput)
+    }
+
+    /// Keeps `plan` if it beats the best so far in the selection's total
+    /// order: higher throughput, ties broken by the smaller config index.
+    /// Configs arrive in any index order.
+    fn offer(&mut self, index: usize, plan: Plan) {
+        let replace = self.best.as_ref().is_none_or(|(bi, bp)| {
+            plan.throughput > bp.throughput || (plan.throughput == bp.throughput && index < *bi)
+        });
+        if replace {
+            self.best = Some((index, plan));
+        }
+    }
+
+    /// Folds one config outcome in.
     fn absorb(&mut self, outcome: ConfigOutcome) {
         self.partition_seconds += outcome.partition_seconds;
         self.fill_seconds += outcome.fill_seconds;
@@ -90,15 +110,18 @@ impl WorkerResult {
         self.fills_run += usize::from(outcome.filled);
         if let Some(plan) = outcome.plan {
             self.feasible += 1;
-            // Strictly-better-throughput wins, so the earliest config index
-            // is kept on exact ties — identical to the sequential loop.
-            let better = self
-                .best
-                .as_ref()
-                .is_none_or(|(_, b)| plan.throughput > b.throughput);
-            if better {
-                self.best = Some((outcome.index, plan));
-            }
+            self.offer(outcome.index, plan);
+        }
+    }
+
+    /// Evaluates the config at `index` unless its throughput bound is
+    /// strictly below this worker's incumbent.
+    fn visit(&mut self, index: usize, bound: f64, evaluate: &impl Fn(usize, f64) -> ConfigOutcome) {
+        let incumbent = self.incumbent();
+        if bound < incumbent {
+            self.bound_skipped += 1;
+        } else {
+            self.absorb(evaluate(index, incumbent));
         }
     }
 
@@ -114,17 +137,60 @@ impl WorkerResult {
         self.partitions_run += other.partitions_run;
         self.schedules_built += other.schedules_built;
         self.fills_run += other.fills_run;
-        if let Some((oi, op)) = other.best {
-            let replace = match &self.best {
-                None => true,
-                Some((si, sp)) => {
-                    op.throughput > sp.throughput || (op.throughput == sp.throughput && oi < *si)
-                }
-            };
-            if replace {
-                self.best = Some((oi, op));
-            }
+        if let Some((index, plan)) = other.best {
+            self.offer(index, plan);
         }
+    }
+}
+
+/// What one planning call's config search shares, read-only, across
+/// workers: the enumerated configs, per-class profiles and cost tables,
+/// each config's throughput bound and the visit order.
+struct Search<'p> {
+    global_batch: u32,
+    backbones: Vec<ComponentId>,
+    configs: Vec<HyperParams>,
+    class_map: ClassMap,
+    dbs: Vec<ProfileDb>,
+    prefixes: Vec<Vec<CostPrefix>>,
+    bounds: Vec<f64>,
+    order: Vec<usize>,
+    fill_cfg: FillConfig,
+    mm: MemoryModel<'p>,
+}
+
+/// An upper bound on the cluster throughput config `hp` can reach, from the
+/// per-layer rows of the shared cost tables (`prefixes[backbone][class]`);
+/// `+∞` when the bound degenerates. See [`Planner::evaluate_config`] for
+/// the bound and why it is safe.
+fn throughput_bound(
+    hp: &HyperParams,
+    global_batch: u32,
+    world: usize,
+    prefixes: &[Vec<CostPrefix>],
+    sc_prob: f64,
+) -> f64 {
+    let micro = hp.group_batch(global_batch, world) / hp.num_micro_batches as f64;
+    let batch = micro / (hp.group_size / hp.num_stages) as f64;
+    let (mut work, mut chain) = (0.0f64, 0.0f64);
+    for class_prefixes in prefixes {
+        let views: Vec<_> = class_prefixes.iter().map(|p| p.batch_view(batch)).collect();
+        let layers = class_prefixes.first().map_or(0, CostPrefix::num_layers);
+        work += layer_work(&views, layers, sc_prob).iter().sum::<f64>();
+        chain = chain.max(layer_work(&views, layers, 0.0).iter().sum());
+    }
+    let m = hp.num_micro_batches as f64;
+    let min_compute_end = (m * work / hp.num_stages as f64).max(chain) * (1.0 - BOUND_MARGIN);
+    if !(min_compute_end > 0.0 && min_compute_end.is_finite()) {
+        return f64::INFINITY;
+    }
+    let group_batch = m * micro * prefixes.len() as f64;
+    let bound =
+        (world / hp.group_size) as f64 * group_batch / min_compute_end * (1.0 + BOUND_MARGIN);
+    if bound.is_nan() {
+        f64::INFINITY
+    } else {
+        bound
     }
 }
 
@@ -357,121 +423,40 @@ impl Planner {
         root.set("world_size", self.cluster.world_size());
         root.set("global_batch", global_batch);
         let root_id = root.id();
+        let (search, profile_report) = self.prepare_search(global_batch, root_id)?;
+        let (configs, bounds, order) = (&search.configs, &search.bounds, &search.order);
 
-        let mut validate_span = self.tracer.child_span("validate", root_id);
-        self.model
-            .validate()
-            .map_err(|e| PlanError::InvalidModel(e.to_string()))?;
-        self.cluster
-            .validate_classes()
-            .map_err(PlanError::InvalidRequest)?;
-        let backbones: Vec<_> = self.model.backbones().map(|(id, _)| id).collect();
-        if backbones.len() > 2 {
-            return Err(PlanError::TooManyBackbones(backbones.len()));
-        }
-        validate_span.set("backbones", backbones.len());
-        validate_span.finish();
-
-        // Step 1: profile once per device class (simulated wall time
-        // reported). Homogeneous clusters resolve to a single class.
-        let class_map = self.cluster.class_map();
-        let mut profile_span = self.tracer.child_span("profile", root_id);
-        let (dbs, profile_report) =
-            self.profile_class_dbs(&class_map.compute_scales(), global_batch)?;
-        profile_span.set("classes", dbs.len());
-        profile_span.set("simulated_wall_s", profile_report.wall_time_seconds);
-        profile_span.finish();
-
-        let mut enumerate_span = self.tracer.child_span("enumerate_configs", root_id);
-        let min_layers = backbones
-            .iter()
-            .map(|&b| self.model.component(b).num_layers())
-            .min()
-            .ok_or_else(|| PlanError::InvalidRequest("model has no backbone component".into()))?;
-        let configs = enumerate_configs(&self.cluster, global_batch, min_layers, &self.search)
-            .map_err(|e| PlanError::InvalidRequest(e.to_string()))?;
-        enumerate_span.set("configs", configs.len());
-        enumerate_span.finish();
-
-        let mut fill_cfg = self.fill_cfg.clone();
-        fill_cfg.partial_batch = self.options.partial_batch;
-        let world = self.cluster.world_size();
-
-        // One CostPrefix per (backbone, device class), shared (read-only)
-        // by every config of this call: rows for every local batch the
-        // uniform DPs query, built from the class's own database.
-        let prefix_span = self.tracer.child_span("cost_prefixes", root_id);
-        let prefixes: Vec<Vec<CostPrefix>> = backbones
-            .iter()
-            .map(|&bb| {
-                dbs.iter()
-                    .map(|class_db| {
-                        let mut prefix = CostPrefix::new(class_db, bb);
-                        for hp in &configs {
-                            let cfg = PartitionConfig::new(
-                                hp.num_stages,
-                                hp.num_micro_batches,
-                                hp.group_batch(global_batch, world),
-                            );
-                            let r = hp.group_size / hp.num_stages;
-                            prefix.ensure_batch(class_db, cfg.micro_batch() / r as f64);
-                        }
-                        prefix
-                    })
-                    .collect()
-            })
-            .collect();
-        prefix_span.finish();
-
-        let mm = MemoryModel::new(&self.model);
         let mut search_span = self.tracer.child_span("config_search", root_id);
         let search_id = search_span.id();
         // `best_so_far` is this worker's best throughput: a config whose
         // post-schedule upper bound cannot beat it skips the filling pass.
         let evaluate = |index: usize, best_so_far: f64| -> ConfigOutcome {
-            self.evaluate_config(
-                index,
-                configs[index],
-                global_batch,
-                &dbs,
-                &backbones,
-                &prefixes,
-                &fill_cfg,
-                &mm,
-                &class_map,
-                best_so_far,
-                search_id,
-            )
+            self.evaluate_config(&search, index, best_so_far, search_id)
         };
 
         let workers = self.parallelism.max(1).min(configs.len().max(1));
         let mut result = WorkerResult::default();
         if workers <= 1 {
-            for index in 0..configs.len() {
-                let beat = result
-                    .best
-                    .as_ref()
-                    .map_or(f64::NEG_INFINITY, |(_, b)| b.throughput);
-                result.absorb(evaluate(index, beat));
+            for &index in order {
+                result.visit(index, bounds[index], &evaluate);
             }
         } else {
-            let cursor = AtomicUsize::new(0);
-            let total = configs.len();
+            // Workers take configs from the one ordered list: worker `w`
+            // starts at entry `w`, then all share a cursor past the first
+            // `workers` entries. Each skips against its own incumbent, so
+            // every worker evaluates at least its first config even when
+            // another drains the skippable rest before it is scheduled.
+            let cursor = AtomicUsize::new(workers);
+            let (cursor, evaluate) = (&cursor, &evaluate);
             let partials = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
+                    .map(|first| {
+                        scope.spawn(move || {
                             let mut local = WorkerResult::default();
-                            loop {
-                                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                                if index >= total {
-                                    break;
-                                }
-                                let beat = local
-                                    .best
-                                    .as_ref()
-                                    .map_or(f64::NEG_INFINITY, |(_, b)| b.throughput);
-                                local.absorb(evaluate(index, beat));
+                            let mut next = first;
+                            while let Some(&index) = order.get(next) {
+                                local.visit(index, bounds[index], evaluate);
+                                next = cursor.fetch_add(1, Ordering::Relaxed);
                             }
                             local
                         })
@@ -526,48 +511,156 @@ impl Planner {
         Ok((plan, stats))
     }
 
+    /// Validates the request and builds everything the config search
+    /// shares, recording the `validate`, `profile`, `enumerate_configs`
+    /// and `cost_prefixes` spans under `root`.
+    fn prepare_search(
+        &self,
+        global_batch: u32,
+        root: Option<SpanId>,
+    ) -> Result<(Search<'_>, ProfilingReport), PlanError> {
+        let mut validate_span = self.tracer.child_span("validate", root);
+        self.model
+            .validate()
+            .map_err(|e| PlanError::InvalidModel(e.to_string()))?;
+        self.cluster
+            .validate_classes()
+            .map_err(PlanError::InvalidRequest)?;
+        let backbones: Vec<_> = self.model.backbones().map(|(id, _)| id).collect();
+        if backbones.len() > 2 {
+            return Err(PlanError::TooManyBackbones(backbones.len()));
+        }
+        validate_span.set("backbones", backbones.len());
+        validate_span.finish();
+
+        // Step 1: profile once per device class (simulated wall time
+        // reported). Homogeneous clusters resolve to a single class.
+        let class_map = self.cluster.class_map();
+        let mut profile_span = self.tracer.child_span("profile", root);
+        let (dbs, profile_report) =
+            self.profile_class_dbs(&class_map.compute_scales(), global_batch)?;
+        profile_span.set("classes", dbs.len());
+        profile_span.set("simulated_wall_s", profile_report.wall_time_seconds);
+        profile_span.finish();
+
+        let mut enumerate_span = self.tracer.child_span("enumerate_configs", root);
+        let min_layers = backbones
+            .iter()
+            .map(|&b| self.model.component(b).num_layers())
+            .min()
+            .ok_or_else(|| PlanError::InvalidRequest("model has no backbone component".into()))?;
+        let configs = enumerate_configs(&self.cluster, global_batch, min_layers, &self.search)
+            .map_err(|e| PlanError::InvalidRequest(e.to_string()))?;
+        enumerate_span.set("configs", configs.len());
+        enumerate_span.finish();
+
+        let mut fill_cfg = self.fill_cfg.clone();
+        fill_cfg.partial_batch = self.options.partial_batch;
+        let world = self.cluster.world_size();
+
+        // One CostPrefix per (backbone, device class), shared (read-only)
+        // by every config of this call: rows for every local batch the
+        // uniform DPs query, built from the class's own database.
+        let prefix_span = self.tracer.child_span("cost_prefixes", root);
+        let prefixes: Vec<Vec<CostPrefix>> = backbones
+            .iter()
+            .map(|&bb| {
+                dbs.iter()
+                    .map(|class_db| {
+                        let mut prefix = CostPrefix::new(class_db, bb);
+                        for hp in &configs {
+                            let cfg = PartitionConfig::new(
+                                hp.num_stages,
+                                hp.num_micro_batches,
+                                hp.group_batch(global_batch, world),
+                            );
+                            let r = hp.group_size / hp.num_stages;
+                            prefix.ensure_batch(class_db, cfg.micro_batch() / r as f64);
+                        }
+                        prefix
+                    })
+                    .collect()
+            })
+            .collect();
+        // Each config's throughput bound (see `evaluate_config`), and the
+        // visit order: best bound first, ties in enumeration order.
+        let sc_prob = self
+            .model
+            .self_conditioning
+            .map_or(0.0, |sc| sc.probability);
+        let bounds: Vec<f64> = configs
+            .iter()
+            .map(|hp| throughput_bound(hp, global_batch, world, &prefixes, sc_prob))
+            .collect();
+        let mut order: Vec<usize> = (0..configs.len()).collect();
+        order.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]).then(a.cmp(&b)));
+        prefix_span.finish();
+
+        let search = Search {
+            global_batch,
+            backbones,
+            configs,
+            class_map,
+            dbs,
+            prefixes,
+            bounds,
+            order,
+            fill_cfg,
+            mm: MemoryModel::new(&self.model),
+        };
+        Ok((search, profile_report))
+    }
+
     /// Evaluates one (S, M, D) configuration end to end: partition,
     /// schedule, fill, memory check, throughput. Pure with respect to the
     /// shared inputs, so configs can be evaluated on any thread.
     ///
-    /// `best_so_far` short-circuits the filling pass: filling only ever
-    /// *adds* time beyond the backbone schedule, so
-    /// `group_batch / max(compute_end, sync_end)` bounds the group
-    /// throughput from above and a config strictly below the best known
-    /// throughput can be abandoned without changing the selection.
-    #[allow(clippy::too_many_arguments)]
+    /// The search calls this only for configs whose *config bound* is not
+    /// strictly below the best throughput found so far, visiting configs by
+    /// descending bound (ties in enumeration order). With `b = micro / r`
+    /// the local batch, `f_l`, `b_l` layer `l`'s forward and backward time
+    /// at `b`, `sc` the self-conditioning probability (0 when off), and each
+    /// layer term minimised over device classes
+    /// ([`dpipe_partition::layer_work`]):
+    ///
+    /// * `W = Σ_backbones Σ_l (f_l·(1 + sc) + b_l)`,
+    ///   `C = max_backbone Σ_l (f_l + b_l)`;
+    /// * `LB = max(M·W/S, C)·(1 − 1e-9)`;
+    /// * `UB = (world/D)·(M·micro·#backbones)/LB·(1 + 1e-9)`.
+    ///
+    /// `UB` bounds the config's throughput: the list scheduler runs one op
+    /// at a time per slot, and the S slots together run every micro-batch's
+    /// forward, self-conditioning forward and backward of every stage, so
+    /// some slot is busy for at least `M·W/S` and `compute_end ≥ M·W/S`;
+    /// micro-batch 0's forward-then-backward chain crosses every stage, so
+    /// `compute_end ≥ C`; and throughput is
+    /// `dp_groups · group_batch / iteration_time` with
+    /// `iteration_time ≥ compute_end`. A skipped config therefore could
+    /// not have beaten the incumbent, and selection keeps its total order
+    /// (throughput, then smallest index) whatever the visit order. The
+    /// margins cover the different summation order; a zero or non-finite
+    /// `LB` gives `UB = +∞`, which never skips.
+    ///
+    /// `best_so_far` also short-circuits the filling pass: filling only
+    /// ever *adds* time beyond the backbone schedule, so
+    /// `group_batch / max(compute_end, sync_end)` (with the same margin)
+    /// bounds the group throughput from above and a config strictly below
+    /// the best known throughput can be abandoned without changing the
+    /// selection.
     fn evaluate_config(
         &self,
+        search: &Search<'_>,
         index: usize,
-        hp: HyperParams,
-        global_batch: u32,
-        dbs: &[ProfileDb],
-        backbones: &[ComponentId],
-        prefixes: &[Vec<CostPrefix>],
-        fill_cfg: &FillConfig,
-        mm: &MemoryModel<'_>,
-        class_map: &ClassMap,
         best_so_far: f64,
         search_span: Option<SpanId>,
     ) -> ConfigOutcome {
+        let hp = search.configs[index];
         let mut span = self.tracer.child_span("config", search_span);
         span.set("index", index);
         span.set("stages", hp.num_stages);
         span.set("micro_batches", hp.num_micro_batches);
         span.set("group_size", hp.group_size);
-        let outcome = self.evaluate_config_inner(
-            index,
-            hp,
-            global_batch,
-            dbs,
-            backbones,
-            prefixes,
-            fill_cfg,
-            mm,
-            class_map,
-            best_so_far,
-            &mut span,
-        );
+        let outcome = self.evaluate_config_inner(search, index, best_so_far, &mut span);
         // DpStats for *this* config folded in as attributes (summed stats
         // land on the `config_search` span and in `PlanStats`).
         span.set("dp_candidates", outcome.stats.candidates);
@@ -583,21 +676,16 @@ impl Planner {
     /// The body of [`Planner::evaluate_config`]; `span` is the config's
     /// trace span, used only to parent the partition/schedule/fill child
     /// spans (a no-op span when tracing is off).
-    #[allow(clippy::too_many_arguments)]
     fn evaluate_config_inner(
         &self,
+        search: &Search<'_>,
         index: usize,
-        hp: HyperParams,
-        global_batch: u32,
-        dbs: &[ProfileDb],
-        backbones: &[ComponentId],
-        prefixes: &[Vec<CostPrefix>],
-        fill_cfg: &FillConfig,
-        mm: &MemoryModel<'_>,
-        class_map: &ClassMap,
         best_so_far: f64,
         span: &mut Span,
     ) -> ConfigOutcome {
+        let hp = search.configs[index];
+        let (dbs, backbones, prefixes) = (&search.dbs, &search.backbones, &search.prefixes);
+        let (fill_cfg, class_map) = (&search.fill_cfg, &search.class_map);
         let mut outcome = ConfigOutcome {
             index,
             plan: None,
@@ -616,7 +704,7 @@ impl Planner {
         let cfg = PartitionConfig::new(
             hp.num_stages,
             hp.num_micro_batches,
-            hp.group_batch(global_batch, world),
+            hp.group_batch(search.global_batch, world),
         );
         let part = Partitioner::new(&dbs[0], &self.cluster, &layout).with_class_dbs(dbs);
 
@@ -660,7 +748,8 @@ impl Planner {
         let dp_groups = world / hp.group_size;
         let makespan = schedule.compute_end().max(schedule.sync_end());
         if makespan > 0.0 {
-            let throughput_ub = dp_groups as f64 * schedule.group_batch / makespan;
+            let throughput_ub =
+                dp_groups as f64 * schedule.group_batch / makespan * (1.0 + BOUND_MARGIN);
             if throughput_ub < best_so_far {
                 // Fill-skip upper-bound cut: the span attribute lands on the
                 // config span via the wrapper.
@@ -695,7 +784,7 @@ impl Planner {
         fill_span.finish();
         outcome.fill_seconds = t1.elapsed().as_secs_f64();
 
-        let Some(peak) = self.check_memory(mm, &partition, &layout, class_map) else {
+        let Some(peak) = self.check_memory(&search.mm, &partition, &layout, class_map) else {
             return outcome;
         };
         let throughput = combined.cluster_throughput(dp_groups);
@@ -1106,6 +1195,50 @@ mod tests {
         // GPipe schedules differently than 1F1B for the same inputs.
         let fifo = Planner::plan_spec(&spec.clone().with_schedule(ScheduleKind::Fifo1F1B)).unwrap();
         assert!(gpipe.throughput > 0.0 && fifo.throughput > 0.0);
+    }
+
+    /// The config bound never undercuts what a config achieves: every
+    /// feasible config of the benchmark's specs (the golden shapes and the
+    /// mixed fleet), evaluated in full, lands at or below its bound.
+    #[test]
+    fn config_bound_covers_every_feasible_config() {
+        let mut specs: Vec<PlanSpec> = Vec::new();
+        for name in zoo::NAMES {
+            for gpus in [8, 16, 64] {
+                for batch in [64, 256] {
+                    specs.push(PlanSpec::zoo(
+                        name,
+                        dpipe_spec::cluster_for_gpus(gpus),
+                        batch,
+                    ));
+                }
+            }
+        }
+        specs.push(
+            PlanSpec::from_json(include_str!(
+                "../../../examples/specs/sd_mixed_a100_h100_b256.json"
+            ))
+            .unwrap(),
+        );
+        let mut checked = 0;
+        for spec in specs {
+            let planner = Planner::from_spec(&spec).unwrap();
+            let (search, _) = planner.prepare_search(spec.global_batch, None).unwrap();
+            for (index, bound) in search.bounds.iter().enumerate() {
+                let outcome = planner.evaluate_config(&search, index, f64::NEG_INFINITY, None);
+                if let Some(plan) = outcome.plan {
+                    assert!(
+                        *bound >= plan.throughput,
+                        "{} config {:?}: bound {bound} < throughput {}",
+                        spec.label(),
+                        search.configs[index],
+                        plan.throughput
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 400, "only {checked} feasible configs checked");
     }
 
     #[test]

@@ -1,0 +1,92 @@
+//! Property test: the fast planner selects exactly the plan the naive
+//! reference loop selects.
+//!
+//! The fast path skips configs whose throughput bound loses, visits the
+//! rest best-bound first on any number of workers, and prunes both
+//! partition DPs with a lookahead bound. None of that may change the
+//! selected plan. This draws random zoo models, clusters (one node, p4de
+//! multi-node, and mixed A100/H100 fleets in both orders), batches of at
+//! least the world size, both single-backbone schedules, ablation options,
+//! record-backed profiles, search-space bounds and worker counts, and
+//! compares the summary
+//! (which carries the plan id), the partition and the fill with
+//! `Planner::plan_reference`. Set `PROPTEST_RNG_SEED` to draw other specs.
+
+use diffusionpipe_core::Planner;
+use dpipe_cluster::{ClusterSpec, DeviceClass};
+use dpipe_model::zoo;
+use dpipe_partition::SearchSpace;
+use dpipe_schedule::ScheduleKind;
+use dpipe_spec::{PlanSpec, PlannerOptions};
+use proptest::prelude::*;
+
+/// `kind` picks the cluster family and `size` (1..=8) its scale: one node
+/// of `size` GPUs, 2–8 p4de nodes, or 2–4 mixed A100/H100 nodes in either
+/// order. `per_node` shrinks the multi-node machines from 8 GPUs.
+fn cluster(kind: usize, size: usize, per_node: Option<usize>) -> ClusterSpec {
+    let (a100, h100) = (DeviceClass::a100(), DeviceClass::h100());
+    let (first, second) = (1 + (size - 1) % 2, 1 + (size - 1) / 4);
+    let cluster = match kind {
+        0 => return ClusterSpec::single_node(size),
+        1 => ClusterSpec::p4de(size.max(2)),
+        2 => ClusterSpec::mixed(&[(a100, first), (h100, second)]),
+        _ => ClusterSpec::mixed(&[(h100, first), (a100, second)]),
+    };
+    ClusterSpec {
+        devices_per_machine: per_node.unwrap_or(cluster.devices_per_machine),
+        ..cluster
+    }
+}
+
+/// The reference planner is the slow side, about ten times slower again
+/// in debug builds: tier-1 (debug) draws a few specs, release runs many.
+const CASES: u32 = if cfg!(debug_assertions) { 4 } else { 64 };
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    #[test]
+    fn fast_plan_matches_reference(
+        model in 0usize..7,
+        shape in (0usize..4, 1usize..9),
+        batch in (1u32..4, 0u32..32),
+        flags in (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+        workers in 1usize..4,
+        search in (1usize..9, 1usize..9),
+    ) {
+        let name = zoo::NAMES[model];
+        // The reference bidirectional DP walks every predecessor of every
+        // state, O(L⁴) per level and config: two-backbone models plan on
+        // two machines of 1–3 GPUs, so one case stays within seconds.
+        let two_backbones = zoo::by_name(name).is_some_and(|m| m.backbones().count() > 1);
+        let cluster = if two_backbones && shape.0 > 0 {
+            cluster(shape.0, 1, Some(1 + shape.1 / 3))
+        } else {
+            cluster(shape.0, shape.1, None)
+        };
+        let world = cluster.world_size() as u32;
+        let global_batch = world * batch.0 + batch.1;
+        let (bubble_filling, partial_batch, gpipe, record_backed) = flags;
+        let spec = PlanSpec::zoo(name, cluster, global_batch)
+            .with_options(PlannerOptions { bubble_filling, partial_batch })
+            .with_schedule(if gpipe { ScheduleKind::GPipe } else { ScheduleKind::Fifo1F1B })
+            .with_record_backed(record_backed)
+            .with_search_space(SearchSpace { max_stages: search.0, max_micro_batches: search.1 })
+            .with_parallelism(workers);
+        let label = format!("{} workers={workers}", spec.label());
+        let planner = Planner::from_spec(&spec).expect("zoo spec resolves");
+        match (planner.plan(global_batch), planner.plan_reference(global_batch)) {
+            (Ok(fast), Ok(reference)) => {
+                prop_assert_eq!(fast.summary(), reference.summary(), "{}", label);
+                prop_assert_eq!(&fast.partition, &reference.partition, "{}", label);
+                prop_assert_eq!(&fast.fill, &reference.fill, "{}", label);
+            }
+            (fast, reference) => prop_assert_eq!(
+                fast.map(|p| p.summary()).map_err(|e| e.to_string()),
+                reference.map(|p| p.summary()).map_err(|e| e.to_string()),
+                "{}",
+                label
+            ),
+        }
+    }
+}

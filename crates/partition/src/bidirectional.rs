@@ -3,12 +3,22 @@
 //! Fast path: states live on a flat `(down_layers, up_layers)` grid per
 //! level, per-level stage terms for every layer interval of both backbones
 //! are tabulated up front from the shared [`CostPrefix`] tables, and the
-//! same branch-and-bound bound as the single-backbone DP discards
-//! candidates that cannot win. Bit-identical to
+//! same branch-and-bound bound and lookahead as the single-backbone DP
+//! discard candidates that cannot win. Each remaining level runs one
+//! stage of each backbone, so the lookahead is the larger of the two
+//! backbones' remaining work over the remaining levels; down's remaining
+//! layers are `i2..`, up's are `0..L_up − j2` (its reversed mapping).
+//!
+//! After pruning almost every state is unreachable, so each level keeps
+//! its non-empty states in a list in state-index order — the `(i, j)`
+//! order of a nested walk over every predecessor — and a destination
+//! `(i2, j2)` visits only the listed states with `i < i2` and `j < j2`.
+//! Candidate order, front order and tie-breaking are those of the full
+//! walk. Bit-identical to
 //! [`Partitioner::partition_bidirectional_reference`].
 
 use crate::config::PartitionConfig;
-use crate::dp::{DpStats, FrontArena};
+use crate::dp::{layer_work, lookahead, suffix_sums, DpStats, FrontArena};
 use crate::error::PartitionError;
 use crate::plan::{PartitionPlan, StagePlan};
 use crate::single::Partitioner;
@@ -233,6 +243,12 @@ impl<'a> Partitioner<'a> {
             bound = bound.min(coeff * w_h + y_h);
         }
 
+        // Lookahead: the least work each backbone's unplaced layers can
+        // cost. Down has placed layers `..i`; up has placed its last
+        // `j` layers, so layers `0..l_up − j` remain.
+        let rem_down = suffix_sums(layer_work(&costs_down, l_down, sc_prob).into_iter());
+        let rem_up = suffix_sums(layer_work(&costs_up, l_up, sc_prob).into_iter().rev());
+
         let state = |i: usize, j: usize| i * (l_up + 1) + j;
         let num_states = (l_down + 1) * (l_up + 1);
         let final_state = state(l_down, l_up);
@@ -242,46 +258,66 @@ impl<'a> Partitioner<'a> {
         seed.insert(seg, 0.0, 0.0, 0, 0);
         seed.end_state(state(0, 0), seg);
         levels.push(seed);
+        // The previous level's non-empty states, in state-index order:
+        // the (i, j) order of a nested walk over every predecessor.
+        let mut live: Vec<usize> = vec![state(0, 0)];
 
         for s in 1..=s_total {
             let left = s_total - s;
             let (dt, ut) = level_terms(s);
             let mut cur = FrontArena::new(num_states);
+            let mut cur_live = Vec::new();
             let prev = &levels[s - 1];
             for i2 in s..=(l_down - left) {
                 for j2 in s..=(l_up - left) {
+                    // Every remaining level runs one stage of each
+                    // backbone, so either backbone's remaining work bounds
+                    // the final W; skip the destination when that loses.
+                    let ahead = lookahead(rem_down[i2].max(rem_up[j2]), left);
+                    if coeff * ahead > bound {
+                        continue;
+                    }
                     let dest = state(i2, j2);
                     let seg = cur.begin_state();
-                    for i in (s - 1)..i2 {
+                    for &from in &live {
+                        let (i, j) = (from / (l_up + 1), from % (l_up + 1));
+                        if i >= i2 {
+                            break;
+                        }
+                        if j >= j2 {
+                            continue;
+                        }
                         let d_terms = dt[i * (l_down + 1) + i2];
-                        for j in (s - 1)..j2 {
-                            let front = prev.front(state(i, j));
-                            if front.is_empty() {
+                        let u_terms = ut[j * (l_up + 1) + j2];
+                        let t0 = d_terms.t0.max(u_terms.t0);
+                        let gap = d_terms.sync_gap.max(u_terms.sync_gap);
+                        // Each point of this front costs at least this.
+                        if coeff * t0.max(ahead) + gap > bound {
+                            continue;
+                        }
+                        for (pi, p) in prev.front(from).iter().enumerate() {
+                            stats.candidates += 1;
+                            let nw = p.w.max(t0);
+                            let ny = p.y.max(gap);
+                            if coeff * nw.max(ahead) + ny > bound {
+                                stats.pruned += 1;
                                 continue;
                             }
-                            let u_terms = ut[j * (l_up + 1) + j2];
-                            let t0 = d_terms.t0.max(u_terms.t0);
-                            let gap = d_terms.sync_gap.max(u_terms.sync_gap);
-                            for (pi, p) in front.iter().enumerate() {
-                                stats.candidates += 1;
-                                let nw = p.w.max(t0);
-                                let ny = p.y.max(gap);
-                                let cost = coeff * nw + ny;
-                                if cost > bound {
-                                    stats.pruned += 1;
-                                    continue;
-                                }
-                                if dest == final_state && s == s_total {
-                                    bound = bound.min(cost);
-                                }
-                                cur.insert(seg, nw, ny, state(i, j) as u32, pi as u32);
+                            let cost = coeff * nw + ny;
+                            if dest == final_state && s == s_total {
+                                bound = bound.min(cost);
                             }
+                            cur.insert(seg, nw, ny, from as u32, pi as u32);
                         }
                     }
                     cur.end_state(dest, seg);
+                    if !cur.front(dest).is_empty() {
+                        cur_live.push(dest);
+                    }
                 }
             }
             levels.push(cur);
+            live = cur_live;
         }
 
         let best_idx =
@@ -348,6 +384,7 @@ impl<'a> Partitioner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dp::{layer_work, lookahead, suffix_sums};
     use dpipe_cluster::{ClusterSpec, DataParallelLayout};
     use dpipe_model::zoo;
     use dpipe_profile::{DeviceModel, Profiler};
@@ -443,6 +480,77 @@ mod tests {
         let solo0 = p.partition_single(b0, &cfg).unwrap();
         let solo1 = p.partition_single(b1, &cfg).unwrap();
         assert!(bi.t_max < solo0.t_max + solo1.t_max);
+    }
+
+    /// The lookahead `R` at every state on the chosen path (before each
+    /// level is placed) is at most the final `W`.
+    #[test]
+    fn lookahead_on_chosen_path_is_at_most_final_w() {
+        let (db, cluster) = setup();
+        let layout = DataParallelLayout::new(&cluster, 8).unwrap();
+        let p = Partitioner::new(&db, &cluster, &layout);
+        let mut bbs = db.model().backbones().map(|(id, _)| id);
+        let (b0, b1) = (bbs.next().unwrap(), bbs.next().unwrap());
+        let l_down = db.model().component(b0).num_layers();
+        let l_up = db.model().component(b1).num_layers();
+        for (s, m) in [(1usize, 2usize), (2, 1), (4, 4), (8, 2)] {
+            let cfg = PartitionConfig::new(s, m, 128.0);
+            let plan = p.partition_bidirectional(b0, b1, &cfg).unwrap();
+            let batch = cfg.micro_batch() / (8 / s) as f64;
+            let work = |comp: ComponentId, layers: usize| {
+                let mut prefix = CostPrefix::new(&db, comp);
+                prefix.ensure_batch(&db, batch);
+                layer_work(&[prefix.batch_view(batch)], layers, p.self_cond_prob())
+            };
+            let rem_down = suffix_sums(work(b0, l_down).into_iter());
+            let rem_up = suffix_sums(work(b1, l_up).into_iter().rev());
+            for placed in 0..s {
+                // Level `placed` placed down stage `placed - 1`; up's stage
+                // at that level is up.stages[s - placed], which ends the
+                // up layers still unplaced.
+                let i = plan.down.stages[..placed]
+                    .last()
+                    .map_or(0, |st| st.layers.end);
+                let j = if placed == 0 {
+                    0
+                } else {
+                    l_up - plan.up.stages[s - placed].layers.start
+                };
+                let r = lookahead(rem_down[i].max(rem_up[j]), s - placed);
+                assert!(r > 0.0);
+                assert!(
+                    r <= plan.down.t0,
+                    "S={s} M={m} after {placed}: R={r} > W={}",
+                    plan.down.t0
+                );
+            }
+        }
+    }
+
+    /// Two equal-layer backbones on a divisible stage count: the optimum
+    /// is perfectly balanced and must survive the lookahead.
+    #[test]
+    fn balanced_optimum_matches_reference() {
+        let mut model = zoo::synthetic_model(12, 10.0, &[1.0], false);
+        model
+            .components
+            .push(zoo::synthetic_backbone("bb2", 12, 10_000_000, 10.0));
+        let (db, _) = Profiler::new(DeviceModel::a100_like()).profile(&model, 48);
+        let cluster = ClusterSpec::single_node(12);
+        let layout = DataParallelLayout::new(&cluster, 12).unwrap();
+        let p = Partitioner::new(&db, &cluster, &layout);
+        let mut bbs = db.model().backbones().map(|(id, _)| id);
+        let (b0, b1) = (bbs.next().unwrap(), bbs.next().unwrap());
+        for s in [1usize, 2, 3, 4, 6, 12] {
+            for m in [1usize, 4] {
+                let cfg = PartitionConfig::new(s, m, 48.0);
+                let fast = p.partition_bidirectional(b0, b1, &cfg).unwrap();
+                let reference = p.partition_bidirectional_reference(b0, b1, &cfg).unwrap();
+                assert_eq!(fast, reference, "S={s} M={m}");
+                let sizes: Vec<usize> = fast.down.stages.iter().map(|st| st.num_layers()).collect();
+                assert_eq!(sizes, vec![12 / s; s], "S={s} M={m}");
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,68 @@
 //! dominated by an existing point (`<=` in both coordinates) is rejected,
 //! and insertion evicts newly-dominated points while preserving order — the
 //! tie-breaking behaviour the equivalence suite depends on.
+//!
+//! The module also holds the lookahead both DPs prune with
+//! ([`layer_work`], [`lookahead`]); the planner's config bound reuses
+//! [`layer_work`] and [`BOUND_MARGIN`].
+
+use dpipe_profile::BatchCosts;
+
+/// Relative slack on every bound built from [`layer_work`]. Such a bound
+/// sums per-layer work in a different order from the value it bounds, so
+/// without the slack an exact tie (a perfectly balanced partition, two
+/// configs of equal throughput) could be cut by one ulp.
+pub const BOUND_MARGIN: f64 = 1e-9;
+
+/// Per-layer work lower bound at one local batch, one [`BatchCosts`] view
+/// per device class: `min over classes of fwd·(1 + sc) + bwd`. Every
+/// stage's `T0` is at least the sum of this over its layers (Eqns. 3 and
+/// 17: `sc·(2f + b) + (1 − sc)·(f + b)` with `sc` in `[0, 1]`), whichever
+/// class it lands on, and so is every pipeline slot's busy time per
+/// micro-batch. Outside that range the bound does not hold, so every layer
+/// reports zero work and nothing is cut.
+pub fn layer_work(views: &[BatchCosts<'_>], num_layers: usize, sc_prob: f64) -> Vec<f64> {
+    if !(0.0..=1.0).contains(&sc_prob) {
+        return vec![0.0; num_layers];
+    }
+    (0..num_layers)
+        .map(|l| {
+            views
+                .iter()
+                .map(|v| v.fwd_range(&(l..l + 1)) * (1.0 + sc_prob) + v.bwd_range(&(l..l + 1)))
+                .fold(f64::INFINITY, f64::min)
+        })
+        .map(|w| if w.is_finite() { w.max(0.0) } else { 0.0 })
+        .collect()
+}
+
+/// Suffix sums `rem[l] = Σ work[l..]`, with `rem[work.len()] = 0`.
+pub(crate) fn suffix_sums(
+    work: impl DoubleEndedIterator<Item = f64> + ExactSizeIterator,
+) -> Vec<f64> {
+    let mut rem = vec![0.0; work.len() + 1];
+    for (l, w) in work.enumerate().rev() {
+        rem[l] = rem[l + 1] + w;
+    }
+    rem
+}
+
+/// The lookahead `R`: with `remaining` work still to place on
+/// `stages_left` stages, one of them has `T0 ≥ remaining / stages_left`,
+/// so the final `W` is at least `R`. Zero once every stage is placed.
+///
+/// `R` never decreases along a path: placing a next stage `x` whose `T0`
+/// covers its own work leaves `R'` with `max(T0_x, R') ≥ R`. A point that
+/// a pruned point would have evicted from a front is therefore pruned
+/// later too, which keeps the pruned DP exact.
+#[inline]
+pub(crate) fn lookahead(remaining: f64, stages_left: usize) -> f64 {
+    if stages_left == 0 {
+        0.0
+    } else {
+        remaining / stages_left as f64 * (1.0 - BOUND_MARGIN)
+    }
+}
 
 /// Counters describing one DP run (or several, summed).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -52,6 +52,19 @@
 //!   minimises exactly `coeff·W + Y`, pruning provably never changes the
 //!   selected partition — a property the test-suite asserts against the
 //!   unpruned reference. [`DpStats`] reports candidate and prune counts.
+//! * **Lookahead.** The unplaced layers still need the remaining stages,
+//!   and each stage's `T0` covers its layers' least work, so the final
+//!   `W` is at least `R` = remaining work / remaining stages, and a
+//!   candidate is pruned when `coeff·max(W, R) + Y` exceeds the bound
+//!   (whole destinations and predecessor fronts are skipped by the same
+//!   test). The argument above still holds: `R` is the same for every
+//!   point of one state, so a point dominated by a pruned point is pruned
+//!   too, and `R` never decreases along a path (`max(T0_x, R') ≥ R` for
+//!   any next stage `x`), so a pruned point's descendants would be pruned
+//!   as well. `R` sums work in a different order from the stage terms, so
+//!   it carries a `1 − 1e-9` margin: without it a perfectly balanced
+//!   optimum could be pruned by one ulp. The bidirectional DP also walks
+//!   only each level's non-empty states, in the full walk's order.
 //!
 //! # Example
 //!
@@ -86,7 +99,7 @@ mod stage_cost;
 
 pub use bidirectional::BidirectionalPlan;
 pub use config::PartitionConfig;
-pub use dp::DpStats;
+pub use dp::{layer_work, DpStats, BOUND_MARGIN};
 pub use error::PartitionError;
 pub use pareto::ParetoFront;
 pub use plan::{PartitionPlan, StagePlan};

@@ -3,15 +3,27 @@
 //! This is the allocation-free fast path: states live on a flat
 //! `(layers_used, devices_used)` grid per level, Pareto fronts are
 //! contiguous spans in a per-level arena ([`crate::dp`]), and every cost
-//! query is answered in O(1) from a [`CostPrefix`]. A branch-and-bound
-//! upper bound — seeded by an even-split heuristic solution and tightened
-//! as complete solutions appear — discards candidates that provably cannot
-//! win. The output is bit-identical to the naive reference implementation
-//! in [`crate::reference`]; see the crate docs for the layout and the
-//! equivalence argument.
+//! query is answered in O(1) from a [`CostPrefix`]. With uniform
+//! replication `r` the device count only takes values `k·r`, so the grid
+//! and the sync-shape cache are indexed by `d / r` and sized to the states
+//! the DP can visit.
+//!
+//! A branch-and-bound upper bound — seeded by an even-split heuristic
+//! solution and tightened as complete solutions appear — discards
+//! candidates that provably cannot win. Under uniform replication a
+//! lookahead sharpens it: after `s` of `S` stages the unplaced layers
+//! `l2..` still need `S − s` stages, and every stage's `T0` is at least
+//! its layers' `fwd·(1 + sc) + bwd` (Eqns. 3 and 17), so the final `W` is
+//! at least `R = rem(l2) / (S − s)`, where `rem` sums the per-layer
+//! class-minimum work. A candidate is pruned when
+//! `coeff·max(W, R) + Y > bound`; a destination when `coeff·R > bound`;
+//! a whole predecessor front when `coeff·max(T0, R) + gap > bound`. The
+//! non-uniform path keeps the plain bound. The output is bit-identical to
+//! the naive reference implementation in [`crate::reference`]; see the
+//! crate docs for the layout and the equivalence argument.
 
 use crate::config::PartitionConfig;
-use crate::dp::{DpStats, FrontArena};
+use crate::dp::{layer_work, lookahead, suffix_sums, DpStats, FrontArena};
 use crate::error::PartitionError;
 use crate::plan::{PartitionPlan, StagePlan};
 use crate::stage_cost::{StageCost, SyncShape};
@@ -207,12 +219,28 @@ impl<'a> Partitioner<'a> {
                 // dpipe-analyze: allow(no-panic) -- the loop above fills a view for every replication reachable through max_r
                 .expect("replication view present")
         };
-        let mut shapes: Vec<Option<(SyncShape, usize)>> =
-            vec![None; (num_devices + 1) * (num_devices + 1)];
+        // Device counts are multiples of `step` (the uniform replication,
+        // or 1 when replication may vary), so the state grid and the
+        // sync-shape cache are indexed by `d / step`.
+        let uniform_r = num_devices / s_total;
+        let step = if cfg.force_uniform { uniform_r } else { 1 };
+        let cols = num_devices / step + 1;
+        let mut shapes: Vec<Option<(SyncShape, usize)>> = vec![None; cols * cols];
         let mut shape_for = |cost: &StageCost<'a>, d: usize, d2: usize| -> (SyncShape, usize) {
-            let idx = d * (num_devices + 1) + d2;
+            let idx = (d / step) * cols + d2 / step;
             *shapes[idx]
                 .get_or_insert_with(|| (cost.sync_shape(d..d2), cost.class_of_offsets(d..d2)))
+        };
+        // Lookahead (uniform replication only, where every stage runs at
+        // the same local batch): `rem[l]` is the least work layers `l..`
+        // can cost, so `lookahead(rem[l2], stages_left)` bounds the final
+        // `W` of any completion from a state at layer `l2`.
+        let rem = if cfg.force_uniform {
+            let class_views: Vec<BatchCosts<'_>> =
+                (0..num_classes).map(|c| *view_for(c, uniform_r)).collect();
+            suffix_sums(layer_work(&class_views, num_layers, sc_prob).into_iter())
+        } else {
+            vec![0.0; num_layers + 1]
         };
 
         // Branch-and-bound seed: the even layer/device split is a complete
@@ -244,8 +272,8 @@ impl<'a> Partitioner<'a> {
         // front is a contiguous arena span. Candidates for one destination
         // arrive in (prev_l, prev_d, point) order — the canonical order the
         // reference implementation replicates.
-        let state = |l: usize, d: usize| l * (num_devices + 1) + d;
-        let num_states = (num_layers + 1) * (num_devices + 1);
+        let state = |l: usize, d: usize| l * cols + d / step;
+        let num_states = (num_layers + 1) * cols;
         let mut levels: Vec<FrontArena> = Vec::with_capacity(s_total + 1);
         let mut seed = FrontArena::new(num_states);
         let seg = seed.begin_state();
@@ -253,12 +281,13 @@ impl<'a> Partitioner<'a> {
         seed.end_state(state(0, 0), seg);
         levels.push(seed);
 
-        let uniform_r = num_devices / s_total;
         let final_state = state(num_layers, num_devices);
         for s in 1..=s_total {
             let stages_left = s_total - s;
             let mut cur = FrontArena::new(num_states);
             let prev = &levels[s - 1];
+            // `l2` is a state coordinate, not a mere cursor into `rem`.
+            #[allow(clippy::needless_range_loop)]
             for l2 in s..=(num_layers - stages_left) {
                 // Destination device counts: forced to s * r when uniform,
                 // otherwise anything leaving >= 1 device per later stage
@@ -270,6 +299,12 @@ impl<'a> Partitioner<'a> {
                 } else {
                     num_devices..=num_devices
                 };
+                // Every candidate into this layer count costs at least
+                // `coeff·R`; skip the destination when that already loses.
+                let ahead = lookahead(rem[l2], stages_left);
+                if coeff * ahead > bound {
+                    continue;
+                }
                 for d2 in d2_range {
                     let dest = state(l2, d2);
                     let seg = cur.begin_state();
@@ -303,15 +338,19 @@ impl<'a> Partitioner<'a> {
                                 1.0,
                                 shape,
                             );
+                            // Each point of this front costs at least this.
+                            if coeff * terms.t0.max(ahead) + terms.sync_gap > bound {
+                                continue;
+                            }
                             for (pi, p) in front.iter().enumerate() {
                                 stats.candidates += 1;
                                 let nw = p.w.max(terms.t0);
                                 let ny = p.y.max(terms.sync_gap);
-                                let cost = coeff * nw + ny;
-                                if cost > bound {
+                                if coeff * nw.max(ahead) + ny > bound {
                                     stats.pruned += 1;
                                     continue;
                                 }
+                                let cost = coeff * nw + ny;
                                 if dest == final_state && s == s_total {
                                     bound = bound.min(cost);
                                 }
@@ -342,12 +381,9 @@ impl<'a> Partitioner<'a> {
         let mut point = best_idx;
         for s in (1..=s_total).rev() {
             let p = levels[s].front(cur_state)[point];
-            let (l2, d2) = (cur_state / (num_devices + 1), cur_state % (num_devices + 1));
+            let (l2, d2) = (cur_state / cols, (cur_state % cols) * step);
             let prev_state = p.prev_state as usize;
-            let (l, d) = (
-                prev_state / (num_devices + 1),
-                prev_state % (num_devices + 1),
-            );
+            let (l, d) = (prev_state / cols, (prev_state % cols) * step);
             stages_rev.push(StagePlan {
                 component: backbone,
                 layers: l..l2,
@@ -574,6 +610,65 @@ mod tests {
             let fast = p3.partition_single(bb3, &cfg).unwrap();
             let reference = p3.partition_single_reference(bb3, &cfg).unwrap();
             assert_eq!(fast, reference, "nonuniform S={s}");
+        }
+    }
+
+    /// The lookahead `R` at every state on the chosen path (before each
+    /// stage is placed) is at most the final `W`, so it never prunes the
+    /// optimum.
+    #[test]
+    fn lookahead_on_chosen_path_is_at_most_final_w() {
+        let models = [
+            (zoo::stable_diffusion_v2_1(), 8),
+            (zoo::synthetic_model(12, 10.0, &[1.0], true), 4),
+        ];
+        for (model, devices) in models {
+            let f = fixture(model, devices, 64);
+            let layout = DataParallelLayout::new(&f.cluster, devices).unwrap();
+            let p = Partitioner::new(&f.db, &f.cluster, &layout);
+            let bb = backbone(&f.db);
+            let layers = f.db.model().component(bb).num_layers();
+            for (s, m) in [(1usize, 1usize), (2, 4), (4, 2), (4, 8)] {
+                let cfg = PartitionConfig::new(s, m, 64.0);
+                let plan = p.partition_single(bb, &cfg).unwrap();
+                let prefixes = p.build_prefixes(bb, &cfg);
+                let batch = cfg.micro_batch() / (devices / s) as f64;
+                let views: Vec<_> = prefixes.iter().map(|x| x.batch_view(batch)).collect();
+                let rem = suffix_sums(layer_work(&views, layers, p.self_cond_prob()).into_iter());
+                assert!(rem[0] > 0.0);
+                for placed in 0..s {
+                    let l = plan.stages[..placed].last().map_or(0, |st| st.layers.end);
+                    let r = lookahead(rem[l], s - placed);
+                    assert!(
+                        r <= plan.t0,
+                        "S={s} M={m} after {placed}: R={r} > W={}",
+                        plan.t0
+                    );
+                }
+            }
+        }
+    }
+
+    /// Equal layers on a divisible stage count: the optimum is perfectly
+    /// balanced, every remaining stage costs exactly the lookahead, and
+    /// only the bound's margin keeps it from being pruned by one ulp.
+    #[test]
+    fn balanced_optimum_matches_reference() {
+        for self_cond in [false, true] {
+            let f = fixture(zoo::synthetic_model(12, 10.0, &[1.0], self_cond), 12, 48);
+            let layout = DataParallelLayout::new(&f.cluster, 12).unwrap();
+            let p = Partitioner::new(&f.db, &f.cluster, &layout);
+            let bb = backbone(&f.db);
+            for s in [1usize, 2, 3, 4, 6, 12] {
+                for m in [1usize, 4] {
+                    let cfg = PartitionConfig::new(s, m, 48.0);
+                    let fast = p.partition_single(bb, &cfg).unwrap();
+                    let reference = p.partition_single_reference(bb, &cfg).unwrap();
+                    assert_eq!(fast, reference, "S={s} M={m} sc={self_cond}");
+                    let sizes: Vec<usize> = fast.stages.iter().map(|st| st.num_layers()).collect();
+                    assert_eq!(sizes, vec![12 / s; s], "S={s} M={m} sc={self_cond}");
+                }
+            }
         }
     }
 

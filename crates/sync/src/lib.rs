@@ -165,7 +165,12 @@ mod tests {
         let m = Mutex::new(vec![1]);
         m.lock_recover_tagged("synctest::Deref::v").push(2);
         assert_eq!(*m.lock_recover_tagged("synctest::Deref::v"), vec![1, 2]);
-        assert!(witness::observed_nodes().contains(&"synctest::Deref::v"));
+        // The witness records only in debug builds; release records nothing.
+        if cfg!(debug_assertions) {
+            assert!(witness::observed_nodes().contains(&"synctest::Deref::v"));
+        } else {
+            assert!(witness::observed_nodes().is_empty());
+        }
     }
 
     #[test]
@@ -176,6 +181,10 @@ mod tests {
         let gb = b.lock_recover_tagged("synctest::Edge::b");
         drop(gb);
         drop(ga);
+        if !cfg!(debug_assertions) {
+            assert!(witness::observed_edges().is_empty());
+            return;
+        }
         assert!(witness::observed_edges().contains(&("synctest::Edge::a", "synctest::Edge::b")));
         assert_eq!(
             witness::observed_edges()

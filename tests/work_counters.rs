@@ -91,7 +91,10 @@ fn work_counters_match_committed_file() {
         total.fill_skipped += stats.fill_skipped;
         total.feasible += stats.feasible;
     }
-    lines.push(counter_line(&format!("total ({} specs)", lines.len()), &total));
+    lines.push(counter_line(
+        &format!("total ({} specs)", lines.len()),
+        &total,
+    ));
     let rendered = format!("{}\n", lines.join("\n"));
 
     if std::env::var("DPIPE_UPDATE_GOLDENS").is_ok() {
