@@ -1,8 +1,8 @@
 //! Data-parallel training modes for cascaded diffusion models (CDMs).
 
-use crate::memory::MemoryModel;
 use crate::report::BaselineReport;
 use dpipe_cluster::{ClusterSpec, DeviceId};
+use dpipe_model::MemoryModel;
 use dpipe_profile::ProfileDb;
 
 /// How a CDM's backbones share the cluster (paper §6 "Baselines").

@@ -1,8 +1,8 @@
 //! Data-parallel baselines: DeepSpeed DDP and ZeRO-3.
 
-use crate::memory::MemoryModel;
 use crate::report::BaselineReport;
 use dpipe_cluster::{ClusterSpec, DeviceId};
+use dpipe_model::MemoryModel;
 use dpipe_profile::ProfileDb;
 
 /// Compute time of one DDP iteration on a device: frozen forward plus

@@ -19,12 +19,10 @@
 
 mod cdm;
 mod dataparallel;
-mod memory;
 mod pipeline;
 mod report;
 
 pub use cdm::{cdm_data_parallel, CdmMode};
 pub use dataparallel::{ddp, zero3};
-pub use memory::MemoryModel;
 pub use pipeline::{gpipe, spp};
 pub use report::BaselineReport;

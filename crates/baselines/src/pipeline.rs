@@ -1,9 +1,9 @@
 //! Pipeline-parallel baselines: GPipe and SPP (no bubble filling).
 
-use crate::memory::MemoryModel;
 use crate::report::BaselineReport;
 use dpipe_cluster::{ClusterSpec, DataParallelLayout};
 use dpipe_model::ComponentId;
+use dpipe_model::MemoryModel;
 use dpipe_partition::{
     enumerate_configs, PartitionConfig, PartitionPlan, Partitioner, SearchSpace, StagePlan,
 };

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release -p dpipe-bench --bin fig15`
 
-use diffusionpipe_core::{Planner, PlannerOptions};
+use diffusionpipe_core::{PlanSpec, Planner, PlannerOptions};
 use dpipe_cluster::ClusterSpec;
 use dpipe_model::zoo;
 
@@ -19,23 +19,20 @@ fn main() {
         (zoo::controlnet_v1_0(), "controlnet"),
     ] {
         for batch in [256u32, 384] {
-            let full = Planner::new(model.clone(), cluster.clone())
-                .plan(batch)
-                .unwrap();
-            let no_partial = Planner::new(model.clone(), cluster.clone())
-                .with_options(PlannerOptions {
-                    bubble_filling: true,
-                    partial_batch: false,
-                })
-                .plan(batch)
-                .unwrap();
-            let no_fill = Planner::new(model.clone(), cluster.clone())
-                .with_options(PlannerOptions {
-                    bubble_filling: false,
-                    partial_batch: false,
-                })
-                .plan(batch)
-                .unwrap();
+            let plan = |bubble_filling, partial_batch| {
+                Planner::plan_spec(
+                    &PlanSpec::new(model.clone(), cluster.clone(), batch).with_options(
+                        PlannerOptions {
+                            bubble_filling,
+                            partial_batch,
+                        },
+                    ),
+                )
+                .unwrap()
+            };
+            let full = plan(true, true);
+            let no_partial = plan(true, false);
+            let no_fill = plan(false, false);
             println!(
                 "{:<14} {:>6} {:>15.1} {:>18.1} {:>16.1}",
                 name, batch, full.throughput, no_partial.throughput, no_fill.throughput

@@ -15,6 +15,10 @@
 //! 6. **Select** the configuration with the best simulated throughput
 //!    (step 5) subject to device memory.
 //!
+//! Every input that can change the selected plan is a field of one
+//! [`PlanSpec`]; [`Planner::from_spec`] is the way in. [`Planner::new`]
+//! covers the common case of a model, a cluster and default settings.
+//!
 //! # Example
 //!
 //! ```

@@ -2,10 +2,9 @@
 
 use crate::error::PlanError;
 use crate::plan::{BackbonePartition, Plan, PreprocessingReport};
-use dpipe_baselines::MemoryModel;
 use dpipe_cluster::{ClassMap, ClusterSpec, DataParallelLayout};
 use dpipe_fill::{FillConfig, Filler};
-use dpipe_model::{ComponentId, ModelSpec};
+use dpipe_model::{ComponentId, MemoryModel, ModelSpec};
 use dpipe_partition::{
     enumerate_configs, layer_work, DpStats, HyperParams, PartitionConfig, Partitioner, SearchSpace,
     BOUND_MARGIN,
@@ -207,7 +206,6 @@ fn throughput_bound(
 pub struct Planner {
     model: ModelSpec,
     cluster: ClusterSpec,
-    device: DeviceModel,
     search: SearchSpace,
     options: PlannerOptions,
     fill_cfg: FillConfig,
@@ -219,19 +217,17 @@ pub struct Planner {
 }
 
 impl Planner {
-    /// Creates a planner with default device model, search space and
-    /// options.
+    /// Creates a planner for `model` on `cluster` with every other input
+    /// at its [`PlanSpec::new`] default and a one-worker search.
     ///
-    /// Prefer describing runs as a [`PlanSpec`] and using
-    /// [`Planner::from_spec`]: the spec form is serializable, validated
-    /// and shared with the serving layer, sweeps, the CLI and the bench
-    /// harness. This constructor (and the `with_*` knobs below) remains
-    /// as the imperative escape hatch the spec path itself is built on.
+    /// Every other input that can change the selected plan (ablation
+    /// options, search bounds, fill settings, schedule family,
+    /// record-backed profiling) is set only on a [`PlanSpec`]; plan it with
+    /// [`Planner::from_spec`] or [`Planner::plan_spec`].
     pub fn new(model: ModelSpec, cluster: ClusterSpec) -> Self {
         Planner {
             model,
             cluster,
-            device: DeviceModel::a100_like(),
             search: SearchSpace::default(),
             options: PlannerOptions::default(),
             fill_cfg: FillConfig::default(),
@@ -243,11 +239,11 @@ impl Planner {
         }
     }
 
-    /// Builds a planner from a declarative [`PlanSpec`]: resolves the
-    /// model reference and maps every spec knob onto the corresponding
-    /// builder. The produced plans are byte-identical to configuring the
-    /// same knobs through `Planner::new().with_*` — the spec is a
-    /// *description* of a planner, not a different planner.
+    /// Builds a planner from a declarative [`PlanSpec`], the one place the
+    /// planner's inputs are set: resolves the model reference and copies
+    /// every other field. Only the run-local knobs below (worker count,
+    /// tracer, trace parent) can be changed afterwards, and none of them
+    /// changes the selected plan.
     ///
     /// The spec's `global_batch` is carried by the spec itself; call
     /// [`Planner::plan_spec`] for the one-shot form, or
@@ -256,9 +252,8 @@ impl Planner {
     /// # Errors
     ///
     /// [`PlanError::InvalidRequest`] for an unsupported `schema_version`
-    /// or an unresolvable zoo reference. Everything else fails exactly
-    /// where the builder path fails: an invalid inline model is
-    /// [`PlanError::InvalidModel`] from [`Planner::plan`], degenerate
+    /// or an unresolvable zoo reference. An invalid inline model is
+    /// [`PlanError::InvalidModel`] from [`Planner::plan`], and degenerate
     /// batches and class assignments are `InvalidRequest` from there too.
     pub fn from_spec(spec: &PlanSpec) -> Result<Self, PlanError> {
         if spec.schema_version != dpipe_spec::SCHEMA_VERSION {
@@ -269,18 +264,20 @@ impl Planner {
         }
         // Resolution failure is an invalid *request*; an inline model that
         // fails structural validation stays an InvalidModel error from
-        // plan(), exactly like the builder path.
+        // plan().
         let model = spec
             .model
             .resolve()
             .map_err(|e| PlanError::InvalidRequest(e.to_string()))?;
-        Ok(Planner::new(model, spec.cluster.clone())
-            .with_options(spec.options)
-            .with_search_space(spec.search)
-            .with_fill_config(spec.fill.clone())
-            .with_schedule_kind(spec.schedule)
-            .with_parallelism(spec.effective_parallelism())
-            .with_record_backed_profiles(spec.record_backed))
+        Ok(Planner {
+            search: spec.search,
+            options: spec.options,
+            fill_cfg: spec.fill.clone(),
+            schedule: spec.schedule,
+            parallelism: spec.effective_parallelism().max(1),
+            record_backed: spec.record_backed,
+            ..Planner::new(model, spec.cluster.clone())
+        })
     }
 
     /// Plans a declarative [`PlanSpec`] end to end (the batch comes from
@@ -291,41 +288,6 @@ impl Planner {
     /// See [`Planner::from_spec`] and [`PlanError`].
     pub fn plan_spec(spec: &PlanSpec) -> Result<Plan, PlanError> {
         Planner::from_spec(spec)?.plan(spec.global_batch)
-    }
-
-    /// Overrides the device model.
-    pub fn with_device(mut self, device: DeviceModel) -> Self {
-        self.device = device;
-        self
-    }
-
-    /// Overrides the hyper-parameter search space. (Soft-deprecated:
-    /// prefer [`PlanSpec::with_search_space`] + [`Planner::from_spec`].)
-    pub fn with_search_space(mut self, search: SearchSpace) -> Self {
-        self.search = search;
-        self
-    }
-
-    /// Sets ablation options (Fig. 15). (Soft-deprecated: prefer
-    /// [`PlanSpec::with_options`] + [`Planner::from_spec`].)
-    pub fn with_options(mut self, options: PlannerOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Overrides the bubble-filling configuration. (Soft-deprecated:
-    /// prefer [`PlanSpec::with_fill_config`] + [`Planner::from_spec`].)
-    pub fn with_fill_config(mut self, cfg: FillConfig) -> Self {
-        self.fill_cfg = cfg;
-        self
-    }
-
-    /// Selects the single-backbone pipeline schedule family (default:
-    /// FIFO-1F1B, the paper's schedule). Bidirectional (cascaded-model)
-    /// plans always use the bidirectional schedule and ignore this knob.
-    pub fn with_schedule_kind(mut self, schedule: ScheduleKind) -> Self {
-        self.schedule = schedule;
-        self
     }
 
     /// Fans the per-configuration search of one plan call across `workers`
@@ -355,16 +317,6 @@ impl Planner {
         self
     }
 
-    /// Switches planning onto *record-backed* profiling: timing queries are
-    /// answered by piecewise-linear interpolation over profiled samples
-    /// (the paper's mode of operation) instead of the analytic device
-    /// model. A model/profile mismatch surfaces as [`PlanError::Profile`]
-    /// — a typed error, never a panic — so serving layers can forward it.
-    pub fn with_record_backed_profiles(mut self, record_backed: bool) -> Self {
-        self.record_backed = record_backed;
-        self
-    }
-
     /// Builds one profile database per device class (analytic or
     /// record-backed), plus the profiling report of the reference pass.
     fn profile_class_dbs(
@@ -374,16 +326,16 @@ impl Planner {
     ) -> Result<(Vec<ProfileDb>, ProfilingReport), PlanError> {
         let world = self.cluster.world_size();
         if !self.record_backed {
-            let profiler = Profiler::new(self.device.clone()).with_world_size(world);
+            let profiler = Profiler::new(DeviceModel::a100_like()).with_world_size(world);
             return Ok(profiler.profile_classes(&self.model, global_batch, compute_scales));
         }
         let mut dbs = Vec::with_capacity(compute_scales.len());
         let mut report = None;
         for &scale in compute_scales {
             let device = if scale == 1.0 {
-                self.device.clone()
+                DeviceModel::a100_like()
             } else {
-                self.device.scaled(scale)
+                DeviceModel::a100_like().scaled(scale)
             };
             let profiler = Profiler::new(device).with_world_size(world);
             let (db, r) = profiler.profile_records(&self.model, global_batch)?;
@@ -931,7 +883,7 @@ impl Planner {
     /// Convenience accessor for the profile database used during planning,
     /// for callers that want to inspect layer times afterwards.
     pub fn profile(&self, global_batch: u32) -> ProfileDb {
-        Profiler::new(self.device.clone())
+        Profiler::new(DeviceModel::a100_like())
             .with_world_size(self.cluster.world_size())
             .profile(&self.model, global_batch)
             .0
@@ -1004,20 +956,20 @@ mod tests {
     use super::*;
     use dpipe_model::zoo;
 
+    /// A single-node SD spec with the given ablation switches.
+    fn sd_spec(batch: u32, bubble_filling: bool, partial_batch: bool) -> PlanSpec {
+        PlanSpec::zoo("sd", ClusterSpec::single_node(8), batch)
+            .with_parallelism(1)
+            .with_options(PlannerOptions {
+                bubble_filling,
+                partial_batch,
+            })
+    }
+
     #[test]
     fn sd_plan_beats_no_fill_ablation() {
-        let model = zoo::stable_diffusion_v2_1();
-        let cluster = ClusterSpec::single_node(8);
-        let full = Planner::new(model.clone(), cluster.clone())
-            .plan(256)
-            .unwrap();
-        let no_fill = Planner::new(model, cluster)
-            .with_options(PlannerOptions {
-                bubble_filling: false,
-                partial_batch: false,
-            })
-            .plan(256)
-            .unwrap();
+        let full = Planner::plan_spec(&sd_spec(256, true, true)).unwrap();
+        let no_fill = Planner::plan_spec(&sd_spec(256, false, false)).unwrap();
         assert!(
             full.throughput > no_fill.throughput,
             "full {} !> no_fill {}",
@@ -1028,25 +980,9 @@ mod tests {
 
     #[test]
     fn partial_batch_ablation_is_between() {
-        let model = zoo::stable_diffusion_v2_1();
-        let cluster = ClusterSpec::single_node(8);
-        let full = Planner::new(model.clone(), cluster.clone())
-            .plan(384)
-            .unwrap();
-        let no_partial = Planner::new(model.clone(), cluster.clone())
-            .with_options(PlannerOptions {
-                bubble_filling: true,
-                partial_batch: false,
-            })
-            .plan(384)
-            .unwrap();
-        let no_fill = Planner::new(model, cluster)
-            .with_options(PlannerOptions {
-                bubble_filling: false,
-                partial_batch: false,
-            })
-            .plan(384)
-            .unwrap();
+        let full = Planner::plan_spec(&sd_spec(384, true, true)).unwrap();
+        let no_partial = Planner::plan_spec(&sd_spec(384, true, false)).unwrap();
+        let no_fill = Planner::plan_spec(&sd_spec(384, false, false)).unwrap();
         assert!(full.throughput >= no_partial.throughput);
         assert!(no_partial.throughput >= 0.98 * no_fill.throughput);
     }
@@ -1096,14 +1032,12 @@ mod tests {
 
     #[test]
     fn degenerate_search_space_is_invalid_request() {
-        let model = zoo::stable_diffusion_v2_1();
-        let err = Planner::new(model, ClusterSpec::single_node(8))
-            .with_search_space(SearchSpace {
+        let spec =
+            PlanSpec::zoo("sd", ClusterSpec::single_node(8), 64).with_search_space(SearchSpace {
                 max_stages: 0,
                 max_micro_batches: 8,
-            })
-            .plan(64)
-            .unwrap_err();
+            });
+        let err = Planner::plan_spec(&spec).unwrap_err();
         assert!(matches!(err, PlanError::InvalidRequest(_)), "{err:?}");
     }
 
@@ -1173,8 +1107,8 @@ mod tests {
             matches!(&err, PlanError::InvalidRequest(m) if m.contains("schema_version")),
             "{err:?}"
         );
-        // An invalid *inline* model still surfaces from plan(), like the
-        // builder path.
+        // An invalid *inline* model still surfaces from plan(), as it does
+        // from `Planner::new(..).plan()`.
         let mut broken = zoo::stable_diffusion_v2_1();
         broken.components.retain(|c| !c.is_trainable());
         let spec = PlanSpec::new(broken, ClusterSpec::single_node(8), 64);

@@ -26,7 +26,7 @@ use crate::queue::{Bounded, PushError};
 use crate::ratelimit::RateLimiter;
 use diffusionpipe_core::{FaultSpec, PlanError};
 use dpipe_serve::json::{parse, plan_response_doc, simulate_response_doc, JsonValue};
-use dpipe_serve::{PlanRequest, PlanService, ServiceConfig, SweepGrid, TraceCtx};
+use dpipe_serve::{PlanRequest, PlanService, ServiceConfig, TraceCtx};
 use dpipe_spec::{PlanSpec, SweepSpec};
 use dpipe_trace::{SpanId, Tracer};
 use std::net::{IpAddr, TcpListener, TcpStream};
@@ -417,11 +417,10 @@ impl Router {
             Ok(s) => s,
             Err(e) => return Reply::json_error(400, &e.to_string()),
         };
-        let grid = SweepGrid::from_spec(sweep);
-        if grid.is_empty() {
+        if sweep.is_empty() {
             return Reply::json_error(422, "empty sweep grid");
         }
-        match grid.run(&self.service) {
+        match self.service.sweep(&sweep) {
             Ok(report) => {
                 self.metrics
                     .sweeps_total

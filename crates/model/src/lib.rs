@@ -26,6 +26,7 @@ mod component;
 mod error;
 mod ids;
 mod layer;
+mod memory;
 mod spec;
 pub mod zoo;
 
@@ -34,4 +35,5 @@ pub use dpipe_stablehash::StableHasher;
 pub use error::ModelError;
 pub use ids::{ComponentId, LayerId};
 pub use layer::{LayerKind, LayerSpec};
+pub use memory::MemoryModel;
 pub use spec::{ModelSpec, ModelSpecBuilder, SelfConditioning};

@@ -1,6 +1,6 @@
 //! Peak device memory estimation.
 
-use dpipe_model::{ComponentId, ModelSpec};
+use crate::{ComponentId, ModelSpec};
 use std::ops::Range;
 
 /// Bytes per trainable parameter under mixed-precision Adam: fp32 master
@@ -120,7 +120,7 @@ impl<'a> MemoryModel<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpipe_model::zoo;
+    use crate::zoo;
 
     const GB: f64 = 1024.0 * 1024.0 * 1024.0;
 

@@ -8,7 +8,8 @@
 //! *serveable* subsystem:
 //!
 //! * [`PlanRequest`] — one planning question: a thin wrapper over the
-//!   declarative [`dpipe_spec::PlanSpec`] with a stable content
+//!   declarative [`dpipe_spec::PlanSpec`], the only place its inputs are
+//!   set, with a stable content
 //!   [`fingerprint`] derived from the canonical spec (built on
 //!   [`ModelSpec::fingerprint`] / [`ClusterSpec::fingerprint`]);
 //! * [`ShardedCache`] — a sharded plan cache with *single-flight*
@@ -16,11 +17,11 @@
 //!   every hit returns the very same `Arc<Plan>` as the cold run;
 //! * [`PlanService`] — a worker pool consuming requests from one MPMC
 //!   channel (the crossbeam shim), with in-order batch submission;
-//! * [`SweepGrid`] / [`SweepReport`] — parallel configuration sweeps over a
-//!   declarative [`dpipe_spec::SweepSpec`] (template spec + model/cluster/
-//!   batch axes, mixed `a100:4,h100:4` fleets included), ranked
-//!   deterministically so an N-worker sweep reproduces the sequential
-//!   ranking exactly;
+//! * [`PlanService::sweep`] / [`SweepReport`] — parallel configuration
+//!   sweeps over a declarative [`dpipe_spec::SweepSpec`] (template spec +
+//!   model/cluster/batch axes, mixed `a100:4,h100:4` fleets included),
+//!   ranked deterministically so an N-worker sweep reproduces
+//!   [`SweepReport::sequential`] exactly;
 //! * [`json`] — re-exports of the JSON emitter/parser (now in
 //!   [`dpipe_spec::json`]) and the shared plan summary
 //!   (`diffusionpipe_core::plan_json`) used by the machine-readable CLI
@@ -62,6 +63,6 @@ pub use service::{
     PlanOutcome, PlanResponse, PlanService, ServiceConfig, ServiceError, SimulateResponse,
     SubmitRejected, TraceCtx,
 };
-pub use sweep::{SweepGrid, SweepPoint, SweepReport};
+pub use sweep::{SweepPoint, SweepReport};
 // The declarative layer requests and sweeps are built on.
 pub use dpipe_spec::{ClusterAxis, ModelRef, PlanSpec, SpecError, SweepSpec};

@@ -7,10 +7,9 @@
 //! keep the exact fingerprints they had before the redesign, so warm
 //! caches and committed goldens survive.
 
-use diffusionpipe_core::{Plan, PlanError, Planner, PlannerOptions};
+use diffusionpipe_core::{Plan, PlanError, Planner};
 use dpipe_cluster::ClusterSpec;
 use dpipe_model::ModelSpec;
-use dpipe_partition::SearchSpace;
 use dpipe_spec::{PlanSpec, SpecError};
 
 /// Everything the planner needs for one plan, as a submit-able value.
@@ -34,7 +33,8 @@ pub struct PlanRequest {
 
 impl PlanRequest {
     /// Creates a request with default planner options and search space
-    /// (an inline-model spec under the hood).
+    /// (an inline-model spec under the hood). Build a [`PlanSpec`] and use
+    /// [`PlanRequest::from_spec`] to set anything else.
     pub fn new(model: ModelSpec, cluster: ClusterSpec, global_batch: u32) -> Self {
         PlanRequest {
             spec: PlanSpec::new(model, cluster, global_batch),
@@ -82,43 +82,6 @@ impl PlanRequest {
         self.spec.global_batch
     }
 
-    /// Ablation toggles forwarded to the planner.
-    pub fn options(&self) -> PlannerOptions {
-        self.spec.options
-    }
-
-    /// Hyper-parameter bounds forwarded to the planner.
-    pub fn search(&self) -> SearchSpace {
-        self.spec.search
-    }
-
-    /// Whether the request plans from record-backed profiles.
-    pub fn record_backed(&self) -> bool {
-        self.spec.record_backed
-    }
-
-    /// Switches the request to record-backed profiling. (Soft-deprecated:
-    /// prefer setting the field on a [`PlanSpec`] and
-    /// [`PlanRequest::from_spec`].)
-    pub fn with_record_backed(mut self, record_backed: bool) -> Self {
-        self.spec.record_backed = record_backed;
-        self
-    }
-
-    /// Overrides the planner options. (Soft-deprecated: prefer
-    /// [`PlanSpec::with_options`].)
-    pub fn with_options(mut self, options: PlannerOptions) -> Self {
-        self.spec.options = options;
-        self
-    }
-
-    /// Overrides the hyper-parameter search space. (Soft-deprecated:
-    /// prefer [`PlanSpec::with_search_space`].)
-    pub fn with_search_space(mut self, search: SearchSpace) -> Self {
-        self.spec.search = search;
-        self
-    }
-
     /// Stable 64-bit content fingerprint of the whole request — the
     /// plan-cache key, derived from the canonical spec through
     /// [`PlanSpec::fingerprint_with_model`]. Pre-redesign fingerprints
@@ -149,25 +112,16 @@ impl PlanRequest {
     ///
     /// See [`PlanError`].
     pub fn plan(&self) -> Result<Plan, PlanError> {
-        self.plan_with_parallelism(1)
+        self.plan_traced(1, &dpipe_trace::Tracer::off(), None)
     }
 
     /// [`PlanRequest::plan`] with the planner's per-configuration search
-    /// fanned across `workers` threads. The plan is identical for any
-    /// worker count ([`Planner::with_parallelism`]), so parallelism is a
-    /// service-side sizing knob and deliberately *not* part of the
-    /// request's fingerprint (nor is the spec's own `parallelism` field).
-    ///
-    /// # Errors
-    ///
-    /// See [`PlanError`].
-    pub fn plan_with_parallelism(&self, workers: usize) -> Result<Plan, PlanError> {
-        self.plan_traced(workers, &dpipe_trace::Tracer::off(), None)
-    }
-
-    /// [`PlanRequest::plan_with_parallelism`] with the planner's phase
-    /// spans recorded into `tracer` under `parent`. Tracing is observation
-    /// only: the returned plan is byte-identical to the untraced call.
+    /// fanned across `workers` threads and its phase spans recorded into
+    /// `tracer` under `parent`. Neither changes the plan: it is identical
+    /// for any worker count ([`Planner::with_parallelism`]), so parallelism
+    /// is a service-side sizing knob and deliberately *not* part of the
+    /// request's fingerprint (nor is the spec's own `parallelism` field),
+    /// and tracing is observation only.
     ///
     /// # Errors
     ///
@@ -202,7 +156,9 @@ impl PlanRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diffusionpipe_core::PlannerOptions;
     use dpipe_model::zoo;
+    use dpipe_partition::SearchSpace;
     use dpipe_spec::ModelRef;
 
     #[test]
@@ -222,15 +178,21 @@ mod tests {
             base.global_batch(),
         );
         let other_batch = PlanRequest::new(base.model().clone(), base.cluster().clone(), 128);
-        let other_options = base.clone().with_options(PlannerOptions {
-            bubble_filling: false,
-            partial_batch: true,
+        let with =
+            |f: fn(PlanSpec) -> PlanSpec| PlanRequest::from_spec(f(base.spec().clone())).unwrap();
+        let other_options = with(|s| {
+            s.with_options(PlannerOptions {
+                bubble_filling: false,
+                partial_batch: true,
+            })
         });
-        let other_search = base.clone().with_search_space(SearchSpace {
-            max_stages: 4,
-            max_micro_batches: 8,
+        let other_search = with(|s| {
+            s.with_search_space(SearchSpace {
+                max_stages: 4,
+                max_micro_batches: 8,
+            })
         });
-        let other_profiles = base.clone().with_record_backed(true);
+        let other_profiles = with(|s| s.with_record_backed(true));
         let prints = [
             base.fingerprint(),
             other_model.fingerprint(),
@@ -303,13 +265,11 @@ mod tests {
 
     #[test]
     fn record_backed_requests_plan() {
-        let r = PlanRequest::new(
-            zoo::stable_diffusion_v2_1(),
-            ClusterSpec::single_node(8),
-            64,
+        let r = PlanRequest::from_spec(
+            PlanSpec::zoo("sd", ClusterSpec::single_node(8), 64).with_record_backed(true),
         )
-        .with_record_backed(true);
-        assert!(r.record_backed());
+        .unwrap();
+        assert!(r.spec().record_backed);
         let plan = r.plan().unwrap();
         assert!(plan.throughput > 0.0);
     }

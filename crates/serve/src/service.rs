@@ -64,13 +64,6 @@ pub struct ServiceConfig {
     /// disables the bound. The default (4096) keeps a networked service's
     /// memory bounded under a stream of unique specs.
     pub cache_capacity: usize,
-    /// Threads each worker fans one plan's per-config search across
-    /// (`Planner::with_parallelism`). The default of 1 keeps batch
-    /// throughput maximal — parallelism across requests beats parallelism
-    /// within one. [`PlanService::plan_one`] overrides this with the pool
-    /// width, since a single request would otherwise leave every other
-    /// worker idle.
-    pub plan_parallelism: usize,
 }
 
 impl Default for ServiceConfig {
@@ -81,7 +74,6 @@ impl Default for ServiceConfig {
                 .unwrap_or(1),
             cache_shards: 16,
             cache_capacity: 4096,
-            plan_parallelism: 1,
         }
     }
 }
@@ -138,8 +130,7 @@ pub struct TraceCtx {
 struct Job {
     index: usize,
     request: PlanRequest,
-    /// Intra-plan search threads for this job (see
-    /// [`ServiceConfig::plan_parallelism`]).
+    /// Intra-plan search threads for this job (`Planner::with_parallelism`).
     parallelism: usize,
     /// Span destination for this job's service/planner work, if traced.
     trace: Option<TraceCtx>,
@@ -166,7 +157,6 @@ pub struct PlanService {
     cache: Arc<ShardedCache<PlanOutcome>>,
     /// Jobs submitted but not yet answered (queued + being planned).
     pending: Arc<AtomicUsize>,
-    plan_parallelism: usize,
 }
 
 impl PlanService {
@@ -282,7 +272,6 @@ impl PlanService {
             workers,
             cache,
             pending,
-            plan_parallelism: config.plan_parallelism.max(1),
         }
     }
 
@@ -358,11 +347,13 @@ impl PlanService {
     }
 
     /// Plans a batch of requests across the pool, blocking until all are
-    /// done. Responses come back in submission order. Requests the service
-    /// could not finish (a lost worker, a closed queue) come back with a
-    /// [`PlanError::Internal`] outcome instead of panicking the caller.
+    /// done. Each plan searches on one thread: parallelism across requests
+    /// beats parallelism within one. Responses come back in submission
+    /// order. Requests the service could not finish (a lost worker, a
+    /// closed queue) come back with a [`PlanError::Internal`] outcome
+    /// instead of panicking the caller.
     pub fn plan_batch(&self, requests: Vec<PlanRequest>) -> Vec<PlanResponse> {
-        self.plan_batch_inner(requests, self.plan_parallelism, None)
+        self.plan_batch_inner(requests, 1, None)
     }
 
     /// A synthesized response for a request the service lost on the floor.
@@ -433,23 +424,14 @@ impl PlanService {
     /// cores even for one request, and (by planner determinism) returns
     /// exactly the plan a sequential search would.
     pub fn plan_one(&self, request: PlanRequest) -> PlanResponse {
-        self.plan_one_with_parallelism(request, self.worker_count().max(self.plan_parallelism))
+        self.plan_one_traced(request, self.worker_count(), None)
     }
 
-    /// Plans one request with an explicit intra-plan parallelism. A
+    /// Plans one request with an explicit intra-plan parallelism and an
+    /// optional span destination (see [`PlanService::submit_traced`]). A
     /// networked frontend passes 1: under concurrent load the pool is
     /// saturated across requests, and fanning each plan's config search
     /// out as well would only add contention.
-    pub fn plan_one_with_parallelism(
-        &self,
-        request: PlanRequest,
-        parallelism: usize,
-    ) -> PlanResponse {
-        self.plan_one_traced(request, parallelism, None)
-    }
-
-    /// [`PlanService::plan_one_with_parallelism`] with a span destination
-    /// (see [`PlanService::submit_traced`]).
     pub fn plan_one_traced(
         &self,
         request: PlanRequest,
@@ -618,7 +600,6 @@ mod tests {
             workers: 2,
             cache_shards: 1,
             cache_capacity: 2,
-            ..ServiceConfig::default()
         });
         for batch in [32u32, 64, 96, 128] {
             let _ = service.plan_one(request(batch));

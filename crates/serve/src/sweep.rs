@@ -4,142 +4,44 @@
 use crate::request::PlanRequest;
 use crate::service::{PlanOutcome, PlanService};
 use diffusionpipe_core::plan_json;
-use dpipe_cluster::ClusterSpec;
-use dpipe_model::ModelSpec;
 use dpipe_spec::json::JsonValue;
-use dpipe_spec::{
-    cluster_for_gpus, cluster_label, ClusterAxis, ModelRef, PlanSpec, SpecError, SweepSpec,
-};
+use dpipe_spec::{cluster_label, SpecError, SweepSpec};
 use std::cmp::Ordering;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-/// A grid of configurations to evaluate: a thin executable wrapper around
-/// the declarative [`SweepSpec`] (template [`PlanSpec`] + model / cluster /
-/// batch axes). The cluster axis takes GPU counts *and* mixed-fleet machine
-/// specs like `a100:4,h100:4`, so heterogeneous fleets sweep like any other
-/// point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepGrid {
-    /// The declarative sweep this grid executes.
-    pub spec: SweepSpec,
+/// Materialises a sweep as requests, in deterministic model-major /
+/// cluster / batch-minor order.
+///
+/// # Errors
+///
+/// The first axis point that fails to resolve (unknown zoo model, bad
+/// machine spec).
+fn requests(sweep: &SweepSpec) -> Result<Vec<PlanRequest>, SpecError> {
+    sweep
+        .specs()?
+        .into_iter()
+        .map(PlanRequest::from_spec)
+        .collect()
 }
 
-impl SweepGrid {
-    /// Creates a grid over models × GPU counts × batch sizes with default
-    /// planner options and search space. (Soft-deprecated: prefer
-    /// [`SweepGrid::from_spec`] — this wrapper builds the equivalent
-    /// [`SweepSpec`] for callers with already-constructed models.)
-    pub fn new(models: Vec<ModelSpec>, gpu_counts: Vec<usize>, batch_sizes: Vec<u32>) -> Self {
-        let template_model: ModelRef = models
-            .first()
-            .cloned()
-            .map(ModelRef::Inline)
-            .unwrap_or_else(|| ModelRef::Zoo("sd".to_owned()));
-        let template = PlanSpec::new(
-            template_model,
-            cluster_for_gpus(gpu_counts.first().copied().unwrap_or(8)),
-            batch_sizes.first().copied().unwrap_or(64),
-        );
-        SweepGrid {
-            spec: SweepSpec::new(template)
-                .with_models(models.into_iter().map(ModelRef::Inline).collect())
-                .with_clusters(gpu_counts.into_iter().map(ClusterAxis::GpuCount).collect())
-                .with_batches(batch_sizes),
-        }
-    }
-
-    /// Wraps a declarative sweep spec.
-    pub fn from_spec(spec: SweepSpec) -> Self {
-        SweepGrid { spec }
-    }
-
-    /// The cluster shape used for a GPU count: `p4de(n/8)` for multiples of
-    /// 8 above 8, otherwise one machine with that many devices. (Delegates
-    /// to [`dpipe_spec::cluster_for_gpus`].)
-    pub fn cluster_for(gpus: usize) -> ClusterSpec {
-        cluster_for_gpus(gpus)
-    }
-
-    /// Number of grid points.
-    pub fn len(&self) -> usize {
-        self.spec.len()
-    }
-
-    /// True when the grid has no points.
-    pub fn is_empty(&self) -> bool {
-        self.spec.is_empty()
-    }
-
-    /// Materialises the grid as requests, in deterministic
-    /// model-major / cluster / batch-minor order.
+impl PlanService {
+    /// Fans every point of `sweep` across the worker pool and returns the
+    /// ranked report. The cluster axis takes GPU counts *and* mixed-fleet
+    /// machine specs like `a100:4,h100:4`, so heterogeneous fleets sweep
+    /// like any other point.
     ///
     /// # Errors
     ///
     /// The first axis point that fails to resolve (unknown zoo model, bad
-    /// machine spec).
-    pub fn requests(&self) -> Result<Vec<PlanRequest>, SpecError> {
-        self.spec
-            .specs()?
-            .into_iter()
-            .map(PlanRequest::from_spec)
-            .collect()
-    }
-
-    /// Fans the grid across the service's worker pool and returns the
-    /// ranked report.
-    ///
-    /// # Errors
-    ///
-    /// See [`SweepGrid::requests`].
-    pub fn run(&self, service: &PlanService) -> Result<SweepReport, SpecError> {
-        let requests = self.requests()?;
-        let meta: Vec<(String, usize, String, u32)> = requests
+    /// machine spec); nothing is planned then.
+    pub fn sweep(&self, sweep: &SweepSpec) -> Result<SweepReport, SpecError> {
+        let requests = requests(sweep)?;
+        let responses = self.plan_batch(requests.clone());
+        let points = requests
             .iter()
-            .map(|r| {
-                (
-                    r.model().name.clone(),
-                    r.cluster().world_size(),
-                    cluster_label(r.cluster()),
-                    r.global_batch(),
-                )
-            })
-            .collect();
-        let responses = service.plan_batch(requests);
-        let points = responses
-            .into_iter()
-            .zip(meta)
-            .map(|(resp, (model, gpus, cluster, batch))| SweepPoint {
-                model,
-                gpus,
-                cluster,
-                global_batch: batch,
-                fingerprint: resp.fingerprint,
-                cache_hit: resp.cache_hit,
-                outcome: resp.outcome,
-            })
-            .collect();
-        Ok(SweepReport::ranked(points))
-    }
-
-    /// Plans every point on the calling thread with no service and no
-    /// cache — the reference a parallel sweep must reproduce exactly.
-    ///
-    /// # Errors
-    ///
-    /// See [`SweepGrid::requests`].
-    pub fn run_sequential(&self) -> Result<SweepReport, SpecError> {
-        let points = self
-            .requests()?
-            .into_iter()
-            .map(|r| SweepPoint {
-                model: r.model().name.clone(),
-                gpus: r.cluster().world_size(),
-                cluster: cluster_label(r.cluster()),
-                global_batch: r.global_batch(),
-                fingerprint: r.fingerprint(),
-                cache_hit: false,
-                outcome: r.plan().map(std::sync::Arc::new),
-            })
+            .zip(responses)
+            .map(|(r, resp)| SweepPoint::at(r, resp.fingerprint, resp.cache_hit, resp.outcome))
             .collect();
         Ok(SweepReport::ranked(points))
     }
@@ -166,6 +68,19 @@ pub struct SweepPoint {
 }
 
 impl SweepPoint {
+    /// The point `request` stands for, with how it was answered.
+    fn at(request: &PlanRequest, fingerprint: u64, cache_hit: bool, outcome: PlanOutcome) -> Self {
+        SweepPoint {
+            model: request.model().name.clone(),
+            gpus: request.cluster().world_size(),
+            cluster: cluster_label(request.cluster()),
+            global_batch: request.global_batch(),
+            fingerprint,
+            cache_hit,
+            outcome,
+        }
+    }
+
     /// Simulated cluster throughput, if planning succeeded.
     pub fn throughput(&self) -> Option<f64> {
         self.outcome.as_ref().ok().map(|p| p.throughput)
@@ -195,6 +110,21 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
+    /// Plans every point of `sweep` on the calling thread with no service
+    /// and no cache: the reference a parallel [`PlanService::sweep`] must
+    /// reproduce exactly.
+    ///
+    /// # Errors
+    ///
+    /// See [`PlanService::sweep`].
+    pub fn sequential(sweep: &SweepSpec) -> Result<SweepReport, SpecError> {
+        let points = requests(sweep)?
+            .iter()
+            .map(|r| SweepPoint::at(r, r.fingerprint(), false, r.plan().map(Arc::new)))
+            .collect();
+        Ok(SweepReport::ranked(points))
+    }
+
     fn ranked(mut points: Vec<SweepPoint>) -> Self {
         points.sort_by(Self::rank);
         SweepReport { points }
@@ -346,28 +276,43 @@ impl SweepReport {
 mod tests {
     use super::*;
     use crate::service::ServiceConfig;
-    use dpipe_model::zoo;
+    use dpipe_spec::{cluster_for_gpus, ClusterAxis, ModelRef, PlanSpec};
+
+    /// Zoo models × GPU counts × batches over a default template.
+    fn grid(models: &[&str], gpus: &[usize], batches: &[u32]) -> SweepSpec {
+        SweepSpec::new(PlanSpec::zoo(
+            models[0],
+            cluster_for_gpus(gpus[0]),
+            batches[0],
+        ))
+        .with_models(
+            models
+                .iter()
+                .map(|&m| ModelRef::Zoo(m.to_owned()))
+                .collect(),
+        )
+        .with_clusters(gpus.iter().map(|&g| ClusterAxis::GpuCount(g)).collect())
+        .with_batches(batches.to_vec())
+    }
 
     #[test]
     fn cluster_for_picks_shapes() {
-        assert_eq!(SweepGrid::cluster_for(4).world_size(), 4);
-        assert_eq!(SweepGrid::cluster_for(4).machines, 1);
-        let multi = SweepGrid::cluster_for(16);
-        assert_eq!((multi.machines, multi.world_size()), (2, 16));
-        // 12 is not a multiple of 8: one wide machine.
-        assert_eq!(SweepGrid::cluster_for(12).machines, 1);
+        // GPU-count axis points plan on `cluster_for_gpus` shapes; 12 is
+        // not a multiple of 8, so it is one wide machine.
+        let shapes: Vec<_> = requests(&grid(&["sd"], &[4, 16, 12], &[64]))
+            .unwrap()
+            .iter()
+            .map(|r| (r.cluster().machines, r.cluster().world_size()))
+            .collect();
+        assert_eq!(shapes, vec![(1, 4), (2, 16), (1, 12)]);
     }
 
     #[test]
     fn grid_is_cartesian_and_deterministic() {
-        let grid = SweepGrid::new(
-            vec![zoo::stable_diffusion_v2_1(), zoo::dit_xl_2()],
-            vec![4, 8],
-            vec![64, 128],
-        );
+        let grid = grid(&["sd", "dit"], &[4, 8], &[64, 128]);
         assert_eq!(grid.len(), 8);
-        let fps = |g: &SweepGrid| -> Vec<u64> {
-            g.requests()
+        let fps = |g: &SweepSpec| -> Vec<u64> {
+            requests(g)
                 .unwrap()
                 .iter()
                 .map(|r| r.fingerprint())
@@ -384,17 +329,15 @@ mod tests {
 
     #[test]
     fn mixed_fleet_axis_points_sweep() {
-        let template = PlanSpec::zoo("sd", SweepGrid::cluster_for(8), 64);
-        let grid = SweepGrid::from_spec(
-            SweepSpec::new(template)
-                .with_clusters(vec![
-                    ClusterAxis::GpuCount(8),
-                    ClusterAxis::MachineClasses("a100:1,h100:1".to_owned()),
-                ])
-                .with_batches(vec![64]),
-        );
+        let template = PlanSpec::zoo("sd", cluster_for_gpus(8), 64);
+        let grid = SweepSpec::new(template)
+            .with_clusters(vec![
+                ClusterAxis::GpuCount(8),
+                ClusterAxis::MachineClasses("a100:1,h100:1".to_owned()),
+            ])
+            .with_batches(vec![64]);
         assert_eq!(grid.len(), 2);
-        let requests = grid.requests().unwrap();
+        let requests = requests(&grid).unwrap();
         assert!(!requests[0].cluster().is_heterogeneous());
         assert!(requests[1].cluster().is_heterogeneous());
         assert_ne!(requests[0].fingerprint(), requests[1].fingerprint());
@@ -404,7 +347,7 @@ mod tests {
             cache_shards: 4,
             ..ServiceConfig::default()
         });
-        let report = grid.run(&service).unwrap();
+        let report = service.sweep(&grid).unwrap();
         assert_eq!(report.points.len(), 2);
         assert!(report.points.iter().all(|p| p.outcome.is_ok()));
         let mixed = report
@@ -419,20 +362,17 @@ mod tests {
 
     #[test]
     fn bad_axis_points_are_typed_errors() {
-        let template = PlanSpec::zoo("sd", SweepGrid::cluster_for(8), 64);
-        let grid = SweepGrid::from_spec(
-            SweepSpec::new(template.clone())
-                .with_clusters(vec![ClusterAxis::MachineClasses("v100:2".to_owned())]),
-        );
+        let template = PlanSpec::zoo("sd", cluster_for_gpus(8), 64);
+        let grid = SweepSpec::new(template.clone())
+            .with_clusters(vec![ClusterAxis::MachineClasses("v100:2".to_owned())]);
         assert_eq!(
-            grid.run_sequential().unwrap_err(),
+            SweepReport::sequential(&grid).unwrap_err(),
             SpecError::UnknownClass("v100".to_owned())
         );
-        let grid = SweepGrid::from_spec(
-            SweepSpec::new(template).with_models(vec![ModelRef::Zoo("warpdrive".to_owned())]),
-        );
+        let grid =
+            SweepSpec::new(template).with_models(vec![ModelRef::Zoo("warpdrive".to_owned())]);
         assert_eq!(
-            grid.requests().unwrap_err(),
+            requests(&grid).unwrap_err(),
             SpecError::UnknownModel("warpdrive".to_owned())
         );
     }
@@ -441,7 +381,7 @@ mod tests {
     fn ranking_is_total_and_panic_free_with_nan_metrics() {
         use diffusionpipe_core::{PlanError, Planner};
         use dpipe_cluster::ClusterSpec;
-        use std::sync::Arc;
+        use dpipe_model::zoo;
 
         let base = Planner::new(zoo::stable_diffusion_v2_1(), ClusterSpec::single_node(8))
             .plan(64)
@@ -519,17 +459,14 @@ mod tests {
 
     #[test]
     fn report_ranks_by_throughput_and_finds_best_per_model() {
-        let grid = SweepGrid::new(
-            vec![zoo::stable_diffusion_v2_1(), zoo::dit_xl_2()],
-            vec![8],
-            vec![64, 128],
-        );
         let service = PlanService::new(ServiceConfig {
             workers: 2,
             cache_shards: 8,
             ..ServiceConfig::default()
         });
-        let report = grid.run(&service).unwrap();
+        let report = service
+            .sweep(&grid(&["sd", "dit"], &[8], &[64, 128]))
+            .unwrap();
         assert_eq!(report.points.len(), 4);
         let tps: Vec<f64> = report
             .points

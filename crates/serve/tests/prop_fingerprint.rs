@@ -8,7 +8,7 @@
 use diffusionpipe_core::PlannerOptions;
 use dpipe_cluster::ClusterSpec;
 use dpipe_model::ModelSpec;
-use dpipe_serve::{PlanRequest, ShardedCache};
+use dpipe_serve::{PlanRequest, PlanSpec, ShardedCache};
 use proptest::collection;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -31,10 +31,11 @@ fn request_for((model_idx, machines, gpus, batch, fill, partial): Key) -> PlanRe
         devices_per_machine: gpus,
         ..ClusterSpec::p4de(machines)
     };
-    PlanRequest::new(ZOO[model_idx](), cluster, batch).with_options(PlannerOptions {
+    let spec = PlanSpec::new(ZOO[model_idx](), cluster, batch).with_options(PlannerOptions {
         bubble_filling: fill,
         partial_batch: partial,
-    })
+    });
+    PlanRequest::from_spec(spec).expect("inline models need no resolution")
 }
 
 proptest! {

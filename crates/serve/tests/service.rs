@@ -3,9 +3,22 @@
 
 use diffusionpipe_core::PlannerOptions;
 use dpipe_cluster::ClusterSpec;
-use dpipe_model::zoo;
-use dpipe_serve::{PlanRequest, PlanService, ServiceConfig, SweepGrid};
+use dpipe_model::{zoo, ModelSpec};
+use dpipe_serve::{
+    ClusterAxis, ModelRef, PlanRequest, PlanService, PlanSpec, ServiceConfig, SweepReport,
+    SweepSpec,
+};
+use dpipe_spec::cluster_for_gpus;
 use std::sync::Arc;
+
+/// Inline models × GPU counts × batches over a default template.
+fn grid(models: Vec<ModelSpec>, gpus: Vec<usize>, batches: Vec<u32>) -> SweepSpec {
+    let template = PlanSpec::new(models[0].clone(), cluster_for_gpus(gpus[0]), batches[0]);
+    SweepSpec::new(template)
+        .with_models(models.into_iter().map(ModelRef::Inline).collect())
+        .with_clusters(gpus.into_iter().map(ClusterAxis::GpuCount).collect())
+        .with_batches(batches)
+}
 
 fn sd_request(batch: u32) -> PlanRequest {
     PlanRequest::new(
@@ -119,20 +132,20 @@ fn degenerate_requests_fail_cleanly_without_killing_the_pool() {
 
 #[test]
 fn parallel_sweep_matches_sequential_ranking_exactly() {
-    let grid = SweepGrid::new(
+    let grid = grid(
         vec![zoo::stable_diffusion_v2_1(), zoo::dit_xl_2()],
         vec![4, 8],
         vec![64, 128],
     );
     assert_eq!(grid.len(), 8);
-    let sequential = grid.run_sequential().unwrap();
+    let sequential = SweepReport::sequential(&grid).unwrap();
 
     let service = PlanService::new(ServiceConfig {
         workers: 4,
         cache_shards: 8,
         ..ServiceConfig::default()
     });
-    let parallel = grid.run(&service).unwrap();
+    let parallel = service.sweep(&grid).unwrap();
 
     assert_eq!(parallel.points.len(), sequential.points.len());
     for (p, s) in parallel.points.iter().zip(&sequential.points) {
@@ -152,7 +165,7 @@ fn parallel_sweep_matches_sequential_ranking_exactly() {
 
 #[test]
 fn warm_sweep_rerun_is_all_cache_hits_and_byte_identical() {
-    let grid = SweepGrid::new(
+    let grid = grid(
         vec![zoo::stable_diffusion_v2_1()],
         vec![4, 8],
         vec![64, 128],
@@ -162,8 +175,8 @@ fn warm_sweep_rerun_is_all_cache_hits_and_byte_identical() {
         cache_shards: 8,
         ..ServiceConfig::default()
     });
-    let cold = grid.run(&service).unwrap();
-    let warm = grid.run(&service).unwrap();
+    let cold = service.sweep(&grid).unwrap();
+    let warm = service.sweep(&grid).unwrap();
     assert_eq!(warm.cache_hit_rate(), 1.0, "warm re-run must be 100% hits");
     for (c, w) in cold.points.iter().zip(&warm.points) {
         assert_eq!(c.coords(), w.coords());
@@ -184,13 +197,13 @@ fn sweep_reports_infeasible_points_without_poisoning_the_ranking() {
     let mut broken = zoo::stable_diffusion_v2_1();
     broken.name = "broken".to_owned();
     broken.components.retain(|c| !c.is_trainable());
-    let grid = SweepGrid::new(vec![zoo::dit_xl_2(), broken], vec![8], vec![64]);
+    let grid = grid(vec![zoo::dit_xl_2(), broken], vec![8], vec![64]);
     let service = PlanService::new(ServiceConfig {
         workers: 2,
         cache_shards: 4,
         ..ServiceConfig::default()
     });
-    let report = grid.run(&service).unwrap();
+    let report = service.sweep(&grid).unwrap();
     assert_eq!(report.points.len(), 2);
     assert!(report.points[0].outcome.is_ok());
     assert!(report.points[1].outcome.is_err());
@@ -202,18 +215,18 @@ fn sweep_reports_infeasible_points_without_poisoning_the_ranking() {
 
 #[test]
 fn sweep_respects_planner_options() {
-    let mut grid = SweepGrid::new(vec![zoo::stable_diffusion_v2_1()], vec![8], vec![256]);
+    let mut grid = grid(vec![zoo::stable_diffusion_v2_1()], vec![8], vec![256]);
     let service = PlanService::new(ServiceConfig {
         workers: 2,
         cache_shards: 4,
         ..ServiceConfig::default()
     });
-    let filled = grid.run(&service).unwrap();
-    grid.spec.template.options = PlannerOptions {
+    let filled = service.sweep(&grid).unwrap();
+    grid.template.options = PlannerOptions {
         bubble_filling: false,
         partial_batch: false,
     };
-    let unfilled = grid.run(&service).unwrap();
+    let unfilled = service.sweep(&grid).unwrap();
     // Different knobs are different cache keys and different outcomes.
     assert_ne!(filled.points[0].fingerprint, unfilled.points[0].fingerprint);
     assert!(

@@ -1,12 +1,9 @@
 //! The declarative planning API: one versioned, JSON-round-trippable spec
 //! that every entry point consumes.
 //!
-//! Before this crate, the same planning inputs were spelled four different
-//! ways — `Planner::with_*` builder knobs, `PlanRequest::with_*`
-//! duplicates in the serving layer, ad-hoc sweep axes and hand-parsed CLI
-//! flags — and the JSON module could emit but not parse, so no scenario
-//! was expressible as data. [`PlanSpec`] collapses all of them into a
-//! single value:
+//! [`PlanSpec`] is the one place a planning input is set: the planner,
+//! the serving layer, sweeps, the CLI and the HTTP frontend have no
+//! setters of their own. It is a single value:
 //!
 //! * **model** — a zoo name or a complete inline [`dpipe_model::ModelSpec`]
 //!   ([`ModelRef`]);

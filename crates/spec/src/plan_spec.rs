@@ -63,9 +63,11 @@ impl From<ModelSpec> for ModelRef {
 
 /// Everything one plan depends on, as a single versioned value.
 ///
-/// This is the system's *canonical* planning input: `Planner::from_spec`,
-/// `dpipe_serve::PlanRequest`, sweep grids, `dpipe plan --spec` and the
-/// bench scenarios all consume exactly this type, and
+/// This is the system's *only* planning input: every field that can change
+/// the selected plan is set here and nowhere else. `Planner::from_spec`,
+/// `dpipe_serve::PlanRequest`, [`SweepSpec`](crate::SweepSpec) sweeps,
+/// `dpipe plan --spec`, `POST /plan` and the bench scenarios all consume
+/// exactly this type, and
 /// [`to_json`](PlanSpec::to_json) / [`from_json`](PlanSpec::from_json)
 /// round-trip it byte-stably so any run is reproducible as data.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,21 +86,23 @@ pub struct PlanSpec {
     pub search: SearchSpace,
     /// Bubble-filling knobs (§5).
     pub fill: FillConfig,
-    /// Single-backbone pipeline schedule family.
+    /// Single-backbone pipeline schedule family. Cascaded (two-backbone)
+    /// models always use the bidirectional schedule and ignore it.
     pub schedule: ScheduleKind,
     /// Worker threads for the per-configuration search; `0` means "all
     /// cores". Deliberately *not* part of the fingerprint: the selected
     /// plan is identical for any worker count.
     pub parallelism: usize,
     /// Plan from record-backed (interpolated-sample) profiles instead of
-    /// the analytic device model.
+    /// the analytic device model. A model/profile mismatch is a typed
+    /// planning error, never a panic.
     pub record_backed: bool,
 }
 
 impl PlanSpec {
     /// A spec with default options, search space, fill config and
     /// schedule — the exact configuration `Planner::new(model, cluster)
-    /// .plan(batch)` has always used.
+    /// .plan(batch)` uses.
     pub fn new(model: impl Into<ModelRef>, cluster: ClusterSpec, global_batch: u32) -> Self {
         PlanSpec {
             schema_version: SCHEMA_VERSION,

@@ -27,13 +27,11 @@
 mod layers;
 mod matrix;
 mod net;
-mod norm;
 mod optim;
 mod rng;
 
 pub use layers::{Layer, Linear, Silu};
 pub use matrix::Matrix;
 pub use net::{mse_grad, mse_grad_scaled, mse_loss, Mlp};
-pub use norm::LayerNorm;
 pub use optim::{Optimizer, OptimizerState};
 pub use rng::DetRng;

@@ -16,19 +16,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (zoo::controlnet_v1_0(), "controlnet"),
     ] {
         for batch in [256u32, 384] {
-            let full = Planner::new(model.clone(), cluster.clone()).plan(batch)?;
-            let no_partial = Planner::new(model.clone(), cluster.clone())
-                .with_options(PlannerOptions {
-                    bubble_filling: true,
-                    partial_batch: false,
-                })
-                .plan(batch)?;
-            let no_fill = Planner::new(model.clone(), cluster.clone())
-                .with_options(PlannerOptions {
-                    bubble_filling: false,
-                    partial_batch: false,
-                })
-                .plan(batch)?;
+            let plan = |bubble_filling, partial_batch| {
+                Planner::plan_spec(
+                    &PlanSpec::new(model.clone(), cluster.clone(), batch).with_options(
+                        PlannerOptions {
+                            bubble_filling,
+                            partial_batch,
+                        },
+                    ),
+                )
+            };
+            let full = plan(true, true)?;
+            let no_partial = plan(true, false)?;
+            let no_fill = plan(false, false)?;
             println!(
                 "{:<22} {:>10.1} {:>16.1} {:>16.1}",
                 format!("{name}/{batch}"),

@@ -33,17 +33,7 @@ fn main() {
         spec.fingerprint().unwrap()
     );
 
-    // One call plans the whole document; the result is byte-identical to
-    // wiring the same knobs through Planner::new().with_*().
+    // One call plans the whole document.
     let plan = Planner::plan_spec(&spec).expect("plan");
     println!("{}", plan.summary());
-
-    let manual = Planner::new(zoo::stable_diffusion_v2_1(), spec.cluster.clone())
-        .with_options(spec.options)
-        .with_search_space(spec.search)
-        .with_parallelism(spec.effective_parallelism())
-        .plan(spec.global_batch)
-        .expect("builder path plans");
-    assert_eq!(plan.summary(), manual.summary());
-    println!("spec path == builder path: byte-identical");
 }

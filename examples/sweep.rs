@@ -13,11 +13,13 @@ use diffusionpipe::prelude::*;
 use std::time::Instant;
 
 fn main() {
-    let grid = SweepGrid::new(
-        vec![zoo::stable_diffusion_v2_1(), zoo::dit_xl_2()],
-        vec![4, 8],
-        vec![64, 128],
-    );
+    let grid = SweepSpec::new(PlanSpec::zoo("sd", ClusterSpec::single_node(4), 64))
+        .with_models(vec![
+            ModelRef::Zoo("sd".into()),
+            ModelRef::Zoo("dit".into()),
+        ])
+        .with_clusters(vec![ClusterAxis::GpuCount(4), ClusterAxis::GpuCount(8)])
+        .with_batches(vec![64, 128]);
     let service = PlanService::new(ServiceConfig::with_workers(4));
     println!(
         "sweeping {} grid points with {} workers...\n",
@@ -26,7 +28,7 @@ fn main() {
     );
 
     let t0 = Instant::now();
-    let cold = grid.run(&service).expect("static grid resolves");
+    let cold = service.sweep(&grid).expect("static grid resolves");
     let cold_s = t0.elapsed().as_secs_f64();
     print!("{}", cold.render_text());
     println!(
@@ -42,7 +44,7 @@ fn main() {
     }
 
     let t1 = Instant::now();
-    let warm = grid.run(&service).expect("static grid resolves");
+    let warm = service.sweep(&grid).expect("static grid resolves");
     let warm_s = t1.elapsed().as_secs_f64();
     let identical =
         cold.points

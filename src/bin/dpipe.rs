@@ -1,12 +1,13 @@
 //! `dpipe` — command-line front end for the DiffusionPipe planner.
 //!
 //! ```text
-//! dpipe plan --model sd --machines 1 --gpus 8 --batch 256 [--no-fill] [--no-partial] [--timeline]
+//! dpipe plan --model sd --machines 1 --gpus-per-machine 8 --batch 256 [--no-fill] [--no-partial] [--timeline]
 //! dpipe plan --spec examples/specs/sd_8gpu_b256.json
 //! dpipe plan --model sd --batch 256 --emit-spec | dpipe plan --spec -
 //! dpipe models
 //! dpipe baselines --model controlnet --machines 4 --batch 1024
-//! dpipe serve --requests plans.txt --workers 4
+//! dpipe simulate --spec examples/specs/sd_64gpu_b256.json --faults examples/specs/faults_nodedrop.json
+//! dpipe serve --listen 127.0.0.1:8080 --workers 4
 //! dpipe sweep --models sd,dit --gpus 4,8 --batches 128,256 --workers 4
 //! dpipe sweep --spec sweep.json
 //! ```
@@ -14,6 +15,9 @@
 //! Every `plan`/`sweep` run is reproducible as data: `--emit-spec` prints
 //! the fully-resolved declarative spec (`PlanSpec`/`SweepSpec` JSON) for
 //! any flag combination, and `--spec <file|->` executes such a document.
+//! Each subcommand accepts only the flags its usage lists: an unknown or
+//! repeated flag, a flag without its value, a stray argument or an
+//! unparsable value exits 1 before anything is planned.
 
 use diffusionpipe::baselines::{ddp, gpipe, spp, zero3};
 use diffusionpipe::core::{
@@ -23,8 +27,8 @@ use diffusionpipe::core::{
 use diffusionpipe::partition::SearchSpace;
 use diffusionpipe::prelude::*;
 use diffusionpipe::schedule::render_timeline;
-use diffusionpipe::serve::json::{plan_json, JsonValue};
-use diffusionpipe::spec::{ClusterAxis, ModelRef, PlanSpec, SweepSpec};
+use diffusionpipe::serve::json::{plan_response_doc, simulate_response_doc};
+use diffusionpipe::spec::{cluster_for_gpus, ClusterAxis, ModelRef, PlanSpec, SweepSpec};
 use std::collections::HashMap;
 use std::io::Read as _;
 use std::process::ExitCode;
@@ -49,9 +53,9 @@ USAGE:
       (classes: a100, h100, a10g). --spec executes a declarative PlanSpec
       JSON document ('-' reads stdin); run-local knobs (--batch, --workers,
       --no-fill, --no-partial) override the document, while
-      --model/--machines with --spec are rejected. --emit-spec prints the
-      resolved spec instead of planning, so any flag combination
-      round-trips through `--emit-spec | dpipe plan --spec -`.
+      --model/--machines/--gpus-per-machine with --spec are rejected.
+      --emit-spec prints the resolved spec instead of planning, so any flag
+      combination round-trips through `--emit-spec | dpipe plan --spec -`.
       --trace FILE records every planner phase (validate, profile,
       enumerate, per-config partition DP, schedule, fill, select) as a
       Chrome trace-event JSON file — open it in Perfetto or
@@ -71,11 +75,6 @@ USAGE:
       surviving cluster and print the stage migration diff. --timeline
       renders the degraded per-slot Gantt chart; --json prints the exact
       `POST /simulate` response document.
-  dpipe serve --requests <file|-> [--workers N] [--json]
-      Batch-serve planning requests through the worker pool + plan cache.
-      One request per line: model=<name> [machines=N|SPEC] [gpus=N]
-      [batch=N] [fill=on|off] [partial=on|off]; '#' starts a comment.
-      '-' reads stdin.
   dpipe serve --listen <addr> [--workers N] [--conn-workers N] [--queue N]
              [--max-in-flight N] [--max-body BYTES] [--read-timeout-ms MS]
              [--rate N] [--burst N] [--cache-capacity N]
@@ -85,7 +84,8 @@ USAGE:
       JSON in, the exact `dpipe plan --json --spec` document out),
       POST /simulate ({\"spec\": PlanSpec, \"faults\": FaultSpec} in, the
       exact `dpipe simulate --json` document out), POST /sweep (SweepSpec
-      JSON), GET /metrics, GET /healthz. A full
+      JSON in, the exact `dpipe sweep --json --spec` document out),
+      GET /metrics, GET /healthz. A full
       connection queue or plan backlog sheds load as 503; bodies over
       --max-body get 413; --rate enables per-client token-bucket limiting
       (429). `--listen 127.0.0.1:0` picks an ephemeral port and prints it.
@@ -103,62 +103,169 @@ USAGE:
       `a100:4,h100:4;a10g:8`). --spec executes a declarative SweepSpec
       JSON document; --emit-spec prints the resolved sweep spec.
 
+Each subcommand accepts only the flags listed for it: an unknown or
+repeated flag, a flag without its value, a stray argument or an
+unparsable value exits 1 and names the flag.
+
 Models: sd, controlnet, cdm-lsun, cdm-imagenet, dit, sdxl, imagen
 ";
+
+/// The flags one subcommand accepts: those that take a value, and the
+/// switches that do not.
+struct Flags {
+    values: &'static [&'static str],
+    switches: &'static [&'static str],
+}
+
+const MODELS: Flags = Flags {
+    values: &[],
+    switches: &[],
+};
+const PLAN: Flags = Flags {
+    values: &[
+        "model",
+        "machines",
+        "gpus-per-machine",
+        "batch",
+        "workers",
+        "spec",
+        "trace",
+    ],
+    switches: &[
+        "no-fill",
+        "no-partial",
+        "timeline",
+        "instructions",
+        "json",
+        "emit-spec",
+        "trace-tree",
+    ],
+};
+const BASELINES: Flags = Flags {
+    values: &["model", "machines", "gpus-per-machine", "batch"],
+    switches: &[],
+};
+const SIMULATE: Flags = Flags {
+    values: &["spec", "faults", "workers", "trace"],
+    switches: &["timeline", "json", "trace-tree"],
+};
+const SERVE: Flags = Flags {
+    values: &[
+        "listen",
+        "workers",
+        "conn-workers",
+        "queue",
+        "max-in-flight",
+        "max-body",
+        "read-timeout-ms",
+        "rate",
+        "burst",
+        "cache-capacity",
+        "trace-dir",
+        "trace-sample",
+    ],
+    switches: &[],
+};
+const SWEEP: Flags = Flags {
+    values: &["models", "gpus", "machines", "batches", "workers", "spec"],
+    switches: &["best", "json", "no-fill", "no-partial", "emit-spec"],
+};
+
+/// A subcommand: runs on its decoded flags; the error is for stderr.
+type Run = fn(&Args) -> Result<(), String>;
+
+/// One subcommand's flags, decoded against its [`Flags`].
+struct Args {
+    values: HashMap<&'static str, String>,
+    switches: Vec<&'static str>,
+}
+
+impl Args {
+    /// Decodes `argv` against the flags `dpipe {cmd}` accepts. An unknown
+    /// or repeated flag, a flag without its value and a stray argument are
+    /// errors that name it.
+    fn parse(cmd: &str, argv: &[String], flags: &Flags) -> Result<Self, String> {
+        let mut args = Args {
+            values: HashMap::new(),
+            switches: Vec::new(),
+        };
+        let mut argv = argv.iter();
+        while let Some(arg) = argv.next() {
+            let name = arg
+                .strip_prefix("--")
+                .ok_or_else(|| format!("unexpected argument `{arg}` for `dpipe {cmd}`"))?;
+            if let Some(&flag) = flags.values.iter().find(|&&f| f == name) {
+                let value = argv
+                    .next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("--{flag} needs a value"))?;
+                if args.values.insert(flag, value.clone()).is_some() {
+                    return Err(format!("--{flag} given twice"));
+                }
+            } else if let Some(&flag) = flags.switches.iter().find(|&&f| f == name) {
+                if args.has(flag) {
+                    return Err(format!("--{flag} given twice"));
+                }
+                args.switches.push(flag);
+            } else {
+                return Err(format!(
+                    "unknown flag `{arg}` for `dpipe {cmd}`; run `dpipe` for usage"
+                ));
+            }
+        }
+        Ok(args)
+    }
+
+    /// A value flag's raw value, if given.
+    fn value(&self, name: &str) -> Option<&str> {
+        self.values.get(name).map(String::as_str)
+    }
+
+    /// A value flag parsed as `T`, or `default` when it is absent.
+    fn parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        self.value(name).map_or(Ok(default), |v| {
+            v.parse().map_err(|_| format!("bad --{name} `{v}`"))
+        })
+    }
+
+    /// Whether a switch was given.
+    fn has(&self, name: &str) -> bool {
+        self.switches.contains(&name)
+    }
+
+    /// Rejects `flags` next to `--spec`: the document is authoritative for
+    /// them, so they would be silently ignored.
+    fn reject_with_spec(&self, flags: &[&str]) -> Result<(), String> {
+        match flags
+            .iter()
+            .find(|&&f| self.value(f).is_some() || self.has(f))
+        {
+            Some(f) => Err(format!(
+                "--{f} cannot be combined with --spec; edit the spec \
+                 file (or regenerate it with --emit-spec)"
+            )),
+            None => Ok(()),
+        }
+    }
+}
 
 fn model_by_name(name: &str) -> Option<ModelSpec> {
     zoo::by_name(name)
 }
 
-struct Args {
-    flags: HashMap<String, String>,
-    switches: Vec<String>,
-}
-
-impl Args {
-    fn parse(argv: &[String]) -> Self {
-        let mut flags = HashMap::new();
-        let mut switches = Vec::new();
-        let mut i = 0;
-        while i < argv.len() {
-            let a = &argv[i];
-            if let Some(name) = a.strip_prefix("--") {
-                if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
-                    flags.insert(name.to_owned(), argv[i + 1].clone());
-                    i += 2;
-                } else {
-                    switches.push(name.to_owned());
-                    i += 1;
-                }
-            } else {
-                i += 1;
-            }
-        }
-        Args { flags, switches }
-    }
-
-    fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.flags
-            .get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| s == name)
-    }
-}
-
-/// Builds a cluster from a machine spec: a bare count (`4`, homogeneous
-/// A100-class) or a per-class list (`a100:4,h100:4`).
-fn cluster_from_spec(spec: &str, gpus: usize) -> Result<ClusterSpec, String> {
+/// Builds the cluster of `--machines` (a bare count, homogeneous
+/// A100-class, or a per-class list like `a100:4,h100:4`) and
+/// `--gpus-per-machine`.
+fn cluster_from(args: &Args) -> Result<ClusterSpec, String> {
+    let gpus: usize = args.parsed("gpus-per-machine", 8)?;
+    let spec = args.value("machines").unwrap_or("1");
     if let Ok(machines) = spec.parse::<usize>() {
         return Ok(ClusterSpec {
             devices_per_machine: gpus,
             ..ClusterSpec::p4de(machines.max(1))
         });
     }
-    let classes = DeviceClass::parse_machine_spec(spec)?;
+    let classes = DeviceClass::parse_machine_spec(spec).map_err(|e| format!("--machines: {e}"))?;
     Ok(ClusterSpec {
         devices_per_machine: gpus,
         machine_classes: classes.clone(),
@@ -166,13 +273,7 @@ fn cluster_from_spec(spec: &str, gpus: usize) -> Result<ClusterSpec, String> {
     })
 }
 
-fn cluster_from(args: &Args) -> Result<ClusterSpec, String> {
-    let gpus: usize = args.get("gpus-per-machine", 8);
-    let spec = args.flags.get("machines").map_or("1", String::as_str);
-    cluster_from_spec(spec, gpus).map_err(|e| format!("--machines: {e}"))
-}
-
-fn cmd_models() -> ExitCode {
+fn cmd_models(_: &Args) -> Result<(), String> {
     println!(
         "{:<14} {:>10} {:>12} {:>12} {:>10}",
         "name", "backbones", "train params", "frozen params", "frozen L"
@@ -189,7 +290,7 @@ fn cmd_models() -> ExitCode {
             m.num_frozen_layers()
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Reads a `--spec` source: a file path or `-` for stdin.
@@ -205,35 +306,51 @@ fn read_spec_source(source: &str) -> Result<String, String> {
     }
 }
 
+/// A collecting tracer when `--trace FILE` or `--trace-tree` asks for one,
+/// otherwise the no-op tracer (plans are byte-identical either way).
+fn tracer_for(args: &Args) -> Tracer {
+    if args.value("trace").is_some() || args.has("trace-tree") {
+        Tracer::new()
+    } else {
+        Tracer::off()
+    }
+}
+
+/// Writes what `tracer` collected to `--trace FILE` as Chrome trace JSON
+/// and, with `--trace-tree`, as an indented tree on stderr.
+fn write_trace(args: &Args, tracer: &Tracer) -> Result<(), String> {
+    if !tracer.is_enabled() {
+        return Ok(());
+    }
+    let trace = tracer.take();
+    if let Some(path) = args.value("trace") {
+        std::fs::write(path, trace.to_chrome_json())
+            .map_err(|e| format!("writing trace to {path} failed: {e}"))?;
+        eprintln!(
+            "wrote {} spans to {path} (open in Perfetto or chrome://tracing)",
+            trace.len()
+        );
+    }
+    if args.has("trace-tree") {
+        eprint!("{}", trace.render_tree());
+    }
+    Ok(())
+}
+
 /// Resolves the flags of one `dpipe plan` invocation into the declarative
 /// spec it is equivalent to — the single path both planning and
 /// `--emit-spec` go through, so what gets emitted is exactly what runs.
 fn spec_from_plan_args(args: &Args) -> Result<PlanSpec, String> {
-    if let Some(source) = args.flags.get("spec") {
-        // The document is authoritative for the planning inputs; flags that
-        // would silently contradict it are rejected, while run-local knobs
-        // (--workers, --batch, the ablation switches) override it — and
-        // --emit-spec shows exactly what the merge resolved to.
-        for conflicting in ["model", "machines", "gpus-per-machine"] {
-            if args.flags.contains_key(conflicting) {
-                return Err(format!(
-                    "--{conflicting} cannot be combined with --spec; edit the spec \
-                     file (or regenerate it with --emit-spec)"
-                ));
-            }
-        }
+    if let Some(source) = args.value("spec") {
+        // The document is authoritative for the planning inputs, while
+        // run-local knobs (--workers, --batch, the ablation switches)
+        // override it — and --emit-spec shows exactly what the merge
+        // resolved to.
+        args.reject_with_spec(&["model", "machines", "gpus-per-machine"])?;
         let mut spec =
             PlanSpec::from_json(&read_spec_source(source)?).map_err(|e| e.to_string())?;
-        if let Some(workers) = args.flags.get("workers") {
-            spec.parallelism = workers
-                .parse()
-                .map_err(|_| format!("bad --workers `{workers}`"))?;
-        }
-        if let Some(batch) = args.flags.get("batch") {
-            spec.global_batch = batch
-                .parse()
-                .map_err(|_| format!("bad --batch `{batch}`"))?;
-        }
+        spec.parallelism = args.parsed("workers", spec.parallelism)?;
+        spec.global_batch = args.parsed("batch", spec.global_batch)?;
         if args.has("no-fill") {
             spec.options.bubble_filling = false;
         }
@@ -243,86 +360,46 @@ fn spec_from_plan_args(args: &Args) -> Result<PlanSpec, String> {
         return Ok(spec);
     }
     let model_name = args
-        .flags
-        .get("model")
+        .value("model")
         .ok_or("unknown or missing --model; run `dpipe models`")?;
     if model_by_name(model_name).is_none() {
         return Err(format!("unknown model `{model_name}`; run `dpipe models`"));
     }
     let cluster = cluster_from(args)?;
-    let batch: u32 = args.get("batch", 32 * cluster.world_size() as u32);
-    Ok(PlanSpec::zoo(model_name.clone(), cluster, batch)
+    let batch: u32 = args.parsed("batch", 32 * cluster.world_size() as u32)?;
+    Ok(PlanSpec::zoo(model_name, cluster, batch)
         .with_options(PlannerOptions {
             bubble_filling: !args.has("no-fill"),
             partial_batch: !args.has("no-partial"),
         })
         // 0 = "all cores", the CLI default, kept symbolic so an emitted
         // spec reproduces on any machine.
-        .with_parallelism(args.get("workers", 0)))
+        .with_parallelism(args.parsed("workers", 0)?))
 }
 
-fn cmd_plan(args: &Args) -> ExitCode {
-    let spec = match spec_from_plan_args(args) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_plan(args: &Args) -> Result<(), String> {
+    let spec = spec_from_plan_args(args)?;
     if args.has("emit-spec") {
         println!("{}", spec.to_json());
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
-    let request = match PlanRequest::from_spec(spec.clone()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let batch = request.global_batch();
-    let cluster = request.cluster().clone();
-    // `--trace FILE` / `--trace-tree` attach a collector to the planner;
-    // without them the tracer is off and planning runs exactly as before
-    // (plans are byte-identical either way).
-    let trace_file = args.flags.get("trace").cloned();
-    let trace_tree = args.has("trace-tree");
-    let tracer = if trace_file.is_some() || trace_tree {
-        diffusionpipe::trace::Tracer::new()
-    } else {
-        diffusionpipe::trace::Tracer::off()
-    };
-    let plan = match request.plan_traced(spec.effective_parallelism(), &tracer, None) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("planning failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if tracer.is_enabled() {
-        let trace = tracer.take();
-        if let Some(path) = trace_file {
-            if let Err(e) = std::fs::write(&path, trace.to_chrome_json()) {
-                eprintln!("writing trace to {path} failed: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "wrote {} spans to {path} (open in Perfetto or chrome://tracing)",
-                trace.len()
-            );
-        }
-        if trace_tree {
-            eprint!("{}", trace.render_tree());
-        }
-    }
+    let request = PlanRequest::from_spec(spec.clone()).map_err(|e| e.to_string())?;
+    let tracer = tracer_for(args);
+    let plan = request
+        .plan_traced(spec.effective_parallelism(), &tracer, None)
+        .map_err(|e| format!("planning failed: {e}"))?;
+    write_trace(args, &tracer)?;
     if args.has("json") {
         // One shared document with `POST /plan` over HTTP, so the two
         // paths stay byte-identical (see `dpipe_serve::json`).
-        let doc = diffusionpipe::serve::json::plan_response_doc(&spec, &request, &plan);
-        println!("{doc}");
-        return ExitCode::SUCCESS;
+        println!("{}", plan_response_doc(&spec, &request, &plan));
+        return Ok(());
     }
-    println!("plan for batch {batch} on {} GPUs:", cluster.world_size());
+    println!(
+        "plan for batch {} on {} GPUs:",
+        request.global_batch(),
+        request.cluster().world_size()
+    );
     println!("  {}", plan.summary());
     match &plan.partition {
         BackbonePartition::Single(p) => {
@@ -372,22 +449,16 @@ fn cmd_plan(args: &Args) -> ExitCode {
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_baselines(args: &Args) -> ExitCode {
-    let Some(model) = args.flags.get("model").and_then(|n| model_by_name(n)) else {
-        eprintln!("unknown or missing --model; run `dpipe models`");
-        return ExitCode::FAILURE;
-    };
-    let cluster = match cluster_from(args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let batch: u32 = args.get("batch", 32 * cluster.world_size() as u32);
+fn cmd_baselines(args: &Args) -> Result<(), String> {
+    let model = args
+        .value("model")
+        .and_then(model_by_name)
+        .ok_or("unknown or missing --model; run `dpipe models`")?;
+    let cluster = cluster_from(args)?;
+    let batch: u32 = args.parsed("batch", 32 * cluster.world_size() as u32)?;
     let plan = Planner::new(model.clone(), cluster.clone()).plan(batch);
     let db = Profiler::new(DeviceModel::a100_like())
         .with_world_size(cluster.world_size())
@@ -402,133 +473,58 @@ fn cmd_baselines(args: &Args) -> ExitCode {
             p.bubble_ratio * 100.0
         );
     }
-    if let Some((bb, _)) = model.backbones().next().map(|(id, c)| (id, c.name.clone())) {
-        if let Ok(r) = spp(&db, &cluster, bb, batch, &SearchSpace::default()) {
-            println!(
-                "{:<16} {:>12.1} {:>9.1}%",
-                r.name,
-                r.throughput,
-                r.bubble_ratio * 100.0
-            );
-        }
-        if let Ok(r) = gpipe(&db, &cluster, bb, batch, 2, 4) {
-            println!(
-                "{:<16} {:>12.1} {:>9.1}%",
-                r.name,
-                r.throughput,
-                r.bubble_ratio * 100.0
-            );
-        }
+    let mut reports = Vec::new();
+    if let Some((bb, _)) = model.backbones().next() {
+        reports.extend(spp(&db, &cluster, bb, batch, &SearchSpace::default()).ok());
+        reports.extend(gpipe(&db, &cluster, bb, batch, 2, 4).ok());
     }
-    let r = ddp(&db, &cluster, batch);
-    println!(
-        "{:<16} {:>12.1} {:>9.1}%",
-        r.name,
-        r.throughput,
-        r.bubble_ratio * 100.0
-    );
-    let r = zero3(&db, &cluster, batch);
-    println!(
-        "{:<16} {:>12.1} {:>9.1}%",
-        r.name,
-        r.throughput,
-        r.bubble_ratio * 100.0
-    );
-    ExitCode::SUCCESS
+    reports.push(ddp(&db, &cluster, batch));
+    reports.push(zero3(&db, &cluster, batch));
+    for r in reports {
+        println!(
+            "{:<16} {:>12.1} {:>9.1}%",
+            r.name,
+            r.throughput,
+            r.bubble_ratio * 100.0
+        );
+    }
+    Ok(())
 }
 
 /// `dpipe simulate`: plan a spec, replay it under a fault spec through the
 /// discrete-event simulator, and report the degraded timeline plus (on
 /// node drops) the re-plan on the surviving cluster.
-fn cmd_simulate(args: &Args) -> ExitCode {
-    let Some(source) = args.flags.get("spec") else {
-        eprintln!("missing --spec <file|-> (emit one with `dpipe plan ... --emit-spec`)");
-        return ExitCode::FAILURE;
-    };
-    let mut spec = match read_spec_source(source)
-        .and_then(|t| PlanSpec::from_json(&t).map_err(|e| e.to_string()))
-    {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(workers) = args.flags.get("workers") {
-        let Ok(parallelism) = workers.parse() else {
-            eprintln!("bad --workers `{workers}`");
-            return ExitCode::FAILURE;
-        };
-        spec.parallelism = parallelism;
-    }
-    let faults = match args.flags.get("faults") {
-        Some(src) => match read_spec_source(src)
-            .and_then(|t| FaultSpec::from_json(&t).map_err(|e| e.to_string()))
-        {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        },
+fn cmd_simulate(args: &Args) -> Result<(), String> {
+    let source = args
+        .value("spec")
+        .ok_or("missing --spec <file|-> (emit one with `dpipe plan ... --emit-spec`)")?;
+    let mut spec = PlanSpec::from_json(&read_spec_source(source)?).map_err(|e| e.to_string())?;
+    spec.parallelism = args.parsed("workers", spec.parallelism)?;
+    let faults = match args.value("faults") {
+        Some(src) => FaultSpec::from_json(&read_spec_source(src)?).map_err(|e| e.to_string())?,
         None => FaultSpec::none(),
     };
-    let request = match PlanRequest::from_spec(spec.clone()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let trace_file = args.flags.get("trace").cloned();
-    let trace_tree = args.has("trace-tree");
-    let tracer = if trace_file.is_some() || trace_tree {
-        diffusionpipe::trace::Tracer::new()
-    } else {
-        diffusionpipe::trace::Tracer::off()
-    };
+    let request = PlanRequest::from_spec(spec.clone()).map_err(|e| e.to_string())?;
+    let tracer = tracer_for(args);
     let parallelism = spec.effective_parallelism();
-    let plan = match request.plan_traced(parallelism, &tracer, None) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("planning failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let outcome = match simulate_plan(&spec, &plan, &faults, &tracer, None, |degraded| {
+    let plan = request
+        .plan_traced(parallelism, &tracer, None)
+        .map_err(|e| format!("planning failed: {e}"))?;
+    let outcome = simulate_plan(&spec, &plan, &faults, &tracer, None, |degraded| {
         PlanRequest::from_spec(degraded.clone())
             .map_err(|e| PlanError::InvalidRequest(e.to_string()))?
             .plan_traced(parallelism, &tracer, None)
-    }) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("simulation failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if tracer.is_enabled() {
-        let trace = tracer.take();
-        if let Some(path) = trace_file {
-            if let Err(e) = std::fs::write(&path, trace.to_chrome_json()) {
-                eprintln!("writing trace to {path} failed: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "wrote {} spans to {path} (open in Perfetto or chrome://tracing)",
-                trace.len()
-            );
-        }
-        if trace_tree {
-            eprint!("{}", trace.render_tree());
-        }
-    }
+    })
+    .map_err(|e| format!("simulation failed: {e}"))?;
+    write_trace(args, &tracer)?;
     if args.has("json") {
         // One shared document with `POST /simulate` over HTTP, so the two
         // surfaces stay byte-identical (see `dpipe_serve::json`).
-        let doc =
-            diffusionpipe::serve::json::simulate_response_doc(&spec, &request, &faults, &outcome);
-        println!("{doc}");
-        return ExitCode::SUCCESS;
+        println!(
+            "{}",
+            simulate_response_doc(&spec, &request, &faults, &outcome)
+        );
+        return Ok(());
     }
     let r = &outcome.report;
     println!(
@@ -591,195 +587,51 @@ fn cmd_simulate(args: &Args) -> ExitCode {
     if args.has("timeline") {
         println!("\n{}", render_sim_timeline(&outcome));
     }
-    ExitCode::SUCCESS
-}
-
-/// Parses one `serve` request line: whitespace-separated `key=value` tokens
-/// (`model=` mandatory; `machines` — a count or an `a100:4,h100:4`-style
-/// class spec — `gpus`, `batch`, `fill`, `partial` optional).
-fn parse_request_line(line: &str) -> Result<PlanRequest, String> {
-    let mut model: Option<ModelSpec> = None;
-    let mut machines = "1".to_owned();
-    let mut gpus = 8usize;
-    let mut batch: Option<u32> = None;
-    let mut options = PlannerOptions::default();
-    for token in line.split_whitespace() {
-        let (key, value) = token
-            .split_once('=')
-            .ok_or_else(|| format!("expected key=value, got `{token}`"))?;
-        match key {
-            "model" => {
-                model =
-                    Some(model_by_name(value).ok_or_else(|| format!("unknown model `{value}`"))?);
-            }
-            "machines" => machines = value.to_owned(),
-            "gpus" => gpus = value.parse().map_err(|_| format!("bad gpus `{value}`"))?,
-            "batch" => batch = Some(value.parse().map_err(|_| format!("bad batch `{value}`"))?),
-            "fill" => options.bubble_filling = parse_switch(value)?,
-            "partial" => options.partial_batch = parse_switch(value)?,
-            _ => return Err(format!("unknown key `{key}`")),
-        }
-    }
-    let model = model.ok_or_else(|| "missing model=<name>".to_owned())?;
-    let cluster = cluster_from_spec(&machines, gpus).map_err(|e| format!("machines: {e}"))?;
-    let batch = batch.unwrap_or(32 * cluster.world_size() as u32);
-    Ok(PlanRequest::new(model, cluster, batch).with_options(options))
-}
-
-fn parse_switch(value: &str) -> Result<bool, String> {
-    match value {
-        "on" | "true" | "1" => Ok(true),
-        "off" | "false" | "0" => Ok(false),
-        _ => Err(format!("expected on/off, got `{value}`")),
-    }
+    Ok(())
 }
 
 /// `dpipe serve --listen`: the HTTP frontend, running until a
 /// `POST /shutdown` drains it.
-fn cmd_serve_http(args: &Args, listen: &str) -> ExitCode {
-    let defaults = diffusionpipe::http::ServerConfig::default();
-    let rate: f64 = args.get("rate", 0.0);
-    let config = diffusionpipe::http::ServerConfig {
+fn cmd_serve(args: &Args) -> Result<(), String> {
+    let listen = args
+        .value("listen")
+        .ok_or_else(|| format!("missing --listen <addr>\n\n{USAGE}"))?;
+    let defaults = ServerConfig::default();
+    let service = ServiceConfig::default();
+    let rate: f64 = args.parsed("rate", 0.0)?;
+    let config = ServerConfig {
         addr: listen.to_owned(),
-        conn_workers: args.get("conn-workers", defaults.conn_workers),
-        queue_capacity: args.get("queue", defaults.queue_capacity),
-        max_in_flight_plans: args.get("max-in-flight", defaults.max_in_flight_plans),
+        conn_workers: args.parsed("conn-workers", defaults.conn_workers)?,
+        queue_capacity: args.parsed("queue", defaults.queue_capacity)?,
+        max_in_flight_plans: args.parsed("max-in-flight", defaults.max_in_flight_plans)?,
         limits: diffusionpipe::http::Limits {
-            max_body_bytes: args.get("max-body", defaults.limits.max_body_bytes),
-            read_timeout: std::time::Duration::from_millis(args.get("read-timeout-ms", 10_000)),
+            max_body_bytes: args.parsed("max-body", defaults.limits.max_body_bytes)?,
+            read_timeout: std::time::Duration::from_millis(args.parsed("read-timeout-ms", 10_000)?),
             ..defaults.limits
         },
         rate_per_s: rate,
-        rate_burst: args.get("burst", (2.0 * rate).max(1.0)),
-        trace_dir: args.flags.get("trace-dir").map(std::path::PathBuf::from),
-        trace_sample: args.get("trace-sample", defaults.trace_sample),
+        rate_burst: args.parsed("burst", (2.0 * rate).max(1.0))?,
+        trace_dir: args.value("trace-dir").map(std::path::PathBuf::from),
+        trace_sample: args.parsed("trace-sample", defaults.trace_sample)?,
         failpoint: None,
         service: ServiceConfig {
-            workers: args.get("workers", ServiceConfig::default().workers),
-            cache_capacity: args.get("cache-capacity", ServiceConfig::default().cache_capacity),
-            ..ServiceConfig::default()
+            workers: args.parsed("workers", service.workers)?,
+            cache_capacity: args.parsed("cache-capacity", service.cache_capacity)?,
+            ..service
         },
     };
     if let Some(dir) = &config.trace_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("creating trace dir {} failed: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("creating trace dir {} failed: {e}", dir.display()))?;
     }
-    let server = match diffusionpipe::http::HttpServer::start(config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("binding {listen} failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let server = HttpServer::start(config).map_err(|e| format!("binding {listen} failed: {e}"))?;
     println!("listening on http://{}", server.local_addr());
     // The CI smoke test backgrounds this process and greps the line above
     // from a redirected (block-buffered) stdout — flush it out now.
     let _ = std::io::Write::flush(&mut std::io::stdout());
     server.run_until_shutdown();
     println!("drained; bye");
-    ExitCode::SUCCESS
-}
-
-fn cmd_serve(args: &Args) -> ExitCode {
-    if let Some(listen) = args.flags.get("listen") {
-        return cmd_serve_http(args, &listen.clone());
-    }
-    let Some(source) = args.flags.get("requests") else {
-        eprintln!("missing --requests <file|-> (or --listen <addr> for HTTP)");
-        return ExitCode::FAILURE;
-    };
-    let text = if source == "-" {
-        let mut buf = String::new();
-        if let Err(e) = std::io::stdin().read_to_string(&mut buf) {
-            eprintln!("reading stdin failed: {e}");
-            return ExitCode::FAILURE;
-        }
-        buf
-    } else {
-        match std::fs::read_to_string(source) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("reading {source} failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    let mut requests = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        match parse_request_line(line) {
-            Ok(r) => requests.push(r),
-            Err(e) => {
-                eprintln!("line {}: {e}", lineno + 1);
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if requests.is_empty() {
-        eprintln!("no requests in {source}");
-        return ExitCode::FAILURE;
-    }
-    let workers: usize = args.get("workers", ServiceConfig::default().workers);
-    let service = PlanService::new(ServiceConfig::with_workers(workers));
-    let start = std::time::Instant::now();
-    let responses = service.plan_batch(requests);
-    let elapsed = start.elapsed().as_secs_f64();
-    let stats = service.cache_stats();
-    if args.has("json") {
-        let items = responses
-            .iter()
-            .map(|r| {
-                let mut fields = vec![
-                    ("request".to_owned(), JsonValue::Str(r.label.clone())),
-                    (
-                        "fingerprint".to_owned(),
-                        JsonValue::Str(format!("{:016x}", r.fingerprint)),
-                    ),
-                    ("cache_hit".to_owned(), JsonValue::Bool(r.cache_hit)),
-                ];
-                match &r.outcome {
-                    Ok(plan) => fields.push(("plan".to_owned(), plan_json(plan))),
-                    Err(e) => fields.push(("error".to_owned(), JsonValue::Str(e.to_string()))),
-                }
-                JsonValue::Object(fields)
-            })
-            .collect();
-        let doc = JsonValue::Object(vec![
-            ("workers".to_owned(), JsonValue::UInt(workers as u64)),
-            ("elapsed_s".to_owned(), JsonValue::Num(elapsed)),
-            ("cache_hits".to_owned(), JsonValue::UInt(stats.hits)),
-            ("cache_misses".to_owned(), JsonValue::UInt(stats.misses)),
-            ("responses".to_owned(), JsonValue::Array(items)),
-        ]);
-        println!("{doc}");
-        return ExitCode::SUCCESS;
-    }
-    for r in &responses {
-        match &r.outcome {
-            Ok(plan) => println!(
-                "{:<36} {} {}",
-                r.label,
-                if r.cache_hit { "[hit] " } else { "[plan]" },
-                plan.summary()
-            ),
-            Err(e) => println!("{:<36} [fail] {e}", r.label),
-        }
-    }
-    println!(
-        "\n{} requests in {:.2}s with {} workers ({:.1} plans/s, cache {}/{} hits)",
-        responses.len(),
-        elapsed,
-        workers,
-        responses.len() as f64 / elapsed.max(1e-9),
-        stats.hits,
-        stats.hits + stats.misses,
-    );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Parses `a,b,c` into typed values.
@@ -793,12 +645,19 @@ fn parse_list<T: std::str::FromStr>(raw: &str) -> Result<Vec<T>, String> {
 /// Resolves the flags of one `dpipe sweep` invocation into the declarative
 /// sweep spec it is equivalent to (shared by execution and `--emit-spec`).
 fn sweep_spec_from_args(args: &Args) -> Result<SweepSpec, String> {
-    if let Some(source) = args.flags.get("spec") {
+    if let Some(source) = args.value("spec") {
+        args.reject_with_spec(&[
+            "models",
+            "gpus",
+            "machines",
+            "batches",
+            "no-fill",
+            "no-partial",
+        ])?;
         return SweepSpec::from_json(&read_spec_source(source)?).map_err(|e| e.to_string());
     }
     let model_names = args
-        .flags
-        .get("models")
+        .value("models")
         .ok_or("missing --models <a,b,..>; run `dpipe models`")?;
     let mut models = Vec::new();
     for name in model_names.split(',').filter(|s| !s.is_empty()) {
@@ -810,26 +669,26 @@ fn sweep_spec_from_args(args: &Args) -> Result<SweepSpec, String> {
     // The 8-GPU default applies only when no cluster axis is given at all:
     // a sweep asked to cover mixed fleets via --machines must not silently
     // grow an extra homogeneous point.
-    let gpus_default = if args.flags.contains_key("machines") {
+    let gpus_default = if args.value("machines").is_some() {
         ""
     } else {
         "8"
     };
     let mut clusters: Vec<ClusterAxis> =
-        parse_list::<usize>(args.flags.get("gpus").map_or(gpus_default, String::as_str))
+        parse_list::<usize>(args.value("gpus").unwrap_or(gpus_default))
             .map_err(|e| format!("--gpus: {e}"))?
             .into_iter()
             .map(ClusterAxis::GpuCount)
             .collect();
     // Mixed-fleet axis points: ';'-separated machine specs, each validated
     // here so typos fail before any planning starts.
-    if let Some(machine_specs) = args.flags.get("machines") {
+    if let Some(machine_specs) = args.value("machines") {
         for spec in machine_specs.split(';').filter(|s| !s.is_empty()) {
             DeviceClass::parse_machine_spec(spec).map_err(|e| format!("--machines: {e}"))?;
             clusters.push(ClusterAxis::MachineClasses(spec.to_owned()));
         }
     }
-    let batches = parse_list::<u32>(args.flags.get("batches").map_or("128,256", String::as_str))
+    let batches = parse_list::<u32>(args.value("batches").unwrap_or("128,256"))
         .map_err(|e| format!("--batches: {e}"))?;
     let template_model = models
         .first()
@@ -839,7 +698,7 @@ fn sweep_spec_from_args(args: &Args) -> Result<SweepSpec, String> {
         .first()
         .map(|c| c.resolve().map_err(|e| e.to_string()))
         .transpose()?
-        .unwrap_or_else(|| SweepGrid::cluster_for(8));
+        .unwrap_or_else(|| cluster_for_gpus(8));
     let template = PlanSpec::new(
         template_model,
         template_cluster,
@@ -855,37 +714,23 @@ fn sweep_spec_from_args(args: &Args) -> Result<SweepSpec, String> {
         .with_batches(batches))
 }
 
-fn cmd_sweep(args: &Args) -> ExitCode {
-    let sweep = match sweep_spec_from_args(args) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_sweep(args: &Args) -> Result<(), String> {
+    let sweep = sweep_spec_from_args(args)?;
+    let workers: usize = args.parsed("workers", ServiceConfig::default().workers)?;
     if args.has("emit-spec") {
         println!("{}", sweep.to_json());
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
-    let grid = SweepGrid::from_spec(sweep);
-    if grid.is_empty() {
-        eprintln!("empty sweep grid");
-        return ExitCode::FAILURE;
+    if sweep.is_empty() {
+        return Err("empty sweep grid".to_owned());
     }
-    let workers: usize = args.get("workers", ServiceConfig::default().workers);
     let service = PlanService::new(ServiceConfig::with_workers(workers));
     let start = std::time::Instant::now();
-    let report = match grid.run(&service) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report = service.sweep(&sweep).map_err(|e| e.to_string())?;
     let elapsed = start.elapsed().as_secs_f64();
     if args.has("json") {
         println!("{}", report.to_json());
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
     if args.has("best") {
         for p in report.best_per_model() {
@@ -903,7 +748,7 @@ fn cmd_sweep(args: &Args) -> ExitCode {
         workers,
         report.points.len() as f64 / elapsed.max(1e-9),
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -912,16 +757,22 @@ fn main() -> ExitCode {
         print!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let args = Args::parse(&argv[1..]);
-    match cmd.as_str() {
-        "models" => cmd_models(),
-        "plan" => cmd_plan(&args),
-        "baselines" => cmd_baselines(&args),
-        "simulate" => cmd_simulate(&args),
-        "serve" => cmd_serve(&args),
-        "sweep" => cmd_sweep(&args),
+    let (flags, run): (&Flags, Run) = match cmd.as_str() {
+        "models" => (&MODELS, cmd_models),
+        "plan" => (&PLAN, cmd_plan),
+        "baselines" => (&BASELINES, cmd_baselines),
+        "simulate" => (&SIMULATE, cmd_simulate),
+        "serve" => (&SERVE, cmd_serve),
+        "sweep" => (&SWEEP, cmd_sweep),
         _ => {
             print!("{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match Args::parse(cmd, &argv[1..], flags).and_then(|args| run(&args)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
             ExitCode::FAILURE
         }
     }

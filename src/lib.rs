@@ -40,9 +40,12 @@
 //! assert_eq!(Planner::plan_spec(&reloaded).unwrap().summary(), plan.summary());
 //! ```
 //!
-//! The imperative builder is still available (and is what the spec path
-//! drives internally): `Planner::new(model, cluster).with_options(..)
-//! .plan(batch)` produces byte-identical plans.
+//! `PlanSpec` is the only place an input that changes the plan is set:
+//! ablation options, search bounds, fill settings, schedule family and
+//! record-backed profiling are its fields, and the planner, requests,
+//! sweeps and the CLI have no setters of their own.
+//! `Planner::new(model, cluster).plan(batch)` is the short form of a
+//! default spec.
 //!
 //! ## Crate map
 //!
@@ -90,7 +93,7 @@ pub mod prelude {
     pub use crate::partition::{PartitionConfig, Partitioner, SearchSpace};
     pub use crate::profile::{DeviceModel, ProfileDb, Profiler};
     pub use crate::schedule::{ScheduleBuilder, ScheduleKind};
-    pub use crate::serve::{PlanRequest, PlanService, ServiceConfig, SweepGrid, SweepReport};
+    pub use crate::serve::{PlanRequest, PlanService, ServiceConfig, SweepReport};
     pub use crate::sim::CombinedIteration;
     pub use crate::spec::{
         json, ClusterAxis, ModelRef, PlanSpec, SpecError, SweepSpec, SCHEMA_VERSION,

@@ -2,7 +2,8 @@
 //! that data parallelism cannot reach (the paper's "DiffusionPipe enables
 //! larger training batch sizes" claim, §6.1).
 
-use diffusionpipe::baselines::{ddp, MemoryModel};
+use diffusionpipe::baselines::ddp;
+use diffusionpipe::model::MemoryModel;
 use diffusionpipe::prelude::*;
 
 #[test]

@@ -121,23 +121,18 @@ fn fig15_ablation_ordering() {
     let model = zoo::controlnet_v1_0();
     let cluster = ClusterSpec::single_node(8);
     let batch = 384;
-    let full = Planner::new(model.clone(), cluster.clone())
-        .plan(batch)
-        .unwrap();
-    let no_partial = Planner::new(model.clone(), cluster.clone())
-        .with_options(PlannerOptions {
-            bubble_filling: true,
-            partial_batch: false,
-        })
-        .plan(batch)
-        .unwrap();
-    let no_fill = Planner::new(model, cluster)
-        .with_options(PlannerOptions {
-            bubble_filling: false,
-            partial_batch: false,
-        })
-        .plan(batch)
-        .unwrap();
+    let plan = |bubble_filling, partial_batch| {
+        Planner::plan_spec(
+            &PlanSpec::new(model.clone(), cluster.clone(), batch).with_options(PlannerOptions {
+                bubble_filling,
+                partial_batch,
+            }),
+        )
+        .unwrap()
+    };
+    let full = plan(true, true);
+    let no_partial = plan(true, false);
+    let no_fill = plan(false, false);
     assert!(full.throughput >= no_partial.throughput);
     assert!(no_partial.throughput >= 0.95 * no_fill.throughput);
     assert!(full.throughput > 1.05 * no_fill.throughput);

@@ -66,23 +66,29 @@ fn chrome_export_is_valid_trace_event_json() {
 
 #[test]
 fn plan_span_is_covered_by_phase_children() {
-    let tracer = Tracer::new();
+    // A preempted thread opens a gap between child spans that no code
+    // caused, so each bound takes the best of three traced plans. A direct
+    // child that lost its span leaves the same gap in all three.
     let request = PlanRequest::from_spec(committed_spec()).expect("spec resolves");
-    request
-        .plan_traced(1, &tracer, None)
-        .expect("committed spec plans");
-    let trace = tracer.take();
-    let plan_span = trace.find("plan").expect("plan span");
-    let coverage = trace.child_coverage(plan_span.id);
+    let (mut coverage, mut search_coverage) = (0.0f64, 0.0f64);
+    for _ in 0..3 {
+        let tracer = Tracer::new();
+        request
+            .plan_traced(1, &tracer, None)
+            .expect("committed spec plans");
+        let trace = tracer.take();
+        let plan_span = trace.find("plan").expect("plan span");
+        coverage = coverage.max(trace.child_coverage(plan_span.id));
+        // The same holds one level down: the config search is covered by
+        // the per-config spans it fans out.
+        let search = trace.find("config_search").expect("config_search span");
+        search_coverage = search_coverage.max(trace.child_coverage(search.id));
+    }
     assert!(
         coverage >= 0.95,
         "plan span must be >=95% covered by phase children, got {:.1}%",
         coverage * 100.0
     );
-    // The same holds one level down: the config search is covered by the
-    // per-config spans it fans out.
-    let search = trace.find("config_search").expect("config_search span");
-    let search_coverage = trace.child_coverage(search.id);
     assert!(
         search_coverage >= 0.90,
         "config_search coverage {:.1}%",
