@@ -1,6 +1,6 @@
 //! Synthetic training task: frozen encoder + trainable backbone + data.
 
-use dpipe_tensor::{Matrix, Mlp};
+use crate::tensor::{Matrix, Mlp};
 
 /// A self-contained training task mirroring a diffusion model's structure:
 /// a frozen encoder whose outputs feed a trainable backbone, plus a

@@ -3,11 +3,11 @@
 
 use crate::data::SyntheticTask;
 use crate::program::{EngineConfig, EngineInstr};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use dpipe_tensor::{mse_grad_scaled, Matrix, Mlp, OptimizerState};
+use crate::tensor::{mse_grad_scaled, Matrix, Mlp, OptimizerState};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// Engine errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,15 +141,15 @@ impl PipelineEngine {
         let mut fb_rxs: HashMap<usize, Receiver<Matrix>> = HashMap::new();
         for g in 0..g_count {
             for s in 0..s_count.saturating_sub(1) {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 act_txs.insert((g, s), tx);
                 act_rxs.insert((g, s + 1), rx);
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 grad_txs.insert((g, s + 1), tx);
                 grad_rxs.insert((g, s), rx);
             }
             if task.self_cond && s_count > 1 {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 fb_txs.insert(g, tx);
                 fb_rxs.insert(g, rx);
             }
@@ -160,23 +160,22 @@ impl PipelineEngine {
         let mut reduced_txs: HashMap<(usize, usize), Sender<Vec<f32>>> = HashMap::new();
         let mut reduced_rxs: HashMap<(usize, usize), Receiver<Vec<f32>>> = HashMap::new();
         for s in 0..s_count {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             reduce_txs.push(tx);
             reduce_rxs.push(rx);
             for g in 0..g_count {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 reduced_txs.insert((g, s), tx);
                 reduced_rxs.insert((g, s), rx);
             }
         }
-        let (loss_tx, loss_rx) = unbounded::<(usize, f32)>();
+        let (loss_tx, loss_rx) = channel::<(usize, f32)>();
 
         let mut result_stages: Vec<Option<Mlp>> = Vec::new();
         let mut worker_error: Option<EngineError> = None;
         std::thread::scope(|scope| {
             // Coordinator threads.
-            for s in 0..s_count {
-                let rx = reduce_rxs[s].clone();
+            for (s, rx) in reduce_rxs.into_iter().enumerate() {
                 let back: Vec<Sender<Vec<f32>>> =
                     (0..g_count).map(|g| reduced_txs[&(g, s)].clone()).collect();
                 scope.spawn(move || {
@@ -661,7 +660,7 @@ mod tests {
 
     #[test]
     fn adam_pipeline_matches_adam_reference() {
-        use dpipe_tensor::Optimizer;
+        use crate::tensor::Optimizer;
         let task = SyntheticTask::new(1, 8, 16, 21);
         let cfg = EngineConfig {
             stage_layers: vec![2, 2],

@@ -60,16 +60,6 @@ impl Linear {
             cache_x: None,
         }
     }
-
-    /// Input width.
-    pub fn input_dim(&self) -> usize {
-        self.w.rows()
-    }
-
-    /// Output width.
-    pub fn output_dim(&self) -> usize {
-        self.w.cols()
-    }
 }
 
 impl Layer for Linear {

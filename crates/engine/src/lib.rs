@@ -2,7 +2,7 @@
 //!
 //! Generates per-device pipeline instruction streams from a stage layout and
 //! executes them on *threads as simulated devices* with channels as the
-//! interconnect, running real `dpipe_tensor` math. This provides the
+//! interconnect, running real [`tensor`] math. This provides the
 //! strongest form of validation available without GPUs: the claim of §3.2 —
 //! that DiffusionPipe's cross-iteration pipelining (frozen part of iteration
 //! `t+1` computed during iteration `t`, 1F1B micro-batching, per-stage
@@ -34,8 +34,14 @@
 
 mod data;
 mod exec;
+mod layers;
+mod matrix;
+mod net;
+mod optim;
 mod program;
 mod reference;
+mod rng;
+pub mod tensor;
 
 pub use data::SyntheticTask;
 pub use exec::{EngineError, PipelineEngine, TrainStats};

@@ -27,11 +27,6 @@ impl Mlp {
         Mlp { layers }
     }
 
-    /// Builds an MLP from explicit layers.
-    pub fn from_layers(layers: Vec<Box<dyn Layer>>) -> Self {
-        Mlp { layers }
-    }
-
     /// Splits into `n` contiguous stages with the given per-stage layer
     /// counts (in *blocks* of the original construction — each entry counts
     /// raw layers here).

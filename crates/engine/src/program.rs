@@ -13,14 +13,14 @@ pub struct EngineConfig {
     /// SGD learning rate (used when `optimizer` is `None`).
     pub lr: f32,
     /// Optimiser override; `None` means SGD at `lr`.
-    pub optimizer: Option<dpipe_tensor::Optimizer>,
+    pub optimizer: Option<crate::tensor::Optimizer>,
 }
 
 impl EngineConfig {
     /// The effective optimiser for this run.
-    pub fn effective_optimizer(&self) -> dpipe_tensor::Optimizer {
+    pub fn effective_optimizer(&self) -> crate::tensor::Optimizer {
         self.optimizer
-            .unwrap_or(dpipe_tensor::Optimizer::Sgd { lr: self.lr })
+            .unwrap_or(crate::tensor::Optimizer::Sgd { lr: self.lr })
     }
 }
 

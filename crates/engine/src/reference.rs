@@ -1,7 +1,7 @@
 //! Single-device reference trainer: the ground truth for equivalence tests.
 
 use crate::data::SyntheticTask;
-use dpipe_tensor::{mse_grad_scaled, mse_loss, Matrix, Mlp, Optimizer, OptimizerState};
+use crate::tensor::{mse_grad_scaled, mse_loss, Matrix, Mlp, Optimizer, OptimizerState};
 
 /// Trains the task's backbone on one device with plain micro-batched
 /// gradient accumulation (mathematically: synchronous full-batch SGD),

@@ -1,6 +1,6 @@
 //! Property tests for the tensor substrate.
 
-use dpipe_tensor::{mse_grad_scaled, Layer, Linear, Matrix, Mlp};
+use dpipe_engine::tensor::{mse_grad_scaled, Layer, Linear, Matrix, Mlp};
 use proptest::prelude::*;
 
 fn small_dim() -> impl Strategy<Value = usize> {

@@ -44,13 +44,11 @@
 pub mod client;
 pub mod http1;
 pub mod metrics;
-pub mod queue;
 pub mod ratelimit;
 pub mod server;
 
 pub use client::{HttpClient, HttpResponse};
 pub use http1::{HttpError, Limits, Request};
 pub use metrics::{LatencyHistogram, Metrics};
-pub use queue::{Bounded, PushError};
 pub use ratelimit::RateLimiter;
 pub use server::{HttpServer, ServerConfig};

@@ -22,12 +22,12 @@
 
 use crate::http1::{write_oneshot, HttpConn, HttpError, Limits, Request};
 use crate::metrics::Metrics;
-use crate::queue::{Bounded, PushError};
 use crate::ratelimit::RateLimiter;
 use diffusionpipe_core::{FaultSpec, PlanError};
 use dpipe_serve::json::{parse, plan_response_doc, simulate_response_doc, JsonValue};
 use dpipe_serve::{PlanRequest, PlanService, ServiceConfig, TraceCtx};
 use dpipe_spec::{PlanSpec, SweepSpec};
+use dpipe_sync::{Bounded, PushError};
 use dpipe_trace::{SpanId, Tracer};
 use std::net::{IpAddr, TcpListener, TcpStream};
 use std::path::PathBuf;

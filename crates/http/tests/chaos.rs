@@ -267,7 +267,7 @@ fn concurrent_load_and_shutdown_observe_no_lock_inversions() {
     // otherwise.
     if cfg!(debug_assertions) {
         let nodes = dpipe_sync::witness::observed_nodes();
-        for expected in ["http::Bounded::state", "serve::Shard::map"] {
+        for expected in ["sync::Bounded::state", "serve::Shard::map"] {
             assert!(
                 nodes.contains(&expected),
                 "witness never saw `{expected}`; observed: {nodes:?}"

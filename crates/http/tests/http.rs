@@ -197,30 +197,31 @@ fn full_plan_backlog_sheds_503_then_recovers() {
     // Pre-load the single planning worker with a deep backlog of distinct
     // cold requests, so the queue depth stays above the in-flight cap for
     // far longer than one local HTTP round trip.
-    let (tx, rx) = crossbeam::channel::unbounded();
-    let backlog = 48;
-    for i in 0..backlog {
-        let request = PlanRequest::new(
-            dpipe_model::zoo::stable_diffusion_v2_1(),
-            dpipe_cluster::ClusterSpec::single_node(8),
-            64 + 8 * i as u32,
-        );
-        server
-            .service()
-            .submit(i, request, 1, tx.clone())
-            .expect("worker pool alive");
-    }
+    let backlog: Vec<PlanRequest> = (0..48u32)
+        .map(|i| {
+            PlanRequest::new(
+                dpipe_model::zoo::stable_diffusion_v2_1(),
+                dpipe_cluster::ClusterSpec::single_node(8),
+                64 + 8 * i,
+            )
+        })
+        .collect();
     let spec_text = sd_spec_text();
     let mut client = HttpClient::connect(server.local_addr()).unwrap();
-    let shed = client
-        .request("POST", "/plan", spec_text.as_bytes())
-        .unwrap();
-    assert_eq!(shed.status, 503, "{}", shed.text());
-    assert!(shed.text().contains("retry"), "{}", shed.text());
-    // Drain the backlog; the same request must now succeed.
-    for _ in 0..backlog {
-        rx.recv().expect("backlog drains");
-    }
+    let service = server.service();
+    std::thread::scope(|scope| {
+        let planning = scope.spawn(move || service.plan_batch(backlog));
+        while service.queue_depth() == 0 && !planning.is_finished() {
+            std::thread::yield_now();
+        }
+        let shed = client
+            .request("POST", "/plan", spec_text.as_bytes())
+            .unwrap();
+        assert_eq!(shed.status, 503, "{}", shed.text());
+        assert!(shed.text().contains("retry"), "{}", shed.text());
+        // Drain the backlog; the same request must then succeed.
+        assert_eq!(planning.join().unwrap().len(), 48);
+    });
     let ok = client
         .request("POST", "/plan", spec_text.as_bytes())
         .unwrap();

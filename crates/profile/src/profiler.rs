@@ -27,7 +27,7 @@ pub struct ProfileRecord {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfilingReport {
     /// Simulated wall-clock duration of the profiling pass, assuming it runs
-    /// data-parallel on `world_size` devices with `repeats` timed repetitions
+    /// data-parallel on `world_size` devices with three timed repetitions
     /// per measurement (the paper reports ~55 s for SD v2.1 on 16 GPUs).
     pub wall_time_seconds: f64,
     /// All records gathered.
@@ -35,6 +35,9 @@ pub struct ProfilingReport {
     /// Batch sizes profiled.
     pub batch_sizes: Vec<u32>,
 }
+
+/// Timed repetitions per profiled measurement.
+const REPEATS: u32 = 3;
 
 /// Profiler configuration.
 ///
@@ -54,7 +57,6 @@ pub struct ProfilingReport {
 pub struct Profiler {
     device: DeviceModel,
     world_size: usize,
-    repeats: u32,
     extra_batch_sizes: Vec<u32>,
 }
 
@@ -64,7 +66,6 @@ impl Profiler {
         Profiler {
             device,
             world_size: 1,
-            repeats: 3,
             extra_batch_sizes: Vec::new(),
         }
     }
@@ -73,12 +74,6 @@ impl Profiler {
     pub fn with_world_size(mut self, world_size: usize) -> Self {
         assert!(world_size > 0, "world size must be positive");
         self.world_size = world_size;
-        self
-    }
-
-    /// Timed repetitions per measurement (default 3).
-    pub fn with_repeats(mut self, repeats: u32) -> Self {
-        self.repeats = repeats.max(1);
         self
     }
 
@@ -121,7 +116,7 @@ impl Profiler {
                     } else {
                         0.0
                     };
-                    total_device_seconds += (fwd + bwd) * self.repeats as f64;
+                    total_device_seconds += (fwd + bwd) * REPEATS as f64;
                     records.push(ProfileRecord {
                         component: cid,
                         layer: lid,

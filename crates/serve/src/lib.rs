@@ -16,7 +16,7 @@
 //!   deduplication: a burst of identical requests plans exactly once, and
 //!   every hit returns the very same `Arc<Plan>` as the cold run;
 //! * [`PlanService`] — a worker pool consuming requests from one MPMC
-//!   channel (the crossbeam shim), with in-order batch submission;
+//!   queue ([`dpipe_sync::Bounded`]), with in-order batch submission;
 //! * [`PlanService::sweep`] / [`SweepReport`] — parallel configuration
 //!   sweeps over a declarative [`dpipe_spec::SweepSpec`] (template spec +
 //!   model/cluster/batch axes, mixed `a100:4,h100:4` fleets included),
@@ -60,8 +60,7 @@ mod sweep;
 pub use cache::{CacheResolution, CacheStats, ShardedCache};
 pub use request::PlanRequest;
 pub use service::{
-    PlanOutcome, PlanResponse, PlanService, ServiceConfig, ServiceError, SimulateResponse,
-    SubmitRejected, TraceCtx,
+    PlanOutcome, PlanResponse, PlanService, ServiceConfig, SimulateResponse, TraceCtx,
 };
 pub use sweep::{SweepPoint, SweepReport};
 // The declarative layer requests and sweeps are built on.

@@ -1,7 +1,9 @@
 //! The multi-threaded planning service.
 //!
 //! A fixed pool of worker threads consumes [`PlanRequest`]s from one MPMC
-//! queue (the crossbeam shim's unbounded channel). Each worker resolves a
+//! queue, [`dpipe_sync::Bounded`], with no capacity bound of its own: the
+//! HTTP frontend caps plans in flight before they reach it. Each reply
+//! goes back on the caller's own `mpsc` channel. Each worker resolves a
 //! request through the shared [`ShardedCache`]: the first request for a
 //! fingerprint plans it, concurrent identical requests wait on the
 //! single-flight slot, and later requests are pure cache hits returning the
@@ -10,10 +12,11 @@
 
 use crate::cache::{CacheStats, ShardedCache};
 use crate::request::PlanRequest;
-use crossbeam::channel::{self, Sender};
 use diffusionpipe_core::{simulate_plan, FaultSpec, Plan, PlanError, SimulationOutcome};
+use dpipe_sync::Bounded;
 use dpipe_trace::{Span, SpanId, Tracer};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -23,34 +26,6 @@ use std::time::Instant;
 /// exactly once); transient [`PlanError::Internal`] outcomes are delivered
 /// but never retained (see [`PlanError::is_deterministic`]).
 pub type PlanOutcome = Result<Arc<Plan>, PlanError>;
-
-/// The service itself could not take or finish a request (as opposed to a
-/// [`PlanError`], which is a verdict about the request).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServiceError {
-    /// Every worker exited, so the queue has no consumer.
-    WorkersGone,
-}
-
-impl std::fmt::Display for ServiceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServiceError::WorkersGone => f.write_str("planning worker pool is gone"),
-        }
-    }
-}
-
-impl std::error::Error for ServiceError {}
-
-/// A submission the service refused, with the request handed back so the
-/// caller can retry, reroute or report it (never silently dropped).
-#[derive(Debug)]
-pub struct SubmitRejected {
-    /// The unplanned request, returned to the caller.
-    pub request: PlanRequest,
-    /// Why the service refused it.
-    pub why: ServiceError,
-}
 
 /// Sizing knobs for [`PlanService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,9 +125,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 
 /// A worker pool + sharded plan cache serving [`PlanRequest`]s.
 ///
-/// Dropping the service closes the queue and joins every worker.
+/// Dropping the service closes the queue and joins every worker once the
+/// jobs already queued are answered.
 pub struct PlanService {
-    queue: Option<Sender<Job>>,
+    queue: Arc<Bounded<Job>>,
     workers: Vec<JoinHandle<()>>,
     cache: Arc<ShardedCache<PlanOutcome>>,
     /// Jobs submitted but not yet answered (queued + being planned).
@@ -162,7 +138,7 @@ pub struct PlanService {
 impl PlanService {
     /// Starts the worker pool.
     pub fn new(config: ServiceConfig) -> Self {
-        let (tx, rx) = channel::unbounded::<Job>();
+        let queue: Arc<Bounded<Job>> = Arc::new(Bounded::new(usize::MAX));
         let cache = Arc::new(ShardedCache::with_capacity(
             config.cache_shards,
             config.cache_capacity,
@@ -170,13 +146,13 @@ impl PlanService {
         let pending = Arc::new(AtomicUsize::new(0));
         let workers = (0..config.workers.max(1))
             .map(|i| {
-                let rx = rx.clone();
+                let queue = Arc::clone(&queue);
                 let cache = Arc::clone(&cache);
                 let pending = Arc::clone(&pending);
                 std::thread::Builder::new()
                     .name(format!("dpipe-serve-{i}"))
                     .spawn(move || {
-                        while let Ok(job) = rx.recv() {
+                        while let Some(job) = queue.pop() {
                             let fingerprint = job.request.fingerprint();
                             let label = job.request.label();
                             let request = job.request;
@@ -268,7 +244,7 @@ impl PlanService {
             })
             .collect();
         PlanService {
-            queue: Some(tx),
+            queue,
             workers,
             cache,
             pending,
@@ -288,46 +264,16 @@ impl PlanService {
 
     /// Enqueues one request; its [`PlanResponse`] (tagged `index`) is sent
     /// on `reply` when a worker finishes it. `parallelism` sizes the
-    /// planner's intra-plan config search for this job.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitRejected`] (carrying the request back, boxed — a
-    /// `PlanRequest` is a few hundred bytes and the happy path should not
-    /// pay for it) when the pool has no live consumer — the request is
-    /// handed back to the caller rather than silently dropped or panicked
-    /// over.
-    pub fn submit(
-        &self,
-        index: usize,
-        request: PlanRequest,
-        parallelism: usize,
-        reply: Sender<PlanResponse>,
-    ) -> Result<(), Box<SubmitRejected>> {
-        self.submit_traced(index, request, parallelism, None, reply)
-    }
-
-    /// [`PlanService::submit`] with a span destination: the worker records
-    /// a `plan_service` span (cache outcome, single-flight wait, evictions)
-    /// and, on a miss, the planner's own phase spans under it.
-    ///
-    /// # Errors
-    ///
-    /// See [`PlanService::submit`].
-    pub fn submit_traced(
+    /// planner's intra-plan config search for this job, and `trace` is the
+    /// span destination described at [`PlanService::plan_one_traced`].
+    fn submit(
         &self,
         index: usize,
         request: PlanRequest,
         parallelism: usize,
         trace: Option<TraceCtx>,
         reply: Sender<PlanResponse>,
-    ) -> Result<(), Box<SubmitRejected>> {
-        let Some(queue) = self.queue.as_ref() else {
-            return Err(Box::new(SubmitRejected {
-                request,
-                why: ServiceError::WorkersGone,
-            }));
-        };
+    ) {
         let job = Job {
             index,
             request,
@@ -336,14 +282,12 @@ impl PlanService {
             reply,
         };
         self.pending.fetch_add(1, Ordering::Relaxed);
-        if let Err(send_error) = queue.send(job) {
+        // The unbounded queue refuses a job only once closed, which happens
+        // only in `Drop`. The job's reply sender drops with it, so the
+        // caller's missing-reply fallback answers for it.
+        if self.queue.try_push(job).is_err() {
             self.pending.fetch_sub(1, Ordering::Relaxed);
-            return Err(Box::new(SubmitRejected {
-                request: send_error.0.request,
-                why: ServiceError::WorkersGone,
-            }));
         }
-        Ok(())
     }
 
     /// Plans a batch of requests across the pool, blocking until all are
@@ -356,32 +300,17 @@ impl PlanService {
         self.plan_batch_inner(requests, 1, None)
     }
 
-    /// A synthesized response for a request the service lost on the floor.
-    fn lost_response(index: usize, request: &PlanRequest, why: &ServiceError) -> PlanResponse {
-        PlanResponse {
-            index,
-            fingerprint: request.fingerprint(),
-            label: request.label(),
-            outcome: Err(PlanError::Internal(why.to_string())),
-            cache_hit: false,
-        }
-    }
-
     fn plan_batch_inner(
         &self,
         requests: Vec<PlanRequest>,
         parallelism: usize,
         trace: Option<TraceCtx>,
     ) -> Vec<PlanResponse> {
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = mpsc::channel();
         let n = requests.len();
         let mut responses: Vec<PlanResponse> = Vec::with_capacity(n);
         for (index, request) in requests.into_iter().enumerate() {
-            if let Err(rejected) =
-                self.submit_traced(index, request, parallelism, trace.clone(), tx.clone())
-            {
-                responses.push(Self::lost_response(index, &rejected.request, &rejected.why));
-            }
+            self.submit(index, request, parallelism, trace.clone(), tx.clone());
         }
         drop(tx);
         // The reply channel closes once every submitted job is answered (or
@@ -393,8 +322,8 @@ impl PlanService {
             }
         }
         // Any index still missing was consumed by a worker that died
-        // mid-plan: answer it as an internal error rather than hanging or
-        // panicking the caller.
+        // mid-plan, or refused by a closed queue: answer it as an internal
+        // error rather than hanging or panicking the caller.
         let mut seen = vec![false; n];
         for r in &responses {
             if r.index < n {
@@ -428,10 +357,12 @@ impl PlanService {
     }
 
     /// Plans one request with an explicit intra-plan parallelism and an
-    /// optional span destination (see [`PlanService::submit_traced`]). A
-    /// networked frontend passes 1: under concurrent load the pool is
-    /// saturated across requests, and fanning each plan's config search
-    /// out as well would only add contention.
+    /// optional span destination: the worker records a `plan_service` span
+    /// (cache outcome, single-flight wait, evictions) and, on a miss, the
+    /// planner's own phase spans under it. A networked frontend passes 1:
+    /// under concurrent load the pool is saturated across requests, and
+    /// fanning each plan's config search out as well would only add
+    /// contention.
     pub fn plan_one_traced(
         &self,
         request: PlanRequest,
@@ -496,11 +427,6 @@ impl PlanService {
         self.cache.stats()
     }
 
-    /// Drops every cached plan and resets the counters.
-    pub fn clear_cache(&self) {
-        self.cache.clear();
-    }
-
     /// The cached outcome for a fingerprint, if planning finished for it.
     pub fn cached(&self, fingerprint: u64) -> Option<PlanOutcome> {
         self.cache.get(fingerprint)
@@ -509,7 +435,8 @@ impl PlanService {
 
 impl Drop for PlanService {
     fn drop(&mut self) {
-        self.queue.take();
+        // Workers drain the jobs already queued, then see the closed queue.
+        self.queue.close();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -649,6 +576,26 @@ mod tests {
         // Untraced submissions record nothing.
         let _ = service.plan_one(request(96));
         assert!(tracer.take().is_empty());
+    }
+
+    #[test]
+    fn drop_answers_queued_jobs() {
+        let service = PlanService::new(ServiceConfig {
+            workers: 1,
+            cache_shards: 1,
+            ..ServiceConfig::default()
+        });
+        let (tx, rx) = mpsc::channel();
+        for (index, batch) in [32u32, 64, 96, 128].into_iter().enumerate() {
+            service.submit(index, request(batch), 1, None, tx.clone());
+        }
+        drop(tx);
+        // Dropping the service closes the queue while most jobs still wait
+        // behind the one worker; each must still be planned and answered.
+        drop(service);
+        let answered: Vec<PlanResponse> = rx.iter().collect();
+        assert_eq!(answered.len(), 4);
+        assert!(answered.iter().all(|r| r.outcome.is_ok()));
     }
 
     #[test]

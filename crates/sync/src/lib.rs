@@ -1,4 +1,4 @@
-//! Poison-recovering lock primitives.
+//! Poison-recovering lock primitives, and the one queue built on them.
 //!
 //! The serving stack contains panics on purpose: worker threads wrap
 //! caller-supplied work in `catch_unwind` so one bad request can never
@@ -15,6 +15,10 @@
 //! (`cargo run -p dpipe_analyze -- check`) forbids the panicking form
 //! workspace-wide.
 //!
+//! [`Bounded`] is the workspace's MPMC queue, shared by the HTTP accept
+//! queue and the planning pool's job queue. Its lock is tagged, so both
+//! the static `lock-order` pass and the runtime [`witness`] see it.
+//!
 //! # Example
 //!
 //! ```
@@ -29,7 +33,10 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
+mod queue;
 pub mod witness;
+
+pub use queue::{Bounded, PushError};
 
 /// Poison-recovering [`Mutex::lock`].
 pub trait LockRecover<T> {

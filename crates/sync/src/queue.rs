@@ -1,9 +1,12 @@
-//! A bounded MPMC queue of accepted connections — the admission-control
-//! buffer between the acceptor and the connection workers. `try_push`
-//! never blocks: a full queue hands the item straight back so the acceptor
-//! can answer 503 instead of letting connections pile up invisibly.
+//! The workspace's one MPMC queue. It carries the HTTP frontend's
+//! accepted connections (bounded: the admission-control buffer between
+//! the acceptor and the connection workers) and the planning pool's jobs
+//! (capacity `usize::MAX`; the frontend caps plans in flight itself).
+//! `try_push` never blocks: a full queue hands the item straight back so
+//! the acceptor can answer 503 instead of letting connections pile up
+//! invisibly.
 
-use dpipe_sync::{LockRecoverTagged, WaitRecoverTagged};
+use crate::{LockRecoverTagged, WaitRecoverTagged};
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -14,7 +17,7 @@ struct State<T> {
 }
 
 /// Lock-order witness tag for [`Bounded::state`] (static key form).
-const BOUNDED_STATE_TAG: &str = "http::Bounded::state";
+const BOUNDED_STATE_TAG: &str = "sync::Bounded::state";
 
 /// A bounded blocking-pop / non-blocking-push queue.
 pub struct Bounded<T> {

@@ -29,12 +29,6 @@ impl ProptestConfig {
             ..ProptestConfig::default()
         }
     }
-
-    /// Overrides the failure-persistence directory.
-    pub fn with_failure_persistence(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.failure_persistence = Some(dir.into());
-        self
-    }
 }
 
 /// A failed or rejected test case. Failures abort the test; rejections

@@ -58,7 +58,7 @@
 //! | [`schedule`] | `dpipe-schedule` | 1F1B/GPipe/bidirectional schedules |
 //! | [`fill`] | `dpipe-fill` | §5 bubble filling |
 //! | [`sim`] | `dpipe-sim` | iteration simulation |
-//! | [`tensor`] | `dpipe-tensor` | CPU tensor substrate |
+//! | [`tensor`] | `dpipe-engine` | CPU tensor substrate |
 //! | [`engine`] | `dpipe-engine` | threaded back-end + equivalence |
 //! | [`baselines`] | `dpipe-baselines` | DDP / ZeRO-3 / GPipe / SPP |
 //! | [`core`] | `diffusionpipe-core` | the planner |
@@ -71,6 +71,7 @@ pub use diffusionpipe_core as core;
 pub use dpipe_baselines as baselines;
 pub use dpipe_cluster as cluster;
 pub use dpipe_engine as engine;
+pub use dpipe_engine::tensor;
 pub use dpipe_fill as fill;
 pub use dpipe_http as http;
 pub use dpipe_model as model;
@@ -80,7 +81,6 @@ pub use dpipe_schedule as schedule;
 pub use dpipe_serve as serve;
 pub use dpipe_sim as sim;
 pub use dpipe_spec as spec;
-pub use dpipe_tensor as tensor;
 pub use dpipe_trace as trace;
 
 /// The most common imports in one place.
