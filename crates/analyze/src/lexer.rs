@@ -1,14 +1,13 @@
 //! Token-level lexer for Rust source.
 //!
-//! The linter never wants a full parse: every invariant it enforces is
-//! visible in the token stream (`.unwrap()`, `panic!`, `Instant`,
-//! `HashMap`, …). What it *does* need is for comments, string literals,
-//! char literals and raw strings to never produce identifier tokens — a
-//! doc example containing `.unwrap()` or a log message mentioning
-//! `panic!` must not trip a lint. This module therefore lexes exactly
-//! enough of Rust's lexical grammar to classify every byte of a source
-//! file as identifier, punctuation, literal or comment, with precise
-//! line/column positions, and leaves everything else to the lint pass.
+//! The lock passes never want a full parse, but they do need comments,
+//! string literals, char literals and raw strings to never produce
+//! identifier tokens: a doc example or a log message mentioning
+//! `.lock_recover()` must not become an acquisition. This module
+//! therefore lexes exactly enough of Rust's lexical grammar to classify
+//! every byte of a source file as identifier, punctuation, literal or
+//! comment, with precise line/column positions, and leaves everything
+//! else to the item parse.
 
 /// Kind of a lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,7 +22,7 @@ pub enum TokKind {
     Number,
     /// Lifetime or loop label (`'a`, `'static`, `'outer`).
     Lifetime,
-    /// `// …` comment (text available via [`Tok::text`], without `//`).
+    /// `// …` comment.
     LineComment,
     /// `/* … */` comment (possibly nested).
     BlockComment,
@@ -37,14 +36,13 @@ pub struct Tok {
     pub line: u32,
     /// 1-based byte column of the token's first byte within its line.
     pub col: u32,
-    /// Token text; populated for identifiers and line comments (the two
-    /// kinds the lint pass inspects), empty for everything else.
+    /// Token text; populated for identifiers, empty for everything else.
     pub text: String,
 }
 
 impl Tok {
-    /// True for tokens the lint pass matches on (identifiers and
-    /// punctuation); comments and literals are position markers only.
+    /// True for every token but comments, which are position markers
+    /// only.
     pub fn is_code(&self) -> bool {
         matches!(
             self.kind,
@@ -116,8 +114,8 @@ fn is_ident_continue(b: u8) -> bool {
 /// Lex `src` into a token stream.
 ///
 /// The lexer is total: any byte sequence produces a token list (malformed
-/// input degrades to punctuation tokens rather than failing), so the lint
-/// pass can run on any file the walker hands it.
+/// input degrades to punctuation tokens rather than failing), so the
+/// passes can run on any file the walker hands them.
 pub fn lex(src: &str) -> Vec<Tok> {
     let mut s = Scanner::new(src.as_bytes());
     let mut toks = Vec::new();
@@ -128,19 +126,17 @@ pub fn lex(src: &str) -> Vec<Tok> {
                 s.bump();
             }
             b'/' if s.peek_at(1) == Some(b'/') => {
-                let start = s.pos + 2;
                 while let Some(c) = s.peek() {
                     if c == b'\n' {
                         break;
                     }
                     s.bump();
                 }
-                let text = String::from_utf8_lossy(&s.src[start.min(s.pos)..s.pos]).into_owned();
                 toks.push(Tok {
                     kind: TokKind::LineComment,
                     line,
                     col,
-                    text,
+                    text: String::new(),
                 });
             }
             b'/' if s.peek_at(1) == Some(b'*') => {
@@ -191,7 +187,7 @@ pub fn lex(src: &str) -> Vec<Tok> {
                 // Numeric literal: digits plus any alphanumeric suffix
                 // (covers 0x…, 1_000u64, 1e9). The `.` of a float is left
                 // as punctuation; `1.5` lexes as Number/Punct/Number,
-                // which no lint pattern can confuse with a method call.
+                // which no pattern can confuse with a method call.
                 while let Some(c) = s.peek() {
                     if is_ident_continue(c) {
                         s.bump();

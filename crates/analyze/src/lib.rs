@@ -1,50 +1,33 @@
-//! `dpipe_analyze` — the workspace invariant linter.
+//! `dpipe_analyze` — the workspace's static lock-order pass.
 //!
-//! The repo's value proposition is determinism under load: byte-identical
-//! plan documents across CLI and HTTP, a wall-clock-free simulator,
-//! panic-contained workers, and fingerprints that double as cache keys.
-//! This crate makes those invariants mechanical instead of tribal: a
-//! hand-rolled, zero-dependency token-level pass over the workspace's own
-//! sources with a small lint catalog (see `docs/lints.md`):
+//! The planning service, the HTTP frontend and the engine share state
+//! across threads. This crate checks how the workspace's own sources
+//! take its locks, with two lints (see `docs/lints.md`):
 //!
 //! | id | invariant |
 //! |----|-----------|
-//! | `no-panic` | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` in library code outside tests |
-//! | `no-wall-clock` | no `Instant`/`SystemTime` in the simulator |
-//! | `no-unordered-map` | no `HashMap`/`HashSet` in fingerprint/JSON-emitting modules |
-//! | `lock-unwrap` | no `.lock().unwrap()` — locks route through a poison-recovering helper |
 //! | `lock-order` | no cycles in the global lock-order graph (potential deadlocks) |
 //! | `guard-across-blocking` | no guard held across channel/condvar/join/socket blocking |
-//! | `malformed-allow` | every suppression parses and carries a reason |
-//! | `unused-allow` | no stale suppressions |
 //!
-//! The two concurrency passes run on an item-level parse of the whole
-//! workspace at once (fn boundaries, guard scopes, call edges) rather
-//! than file-at-a-time token matching; see [`locks`] for the model and
-//! `docs/lints.md` for the lock-key naming scheme.
+//! Both run on an item-level parse of the whole workspace at once (fn
+//! boundaries, guard scopes, call edges) over a total lexer, so
+//! lock-shaped text in strings, comments and test code never counts.
+//! The runtime witness in `dpipe_sync` checks the orders that tests
+//! actually take against this graph.
+//!
+//! The workspace's other invariants (no panics in library code, no
+//! wall clock in the simulator, no unordered maps on byte-stable
+//! paths) are compiler lints: `cargo --offline lint` and the per-crate
+//! `clippy.toml` files.
 //!
 //! Run it with `cargo run -p dpipe_analyze -- check [--json]`; CI fails
-//! on any unallowed finding. Legitimate sites are suppressed inline
-//! with an allow comment carrying a reason (syntax in `docs/lints.md`),
-//! and every suppression is counted in the report.
+//! on any finding. Findings cannot be suppressed: reorder the
+//! acquisitions, or release the guard before blocking.
 //!
 //! # Example
 //!
-//! ```
-//! use dpipe_analyze::analyze_source;
-//!
-//! // A panicking call in library code is a finding…
-//! let r = analyze_source("crates/core/src/x.rs", "fn f() { None::<u8>.unwrap(); }");
-//! assert_eq!(r.unallowed.len(), 1);
-//! assert_eq!(r.unallowed[0].lint.as_str(), "no-panic");
-//!
-//! // …but the same tokens inside a string, comment or test module are not.
-//! let r = analyze_source("crates/core/src/x.rs", "const S: &str = \".unwrap()\"; // .unwrap()");
-//! assert!(r.unallowed.is_empty());
-//! ```
-//!
 //! Two functions taking two locks in opposite orders close a cycle in
-//! the lock-order graph and are flagged as potential deadlocks:
+//! the lock-order graph, and both closing acquisitions are flagged:
 //!
 //! ```
 //! use dpipe_analyze::analyze_source;
@@ -56,26 +39,34 @@
 //!     fn rev(a: &A, b: &B) { let h = b.n.lock_recover(); let g = a.m.lock_recover(); }
 //! ";
 //! let r = analyze_source("crates/core/src/x.rs", src);
-//! assert!(r.unallowed.iter().any(|f| f.lint.as_str() == "lock-order"));
+//! assert_eq!(r.findings.len(), 2);
+//! assert!(r.findings.iter().all(|f| f.lint.as_str() == "lock-order"));
+//!
+//! // The reverse order inside a comment or a string is not code.
+//! let src = "
+//!     struct A { m: std::sync::Mutex<u32> }
+//!     struct B { n: std::sync::Mutex<u32> }
+//!     fn fwd(a: &A, b: &B) { let g = a.m.lock_recover(); let h = b.n.lock_recover(); }
+//!     // fn rev(a: &A, b: &B) { let h = b.n.lock_recover(); let g = a.m.lock_recover(); }
+//!     const REV: &str = \"fn rev(a: &A, b: &B) { let h = b.n.lock_recover(); let g = a.m.lock_recover(); }\";
+//! ";
+//! assert!(analyze_source("crates/core/src/x.rs", src).findings.is_empty());
 //! ```
 
 use std::fmt;
 use std::fs;
 use std::path::Path;
 
-pub mod callgraph;
-pub mod config;
-pub mod lexer;
-pub mod lints;
-pub mod locks;
-pub mod parse;
-pub mod report;
-pub mod scope;
-pub mod walk;
+mod callgraph;
+mod lexer;
+mod locks;
+mod parse;
+mod report;
+mod scope;
+mod walk;
 
-pub use lints::LintId;
 pub use locks::{LockEdge, LockGraph};
-pub use report::{AllowRecord, FileResult, Finding, Report};
+pub use report::{FileResult, Finding, LintId, Report};
 
 /// Errors from driving the analyzer over a directory tree.
 #[derive(Debug)]
@@ -105,7 +96,6 @@ impl std::error::Error for AnalyzeError {}
 
 /// Analyze one file's source text under its workspace-relative path.
 /// Pure function of its inputs; the unit the fixture corpus tests.
-/// The concurrency passes run too, scoped to this one file.
 pub fn analyze_source(rel: &str, src: &str) -> FileResult {
     analyze_sources(&[(rel, src)])
         .files
@@ -122,25 +112,21 @@ pub struct WorkspaceResult {
     pub graph: LockGraph,
 }
 
-/// Analyze a set of sources as one workspace: the per-file lints run
-/// file-at-a-time, then the concurrency passes (`lock-order`,
-/// `guard-across-blocking`) run over the item model of all files at
-/// once, so held-lock sets propagate across intra-workspace calls.
-/// `sources` are `(workspace-relative path, text)` pairs; results come
-/// back in the same order.
+/// Analyze a set of sources as one workspace: both passes run over the
+/// item model of all files at once, so held-lock sets propagate across
+/// intra-workspace calls. `sources` are `(workspace-relative path,
+/// text)` pairs; results come back in the same order.
 pub fn analyze_sources(sources: &[(&str, &str)]) -> WorkspaceResult {
     struct Parsed {
         toks: Vec<lexer::Tok>,
-        sc: scope::FileScope,
         items: parse::FileItems,
     }
     let parsed: Vec<Parsed> = sources
         .iter()
         .map(|(_, src)| {
             let toks = lexer::lex(src);
-            let sc = scope::scope_file(&toks);
-            let items = parse::parse_file(&toks, &sc);
-            Parsed { toks, sc, items }
+            let items = parse::parse_file(&toks, &scope::test_mask(&toks));
+            Parsed { toks, items }
         })
         .collect();
     let codes: Vec<Vec<usize>> = parsed
@@ -160,84 +146,23 @@ pub fn analyze_sources(sources: &[(&str, &str)]) -> WorkspaceResult {
             rel,
             toks: &parsed[i].toks,
             code: &codes[i],
-            scope: &parsed[i].sc,
             lines: &line_sets[i],
             items: &parsed[i].items,
         })
         .collect();
-    let (mut lock_findings, graph) = locks::analyze_workspace(&file_data);
-
-    let mut files = Vec::new();
-    for (i, (rel, _)) in sources.iter().enumerate() {
-        let mut findings = lints::scan_file(rel, &parsed[i].toks, &parsed[i].sc, &line_sets[i]);
-        for f in std::mem::take(&mut lock_findings[i]) {
-            if config::lint_applies(f.lint, rel) {
-                findings.push(f);
+    let (findings, graph) = locks::analyze_workspace(&file_data);
+    let files = sources
+        .iter()
+        .zip(findings)
+        .map(|((rel, _), mut findings)| {
+            findings.sort_by_key(|f| (f.line, f.col, f.lint));
+            FileResult {
+                rel: rel.to_string(),
+                findings,
             }
-        }
-        files.push(match_allows(rel, findings, &parsed[i].sc, &line_sets[i]));
-    }
+        })
+        .collect();
     WorkspaceResult { files, graph }
-}
-
-/// Match findings against allow annotations, record receipts, and
-/// surface stale suppressions as `unused-allow` findings.
-fn match_allows(
-    rel: &str,
-    findings: Vec<Finding>,
-    sc: &scope::FileScope,
-    lines: &[&str],
-) -> FileResult {
-    let mut used = vec![false; sc.allows.len()];
-    let mut unallowed = Vec::new();
-    let mut allowed = Vec::new();
-    for f in findings {
-        let slot = if f.lint.allowable() {
-            sc.allows
-                .iter()
-                .position(|a| a.lint == f.lint && a.target_line == f.line)
-        } else {
-            None
-        };
-        match slot {
-            Some(i) => {
-                used[i] = true;
-                allowed.push(f);
-            }
-            None => unallowed.push(f),
-        }
-    }
-    let mut allows = Vec::new();
-    for (i, a) in sc.allows.iter().enumerate() {
-        if !used[i] {
-            unallowed.push(Finding {
-                lint: LintId::UnusedAllow,
-                line: a.comment_line,
-                col: a.comment_col,
-                message: format!(
-                    "suppression for `{}` matched no finding on line {}; remove the stale allow",
-                    a.lint.as_str(),
-                    a.target_line
-                ),
-                snippet: lints::snippet_at(lines, a.comment_line),
-            });
-        }
-        allows.push(AllowRecord {
-            line: a.comment_line,
-            target_line: a.target_line,
-            lint: a.lint,
-            reason: a.reason.clone(),
-            used: used[i],
-        });
-    }
-    unallowed.sort_by_key(|f| (f.line, f.col, f.lint));
-    allowed.sort_by_key(|f| (f.line, f.col, f.lint));
-    FileResult {
-        rel: rel.to_string(),
-        unallowed,
-        allowed,
-        allows,
-    }
 }
 
 /// Run the full check over a workspace rooted at `root`.
@@ -254,17 +179,15 @@ pub fn check(root: &Path) -> Result<Report, AnalyzeError> {
         .map(|(rel, src)| (rel.as_str(), src.as_str()))
         .collect();
     let outcome = analyze_sources(&refs);
-    let mut report = Report {
+    Ok(Report {
         files_scanned: rels.len(),
-        files: Vec::new(),
+        files: outcome
+            .files
+            .into_iter()
+            .filter(|f| !f.findings.is_empty())
+            .collect(),
         graph: outcome.graph,
-    };
-    for result in outcome.files {
-        if !result.unallowed.is_empty() || !result.allowed.is_empty() || !result.allows.is_empty() {
-            report.files.push(result);
-        }
-    }
-    Ok(report)
+    })
 }
 
 /// The lock-order graph for a workspace rooted at `root` (the `graph`

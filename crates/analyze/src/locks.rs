@@ -25,10 +25,9 @@ use std::fmt;
 
 use crate::callgraph::{self, CallSite, FnNode, Resolver};
 use crate::lexer::{Tok, TokKind};
-use crate::lints::{snippet_at, LintId};
 use crate::parse::{FileItems, LockKind, PRIMITIVE_TYPES};
-use crate::report::Finding;
-use crate::scope::{match_delim, FileScope};
+use crate::report::{snippet_at, Finding, LintId};
+use crate::scope::match_delim;
 
 /// Identity of a lock in the order graph: `crate::Type::field`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -161,7 +160,6 @@ pub struct FileData<'a> {
     pub rel: &'a str,
     pub toks: &'a [Tok],
     pub code: &'a [usize],
-    pub scope: &'a FileScope,
     pub lines: &'a [&'a str],
     pub items: &'a FileItems,
 }
@@ -470,7 +468,6 @@ fn classify_acquisition(
 
 /// Walk one fn body tracking held guards; emit lock-order edges and
 /// guard-across-blocking findings.
-#[allow(clippy::too_many_arguments)]
 fn simulate_fn(
     fns: &[FnNode],
     idx: usize,
@@ -528,7 +525,10 @@ fn simulate_fn(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the guard walk's state (held set, depth, edge map, findings) lives in `simulate_fn`'s frame"
+)]
 fn handle_call_site(
     fns: &[FnNode],
     idx: usize,
@@ -637,7 +637,6 @@ fn handle_call_site(
     }
 }
 
-#[allow(clippy::type_complexity)]
 fn record_edge(
     edges: &mut EdgeMap,
     from: &LockKey,

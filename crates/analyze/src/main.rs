@@ -1,7 +1,7 @@
 //! `dpipe-analyze` CLI: `cargo run -p dpipe_analyze -- check [--json]`
 //! and `cargo run -p dpipe_analyze -- graph [--dot]`.
 //!
-//! Exit codes: 0 = clean, 1 = unallowed findings (`check` only),
+//! Exit codes: 0 = clean, 1 = findings (`check` only),
 //! 2 = usage or I/O error. Both the JSON report and the DOT graph are
 //! byte-stable across runs on an unchanged tree, so CI can diff them
 //! as artifacts.
@@ -78,7 +78,7 @@ fn main() -> ExitCode {
             } else {
                 print!("{}", report.to_text());
             }
-            if report.unallowed_count() > 0 {
+            if report.finding_count() > 0 {
                 ExitCode::from(1)
             } else {
                 ExitCode::SUCCESS

@@ -10,7 +10,6 @@
 //! produce missed findings, never parse failures).
 
 use crate::lexer::{Tok, TokKind};
-use crate::scope::FileScope;
 
 /// Which primitive a lock field wraps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +30,6 @@ pub struct LockField {
 pub struct StructDef {
     pub name: String,
     pub lock_fields: Vec<LockField>,
-    pub line: u32,
 }
 
 /// One function (free or method) with a brace body.
@@ -44,7 +42,6 @@ pub struct FnDef {
     /// Code-index range of the body tokens: `(open_ci + 1, close_ci)`,
     /// i.e. everything strictly inside the braces.
     pub body: (usize, usize),
-    pub line: u32,
 }
 
 /// Items recovered from one file.
@@ -67,10 +64,10 @@ struct Ctx {
     impl_type: Option<String>,
 }
 
-/// Parse one file's items. Test-scoped items (per `scope.test_mask`)
+/// Parse one file's items. Test-scoped items (per `test_mask`)
 /// are traversed but not recorded, so test-only locks and helpers never
 /// enter the workspace model.
-pub fn parse_file(toks: &[Tok], scope: &FileScope) -> FileItems {
+pub fn parse_file(toks: &[Tok], test_mask: &[bool]) -> FileItems {
     let code: Vec<usize> = (0..toks.len()).filter(|&i| toks[i].is_code()).collect();
     let mut items = FileItems::default();
     let mut stack: Vec<Ctx> = Vec::new();
@@ -81,7 +78,7 @@ pub fn parse_file(toks: &[Tok], scope: &FileScope) -> FileItems {
             stack.pop();
         }
         let raw = code[ci];
-        let masked = scope.test_mask.get(raw).copied().unwrap_or(false);
+        let masked = test_mask.get(raw).copied().unwrap_or(false);
         let tok = &toks[raw];
         if tok.kind != TokKind::Ident {
             ci += 1;
@@ -145,11 +142,7 @@ fn parse_struct(
     if !masked {
         let lock_fields = parse_lock_fields(toks, code, open, close);
         if !lock_fields.is_empty() {
-            items.structs.push(StructDef {
-                name,
-                lock_fields,
-                line: toks[code[ci]].line,
-            });
+            items.structs.push(StructDef { name, lock_fields });
         }
     }
     Some(close + 1)
@@ -313,7 +306,6 @@ fn parse_fn(
             name,
             self_type: ctx.and_then(|c| c.impl_type.clone()),
             body: (open + 1, close),
-            line: toks[code[ci]].line,
         });
     }
     Some(open + 1)

@@ -2,12 +2,32 @@
 //! byte-stable JSON rendering.
 //!
 //! Determinism contract: the same tree produces the same bytes. Files
-//! are sorted by relative path, findings by (line, col, lint id),
-//! allows by comment line; no timestamps, no absolute paths, no map
-//! iteration anywhere in the rendering path.
+//! are sorted by relative path and findings by (line, col, lint id); no
+//! timestamps, no absolute paths, no map iteration anywhere in the
+//! rendering path.
 
-use crate::lints::LintId;
 use crate::locks::LockGraph;
+
+/// Identity of a lint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum LintId {
+    /// An acquisition that closes a cycle in the global lock-order
+    /// graph (potential deadlock).
+    LockOrder,
+    /// A lock guard held across a blocking call (channel send/recv,
+    /// condvar wait, thread join, socket I/O).
+    GuardAcrossBlocking,
+}
+
+impl LintId {
+    /// Stable string id used in diagnostics.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            LintId::LockOrder => "lock-order",
+            LintId::GuardAcrossBlocking => "guard-across-blocking",
+        }
+    }
+}
 
 /// One diagnostic at a source position.
 #[derive(Debug, Clone)]
@@ -19,58 +39,27 @@ pub struct Finding {
     pub snippet: String,
 }
 
-/// An allow annotation after matching: `used` records whether it
-/// suppressed at least one finding.
-#[derive(Debug, Clone)]
-pub struct AllowRecord {
-    pub line: u32,
-    pub target_line: u32,
-    pub lint: LintId,
-    pub reason: String,
-    pub used: bool,
-}
-
 /// Results for one scanned file.
 #[derive(Debug, Clone, Default)]
 pub struct FileResult {
     /// Workspace-relative path, forward slashes.
     pub rel: String,
-    /// Findings still standing after suppression matching.
-    pub unallowed: Vec<Finding>,
-    /// Findings suppressed by a valid allow (kept as receipts).
-    pub allowed: Vec<Finding>,
-    pub allows: Vec<AllowRecord>,
+    pub findings: Vec<Finding>,
 }
 
 /// Aggregate report over the workspace.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     pub files_scanned: usize,
-    /// Only files with at least one finding or allow; sorted by path.
+    /// Only files with at least one finding; sorted by path.
     pub files: Vec<FileResult>,
     /// The global lock-order graph assembled by the concurrency passes.
     pub graph: LockGraph,
 }
 
 impl Report {
-    pub fn unallowed_count(&self) -> usize {
-        self.files.iter().map(|f| f.unallowed.len()).sum()
-    }
-
-    pub fn allowed_count(&self) -> usize {
-        self.files.iter().map(|f| f.allowed.len()).sum()
-    }
-
-    pub fn allows_total(&self) -> usize {
-        self.files.iter().map(|f| f.allows.len()).sum()
-    }
-
-    pub fn allows_used(&self) -> usize {
-        self.files
-            .iter()
-            .flat_map(|f| &f.allows)
-            .filter(|a| a.used)
-            .count()
+    pub fn finding_count(&self) -> usize {
+        self.files.iter().map(|f| f.findings.len()).sum()
     }
 
     /// Human-readable rendering: one block per finding, then a summary
@@ -78,7 +67,7 @@ impl Report {
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         for file in &self.files {
-            for f in &file.unallowed {
+            for f in &file.findings {
                 out.push_str(&format!(
                     "{}:{}:{}: {}: {}\n",
                     file.rel,
@@ -92,17 +81,12 @@ impl Report {
                 }
             }
         }
-        let unallowed = self.unallowed_count();
-        let total = unallowed + self.allowed_count();
+        let total = self.finding_count();
         out.push_str(&format!(
-            "dpipe-analyze: {} files scanned, {} finding{} ({} unallowed), {} allow{} ({} used)\n",
+            "dpipe-analyze: {} files scanned, {} finding{}\n",
             self.files_scanned,
             total,
             if total == 1 { "" } else { "s" },
-            unallowed,
-            self.allows_total(),
-            if self.allows_total() == 1 { "" } else { "s" },
-            self.allows_used(),
         ));
         out
     }
@@ -116,64 +100,35 @@ impl Report {
     ///   `from`/`to`/`file`/`line`/`cyclic`) emitted by the
     ///   `lock-order` pass; the lint catalog gains `lock-order` and
     ///   `guard-across-blocking`.
+    /// - v3: drops `allows`, the per-finding `allowed` flag and the
+    ///   summary's allow counts; `summary` keeps `findings_total`. The
+    ///   line lints moved to the compiler, and the two lock lints
+    ///   cannot be suppressed.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str("  \"schema_version\": 2,\n");
+        out.push_str("  \"schema_version\": 3,\n");
         out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
         out.push_str(&format!(
-            "  \"summary\": {{\"findings_total\": {}, \"unallowed\": {}, \"allowed\": {}, \"allows_total\": {}, \"allows_used\": {}, \"allows_unused\": {}}},\n",
-            self.unallowed_count() + self.allowed_count(),
-            self.unallowed_count(),
-            self.allowed_count(),
-            self.allows_total(),
-            self.allows_used(),
-            self.allows_total() - self.allows_used(),
+            "  \"summary\": {{\"findings_total\": {}}},\n",
+            self.finding_count(),
         ));
         out.push_str("  \"findings\": [");
         let mut first = true;
         for file in &self.files {
-            let both = file
-                .unallowed
-                .iter()
-                .map(|f| (f, false))
-                .chain(file.allowed.iter().map(|f| (f, true)));
-            let mut entries: Vec<(&Finding, bool)> = both.collect();
-            entries.sort_by_key(|(f, _)| (f.line, f.col, f.lint));
-            for (f, allowed) in entries {
+            for f in &file.findings {
                 if !first {
                     out.push(',');
                 }
                 first = false;
                 out.push_str(&format!(
-                    "\n    {{\"file\": {}, \"line\": {}, \"col\": {}, \"lint\": {}, \"allowed\": {}, \"message\": {}, \"snippet\": {}}}",
+                    "\n    {{\"file\": {}, \"line\": {}, \"col\": {}, \"lint\": {}, \"message\": {}, \"snippet\": {}}}",
                     json_str(&file.rel),
                     f.line,
                     f.col,
                     json_str(f.lint.as_str()),
-                    allowed,
                     json_str(&f.message),
                     json_str(&f.snippet),
-                ));
-            }
-        }
-        out.push_str(if first { "],\n" } else { "\n  ],\n" });
-        out.push_str("  \"allows\": [");
-        let mut first = true;
-        for file in &self.files {
-            for a in &file.allows {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!(
-                    "\n    {{\"file\": {}, \"line\": {}, \"target_line\": {}, \"lint\": {}, \"used\": {}, \"reason\": {}}}",
-                    json_str(&file.rel),
-                    a.line,
-                    a.target_line,
-                    json_str(a.lint.as_str()),
-                    a.used,
-                    json_str(&a.reason),
                 ));
             }
         }
@@ -205,6 +160,22 @@ impl Report {
         out.push_str("}\n");
         out
     }
+}
+
+/// The trimmed source line for a diagnostic, truncated to keep reports
+/// readable and byte-stable.
+pub(crate) fn snippet_at(lines: &[&str], line: u32) -> String {
+    let idx = (line as usize).saturating_sub(1);
+    let text = lines.get(idx).copied().unwrap_or("").trim();
+    const MAX: usize = 160;
+    if text.len() <= MAX {
+        return text.to_string();
+    }
+    let mut cut = MAX;
+    while cut > 0 && !text.is_char_boundary(cut) {
+        cut -= 1;
+    }
+    format!("{}…", &text[..cut])
 }
 
 /// Escape a string for JSON output.

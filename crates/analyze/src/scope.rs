@@ -1,66 +1,12 @@
-//! Test-code scoping and allow-annotation parsing.
+//! Test-code scoping.
 //!
-//! The no-panic family of lints only applies to production code:
-//! `#[test]` functions, `#[cfg(test)]` items and `mod tests { … }`
-//! blocks are free to `unwrap()`. This module walks the token stream
-//! once and produces a per-token mask of test-scoped regions, plus the
-//! parsed allow annotations (inline suppressions) for the lint pass.
+//! The concurrency passes model production code only: `#[test]`
+//! functions, `#[cfg(test)]` items and `mod tests { … }` blocks may take
+//! locks in any order. This module walks the token stream once and
+//! produces a per-token mask of test-scoped regions; the item parse
+//! skips what it masks.
 
 use crate::lexer::{Tok, TokKind};
-use crate::lints::LintId;
-
-/// A parsed allow annotation.
-///
-/// Suppressions are line comments of the form
-/// `dpipe-analyze: allow(<lint>) -- <reason>` (see `docs/lints.md`).
-/// A trailing comment suppresses findings on its own line; a comment
-/// alone on a line suppresses findings on the next code line. Every
-/// annotation must carry a non-empty reason after `--`.
-#[derive(Debug, Clone)]
-pub struct Allow {
-    /// Line the comment itself sits on.
-    pub comment_line: u32,
-    /// Column of the comment's `//`.
-    pub comment_col: u32,
-    /// Line whose findings this annotation suppresses.
-    pub target_line: u32,
-    pub lint: LintId,
-    pub reason: String,
-}
-
-/// A suppression comment that did not parse (missing reason, unknown
-/// lint id, bad syntax). Reported as a `malformed-allow` finding.
-#[derive(Debug, Clone)]
-pub struct MalformedAllow {
-    pub line: u32,
-    pub col: u32,
-    pub detail: String,
-}
-
-/// Per-file scoping information consumed by the lint pass.
-#[derive(Debug, Default)]
-pub struct FileScope {
-    /// `mask[i]` is true when token `i` is inside test-scoped code.
-    pub test_mask: Vec<bool>,
-    pub allows: Vec<Allow>,
-    pub malformed: Vec<MalformedAllow>,
-}
-
-/// Compute test-scope mask and allow annotations for one file's tokens.
-pub fn scope_file(toks: &[Tok]) -> FileScope {
-    let mut scope = FileScope {
-        test_mask: vec![false; toks.len()],
-        ..FileScope::default()
-    };
-    mark_test_regions(toks, &mut scope.test_mask);
-    collect_allows(
-        toks,
-        &scope.test_mask,
-        &mut scope.allows,
-        &mut scope.malformed,
-    );
-    scope
-}
 
 fn ident_is(toks: &[Tok], code: &[usize], ci: usize, text: &str) -> bool {
     code.get(ci)
@@ -74,7 +20,7 @@ fn punct_is(toks: &[Tok], code: &[usize], ci: usize, b: u8) -> bool {
         .is_some_and(|t| t.kind == TokKind::Punct(b))
 }
 
-/// Mark every token belonging to a test-only item.
+/// `mask[i]` is true when token `i` belongs to a test-only item.
 ///
 /// Recognized forms:
 /// - an attribute whose argument tokens mention `test` (covers
@@ -82,7 +28,8 @@ fn punct_is(toks: &[Tok], code: &[usize], ci: usize, b: u8) -> bool {
 ///   mention `not` (so `#[cfg(not(test))]` stays production code),
 ///   applied to the item that follows;
 /// - `mod tests { … }` with or without an attribute.
-fn mark_test_regions(toks: &[Tok], mask: &mut [bool]) {
+pub(crate) fn test_mask(toks: &[Tok]) -> Vec<bool> {
+    let mut mask = vec![false; toks.len()];
     // Indices of code tokens (identifiers, punctuation, literals);
     // comments never participate in structure.
     let code: Vec<usize> = (0..toks.len()).filter(|&i| toks[i].is_code()).collect();
@@ -115,7 +62,7 @@ fn mark_test_regions(toks: &[Tok], mask: &mut [bool]) {
                     }
                 }
                 let end = skip_item(toks, &code, k);
-                mark_range(&code, ci, end, mask);
+                mark_range(&code, ci, end, &mut mask);
                 ci = end;
                 continue;
             }
@@ -130,12 +77,13 @@ fn mark_test_regions(toks: &[Tok], mask: &mut [bool]) {
                 Some(c) => c,
                 None => n,
             };
-            mark_range(&code, ci, close.saturating_add(1), mask);
+            mark_range(&code, ci, close.saturating_add(1), &mut mask);
             ci = close + 1;
             continue;
         }
         ci += 1;
     }
+    mask
 }
 
 /// Mark tokens from code index `from` (inclusive) to code index `to`
@@ -202,90 +150,4 @@ fn skip_item(toks: &[Tok], code: &[usize], k: usize) -> usize {
         ci += 1;
     }
     code.len()
-}
-
-const MARKER: &str = "dpipe-analyze";
-
-/// Parse allow annotations out of line comments.
-fn collect_allows(
-    toks: &[Tok],
-    mask: &[bool],
-    allows: &mut Vec<Allow>,
-    malformed: &mut Vec<MalformedAllow>,
-) {
-    for (i, tok) in toks.iter().enumerate() {
-        if tok.kind != TokKind::LineComment || mask.get(i).copied().unwrap_or(false) {
-            continue;
-        }
-        let text = tok.text.trim_start();
-        if !text.starts_with(MARKER) {
-            continue;
-        }
-        match parse_allow(text) {
-            Ok((lint, reason)) => {
-                let has_code_before = toks[..i].iter().any(|t| t.is_code() && t.line == tok.line);
-                let target_line = if has_code_before {
-                    tok.line
-                } else {
-                    toks[i + 1..]
-                        .iter()
-                        .find(|t| t.is_code())
-                        .map(|t| t.line)
-                        .unwrap_or(tok.line)
-                };
-                allows.push(Allow {
-                    comment_line: tok.line,
-                    comment_col: tok.col,
-                    target_line,
-                    lint,
-                    reason,
-                });
-            }
-            Err(detail) => {
-                malformed.push(MalformedAllow {
-                    line: tok.line,
-                    col: tok.col,
-                    detail,
-                });
-            }
-        }
-    }
-}
-
-/// Parse `dpipe-analyze: allow(<lint>) -- <reason>` (the marker prefix
-/// has already been checked). Returns the lint and reason, or a
-/// diagnostic describing what is wrong.
-fn parse_allow(text: &str) -> Result<(LintId, String), String> {
-    let rest = match text.strip_prefix(MARKER) {
-        Some(r) => r,
-        None => return Err("missing marker".to_string()),
-    };
-    let rest = match rest.strip_prefix(':') {
-        Some(r) => r.trim_start(),
-        None => return Err("expected `:` after marker".to_string()),
-    };
-    let rest = match rest.strip_prefix("allow(") {
-        Some(r) => r,
-        None => return Err("expected `allow(<lint>)`".to_string()),
-    };
-    let (id, rest) = match rest.split_once(')') {
-        Some(pair) => pair,
-        None => return Err("unclosed `allow(`".to_string()),
-    };
-    let lint = match LintId::parse(id.trim()) {
-        Some(l) => l,
-        None => return Err(format!("unknown lint id `{}`", id.trim())),
-    };
-    if !lint.allowable() {
-        return Err(format!("lint `{}` cannot be suppressed", lint.as_str()));
-    }
-    let rest = rest.trim_start();
-    let reason = match rest.strip_prefix("--") {
-        Some(r) => r.trim(),
-        None => return Err("expected `-- <reason>` after allow(...)".to_string()),
-    };
-    if reason.is_empty() {
-        return Err("empty reason: every allow must say why".to_string());
-    }
-    Ok((lint, reason.to_string()))
 }

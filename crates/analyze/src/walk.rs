@@ -8,10 +8,14 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::config::WALK_ROOTS;
 use crate::AnalyzeError;
 
-/// All `.rs` sources in lint scope under `root`, as sorted
+/// Directories walked for sources, relative to the workspace root.
+/// Only library and binary sources are modelled: integration tests,
+/// examples and benches take locks in whatever order they test.
+const WALK_ROOTS: [&str; 2] = ["crates", "src"];
+
+/// All `.rs` sources in scope under `root`, as sorted
 /// workspace-relative forward-slash paths.
 pub fn workspace_files(root: &Path) -> Result<Vec<String>, AnalyzeError> {
     let mut rels = Vec::new();

@@ -1,137 +1,20 @@
-//! Fixture-corpus tests: every lint has a positive and a negative
-//! committed fixture, the suppression machinery has receipts, and the
-//! CI gate catches a seeded violation planted in a scratch tree.
+//! Fixture-corpus tests: both lock lints have positive and negative
+//! committed fixtures, and the CI gate catches a seeded lock-order
+//! cycle planted in a scratch tree.
 
 use dpipe_analyze::{analyze_source, analyze_sources, check, FileResult, LintId};
 
 fn lint_counts(r: &FileResult, lint: LintId) -> usize {
-    r.unallowed.iter().filter(|f| f.lint == lint).count()
-}
-
-#[test]
-fn no_panic_positive_fixture_hits_every_marked_line() {
-    let src = include_str!("fixtures/no_panic_positive.rs");
-    let r = analyze_source("crates/demo/src/lib.rs", src);
-    assert_eq!(lint_counts(&r, LintId::NoPanic), 8, "{:#?}", r.unallowed);
-    assert_eq!(r.unallowed.len(), 8);
-    assert!(r.allows.is_empty());
-    // Diagnostics are positioned and carry the offending source line.
-    for f in &r.unallowed {
-        assert!(f.line > 0 && f.col > 0);
-        assert!(!f.snippet.is_empty());
-    }
-}
-
-#[test]
-fn no_panic_negative_fixture_is_silent() {
-    let src = include_str!("fixtures/no_panic_negative.rs");
-    let r = analyze_source("crates/demo/src/lib.rs", src);
-    assert!(r.unallowed.is_empty(), "{:#?}", r.unallowed);
-    assert!(r.allowed.is_empty());
-}
-
-#[test]
-fn allows_fixture_suppresses_with_receipts() {
-    let src = include_str!("fixtures/allows.rs");
-    let r = analyze_source("crates/demo/src/lib.rs", src);
-    assert!(r.unallowed.is_empty(), "{:#?}", r.unallowed);
-    // Both findings are retained as receipts, not dropped.
-    assert_eq!(r.allowed.len(), 2);
-    assert_eq!(r.allows.len(), 2);
-    assert!(r.allows.iter().all(|a| a.used));
-    assert!(r.allows.iter().all(|a| !a.reason.is_empty()));
-}
-
-#[test]
-fn stale_allow_surfaces_as_unused_allow() {
-    let src = include_str!("fixtures/allow_unused.rs");
-    let r = analyze_source("crates/demo/src/lib.rs", src);
-    assert_eq!(
-        lint_counts(&r, LintId::UnusedAllow),
-        1,
-        "{:#?}",
-        r.unallowed
-    );
-    assert_eq!(r.unallowed.len(), 1);
-    assert_eq!(r.allows.len(), 1);
-    assert!(!r.allows[0].used);
-}
-
-#[test]
-fn malformed_allows_each_surface() {
-    let src = include_str!("fixtures/allow_malformed.rs");
-    let r = analyze_source("crates/demo/src/lib.rs", src);
-    assert_eq!(
-        lint_counts(&r, LintId::MalformedAllow),
-        6,
-        "{:#?}",
-        r.unallowed
-    );
-    assert_eq!(r.unallowed.len(), 6);
-}
-
-#[test]
-fn wall_clock_fixture_scoped_to_simulator_paths() {
-    let src = include_str!("fixtures/wall_clock.rs");
-    let sim = analyze_source("crates/sim/src/wall_clock.rs", src);
-    assert_eq!(
-        lint_counts(&sim, LintId::NoWallClock),
-        6,
-        "{:#?}",
-        sim.unallowed
-    );
-    let http = analyze_source("crates/http/src/wall_clock.rs", src);
-    assert_eq!(
-        lint_counts(&http, LintId::NoWallClock),
-        0,
-        "{:#?}",
-        http.unallowed
-    );
-}
-
-#[test]
-fn unordered_map_fixture_scoped_to_fingerprint_paths() {
-    let src = include_str!("fixtures/unordered_map.rs");
-    let hashed = analyze_source("crates/stablehash/src/demo.rs", src);
-    assert_eq!(
-        lint_counts(&hashed, LintId::NoUnorderedMap),
-        6,
-        "{:#?}",
-        hashed.unallowed
-    );
-    let engine = analyze_source("crates/engine/src/demo.rs", src);
-    assert_eq!(
-        lint_counts(&engine, LintId::NoUnorderedMap),
-        0,
-        "{:#?}",
-        engine.unallowed
-    );
-}
-
-#[test]
-fn lock_unwrap_fixture_routes_to_its_own_lint() {
-    let src = include_str!("fixtures/lock_unwrap.rs");
-    let r = analyze_source("crates/demo/src/lib.rs", src);
-    assert_eq!(lint_counts(&r, LintId::LockUnwrap), 2, "{:#?}", r.unallowed);
-    // The chain is never double-reported as no-panic.
-    assert_eq!(lint_counts(&r, LintId::NoPanic), 0, "{:#?}", r.unallowed);
-    assert_eq!(r.unallowed.len(), 2);
-}
-
-#[test]
-fn bench_crates_are_exempt_from_no_panic() {
-    let src = include_str!("fixtures/seeded_violation.rs");
-    let r = analyze_source("crates/bench/src/lib.rs", src);
-    assert!(r.unallowed.is_empty(), "{:#?}", r.unallowed);
+    r.findings.iter().filter(|f| f.lint == lint).count()
 }
 
 #[test]
 fn lock_order_cycle2_fixture_flags_both_closing_sites() {
     let src = include_str!("fixtures/lock_order_cycle2.rs");
     let r = analyze_source("crates/demo/src/lib.rs", src);
-    assert_eq!(lint_counts(&r, LintId::LockOrder), 2, "{:#?}", r.unallowed);
-    assert_eq!(r.unallowed.len(), 2);
-    for f in &r.unallowed {
+    assert_eq!(lint_counts(&r, LintId::LockOrder), 2, "{:#?}", r.findings);
+    assert_eq!(r.findings.len(), 2);
+    for f in &r.findings {
         assert!(f.message.contains("potential deadlock"), "{}", f.message);
         assert!(f.message.contains("demo::"), "{}", f.message);
     }
@@ -141,14 +24,14 @@ fn lock_order_cycle2_fixture_flags_both_closing_sites() {
 fn lock_order_chain3_fixture_flags_every_edge_of_the_cycle() {
     let src = include_str!("fixtures/lock_order_chain3.rs");
     let r = analyze_source("crates/demo/src/lib.rs", src);
-    assert_eq!(lint_counts(&r, LintId::LockOrder), 3, "{:#?}", r.unallowed);
+    assert_eq!(lint_counts(&r, LintId::LockOrder), 3, "{:#?}", r.findings);
     // The c → a edge exists only through the call graph.
     assert!(
-        r.unallowed
+        r.findings
             .iter()
             .any(|f| f.message.contains("via call to `touch_a`")),
         "{:#?}",
-        r.unallowed
+        r.findings
     );
 }
 
@@ -157,9 +40,9 @@ fn lock_order_negative_fixture_has_edges_but_no_cycle() {
     let src = include_str!("fixtures/lock_order_negative.rs");
     let ws = analyze_sources(&[("crates/demo/src/lib.rs", src)]);
     assert!(
-        ws.files[0].unallowed.is_empty(),
+        ws.files[0].findings.is_empty(),
         "{:#?}",
-        ws.files[0].unallowed
+        ws.files[0].findings
     );
     // The consistent order still shows up in the graph — as acyclic edges.
     assert!(!ws.graph.edges.is_empty());
@@ -174,16 +57,16 @@ fn guard_blocking_positive_fixture_hits_send_recv_and_join() {
         lint_counts(&r, LintId::GuardAcrossBlocking),
         3,
         "{:#?}",
-        r.unallowed
+        r.findings
     );
-    assert_eq!(r.unallowed.len(), 3);
+    assert_eq!(r.findings.len(), 3);
 }
 
 #[test]
 fn guard_blocking_negative_fixture_is_silent() {
     let src = include_str!("fixtures/guard_blocking_negative.rs");
     let r = analyze_source("crates/demo/src/lib.rs", src);
-    assert!(r.unallowed.is_empty(), "{:#?}", r.unallowed);
+    assert!(r.findings.is_empty(), "{:#?}", r.findings);
 }
 
 #[test]
@@ -196,10 +79,10 @@ fn lock_scopes_fixture_tracks_guard_lifetimes() {
         lint_counts(&r, LintId::GuardAcrossBlocking),
         1,
         "{:#?}",
-        r.unallowed
+        r.findings
     );
-    assert_eq!(r.unallowed.len(), 1);
-    assert!(r.unallowed[0].snippet.contains("tx.send(head)"));
+    assert_eq!(r.findings.len(), 1);
+    assert!(r.findings[0].snippet.contains("tx.send(head)"));
 }
 
 /// The lock-order graph is global: a cycle closed across two files of
@@ -230,14 +113,14 @@ fn lock_order_cycle_across_files_is_found() {
             1,
             "{}: {:#?}",
             file.rel,
-            file.unallowed
+            file.findings
         );
     }
     assert_eq!(ws.graph.edges.len(), 2);
     assert!(ws.graph.edges.iter().all(|e| e.cyclic));
     // But either file alone is silent: no single-file order is wrong.
     let alone = analyze_sources(&[("crates/demo/src/lib.rs", shared)]);
-    assert!(alone.files[0].unallowed.is_empty());
+    assert!(alone.files[0].findings.is_empty());
 }
 
 /// The DOT rendering is byte-stable and pinned to a committed golden.
@@ -269,29 +152,6 @@ fn lock_graph_dot_matches_committed_golden() {
     );
 }
 
-/// The CI-gate canary: plant the seeded fixture into a scratch tree and
-/// assert the full `check` walk reports it as unallowed (the CLI maps
-/// that to exit code 1, which fails the CI job).
-#[test]
-fn check_fails_a_seeded_violation() {
-    let root = std::env::temp_dir().join(format!("dpipe-analyze-gate-{}", std::process::id()));
-    let src_dir = root.join("crates/seeded/src");
-    std::fs::create_dir_all(&src_dir).expect("create scratch tree");
-    std::fs::write(
-        src_dir.join("lib.rs"),
-        include_str!("fixtures/seeded_violation.rs"),
-    )
-    .expect("write seeded fixture");
-
-    let report = check(&root).expect("check runs");
-    assert_eq!(report.files_scanned, 1);
-    assert_eq!(report.unallowed_count(), 1, "{}", report.to_text());
-    assert!(report.to_text().contains("no-panic"));
-    assert!(report.to_json().contains("\"crates/seeded/src/lib.rs\""));
-
-    std::fs::remove_dir_all(&root).expect("clean scratch tree");
-}
-
 /// The concurrency-gate canary: a scratch tree seeded with the
 /// committed 2-lock cycle fixture fails `check` with `lock-order`
 /// findings, and the JSON report carries the cyclic graph.
@@ -307,7 +167,7 @@ fn check_fails_a_seeded_lock_order_cycle() {
     .expect("write seeded fixture");
 
     let report = check(&root).expect("check runs");
-    assert_eq!(report.unallowed_count(), 2, "{}", report.to_text());
+    assert_eq!(report.finding_count(), 2, "{}", report.to_text());
     assert!(report.to_text().contains("lock-order"));
     assert!(report.to_json().contains("\"lock_graph\""));
     assert!(report.to_json().contains("\"cyclic\": true"));
@@ -316,9 +176,8 @@ fn check_fails_a_seeded_lock_order_cycle() {
     std::fs::remove_dir_all(&root).expect("clean scratch tree");
 }
 
-/// Acceptance: the workspace itself is clean — zero unallowed findings,
-/// every suppression used and carrying a reason — and the JSON report is
-/// byte-stable across two walks of the same tree.
+/// Acceptance: the workspace itself is clean (zero findings) and the
+/// JSON report is byte-stable across two walks of the same tree.
 #[test]
 fn workspace_is_clean_and_report_is_byte_stable() {
     let manifest = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -328,21 +187,6 @@ fn workspace_is_clean_and_report_is_byte_stable() {
         .expect("workspace root");
     let a = check(ws).expect("first walk");
     let b = check(ws).expect("second walk");
-    assert_eq!(a.unallowed_count(), 0, "{}", a.to_text());
-    assert_eq!(
-        a.allows_total(),
-        a.allows_used(),
-        "stale allows:\n{}",
-        a.to_text()
-    );
-    for file in &a.files {
-        for allow in &file.allows {
-            assert!(
-                !allow.reason.is_empty(),
-                "{}: allow without a reason",
-                file.rel
-            );
-        }
-    }
+    assert_eq!(a.finding_count(), 0, "{}", a.to_text());
     assert_eq!(a.to_json(), b.to_json());
 }

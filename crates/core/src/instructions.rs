@@ -14,6 +14,11 @@
 //! tail and the gradient syncs are not in the streams and are accounted
 //! analytically by the simulator.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the last-backward table is only looked up, never iterated into output"
+)]
+
 use crate::plan::Plan;
 use dpipe_schedule::{OpKind, PipelineDirection};
 use dpipe_sim::Instruction;

@@ -1,5 +1,10 @@
 //! The end-to-end planning workflow.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "PlanStats times the search; the timings never enter a plan document"
+)]
+
 use crate::error::PlanError;
 use crate::plan::{BackbonePartition, Plan, PreprocessingReport};
 use dpipe_cluster::{ClassMap, ClusterSpec, DataParallelLayout};

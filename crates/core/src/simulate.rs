@@ -15,6 +15,11 @@
 //! they are accounted analytically, shifting each sync by how much its
 //! stage's last backward slipped in the replay.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "lookup tables that are looked up and counted, never iterated into output"
+)]
+
 use crate::error::PlanError;
 use crate::instructions::{lower_plan, Lowered, StreamMeta};
 use crate::plan::{BackbonePartition, Plan};

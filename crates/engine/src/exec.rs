@@ -86,11 +86,13 @@ struct Wiring {
     /// Self-conditioning feedback: last stage -> stage 0 (Fig. 10's Cf).
     feedback_in: Option<Receiver<Matrix>>,
     feedback_out: Option<Sender<Matrix>>,
-    /// To the all-reduce coordinator: (group, grads).
-    reduce_tx: Sender<(usize, Vec<f32>)>,
-    /// Summed gradients back from the coordinator. Always `Some` by
-    /// construction; `Option` so a wiring bug surfaces as a typed
-    /// protocol error on the device instead of a panic in `train`.
+    /// This device's gradients to its stage's all-reduce coordinator,
+    /// and the sum back. Each (group, stage) has its own pair, held only
+    /// by the device and the coordinator, so a failed device disconnects
+    /// the coordinator and through it every surviving group. Always
+    /// `Some` by construction; `Option` so a wiring bug surfaces as a
+    /// typed protocol error on the device instead of a panic in `train`.
+    reduce_tx: Option<Sender<Vec<f32>>>,
     reduced_rx: Option<Receiver<Vec<f32>>>,
     /// Loss reporting (last stage): (iteration, squared-error sum).
     loss_tx: Sender<(usize, f32)>,
@@ -154,20 +156,23 @@ impl PipelineEngine {
                 fb_rxs.insert(g, rx);
             }
         }
-        // All-reduce coordinators, one per stage.
-        let mut reduce_txs: Vec<Sender<(usize, Vec<f32>)>> = Vec::new();
-        let mut reduce_rxs: Vec<Receiver<(usize, Vec<f32>)>> = Vec::new();
-        let mut reduced_txs: HashMap<(usize, usize), Sender<Vec<f32>>> = HashMap::new();
+        // All-reduce coordinators, one per stage, with one channel pair
+        // per group. The coordinators own their ends outright.
+        let mut reduce_txs: HashMap<(usize, usize), Sender<Vec<f32>>> = HashMap::new();
         let mut reduced_rxs: HashMap<(usize, usize), Receiver<Vec<f32>>> = HashMap::new();
+        let mut coordinators = Vec::with_capacity(s_count);
         for s in 0..s_count {
-            let (tx, rx) = channel();
-            reduce_txs.push(tx);
-            reduce_rxs.push(rx);
+            let mut from_groups = Vec::with_capacity(g_count);
+            let mut to_groups = Vec::with_capacity(g_count);
             for g in 0..g_count {
                 let (tx, rx) = channel();
-                reduced_txs.insert((g, s), tx);
+                reduce_txs.insert((g, s), tx);
+                from_groups.push(rx);
+                let (tx, rx) = channel();
+                to_groups.push(tx);
                 reduced_rxs.insert((g, s), rx);
             }
+            coordinators.push((from_groups, to_groups));
         }
         let (loss_tx, loss_rx) = channel::<(usize, f32)>();
 
@@ -175,38 +180,8 @@ impl PipelineEngine {
         let mut worker_error: Option<EngineError> = None;
         std::thread::scope(|scope| {
             // Coordinator threads.
-            for (s, rx) in reduce_rxs.into_iter().enumerate() {
-                let back: Vec<Sender<Vec<f32>>> =
-                    (0..g_count).map(|g| reduced_txs[&(g, s)].clone()).collect();
-                scope.spawn(move || {
-                    for _ in 0..iterations {
-                        let mut sum: Option<Vec<f32>> = None;
-                        for _ in 0..g_count {
-                            // A closed channel means a device failed; exit
-                            // cleanly so its error (not a cascade of
-                            // panics) reaches the caller.
-                            let grads = match rx.recv() {
-                                Ok((_, grads)) => grads,
-                                Err(_) => return,
-                            };
-                            sum = Some(match sum {
-                                None => grads,
-                                Some(mut acc) => {
-                                    for (a, g) in acc.iter_mut().zip(&grads) {
-                                        *a += g;
-                                    }
-                                    acc
-                                }
-                            });
-                        }
-                        let Some(sum) = sum else { return };
-                        for tx in &back {
-                            // Best-effort fan-out: keep serving surviving
-                            // groups even if one receiver is gone.
-                            let _ = tx.send(sum.clone());
-                        }
-                    }
-                });
+            for (from_groups, to_groups) in coordinators {
+                scope.spawn(move || all_reduce(from_groups, to_groups, iterations));
             }
 
             // Device threads.
@@ -224,10 +199,10 @@ impl PipelineEngine {
                         } else {
                             None
                         },
-                        reduce_tx: reduce_txs[s].clone(),
-                        // Every (g, s) receiver was inserted by the wiring
+                        // Every (g, s) pair was inserted by the wiring
                         // loop above; a vacancy is a construction bug the
                         // device reports as a protocol error.
+                        reduce_tx: reduce_txs.remove(&(g, s)),
                         reduced_rx: reduced_rxs.remove(&(g, s)),
                         loss_tx: loss_tx.clone(),
                     };
@@ -303,11 +278,47 @@ impl PipelineEngine {
     }
 }
 
+/// One stage's all-reduce: each iteration, receive every group's
+/// gradients in group order, sum them, and send the sum back to every
+/// group. Returns after `iterations` rounds, or as soon as a group's
+/// channel closes (that device failed). Returning drops `to_groups`, so
+/// the surviving groups see a disconnect instead of waiting for ever.
+fn all_reduce(
+    from_groups: Vec<Receiver<Vec<f32>>>,
+    to_groups: Vec<Sender<Vec<f32>>>,
+    iterations: usize,
+) {
+    for _ in 0..iterations {
+        let mut sum: Option<Vec<f32>> = None;
+        for rx in &from_groups {
+            let Ok(grads) = rx.recv() else { return };
+            sum = Some(match sum {
+                None => grads,
+                Some(mut acc) => {
+                    for (a, g) in acc.iter_mut().zip(&grads) {
+                        *a += g;
+                    }
+                    acc
+                }
+            });
+        }
+        let Some(sum) = sum else { return };
+        for tx in &to_groups {
+            // Best-effort fan-out: keep serving surviving groups even if
+            // one receiver is gone.
+            let _ = tx.send(sum.clone());
+        }
+    }
+}
+
 /// One simulated device: interprets its instruction stream for every
 /// iteration, then returns its stage (with final weights). Any missing
 /// wiring/state or disconnected peer stops the device with a typed
 /// error instead of a panic, so one failure can't cascade.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a device thread takes its whole setup by value: task, config, coordinates, stage, program and wiring"
+)]
 fn run_device(
     task: &SyntheticTask,
     cfg: &EngineConfig,
@@ -453,7 +464,9 @@ fn run_device(
                 EngineInstr::AllReduceGrads => {
                     wiring
                         .reduce_tx
-                        .send((group, stage.grads()))
+                        .as_ref()
+                        .ok_or(DeviceError::Protocol("reduce channel wired"))?
+                        .send(stage.grads())
                         .map_err(|_| DeviceError::Disconnected("reduce"))?;
                     let summed = wiring
                         .reduced_rx
@@ -701,5 +714,30 @@ mod tests {
             optimizer: None,
         };
         assert!(PipelineEngine::train(&task, &cfg2, 1).is_err());
+    }
+
+    /// A group whose device died before sending must end its stage's
+    /// all-reduce, and the surviving group must see a disconnect rather
+    /// than wait for a sum that never comes.
+    #[test]
+    fn all_reduce_returns_when_a_group_fails() {
+        let (tx0, rx0) = channel();
+        let (tx1, rx1) = channel::<Vec<f32>>();
+        let (back0, reply0) = channel::<Vec<f32>>();
+        let (back1, _reply1) = channel::<Vec<f32>>();
+        tx0.send(vec![1.0, 2.0]).unwrap();
+        drop(tx1);
+        let (done_tx, done_rx) = channel();
+        std::thread::spawn(move || {
+            all_reduce(vec![rx0, rx1], vec![back0, back1], 3);
+            done_tx.send(()).ok();
+        });
+        let waited = done_rx.recv_timeout(std::time::Duration::from_secs(30));
+        assert!(waited.is_ok(), "all-reduce kept waiting on a failed group");
+        assert!(
+            reply0.recv().is_err(),
+            "surviving group must see a disconnect"
+        );
+        drop(tx0);
     }
 }

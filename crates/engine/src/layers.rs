@@ -73,7 +73,10 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        // dpipe-analyze: allow(no-panic) -- Layer contract: backward without a prior forward is a caller bug worth a loud stop
+        #[expect(
+            clippy::expect_used,
+            reason = "Layer contract: backward without a prior forward is a caller bug worth a loud stop"
+        )]
         let x = self.cache_x.take().expect("backward called before forward");
         self.backward_from(&x, grad_out)
     }
@@ -158,7 +161,10 @@ impl Layer for Silu {
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        // dpipe-analyze: allow(no-panic) -- Layer contract: backward without a prior forward is a caller bug worth a loud stop
+        #[expect(
+            clippy::expect_used,
+            reason = "Layer contract: backward without a prior forward is a caller bug worth a loud stop"
+        )]
         let x = self.cache_x.take().expect("backward called before forward");
         self.backward_from(&x, grad_out)
     }

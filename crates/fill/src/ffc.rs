@@ -51,7 +51,10 @@ pub fn ffc_candidates(
     out
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each level of the depth-first search threads the frozen state, its budget and the shared output buffers"
+)]
 fn recurse(
     db: &ProfileDb,
     state: &FrozenState,

@@ -43,10 +43,13 @@ impl FrozenState {
     ///
     /// Panics if the frozen dependency graph is cyclic (callers validate the
     /// model first).
+    #[expect(
+        clippy::expect_used,
+        reason = "documented \"# Panics\" contract: callers validate the model first"
+    )]
     pub fn new(model: &ModelSpec, batch: f64) -> Self {
         let order = model
             .frozen_topological_order()
-            // dpipe-analyze: allow(no-panic) -- documented "# Panics" contract: callers validate the model first
             .expect("validated model has acyclic frozen graph");
         let progress = order
             .iter()

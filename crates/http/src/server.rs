@@ -359,8 +359,11 @@ impl Router {
         // nothing about the panicking request enters the plan cache.
         let armed = self.failpoint.as_deref() == Some("simulate-panic");
         let response = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            #[expect(
+                clippy::panic,
+                reason = "the chaos failpoint exists to panic; catch_unwind right here contains it"
+            )]
             if armed {
-                // dpipe-analyze: allow(no-panic) -- the chaos failpoint exists to panic; catch_unwind right here contains it
                 panic!("failpoint simulate-panic armed");
             }
             self.service

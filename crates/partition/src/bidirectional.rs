@@ -140,7 +140,6 @@ impl<'a> Partitioner<'a> {
     ///
     /// Panics if a prefix lacks the row for `micro_batch / r` (see
     /// [`CostPrefix::ensure_batch`]).
-    #[allow(clippy::too_many_arguments)]
     pub fn partition_bidirectional_with(
         &self,
         down: ComponentId,

@@ -156,13 +156,19 @@ impl<'a> Partitioner<'a> {
                 layers: num_layers,
             })?;
         let coeff = cfg.critical_path_factor();
-        // dpipe-analyze: allow(no-panic) -- final_front was filtered non-empty above, so best() finds a point
+        #[expect(
+            clippy::expect_used,
+            reason = "final_front was filtered non-empty above, so best() finds a point"
+        )]
         let &(w, y, _) = final_front.best(coeff).expect("front non-empty");
+        #[expect(
+            clippy::expect_used,
+            reason = "w and y come from this front's own points, so position() matches"
+        )]
         let best_idx = final_front
             .points()
             .iter()
             .position(|&(pw, py, _)| pw == w && py == y)
-            // dpipe-analyze: allow(no-panic) -- w and y come from this front's own points, so position() matches
             .expect("best point present");
 
         // Backtrack.
@@ -183,7 +189,10 @@ impl<'a> Partitioner<'a> {
         }
         stages_rev.reverse();
 
-        // dpipe-analyze: allow(no-panic) -- the backtrack loop pushes one stage per s in 1..=s_total, and s_total >= 1
+        #[expect(
+            clippy::expect_used,
+            reason = "the backtrack loop pushes one stage per s in 1..=s_total, and s_total >= 1"
+        )]
         let r_last = stages_rev.last().expect("at least one stage").replication;
         let feedback = if sc_prob > 0.0 {
             sc_prob * self.cost().feedback_time(backbone, micro / r_last as f64)
@@ -302,13 +311,19 @@ impl<'a> Partitioner<'a> {
         // M_CDM: paired forward/backward slots from both pipelines.
         let m_cdm = (2 * cfg.num_micro_batches) as f64;
         let coeff = m_cdm + 2.0 * s_total as f64 - 2.0;
-        // dpipe-analyze: allow(no-panic) -- final_front was filtered non-empty above, so best() finds a point
+        #[expect(
+            clippy::expect_used,
+            reason = "final_front was filtered non-empty above, so best() finds a point"
+        )]
         let &(w, y, _) = final_front.best(coeff).expect("front non-empty");
+        #[expect(
+            clippy::expect_used,
+            reason = "w and y come from this front's own points, so position() matches"
+        )]
         let best_idx = final_front
             .points()
             .iter()
             .position(|&(pw, py, _)| pw == w && py == y)
-            // dpipe-analyze: allow(no-panic) -- w and y come from this front's own points, so position() matches
             .expect("best point present");
 
         // Backtrack.

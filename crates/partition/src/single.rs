@@ -213,10 +213,13 @@ impl<'a> Partitioner<'a> {
                 }
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the loop above fills a view for every replication reachable through max_r"
+        )]
         let view_for = |class: usize, r: usize| -> &BatchCosts<'_> {
             views[class.min(num_classes - 1)][r]
                 .as_ref()
-                // dpipe-analyze: allow(no-panic) -- the loop above fills a view for every replication reachable through max_r
                 .expect("replication view present")
         };
         // Device counts are multiples of `step` (the uniform replication,
@@ -286,8 +289,10 @@ impl<'a> Partitioner<'a> {
             let stages_left = s_total - s;
             let mut cur = FrontArena::new(num_states);
             let prev = &levels[s - 1];
-            // `l2` is a state coordinate, not a mere cursor into `rem`.
-            #[allow(clippy::needless_range_loop)]
+            #[expect(
+                clippy::needless_range_loop,
+                reason = "`l2` is a state coordinate, not a mere cursor into `rem`"
+            )]
             for l2 in s..=(num_layers - stages_left) {
                 // Destination device counts: forced to s * r when uniform,
                 // otherwise anything leaving >= 1 device per later stage
@@ -320,9 +325,10 @@ impl<'a> Partitioner<'a> {
                         d2 - 1
                     };
                     for l in l_min..l2 {
-                        // `d` is a state coordinate (also the replication
-                        // delta and link index), not a mere slice cursor.
-                        #[allow(clippy::needless_range_loop)]
+                        #[expect(
+                            clippy::needless_range_loop,
+                            reason = "`d` is a state coordinate (also the replication delta and link index), not a mere slice cursor"
+                        )]
                         for d in d_lo..=d_hi {
                             let front = prev.front(state(l, d));
                             if front.is_empty() {
@@ -395,7 +401,10 @@ impl<'a> Partitioner<'a> {
         }
         stages_rev.reverse();
 
-        // dpipe-analyze: allow(no-panic) -- the backtrack loop pushes one stage per s in 1..=s_total, and s_total >= 1
+        #[expect(
+            clippy::expect_used,
+            reason = "the backtrack loop pushes one stage per s in 1..=s_total, and s_total >= 1"
+        )]
         let r_last = stages_rev.last().expect("at least one stage").replication;
         let feedback = if sc_prob > 0.0 {
             sc_prob * self.cost.feedback_time(backbone, micro / r_last as f64)

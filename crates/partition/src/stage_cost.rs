@@ -173,7 +173,10 @@ impl<'a> StageCost<'a> {
     /// (Eqn. 3), or `(2C^f + C^b)/R_p2p + 3 L_p2p` under self-conditioning
     /// (Eqn. 17). `comm_scale` inflates bandwidth contention (the paper uses
     /// 2.0 for bidirectional pipelines).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per stage quantity of Eqns. 3 and 17"
+    )]
     pub fn comm_time(
         &self,
         comp: ComponentId,
@@ -199,7 +202,10 @@ impl<'a> StageCost<'a> {
 
     /// `T0(s)` — the max of compute and communication (Eqn. 3 / 17), timed
     /// on the reference device class.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per stage quantity of Eqns. 3 and 17"
+    )]
     pub fn t0(
         &self,
         comp: ComponentId,
@@ -222,7 +228,10 @@ impl<'a> StageCost<'a> {
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per stage quantity of Eqns. 3 and 17"
+    )]
     fn t0_on(
         &self,
         db: &ProfileDb,
@@ -301,7 +310,10 @@ impl<'a> StageCost<'a> {
     /// probability `sc_prob` the iteration pays the Eqn.-17 `T0`, otherwise
     /// the Eqn.-3 `T0`. Compute terms are timed on the effective device
     /// class of the stage's offsets ([`StageCost::class_of_offsets`]).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per stage quantity of Eqns. 3 and 17"
+    )]
     pub fn stage_terms(
         &self,
         comp: ComponentId,
@@ -419,7 +431,10 @@ impl<'a> StageCost<'a> {
     pub fn feedback_time(&self, comp: ComponentId, micro_batch: f64) -> f64 {
         let group0 = &self.layout.groups[0];
         let first = group0.devices[0];
-        // dpipe-analyze: allow(no-panic) -- DeviceGroup is never built empty; devices[0] above leans on the same invariant
+        #[expect(
+            clippy::expect_used,
+            reason = "DeviceGroup is never built empty; devices[0] above leans on the same invariant"
+        )]
         let last = *group0.devices.last().expect("group is non-empty");
         if first == last {
             return 0.0;

@@ -189,13 +189,16 @@ impl CostPrefix {
     }
 
     #[inline]
+    #[expect(
+        clippy::panic,
+        reason = "documented \"# Panics\" contract: ensure_batch must precede queries; a silent fallback would corrupt cost lookups"
+    )]
     fn row(&self, batch: f64) -> &BatchRow {
         let bits = batch.to_bits();
         self.rows
             .iter()
             .find(|r| r.batch_bits == bits)
             .unwrap_or_else(|| {
-                // dpipe-analyze: allow(no-panic) -- documented "# Panics" contract: ensure_batch must precede queries; a silent fallback would corrupt cost lookups
                 panic!(
                     "CostPrefix row for batch {batch} missing; call ensure_batch before querying"
                 )

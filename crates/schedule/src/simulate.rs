@@ -103,7 +103,7 @@ pub(crate) fn simulate(
         .map(|(i, op)| ScheduledOp {
             op: op.clone(),
             start: start[i],
-            // dpipe-analyze: allow(no-panic) -- the loop above only returns Ok once every op has an end time; stalls exit via NoProgress
+            #[expect(clippy::expect_used, reason = "the loop above only returns Ok once every op has an end time; stalls exit via NoProgress")]
             end: end[i].expect("all ops scheduled"),
         })
         .collect())

@@ -82,10 +82,13 @@ impl StageTimes {
                 comm_in.push(0.0);
             } else {
                 let prev = &plan.stages[i - 1];
+                #[expect(
+                    clippy::expect_used,
+                    reason = "every planned stage owns at least one device in each group by construction"
+                )]
                 let src = *prev
                     .devices_in_group(group0)
                     .last()
-                    // dpipe-analyze: allow(no-panic) -- every planned stage owns at least one device in each group by construction
                     .expect("stage has devices");
                 let dst = stage.devices_in_group(group0)[0];
                 let bytes = db.boundary_bytes(
@@ -105,12 +108,15 @@ impl StageTimes {
         }
         // Feedback: last stage output back to stage 0 (self-conditioning).
         let feedback = if s_count > 1 {
-            // dpipe-analyze: allow(no-panic) -- guarded by s_count > 1 just above
+            #[expect(clippy::expect_used, reason = "guarded by s_count > 1 just above")]
             let last_stage = plan.stages.last().expect("non-empty plan");
+            #[expect(
+                clippy::expect_used,
+                reason = "every planned stage owns at least one device in each group by construction"
+            )]
             let src = *last_stage
                 .devices_in_group(group0)
                 .last()
-                // dpipe-analyze: allow(no-panic) -- every planned stage owns at least one device in each group by construction
                 .expect("stage has devices");
             let dst = plan.stages[0].devices_in_group(group0)[0];
             let bytes = db.output_bytes(

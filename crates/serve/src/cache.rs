@@ -23,6 +23,11 @@
 //!
 //! [`PlanRequest`]: crate::PlanRequest
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the shard map is looked up by fingerprint; eviction takes the minimum of unique LRU stamps, so iteration order never shows"
+)]
+
 use dpipe_sync::{LockRecoverTagged, TaggedGuard, WaitRecoverTagged};
 
 use std::collections::HashMap;

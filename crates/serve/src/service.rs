@@ -144,7 +144,7 @@ impl PlanService {
             config.cache_capacity,
         ));
         let pending = Arc::new(AtomicUsize::new(0));
-        let workers = (0..config.workers.max(1))
+        let spawned: std::io::Result<Vec<JoinHandle<()>>> = (0..config.workers.max(1))
             .map(|i| {
                 let queue = Arc::clone(&queue);
                 let cache = Arc::clone(&cache);
@@ -239,10 +239,13 @@ impl PlanService {
                             });
                         }
                     })
-                    // dpipe-analyze: allow(no-panic) -- spawn fails only on OS thread exhaustion at startup; PlanService::new stays infallible by design
-                    .expect("failed to spawn planning worker")
             })
             .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "spawn fails only on OS thread exhaustion at startup; PlanService::new stays infallible by design"
+        )]
+        let workers = spawned.expect("failed to spawn planning worker");
         PlanService {
             queue,
             workers,

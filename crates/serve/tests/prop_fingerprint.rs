@@ -11,7 +11,7 @@ use dpipe_model::ModelSpec;
 use dpipe_serve::{PlanRequest, PlanSpec, ShardedCache};
 use proptest::collection;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 const ZOO: [fn() -> ModelSpec; 7] = [
     dpipe_model::zoo::stable_diffusion_v2_1,
@@ -117,7 +117,7 @@ fn spec_redesign_kept_the_pre_spec_cache_keys() {
 fn fingerprints_are_collision_free_across_the_config_space() {
     // Exhaustive cartesian space: 7 models x 2 machine counts x 3 widths
     // x 4 batches x 4 option combinations = 672 distinct requests.
-    let mut seen: HashMap<u64, Key> = HashMap::new();
+    let mut seen: BTreeMap<u64, Key> = BTreeMap::new();
     for model_idx in 0..ZOO.len() {
         for machines in [1usize, 2] {
             for gpus in [2usize, 4, 8] {

@@ -11,9 +11,9 @@
 //! (counters, `VecDeque`s, cache maps) whose methods uphold their
 //! invariants even when interrupted by unwinding, so the right response
 //! to poisoning is to take the guard and keep serving. These extension
-//! traits make that the one-line default, and the `lock-unwrap` lint
-//! (`cargo run -p dpipe_analyze -- check`) forbids the panicking form
-//! workspace-wide.
+//! traits make that the one-line default, and clippy's `unwrap_used`
+//! and `expect_used` (`cargo --offline lint`) forbid the panicking form
+//! in library and binary code.
 //!
 //! [`Bounded`] is the workspace's MPMC queue, shared by the HTTP accept
 //! queue and the planning pool's job queue. Its lock is tagged, so both

@@ -72,8 +72,11 @@ mod armed {
 
     /// A lock-order violation is a latent deadlock: fail the test run
     /// loudly at the exact acquisition that proves it.
+    #[expect(
+        clippy::panic,
+        reason = "the witness is a debug-only test oracle; an observed lock-order inversion is a latent deadlock and must abort the test run at the proving acquisition"
+    )]
     fn fail(acquiring: &'static str, held: &'static str, why: &str) -> ! {
-        // dpipe-analyze: allow(no-panic) -- the witness is a debug-only test oracle; an observed lock-order inversion is a latent deadlock and must abort the test run at the proving acquisition
         panic!(
             "lock-order inversion: acquiring `{}` while holding `{}` ({})",
             acquiring, held, why

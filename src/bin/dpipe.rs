@@ -279,7 +279,10 @@ fn cmd_models(_: &Args) -> Result<(), String> {
         "name", "backbones", "train params", "frozen params", "frozen L"
     );
     for name in zoo::NAMES {
-        // dpipe-analyze: allow(no-panic) -- iterating zoo::NAMES, each of which model_by_name resolves by construction
+        #[expect(
+            clippy::expect_used,
+            reason = "iterating zoo::NAMES, each of which model_by_name resolves by construction"
+        )]
         let m = model_by_name(name).expect("known name");
         println!(
             "{:<14} {:>10} {:>11.2}B {:>11.2}B {:>10}",
@@ -734,7 +737,10 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     }
     if args.has("best") {
         for p in report.best_per_model() {
-            // dpipe-analyze: allow(no-panic) -- best_per_model only yields entries whose outcome is a feasible plan
+            #[expect(
+                clippy::expect_used,
+                reason = "best_per_model only yields entries whose outcome is a feasible plan"
+            )]
             let plan = p.outcome.as_ref().expect("best_per_model is feasible");
             println!("{:<36} {}", p.coords(), plan.summary());
         }
