@@ -12,46 +12,10 @@
 //! `DPIPE_UPDATE_GOLDENS=1`.
 
 use diffusionpipe::core::{PlanStats, Planner};
-use diffusionpipe::prelude::*;
+
+mod common;
 
 const GOLDEN_PATH: &str = "tests/goldens/work_counters.txt";
-const SUMMARY_PATH: &str = "tests/goldens/plan_summaries.txt";
-const MIXED_SPEC: &str = "examples/specs/sd_mixed_a100_h100_b256.json";
-
-fn cluster_for(gpus: usize) -> ClusterSpec {
-    if gpus > 8 && gpus.is_multiple_of(8) {
-        ClusterSpec::p4de(gpus / 8)
-    } else {
-        ClusterSpec::single_node(gpus)
-    }
-}
-
-/// `(label, spec)` for every golden shape, in file order, then the mixed
-/// fleet.
-fn cases() -> Vec<(String, PlanSpec)> {
-    let summaries = std::fs::read_to_string(SUMMARY_PATH).expect("plan goldens present");
-    let mut cases: Vec<(String, PlanSpec)> = summaries
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|line| {
-            let label = line.split('\t').next().expect("labelled golden line");
-            let (model, rest) = label.split_once('@').expect("model@shape label");
-            let (gpus, batch) = rest.split_once("gpu/b").expect("<gpus>gpu/b<batch>");
-            let gpus: usize = gpus.parse().expect("gpu count");
-            let batch: u32 = batch.parse().expect("batch");
-            (
-                label.to_owned(),
-                PlanSpec::zoo(model, cluster_for(gpus), batch),
-            )
-        })
-        .collect();
-    let mixed = std::fs::read_to_string(MIXED_SPEC).expect("mixed spec present");
-    cases.push((
-        MIXED_SPEC.to_owned(),
-        PlanSpec::from_json(&mixed).expect("mixed spec parses"),
-    ));
-    cases
-}
 
 fn counter_line(label: &str, s: &PlanStats) -> String {
     format!(
@@ -73,7 +37,7 @@ fn counter_line(label: &str, s: &PlanStats) -> String {
 fn work_counters_match_committed_file() {
     let mut lines = Vec::new();
     let mut total = PlanStats::default();
-    for (label, spec) in cases() {
+    for (label, spec) in common::plan_cold_cases() {
         let planner = Planner::from_spec(&spec)
             .expect("spec resolves")
             .with_parallelism(1);
