@@ -177,8 +177,7 @@ impl PipelineEngine {
         let (loss_tx, loss_rx) = channel::<(usize, f32)>();
 
         let mut result_stages: Vec<Option<Mlp>> = Vec::new();
-        let mut worker_error: Option<EngineError> = None;
-        std::thread::scope(|scope| {
+        let worker_error = std::thread::scope(|scope| {
             // Coordinator threads.
             for (from_groups, to_groups) in coordinators {
                 scope.spawn(move || all_reduce(from_groups, to_groups, iterations));
@@ -222,32 +221,11 @@ impl PipelineEngine {
             }
             drop(loss_tx);
 
-            // Collect stages back (group 0 in stage order), folding any
-            // thread failure into the first worker error.
-            let mut collected: HashMap<(usize, usize), Mlp> = HashMap::new();
-            for ((g, s), h) in handles {
-                match h.join() {
-                    Ok(Ok(stage)) => {
-                        collected.insert((g, s), stage);
-                    }
-                    Ok(Err(e)) => {
-                        if worker_error.is_none() {
-                            worker_error = Some(EngineError::Worker(format!(
-                                "device (group {g}, stage {s}): {e}"
-                            )));
-                        }
-                    }
-                    Err(payload) => {
-                        if worker_error.is_none() {
-                            worker_error = Some(EngineError::Worker(format!(
-                                "device (group {g}, stage {s}) panicked: {}",
-                                panic_message(payload.as_ref())
-                            )));
-                        }
-                    }
-                }
-            }
+            // Collect stages back (group 0 in stage order).
+            let (mut collected, error) =
+                fold_joins(handles.into_iter().map(|(at, h)| (at, h.join())));
             result_stages = (0..s_count).map(|s| collected.remove(&(0, s))).collect();
+            error
         });
         if let Some(err) = worker_error {
             return Err(err);
@@ -276,6 +254,40 @@ impl PipelineEngine {
             final_params,
         })
     }
+}
+
+/// What joining a device thread returns.
+type DeviceJoin = std::thread::Result<Result<Mlp, DeviceError>>;
+
+/// Folds the device threads' join results, in join order, into the stages
+/// that returned and the error `train` reports. A device's own error or a
+/// panic is a root cause. A `Disconnected` error is usually a surviving
+/// device noticing that a peer failed, so it is reported only when no
+/// device failed for another reason.
+fn fold_joins(
+    joins: impl IntoIterator<Item = ((usize, usize), DeviceJoin)>,
+) -> (HashMap<(usize, usize), Mlp>, Option<EngineError>) {
+    let mut collected = HashMap::new();
+    let mut cascade: Option<EngineError> = None;
+    let mut cause: Option<EngineError> = None;
+    for ((g, s), joined) in joins {
+        let (first, message) = match joined {
+            Ok(Ok(stage)) => {
+                collected.insert((g, s), stage);
+                continue;
+            }
+            Ok(Err(e @ DeviceError::Disconnected(_))) => (&mut cascade, format!(": {e}")),
+            Ok(Err(e)) => (&mut cause, format!(": {e}")),
+            Err(payload) => (
+                &mut cause,
+                format!(" panicked: {}", panic_message(payload.as_ref())),
+            ),
+        };
+        first.get_or_insert_with(|| {
+            EngineError::Worker(format!("device (group {g}, stage {s}){message}"))
+        });
+    }
+    (collected, cause.or(cascade))
 }
 
 /// One stage's all-reduce: each iteration, receive every group's
@@ -739,5 +751,32 @@ mod tests {
             "surviving group must see a disconnect"
         );
         drop(tx0);
+    }
+
+    /// `train` names the device that failed, not a survivor whose channel
+    /// closed because of it.
+    #[test]
+    fn fold_joins_prefers_the_root_cause_over_a_disconnect() {
+        let joins = vec![
+            ((0, 0), Ok(Err(DeviceError::Disconnected("reduced")))),
+            ((1, 0), Ok(Err(DeviceError::Protocol("seeded failure")))),
+        ];
+        let (collected, error) = fold_joins(joins);
+        assert!(collected.is_empty());
+        let Some(EngineError::Worker(msg)) = error else {
+            panic!("expected a worker error, got {error:?}");
+        };
+        assert!(
+            msg.contains("group 1, stage 0") && msg.contains("seeded failure"),
+            "{msg}"
+        );
+        // A disconnect alone is still reported.
+        let (_, error) = fold_joins(vec![((0, 1), Ok(Err(DeviceError::Disconnected("act"))))]);
+        assert_eq!(
+            error,
+            Some(EngineError::Worker(
+                "device (group 0, stage 1): act channel disconnected".into()
+            ))
+        );
     }
 }

@@ -28,10 +28,20 @@ impl Bubble {
 
 /// Extracts bubbles from per-slot busy intervals within `[0, window_end]`.
 ///
-/// `busy[slot]` must be sorted, non-overlapping `(start, end)` intervals.
+/// `busy[slot]` must be sorted by start; intervals may overlap or touch.
 /// `replication[slot]` converts slots to device counts. Bubbles shorter than
 /// `min_duration` are discarded (the paper ignores bubbles under 10 ms,
 /// which do not amortise the setup cost of bubble filling).
+///
+/// The window is cut at every interval edge (clamped to the window, sorted,
+/// and deduplicated within 1e-12); a slot is idle on an elementary interval
+/// when no busy interval `[start, end)` holds its midpoint, and neighbouring
+/// intervals with the same idle slots merge. Midpoints only grow, so each
+/// slot keeps a cursor past the intervals that end at or before the last
+/// midpoint: an interval it skipped ended before an earlier midpoint, and
+/// one after it starts no earlier than it, so the slot is busy exactly when
+/// the interval at its cursor holds the midpoint. With `n` intervals over
+/// `s` slots that is O(n log n + n·s).
 pub fn extract_bubbles(
     busy: &[Vec<(f64, f64)>],
     replication: &[usize],
@@ -41,7 +51,8 @@ pub fn extract_bubbles(
     let num_slots = busy.len();
     assert_eq!(num_slots, replication.len());
     // Elementary boundaries: all interval edges plus window edges.
-    let mut bounds: Vec<f64> = vec![0.0, window_end];
+    let mut bounds: Vec<f64> = Vec::with_capacity(2 + 2 * busy.iter().map(Vec::len).sum::<usize>());
+    bounds.extend([0.0, window_end]);
     for slot in busy {
         for &(s, e) in slot {
             bounds.push(s.clamp(0.0, window_end));
@@ -51,42 +62,50 @@ pub fn extract_bubbles(
     bounds.sort_by(f64::total_cmp);
     bounds.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
 
-    // For each elementary interval, the set of idle slots.
-    let mut raw: Vec<(f64, f64, Vec<usize>)> = Vec::new();
+    // For each elementary interval, the set of idle slots; merged bubbles
+    // collect here before the duration filter.
+    let mut bubbles: Vec<Bubble> = Vec::new();
+    let mut cursor = vec![0usize; num_slots];
+    let mut idle: Vec<usize> = Vec::with_capacity(num_slots);
     for w in bounds.windows(2) {
         let (s, e) = (w[0], w[1]);
         if e - s <= 1e-12 {
             continue;
         }
         let mid = 0.5 * (s + e);
-        let idle: Vec<usize> = (0..num_slots)
-            .filter(|&slot| !busy[slot].iter().any(|&(bs, be)| bs <= mid && mid < be))
-            .collect();
+        idle.clear();
+        for (slot, list) in busy.iter().enumerate() {
+            let c = &mut cursor[slot];
+            while *c < list.len() && list[*c].1 <= mid {
+                *c += 1;
+            }
+            if list.get(*c).is_none_or(|&(bs, _)| bs > mid) {
+                idle.push(slot);
+            }
+        }
         if idle.is_empty() {
             continue;
         }
         // Merge with previous if same idle set and contiguous.
-        if let Some(last) = raw.last_mut() {
-            if (last.1 - s).abs() < 1e-12 && last.2 == idle {
-                last.1 = e;
+        if let Some(last) = bubbles.last_mut() {
+            if (last.end - s).abs() < 1e-12 && last.slots == idle {
+                last.end = e;
                 continue;
             }
         }
-        raw.push((s, e, idle));
+        bubbles.push(Bubble {
+            start: s,
+            end: e,
+            slots: idle.clone(),
+            devices: 0,
+        });
     }
 
-    raw.into_iter()
-        .filter(|(s, e, _)| e - s >= min_duration)
-        .map(|(start, end, slots)| {
-            let devices = slots.iter().map(|&s| replication[s]).sum();
-            Bubble {
-                start,
-                end,
-                slots,
-                devices,
-            }
-        })
-        .collect()
+    bubbles.retain(|b| b.end - b.start >= min_duration);
+    for b in &mut bubbles {
+        b.devices = b.slots.iter().map(|&s| replication[s]).sum();
+    }
+    bubbles
 }
 
 #[cfg(test)]

@@ -1,12 +1,13 @@
 //! Constructing pipeline op graphs from partition plans.
 
-use crate::op::{Op, OpId, OpKind, PipelineDirection};
+use crate::op::{Deps, Op, OpId, OpKind, PipelineDirection};
 use crate::schedule::{PipelineSchedule, SyncOp};
 use crate::simulate::{simulate, Policy};
 use crate::stage_times::StageTimes;
 use dpipe_cluster::{ClusterSpec, DataParallelLayout};
 use dpipe_partition::{BidirectionalPlan, PartitionPlan};
 use dpipe_profile::ProfileDb;
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -121,11 +122,15 @@ impl<'a> ScheduleBuilder<'a> {
         self_cond: bool,
     ) -> Result<PipelineSchedule, ScheduleError> {
         let s_count = times.num_stages();
-        let mut times = times.clone();
-        if self_cond && times.sc_scale == 0.0 {
-            times.sc_scale = 1.0;
-        }
-        let times = &times;
+        let times = if self_cond && times.sc_scale == 0.0 {
+            Cow::Owned(StageTimes {
+                sc_scale: 1.0,
+                ..times.clone()
+            })
+        } else {
+            Cow::Borrowed(times)
+        };
+        let times = &*times;
         let spec = PipelineSpec {
             times,
             direction: PipelineDirection::Down,
@@ -133,14 +138,13 @@ impl<'a> ScheduleBuilder<'a> {
             self_cond,
             kind,
         };
-        let (ops, seqs) = build_ops(&[spec], s_count);
+        let ops = build_ops(&[spec], s_count);
         finish(
             ops,
-            seqs,
             s_count,
             times.micro_batch,
             Policy::StrictOrder,
-            std::slice::from_ref(times),
+            &[times],
         )
     }
 
@@ -179,26 +183,35 @@ impl<'a> ScheduleBuilder<'a> {
                 kind: ScheduleKind::Fifo1F1B,
             },
         ];
-        let (ops, seqs) = build_ops(&specs, s_count);
+        let ops = build_ops(&specs, s_count);
         finish(
             ops,
-            seqs,
             s_count,
             down_times.micro_batch,
             Policy::WorkConserving,
-            &[down_times.clone(), up_times.clone()],
+            &[&down_times, &up_times],
         )
     }
 }
 
-/// Builds all ops for the given pipelines and the per-slot execution
-/// sequences (lists of op indices in intended order).
-fn build_ops(specs: &[PipelineSpec<'_>], num_slots: usize) -> (Vec<Op>, Vec<Vec<usize>>) {
-    let mut ops: Vec<Op> = Vec::new();
-    // Per-pipeline id tables.
-    let mut per_slot_seqs: Vec<Vec<Vec<usize>>> = Vec::new(); // [pipeline][slot] -> op indices
+/// Builds all ops for one or two pipelines, each op's priority its position
+/// in its slot's intended execution order.
+fn build_ops(specs: &[PipelineSpec<'_>], num_slots: usize) -> Vec<Op> {
+    debug_assert!(specs.len() <= 2, "at most two pipelines share the slots");
+    let mut ops: Vec<Op> = Vec::with_capacity(
+        specs
+            .iter()
+            .map(|spec| {
+                let per_mb = if spec.self_cond { 3 } else { 2 };
+                per_mb * spec.times.num_stages() * spec.times.num_micro_batches
+            })
+            .sum(),
+    );
+    // Ops of pipeline p placed on each slot so far: `placed[p * num_slots + slot]`.
+    let mut placed = vec![0usize; specs.len() * num_slots];
+    let mut second_pipeline = 0;
 
-    for spec in specs {
+    for (p, spec) in specs.iter().enumerate() {
         let s_count = spec.times.num_stages();
         let m_count = spec.times.num_micro_batches;
         let base = ops.len();
@@ -213,7 +226,7 @@ fn build_ops(specs: &[PipelineSpec<'_>], num_slots: usize) -> (Vec<Op>, Vec<Vec<
             for s in 0..s_count {
                 let slot = spec.slots[s];
                 if spec.self_cond {
-                    let mut deps = Vec::new();
+                    let mut deps = Deps::default();
                     if s > 0 {
                         deps.push((sc_id(s - 1, m), spec.times.comm_in[s]));
                     }
@@ -229,7 +242,7 @@ fn build_ops(specs: &[PipelineSpec<'_>], num_slots: usize) -> (Vec<Op>, Vec<Vec<
                         priority: 0,
                     });
                 }
-                let mut deps = Vec::new();
+                let mut deps = Deps::default();
                 if s > 0 {
                     deps.push((f_id(s - 1, m), spec.times.comm_in[s]));
                 }
@@ -258,11 +271,12 @@ fn build_ops(specs: &[PipelineSpec<'_>], num_slots: usize) -> (Vec<Op>, Vec<Vec<
         for m in 0..m_count {
             for s in 0..s_count {
                 let slot = spec.slots[s];
-                let deps = if s == s_count - 1 {
-                    vec![(f_id(s, m), 0.0)]
+                let mut deps = Deps::default();
+                deps.push(if s == s_count - 1 {
+                    (f_id(s, m), 0.0)
                 } else {
-                    vec![(b_id(s + 1, m), spec.times.comm_in[s + 1])]
-                };
+                    (b_id(s + 1, m), spec.times.comm_in[s + 1])
+                });
                 ops.push(Op {
                     slot,
                     stage: s,
@@ -276,91 +290,98 @@ fn build_ops(specs: &[PipelineSpec<'_>], num_slots: usize) -> (Vec<Op>, Vec<Vec<
             }
         }
 
-        // Per-slot intended order for this pipeline.
-        let mut seqs: Vec<Vec<usize>> = vec![Vec::new(); num_slots];
+        // Per-slot intended order for this pipeline: number its ops on
+        // each slot in the order they run.
         for s in 0..s_count {
             let slot = spec.slots[s];
             let warmup = match spec.kind {
                 ScheduleKind::Fifo1F1B => m_count.min(s_count - 1 - s),
                 ScheduleKind::GPipe => m_count,
             };
-            let push_fwd = |seq: &mut Vec<usize>, m: usize| {
-                if spec.self_cond {
-                    seq.push(sc_id(s, m).0);
-                }
-                seq.push(f_id(s, m).0);
+            let next = &mut placed[p * num_slots + slot];
+            let mut place = |id: OpId| {
+                ops[id.0].priority = *next;
+                *next += 1;
             };
-            let seq = &mut seqs[slot];
             for m in 0..warmup {
-                push_fwd(seq, m);
+                if spec.self_cond {
+                    place(sc_id(s, m));
+                }
+                place(f_id(s, m));
             }
             for k in 0..(m_count - warmup) {
-                push_fwd(seq, warmup + k);
-                seq.push(b_id(s, k).0);
+                if spec.self_cond {
+                    place(sc_id(s, warmup + k));
+                }
+                place(f_id(s, warmup + k));
+                place(b_id(s, k));
             }
             for m in (m_count - warmup)..m_count {
-                seq.push(b_id(s, m).0);
+                place(b_id(s, m));
             }
         }
-        per_slot_seqs.push(seqs);
+        if p == 0 {
+            second_pipeline = ops.len();
+        }
     }
 
-    // Merge pipelines per slot: alternate, starting with the pipeline whose
-    // parity matches the slot (spreads the two directions evenly).
-    let mut merged: Vec<Vec<usize>> = vec![Vec::new(); num_slots];
-    for slot in 0..num_slots {
-        let mut lists: Vec<&[usize]> = per_slot_seqs.iter().map(|p| p[slot].as_slice()).collect();
-        if specs.len() == 2 && slot % 2 == 1 {
-            lists.swap(0, 1);
-        }
-        let mut idx = vec![0usize; lists.len()];
-        loop {
-            let mut progressed = false;
-            for (li, list) in lists.iter().enumerate() {
-                if idx[li] < list.len() {
-                    merged[slot].push(list[idx[li]]);
-                    idx[li] += 1;
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
+    // Two pipelines alternate on each slot, starting with the one whose
+    // parity matches the slot (spreads the two directions evenly). So the
+    // k-th op of a pipeline on a slot runs after k of its own, after
+    // min(k, n) of the other pipeline's n ops there, and after the other's
+    // k-th op too when the other pipeline starts on this slot.
+    if specs.len() == 2 {
+        for (i, op) in ops.iter_mut().enumerate() {
+            let p = usize::from(i >= second_pipeline);
+            let k = op.priority;
+            let n = placed[(1 - p) * num_slots + op.slot];
+            let other_starts = (op.slot % 2 == 1) == (p == 0);
+            op.priority = k + n.min(k) + usize::from(other_starts && n > k);
         }
     }
-    // Assign priorities from merged order.
-    for seq in &merged {
-        for (prio, &op_idx) in seq.iter().enumerate() {
-            ops[op_idx].priority = prio;
-        }
-    }
-    (ops, merged)
+    ops
 }
 
 /// Simulates and packages the schedule.
 fn finish(
     ops: Vec<Op>,
-    _seqs: Vec<Vec<usize>>,
     num_slots: usize,
     micro_batch: f64,
     policy: Policy,
-    all_times: &[StageTimes],
+    all_times: &[&StageTimes],
 ) -> Result<PipelineSchedule, ScheduleError> {
     let scheduled =
-        simulate(&ops, num_slots, policy).map_err(|d| ScheduleError::Deadlock(d.remaining))?;
+        simulate(ops, num_slots, policy).map_err(|d| ScheduleError::Deadlock(d.remaining))?;
+
+    // Per (pipeline, stage), in one pass over the ops: the slot of its
+    // first op and the end of its last backward. Pipeline 0 runs down,
+    // pipeline 1 up.
+    let directions = [PipelineDirection::Down, PipelineDirection::Up];
+    let offset = |ti: usize| {
+        all_times[..ti]
+            .iter()
+            .map(|t| t.num_stages())
+            .sum::<usize>()
+    };
+    let mut stage_slot: Vec<Option<usize>> = vec![None; offset(all_times.len())];
+    let mut last_bwd = vec![0.0f64; stage_slot.len()];
+    for o in &scheduled {
+        let ti = usize::from(o.op.direction == PipelineDirection::Up);
+        if ti >= all_times.len() || o.op.stage >= all_times[ti].num_stages() {
+            continue;
+        }
+        let at = offset(ti) + o.op.stage;
+        stage_slot[at].get_or_insert(o.op.slot);
+        if o.op.kind == OpKind::Backward {
+            last_bwd[at] = last_bwd[at].max(o.end);
+        }
+    }
 
     // Slot replication: from the first pipeline covering each slot.
-    let directions = [PipelineDirection::Down, PipelineDirection::Up];
     let mut slot_replication = vec![0usize; num_slots];
     for (ti, times) in all_times.iter().enumerate() {
-        let dir = directions[ti.min(1)];
         for (s, &r) in times.replication.iter().enumerate() {
-            // Stage s of this pipeline occupies some slot; find it from ops.
-            let slot = scheduled
-                .iter()
-                .find(|o| o.op.stage == s && o.op.direction == dir)
-                .map(|o| o.op.slot)
-                .unwrap_or(s);
+            let slot = stage_slot[offset(ti) + s].unwrap_or(s);
             if slot_replication[slot] == 0 {
                 slot_replication[slot] = r;
             }
@@ -374,27 +395,14 @@ fn finish(
 
     // Gradient syncs: one per (pipeline, stage), starting at that stage's
     // last backward end.
-    let mut syncs = Vec::new();
-    let directions = [PipelineDirection::Down, PipelineDirection::Up];
+    let mut syncs = Vec::with_capacity(stage_slot.len());
     for (ti, times) in all_times.iter().enumerate() {
-        let dir = directions[ti.min(1)];
         for s in 0..times.num_stages() {
-            let last_bwd = scheduled
-                .iter()
-                .filter(|o| {
-                    o.op.kind == OpKind::Backward && o.op.stage == s && o.op.direction == dir
-                })
-                .map(|o| o.end)
-                .fold(0.0, f64::max);
-            let slot = scheduled
-                .iter()
-                .find(|o| o.op.stage == s && o.op.direction == dir)
-                .map(|o| o.op.slot)
-                .unwrap_or(s);
+            let at = offset(ti) + s;
             syncs.push(SyncOp {
-                slot,
-                direction: dir,
-                start: last_bwd,
+                slot: stage_slot[at].unwrap_or(s),
+                direction: directions[ti.min(1)],
+                start: last_bwd[at],
                 duration: times.sync[s],
             });
         }
@@ -451,6 +459,122 @@ mod tests {
         ScheduleBuilder::new(&f.db, &f.cluster, &layout)
             .build_single(&plan, kind)
             .unwrap()
+    }
+
+    /// Oracle for `build_ops`' priorities: each pipeline's run order on
+    /// each slot written out as a list (warm-up forwards, then one forward
+    /// and one backward, then the cool-down backwards), and the pipelines'
+    /// lists merged round-robin, the one matching the slot's parity first.
+    fn reference_priorities(
+        specs: &[PipelineSpec<'_>],
+        ops: &[Op],
+        num_slots: usize,
+    ) -> Vec<usize> {
+        let mut lists: Vec<Vec<Vec<usize>>> = Vec::new();
+        for spec in specs {
+            let (s_count, m_count) = (spec.times.num_stages(), spec.times.num_micro_batches);
+            let find = |s: usize, m: usize, kind: OpKind| {
+                ops.iter()
+                    .position(|o| {
+                        (o.direction, o.stage, o.micro_batch, o.kind)
+                            == (spec.direction, s, m, kind)
+                    })
+                    .unwrap()
+            };
+            let mut seqs = vec![Vec::new(); num_slots];
+            for s in 0..s_count {
+                let warmup = match spec.kind {
+                    ScheduleKind::Fifo1F1B => m_count.min(s_count - 1 - s),
+                    ScheduleKind::GPipe => m_count,
+                };
+                let seq: &mut Vec<usize> = &mut seqs[spec.slots[s]];
+                let fwd = |seq: &mut Vec<usize>, m: usize| {
+                    if spec.self_cond {
+                        seq.push(find(s, m, OpKind::SelfCondForward));
+                    }
+                    seq.push(find(s, m, OpKind::Forward));
+                };
+                for m in 0..warmup {
+                    fwd(seq, m);
+                }
+                for k in 0..m_count - warmup {
+                    fwd(seq, warmup + k);
+                    seq.push(find(s, k, OpKind::Backward));
+                }
+                for m in m_count - warmup..m_count {
+                    seq.push(find(s, m, OpKind::Backward));
+                }
+            }
+            lists.push(seqs);
+        }
+        let mut priority = vec![usize::MAX; ops.len()];
+        for slot in 0..num_slots {
+            let mut order: Vec<&Vec<usize>> = lists.iter().map(|l| &l[slot]).collect();
+            if order.len() == 2 && slot % 2 == 1 {
+                order.swap(0, 1);
+            }
+            let mut next = 0;
+            for k in 0..ops.len() {
+                for list in &order {
+                    if let Some(&i) = list.get(k) {
+                        priority[i] = next;
+                        next += 1;
+                    }
+                }
+            }
+        }
+        priority
+    }
+
+    #[test]
+    fn build_ops_priorities_match_the_merged_run_order() {
+        let times = |s: usize, m: usize| StageTimes {
+            fwd: vec![1.0; s],
+            bwd: vec![2.0; s],
+            comm_in: vec![0.0; s],
+            feedback: 0.0,
+            sync: vec![0.0; s],
+            replication: vec![1; s],
+            micro_batch: 1.0,
+            num_micro_batches: m,
+            sc_scale: 0.5,
+        };
+        for s_count in 1..=5 {
+            for m_count in 1..=6 {
+                // The second pipeline runs as many micro-batches as the
+                // first, or a different number.
+                let (t, t_other) = (times(s_count, m_count), times(s_count, 7 - m_count));
+                for self_cond in [false, true] {
+                    for kind in [ScheduleKind::Fifo1F1B, ScheduleKind::GPipe] {
+                        let spec = |times, direction, slots| PipelineSpec {
+                            times,
+                            direction,
+                            slots,
+                            self_cond,
+                            kind,
+                        };
+                        let down = || spec(&t, PipelineDirection::Down, (0..s_count).collect());
+                        let up = |times| {
+                            spec(times, PipelineDirection::Up, (0..s_count).rev().collect())
+                        };
+                        for specs in [
+                            vec![down()],
+                            vec![down(), up(&t)],
+                            vec![down(), up(&t_other)],
+                        ] {
+                            let ops = build_ops(&specs, s_count);
+                            let got: Vec<usize> = ops.iter().map(|o| o.priority).collect();
+                            assert_eq!(
+                                got,
+                                reference_priorities(&specs, &ops, s_count),
+                                "S={s_count} M={m_count} sc={self_cond} {kind:?} pipelines={}",
+                                specs.len()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

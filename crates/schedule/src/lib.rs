@@ -7,6 +7,25 @@
 //! time, and the pipeline bubbles as `(start, end, idle devices)` tuples
 //! (paper §5).
 //!
+//! # Cost
+//!
+//! The planner builds one schedule per partitioned config, so each kernel
+//! is linear in the `n` ops of a schedule up to a factor of its `S` slots,
+//! and allocates a fixed number of buffers rather than one per op:
+//!
+//! - [`StageTimes::from_plan_classed`]: one pass over the stages, reusing
+//!   one device buffer for every stage's all-reduce.
+//! - Op graph: O(n). Each [`Op`] holds its at most two dependencies inline
+//!   ([`Deps`]), and its priority is numbered as the op is placed.
+//! - List scheduler: O(n·S + e) for `e` dependencies under the strict order
+//!   of FIFO-1F1B and GPipe; the work-conserving merge of a bidirectional
+//!   schedule adds the scan of each slot's ready ops, kept in priority
+//!   order and fed by a reverse-dependency count.
+//! - Gradient syncs and slot replication: one pass over the scheduled ops.
+//! - [`extract_bubbles`]: O(n log n + n·S) with one cursor per slot. It
+//!   requires each slot's busy intervals sorted by start, as
+//!   [`PipelineSchedule::busy_intervals`] returns them.
+//!
 //! # Example
 //!
 //! ```
@@ -42,7 +61,7 @@ mod stage_times;
 
 pub use bubble::{extract_bubbles, Bubble};
 pub use builder::{ScheduleBuilder, ScheduleError, ScheduleKind};
-pub use op::{Op, OpId, OpKind, PipelineDirection};
+pub use op::{Deps, Op, OpId, OpKind, PipelineDirection};
 pub use render::render_timeline;
 pub use schedule::{PipelineSchedule, ScheduledOp};
 pub use stage_times::StageTimes;

@@ -1,8 +1,8 @@
 //! Per-stage execution times derived from a partition plan and the profile
 //! database.
 
-use dpipe_cluster::{ClusterSpec, DataParallelLayout};
-use dpipe_partition::PartitionPlan;
+use dpipe_cluster::{ClusterSpec, DataParallelLayout, DeviceId};
+use dpipe_partition::{PartitionPlan, StagePlan};
 use dpipe_profile::ProfileDb;
 
 /// Concrete per-micro-batch stage times for one pipelined backbone.
@@ -60,12 +60,21 @@ impl StageTimes {
         let db = &dbs[0];
         let comm = cluster.comm_model();
         let class_map = cluster.class_map();
-        let db_for_stage = |stage: &dpipe_partition::StagePlan| -> &ProfileDb {
-            let class = class_map
-                .effective_class(layout.groups.iter().flat_map(|g| stage.devices_in_group(g)));
-            dbs.get(class).unwrap_or(db)
+        let db_for_stage = |stage: &StagePlan| -> &ProfileDb {
+            dbs.get(class_map.effective_class(stage_devices(layout, stage)))
+                .unwrap_or(db)
         };
         let group0 = &layout.groups[0];
+        // First and last device of a stage in group 0.
+        let first_in_group0 = |stage: &StagePlan| group0.devices[stage.device_offsets[0]];
+        #[expect(
+            clippy::expect_used,
+            reason = "every planned stage owns at least one device in each group by construction"
+        )]
+        let last_in_group0 = |stage: &StagePlan| {
+            group0.devices[*stage.device_offsets.last().expect("stage has devices")]
+        };
+        let mut devs = Vec::new();
         let s_count = plan.stages.len();
         let mut fwd = Vec::with_capacity(s_count);
         let mut bwd = Vec::with_capacity(s_count);
@@ -81,16 +90,8 @@ impl StageTimes {
             if i == 0 {
                 comm_in.push(0.0);
             } else {
-                let prev = &plan.stages[i - 1];
-                #[expect(
-                    clippy::expect_used,
-                    reason = "every planned stage owns at least one device in each group by construction"
-                )]
-                let src = *prev
-                    .devices_in_group(group0)
-                    .last()
-                    .expect("stage has devices");
-                let dst = stage.devices_in_group(group0)[0];
+                let src = last_in_group0(&plan.stages[i - 1]);
+                let dst = first_in_group0(stage);
                 let bytes = db.boundary_bytes(
                     stage.component,
                     dpipe_model::LayerId(stage.layers.start.saturating_sub(1)),
@@ -99,10 +100,8 @@ impl StageTimes {
                 comm_in.push(comm.p2p_time(bytes, src, dst));
             }
             // Gradient sync across this stage's replicas in every group.
-            let mut devs = Vec::new();
-            for g in &layout.groups {
-                devs.extend(stage.devices_in_group(g));
-            }
+            devs.clear();
+            devs.extend(stage_devices(layout, stage));
             let grad = db.grad_bytes_range(stage.component, stage.layers.clone());
             sync.push(comm.allreduce_time(grad, &devs));
         }
@@ -110,15 +109,8 @@ impl StageTimes {
         let feedback = if s_count > 1 {
             #[expect(clippy::expect_used, reason = "guarded by s_count > 1 just above")]
             let last_stage = plan.stages.last().expect("non-empty plan");
-            #[expect(
-                clippy::expect_used,
-                reason = "every planned stage owns at least one device in each group by construction"
-            )]
-            let src = *last_stage
-                .devices_in_group(group0)
-                .last()
-                .expect("stage has devices");
-            let dst = plan.stages[0].devices_in_group(group0)[0];
+            let src = last_in_group0(last_stage);
+            let dst = first_in_group0(&plan.stages[0]);
             let bytes = db.output_bytes(
                 last_stage.component,
                 last_stage.local_batch(plan.micro_batch),
@@ -152,6 +144,17 @@ impl StageTimes {
     pub fn micro_batch_compute(&self) -> f64 {
         self.fwd.iter().sum::<f64>() + self.bwd.iter().sum::<f64>()
     }
+}
+
+/// A stage's devices in every pipeline group, group by group.
+fn stage_devices<'a>(
+    layout: &'a DataParallelLayout,
+    stage: &'a StagePlan,
+) -> impl Iterator<Item = DeviceId> + 'a {
+    layout
+        .groups
+        .iter()
+        .flat_map(move |g| stage.device_offsets.iter().map(move |&o| g.devices[o]))
 }
 
 #[cfg(test)]

@@ -1,11 +1,15 @@
 //! Property tests: schedules built from arbitrary synthetic models are
-//! always consistent, and bubble extraction conserves time.
+//! always consistent, and bubble extraction conserves time. The list
+//! scheduler and the bubble sweep are checked bit for bit against the
+//! straightforward algorithms they replaced, kept here as oracles.
 
 use dpipe_cluster::{ClusterSpec, DataParallelLayout};
 use dpipe_model::zoo;
 use dpipe_partition::{PartitionConfig, Partitioner};
 use dpipe_profile::{DeviceModel, Profiler};
-use dpipe_schedule::{extract_bubbles, Bubble, ScheduleBuilder, ScheduleKind};
+use dpipe_schedule::{
+    extract_bubbles, Bubble, Op, PipelineSchedule, ScheduleBuilder, ScheduleKind,
+};
 use proptest::prelude::*;
 
 fn schedule_for(
@@ -27,6 +31,226 @@ fn schedule_for(
     ScheduleBuilder::new(&db, &cluster, &layout)
         .build_single(&plan, kind)
         .unwrap()
+}
+
+/// A two-backbone (bidirectional) schedule of `model` on one node of
+/// `devices` GPUs, one pipeline group.
+fn bidirectional_schedule(
+    model: dpipe_model::ModelSpec,
+    devices: usize,
+    stages: usize,
+    micro: usize,
+) -> PipelineSchedule {
+    let cluster = ClusterSpec::single_node(devices);
+    let (db, _) = Profiler::new(DeviceModel::a100_like()).profile(&model, 64);
+    let layout = DataParallelLayout::new(&cluster, devices).unwrap();
+    let mut backbones = db.model().backbones().map(|(id, _)| id);
+    let (down, up) = (backbones.next().unwrap(), backbones.next().unwrap());
+    let plan = Partitioner::new(&db, &cluster, &layout)
+        .partition_bidirectional(down, up, &PartitionConfig::new(stages, micro, 64.0))
+        .unwrap();
+    ScheduleBuilder::new(&db, &cluster, &layout)
+        .build_bidirectional(&plan)
+        .unwrap()
+}
+
+/// Oracle: the full-rescan list scheduler. Each step takes, per slot, the
+/// head op once its dependencies are done (strict order) or the ready op
+/// with the least `(max(ready, free), priority)` among all pending ones
+/// (work-conserving), then starts the candidate with the least
+/// `(start, priority, index)`. Returns `(start, end)` per op.
+fn reference_simulate(ops: &[Op], num_slots: usize, work_conserving: bool) -> Vec<(f64, f64)> {
+    let n = ops.len();
+    let mut end: Vec<Option<f64>> = vec![None; n];
+    let mut start = vec![0.0f64; n];
+    let mut per_slot: Vec<Vec<usize>> = vec![Vec::new(); num_slots];
+    for (i, op) in ops.iter().enumerate() {
+        per_slot[op.slot].push(i);
+    }
+    for list in &mut per_slot {
+        list.sort_by_key(|&i| ops[i].priority);
+    }
+    let mut cursor = vec![0usize; num_slots];
+    let mut done = vec![false; n];
+    let mut device_free = vec![0.0f64; num_slots];
+    let ready_time = |i: usize, end: &[Option<f64>]| -> Option<f64> {
+        let mut t: f64 = 0.0;
+        for &(dep, delay) in &ops[i].deps {
+            t = t.max(end[dep.0]? + delay);
+        }
+        Some(t)
+    };
+    for _ in 0..n {
+        let mut best: Option<(f64, usize, usize)> = None;
+        for slot in 0..num_slots {
+            let candidate = if work_conserving {
+                per_slot[slot]
+                    .iter()
+                    .filter(|&&i| !done[i])
+                    .filter_map(|&i| ready_time(i, &end).map(|rt| (i, rt)))
+                    .min_by(|a, b| {
+                        let ka = (a.1.max(device_free[slot]), ops[a.0].priority);
+                        let kb = (b.1.max(device_free[slot]), ops[b.0].priority);
+                        ka.0.total_cmp(&kb.0).then(ka.1.cmp(&kb.1))
+                    })
+            } else {
+                per_slot[slot]
+                    .get(cursor[slot])
+                    .and_then(|&i| ready_time(i, &end).map(|rt| (i, rt)))
+            };
+            if let Some((i, rt)) = candidate {
+                let key = (rt.max(device_free[slot]), ops[i].priority, i);
+                if best.is_none_or(|b| key < b) {
+                    best = Some(key);
+                }
+            }
+        }
+        let (s, _, i) = best.expect("the reference scheduler does not deadlock here");
+        let slot = ops[i].slot;
+        start[i] = s;
+        end[i] = Some(s + ops[i].duration);
+        device_free[slot] = s + ops[i].duration;
+        done[i] = true;
+        cursor[slot] += 1;
+    }
+    start.into_iter().zip(end.into_iter().flatten()).collect()
+}
+
+/// Every op's start and end equal the oracle's, bit for bit.
+fn assert_matches_reference(
+    s: &PipelineSchedule,
+    work_conserving: bool,
+) -> Result<(), TestCaseError> {
+    let ops: Vec<Op> = s.ops.iter().map(|o| o.op.clone()).collect();
+    let want = reference_simulate(&ops, s.num_slots, work_conserving);
+    for (i, (got, &(start, end))) in s.ops.iter().zip(&want).enumerate() {
+        prop_assert!(
+            got.start.to_bits() == start.to_bits() && got.end.to_bits() == end.to_bits(),
+            "op {i}: scheduled [{}, {}], reference [{start}, {end}]",
+            got.start,
+            got.end
+        );
+    }
+    Ok(())
+}
+
+/// Oracle: the bubble extraction that scans every interval of every slot
+/// for each elementary interval's midpoint.
+fn reference_bubbles(
+    busy: &[Vec<(f64, f64)>],
+    replication: &[usize],
+    window_end: f64,
+    min_duration: f64,
+) -> Vec<Bubble> {
+    let num_slots = busy.len();
+    let mut bounds: Vec<f64> = vec![0.0, window_end];
+    for slot in busy {
+        for &(s, e) in slot {
+            bounds.push(s.clamp(0.0, window_end));
+            bounds.push(e.clamp(0.0, window_end));
+        }
+    }
+    bounds.sort_by(f64::total_cmp);
+    bounds.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
+    let mut raw: Vec<(f64, f64, Vec<usize>)> = Vec::new();
+    for w in bounds.windows(2) {
+        let (s, e) = (w[0], w[1]);
+        if e - s <= 1e-12 {
+            continue;
+        }
+        let mid = 0.5 * (s + e);
+        let idle: Vec<usize> = (0..num_slots)
+            .filter(|&slot| !busy[slot].iter().any(|&(bs, be)| bs <= mid && mid < be))
+            .collect();
+        if idle.is_empty() {
+            continue;
+        }
+        if let Some(last) = raw.last_mut() {
+            if (last.1 - s).abs() < 1e-12 && last.2 == idle {
+                last.1 = e;
+                continue;
+            }
+        }
+        raw.push((s, e, idle));
+    }
+    raw.into_iter()
+        .filter(|(s, e, _)| e - s >= min_duration)
+        .map(|(start, end, slots)| {
+            let devices = slots.iter().map(|&s| replication[s]).sum();
+            Bubble {
+                start,
+                end,
+                slots,
+                devices,
+            }
+        })
+        .collect()
+}
+
+/// `extract_bubbles` equals the oracle, with times compared bit for bit.
+fn assert_bubbles_match(
+    busy: &[Vec<(f64, f64)>],
+    replication: &[usize],
+    window_end: f64,
+    min_duration: f64,
+) -> Result<(), TestCaseError> {
+    let key = |bubbles: Vec<Bubble>| -> Vec<(u64, u64, Vec<usize>, usize)> {
+        bubbles
+            .into_iter()
+            .map(|b| (b.start.to_bits(), b.end.to_bits(), b.slots, b.devices))
+            .collect()
+    };
+    prop_assert_eq!(
+        key(extract_bubbles(busy, replication, window_end, min_duration)),
+        key(reference_bubbles(
+            busy,
+            replication,
+            window_end,
+            min_duration
+        )),
+        "busy {:?}, window {}, min {}",
+        busy,
+        window_end,
+        min_duration
+    );
+    Ok(())
+}
+
+/// The bubble oracle on a built schedule, unfiltered and at the paper's
+/// 10 ms threshold.
+fn assert_schedule_bubbles_match(s: &PipelineSchedule) -> Result<(), TestCaseError> {
+    let busy = s.busy_intervals();
+    for min in [0.0, 0.010] {
+        assert_bubbles_match(&busy, &s.slot_replication, s.iteration_time(), min)?;
+    }
+    Ok(())
+}
+
+/// 2^-43 s, about 1.1e-13: nine of these span the 1e-12 edge tolerance.
+const TICK: f64 = 1.0 / (1u64 << 43) as f64;
+
+/// A time on a 0.5 s grid plus a few ticks, so that drawn edges coincide,
+/// or sit within (or just beyond) the 1e-12 tolerance of each other.
+fn grid_time(half_seconds: usize, ticks: usize) -> f64 {
+    half_seconds as f64 * 0.5 + ticks as f64 * TICK
+}
+
+#[test]
+fn bubble_sweep_skips_an_interval_ending_at_the_midpoint() {
+    // Edges 1.0, 1.0 + 5 ticks and 1.0 + 10 ticks: the middle one is
+    // deduplicated into the first, so the elementary interval
+    // [1.0, 1.0 + 10 ticks] has its midpoint exactly where slot 1's busy
+    // interval ends, and all three slots are idle there.
+    let busy = vec![
+        vec![(0.0, 1.0)],
+        vec![(0.5, 1.0 + 5.0 * TICK)],
+        vec![(1.0 + 10.0 * TICK, 2.0)],
+    ];
+    let bubbles = extract_bubbles(&busy, &[1, 1, 1], 2.0, 0.0);
+    assert_eq!(bubbles, reference_bubbles(&busy, &[1, 1, 1], 2.0, 0.0));
+    assert!(bubbles
+        .iter()
+        .any(|b| b.start == 1.0 && b.end == 1.0 + 10.0 * TICK && b.slots == vec![0, 1, 2]));
 }
 
 proptest! {
@@ -126,5 +350,71 @@ proptest! {
             (busy_total + idle_total - 3.0 * window).abs() < 1e-6,
             "busy {busy_total} idle {idle_total} window {window}"
         );
+    }
+
+    /// Single-backbone schedules (strict order) equal the oracle scheduler,
+    /// and their bubbles the oracle sweep.
+    #[test]
+    fn single_backbone_schedules_match_the_reference(
+        stages in 1usize..6,
+        micro in 1usize..7,
+        self_cond in any::<bool>(),
+        gpipe in any::<bool>(),
+        layer_ms in 1.0f64..40.0,
+    ) {
+        let layers = stages.max(2) * 2;
+        let kind = if gpipe { ScheduleKind::GPipe } else { ScheduleKind::Fifo1F1B };
+        let s = schedule_for(layers, layer_ms, stages, micro, self_cond, kind);
+        assert_matches_reference(&s, false)?;
+        assert_schedule_bubbles_match(&s)?;
+    }
+
+    /// Two-backbone schedules (work-conserving) equal the oracle scheduler,
+    /// and their bubbles the oracle sweep.
+    #[test]
+    fn two_backbone_schedules_match_the_reference(
+        devices in 2usize..9,
+        stage_pick in 0usize..8,
+        micro in 1usize..7,
+        imagenet in any::<bool>(),
+    ) {
+        let divisors: Vec<usize> = (1..=devices).filter(|d| devices.is_multiple_of(*d)).collect();
+        let stages = divisors[stage_pick % divisors.len()];
+        let model = if imagenet { zoo::cdm_imagenet() } else { zoo::cdm_lsun() };
+        let s = bidirectional_schedule(model, devices, stages, micro);
+        assert_matches_reference(&s, true)?;
+        assert_schedule_bubbles_match(&s)?;
+    }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `extract_bubbles` equals the oracle on random start-sorted interval
+    /// lists: overlapping, zero-length, sharing edges, and with edges
+    /// within and just beyond the 1e-12 tolerance of each other.
+    #[test]
+    fn bubble_sweep_matches_the_reference(
+        intervals in proptest::collection::vec(
+            ((0usize..10, 0usize..11), (0usize..4, 0usize..11), 0usize..4),
+            0..16,
+        ),
+        shape in (1usize..5, 1usize..12, 0usize..11),
+        replication in proptest::collection::vec(1usize..4, 4),
+        min_pick in 0usize..3,
+    ) {
+        let (slots, window_half_seconds, window_ticks) = shape;
+        let mut busy: Vec<Vec<(f64, f64)>> = vec![Vec::new(); slots];
+        for ((at, ticks), (half_seconds, len_ticks), slot) in intervals {
+            let start = grid_time(at, ticks);
+            busy[slot % slots].push((start, start + grid_time(half_seconds, len_ticks)));
+        }
+        for list in &mut busy {
+            list.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        }
+        let window = grid_time(window_half_seconds, window_ticks);
+        let min_duration = [0.0, 1e-12, 0.25][min_pick];
+        assert_bubbles_match(&busy, &replication[..slots], window, min_duration)?;
     }
 }
