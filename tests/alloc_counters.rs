@@ -27,7 +27,7 @@ mod common;
 const GOLDEN_PATH: &str = "tests/goldens/alloc_counters.txt";
 
 /// Allocations and bytes requested.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Clone, Copy, Default)]
 struct Counts {
     allocs: u64,
     bytes: u64,
