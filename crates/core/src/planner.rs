@@ -455,6 +455,9 @@ impl Planner {
             parallelism: workers,
         };
         let (best_index, mut plan) = result.best.ok_or(PlanError::NoFeasibleConfig)?;
+        // The same inputs `evaluate_config` merged, so the same bits.
+        plan.bubble_ratio =
+            CombinedIteration::new(&plan.schedule, &plan.bubbles, &plan.fill).bubble_ratio();
         plan.preprocessing = PreprocessingReport {
             profiling_seconds: profile_report.wall_time_seconds,
             partition_seconds: result.partition_seconds,
@@ -753,7 +756,10 @@ impl Planner {
             fill,
             iteration_time: combined.iteration_time(),
             throughput,
-            bubble_ratio: combined.bubble_ratio(),
+            // A candidate carries no meaningful ratio: selection reads only
+            // throughput and index, so `plan_with_stats` computes the ratio
+            // for the selected plan alone.
+            bubble_ratio: f64::NAN,
             peak_memory_bytes: peak,
             preprocessing: PreprocessingReport::default(),
         });

@@ -10,7 +10,9 @@
 //! record-backed profiles, search-space bounds and worker counts, and
 //! compares the summary
 //! (which carries the plan id), the partition and the fill with
-//! `Planner::plan_reference`. Set `PROPTEST_RNG_SEED` to draw other specs.
+//! `Planner::plan_reference`. Two-backbone models are also drawn on whole
+//! 8-GPU machines (one node, and two p4de nodes). Set `PROPTEST_RNG_SEED`
+//! to draw other specs.
 
 use diffusionpipe_core::Planner;
 use dpipe_cluster::{ClusterSpec, DeviceClass};
@@ -42,6 +44,34 @@ fn cluster(kind: usize, size: usize, per_node: Option<usize>) -> ClusterSpec {
 /// in debug builds: tier-1 (debug) draws a few specs, release runs many.
 const CASES: u32 = if cfg!(debug_assertions) { 4 } else { 64 };
 
+/// Two-backbone specs on whole 8-GPU machines: the reference's
+/// bidirectional DP takes 0.3–0.9 s on each in release.
+const WHOLE_MACHINE_CASES: u32 = if cfg!(debug_assertions) { 2 } else { 8 };
+
+/// Plans `spec` both ways and compares the summary (plan id included), the
+/// partition and the fill, or both errors.
+fn check_against_reference(spec: &PlanSpec, label: &str) -> TestCaseResult {
+    let planner = Planner::from_spec(spec).expect("zoo spec resolves");
+    let global_batch = spec.global_batch;
+    match (
+        planner.plan(global_batch),
+        planner.plan_reference(global_batch),
+    ) {
+        (Ok(fast), Ok(reference)) => {
+            prop_assert_eq!(fast.summary(), reference.summary(), "{}", label);
+            prop_assert_eq!(&fast.partition, &reference.partition, "{}", label);
+            prop_assert_eq!(&fast.fill, &reference.fill, "{}", label);
+        }
+        (fast, reference) => prop_assert_eq!(
+            fast.map(|p| p.summary()).map_err(|e| e.to_string()),
+            reference.map(|p| p.summary()).map_err(|e| e.to_string()),
+            "{}",
+            label
+        ),
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
@@ -56,8 +86,9 @@ proptest! {
     ) {
         let name = zoo::NAMES[model];
         // The reference bidirectional DP walks every predecessor of every
-        // state, O(L⁴) per level and config: two-backbone models plan on
-        // two machines of 1–3 GPUs, so one case stays within seconds.
+        // state, O(L⁴) per level and config: two-backbone models plan here
+        // on one node or on two machines of 1–3 GPUs, and on whole 8-GPU
+        // machines only in the test below, which draws fewer cases.
         let two_backbones = zoo::by_name(name).is_some_and(|m| m.backbones().count() > 1);
         let cluster = if two_backbones && shape.0 > 0 {
             cluster(shape.0, 1, Some(1 + shape.1 / 3))
@@ -74,19 +105,34 @@ proptest! {
             .with_search_space(SearchSpace { max_stages: search.0, max_micro_batches: search.1 })
             .with_parallelism(workers);
         let label = format!("{} workers={workers}", spec.label());
-        let planner = Planner::from_spec(&spec).expect("zoo spec resolves");
-        match (planner.plan(global_batch), planner.plan_reference(global_batch)) {
-            (Ok(fast), Ok(reference)) => {
-                prop_assert_eq!(fast.summary(), reference.summary(), "{}", label);
-                prop_assert_eq!(&fast.partition, &reference.partition, "{}", label);
-                prop_assert_eq!(&fast.fill, &reference.fill, "{}", label);
-            }
-            (fast, reference) => prop_assert_eq!(
-                fast.map(|p| p.summary()).map_err(|e| e.to_string()),
-                reference.map(|p| p.summary()).map_err(|e| e.to_string()),
-                "{}",
-                label
-            ),
-        }
+        check_against_reference(&spec, &label)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(WHOLE_MACHINE_CASES))]
+
+    #[test]
+    fn two_backbone_plan_on_whole_machines_matches_reference(
+        imagenet in any::<bool>(),
+        machines in 1usize..3,
+        batch in (1u32..3, 0u32..32),
+        flags in (any::<bool>(), any::<bool>(), any::<bool>()),
+        workers in 1usize..4,
+    ) {
+        let name = if imagenet { "cdm-imagenet" } else { "cdm-lsun" };
+        let cluster = if machines == 1 {
+            ClusterSpec::single_node(8)
+        } else {
+            ClusterSpec::p4de(machines)
+        };
+        let global_batch = cluster.world_size() as u32 * batch.0 + batch.1;
+        let (bubble_filling, partial_batch, record_backed) = flags;
+        let spec = PlanSpec::zoo(name, cluster, global_batch)
+            .with_options(PlannerOptions { bubble_filling, partial_batch })
+            .with_record_backed(record_backed)
+            .with_parallelism(workers);
+        let label = format!("{} workers={workers}", spec.label());
+        check_against_reference(&spec, &label)?;
     }
 }

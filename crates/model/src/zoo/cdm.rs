@@ -1,7 +1,7 @@
 //! Cascaded diffusion models (Ho et al., 2022).
 
 use super::sd::unet_blocks;
-use super::{layer_ms64, spread, validated};
+use super::{layer_ms64, spread};
 use crate::{ComponentBuilder, LayerKind, ModelSpec, ModelSpecBuilder, Role};
 
 const MB: u64 = 1 << 20;
@@ -69,7 +69,7 @@ pub fn cdm_lsun() -> ModelSpec {
     sr.deps.push(cond);
     b.push_component(sr);
 
-    validated(b.input_shape(64, 64).input_shape(128, 128).build())
+    b.input_shape(64, 64).input_shape(128, 128).build()
 }
 
 /// CDM-ImageNet: following the paper's evaluation we describe only the
@@ -97,7 +97,7 @@ pub fn cdm_imagenet() -> ModelSpec {
     hi.deps.push(cond);
     b.push_component(hi);
 
-    validated(b.input_shape(64, 64).input_shape(128, 128).build())
+    b.input_shape(64, 64).input_shape(128, 128).build()
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! ControlNet v1.0 structural description.
 
 use super::sd::{clip_text_encoder, unet_blocks, vae_encoder};
-use super::{layer_ms64, spread, validated};
+use super::{layer_ms64, spread};
 use crate::{ComponentBuilder, LayerKind, ModelSpec, ModelSpecBuilder, Role, SelfConditioning};
 
 const MB: u64 = 1 << 20;
@@ -67,11 +67,9 @@ pub fn controlnet_v1_0() -> ModelSpec {
         .build();
     b.push_component(branch);
 
-    validated(
-        b.self_conditioning(SelfConditioning::default())
-            .input_shape(512, 512)
-            .build(),
-    )
+    b.self_conditioning(SelfConditioning::default())
+        .input_shape(512, 512)
+        .build()
 }
 
 #[cfg(test)]

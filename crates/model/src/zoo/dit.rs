@@ -2,7 +2,7 @@
 //! paper's conclusion calls out).
 
 use super::sd::{clip_text_encoder, vae_encoder};
-use super::{spread, validated};
+use super::spread;
 use crate::{ComponentBuilder, LayerKind, ModelSpec, ModelSpecBuilder, Role};
 
 const KB: u64 = 1 << 10;
@@ -36,7 +36,7 @@ pub fn dit_xl_2() -> ModelSpec {
     bb.deps = vec![text, vae];
     b.push_component(bb);
 
-    validated(b.input_shape(256, 256).build())
+    b.input_shape(256, 256).build()
 }
 
 #[cfg(test)]

@@ -68,21 +68,6 @@ pub fn by_name(name: &str) -> Option<ModelSpec> {
 /// FLOPs that take one millisecond at the default device peak of 1e14 FLOP/s.
 pub(crate) const FLOPS_PER_MS: f64 = 1.0e11;
 
-/// Debug-asserts a zoo spec passes [`ModelSpec::validate`], so a structural
-/// mistake in a zoo constructor fails at test time (tests build with debug
-/// assertions) instead of surfacing later inside a caller's planning run.
-/// Release builds return the spec untouched. (Parameterised synthetic
-/// builders are exempt: their validity depends on caller arguments.)
-pub(crate) fn validated(spec: ModelSpec) -> ModelSpec {
-    debug_assert!(
-        spec.validate().is_ok(),
-        "zoo model `{}` failed validation: {:?}",
-        spec.name,
-        spec.validate().err()
-    );
-    spec
-}
-
 /// Builds a layer whose forward pass takes roughly `ms_at_64` milliseconds
 /// for a 64-sample batch on the default device (ignoring the fixed overhead,
 /// which is set separately).
@@ -115,20 +100,17 @@ pub(crate) fn spread(total: u64, n: usize) -> Vec<u64> {
 mod tests {
     use super::*;
 
+    /// Every zoo model passes [`ModelSpec::validate`], so a structural
+    /// mistake in a constructor fails here rather than inside a caller's
+    /// planning run. A model added to [`NAMES`] is checked without editing
+    /// this test.
     #[test]
     fn all_zoo_models_validate() {
-        // Constructors also run `validated()` under debug assertions; this
-        // checks the release-mode contract through the public API.
-        for m in [
-            stable_diffusion_v2_1(),
-            controlnet_v1_0(),
-            cdm_lsun(),
-            cdm_imagenet(),
-            dit_xl_2(),
-            sdxl_base(),
-            imagen_base(),
-            tiny_model(),
-        ] {
+        let models = NAMES
+            .iter()
+            .map(|name| by_name(name).unwrap_or_else(|| panic!("{name} must resolve")))
+            .chain([tiny_model()]);
+        for m in models {
             let result = m.validate();
             assert!(result.is_ok(), "{}: {:?}", m.name, result.err());
         }

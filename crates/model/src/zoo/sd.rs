@@ -1,6 +1,6 @@
 //! Stable Diffusion v2.1 structural description.
 
-use super::{layer_ms64, spread, validated};
+use super::{layer_ms64, spread};
 use crate::{ComponentBuilder, LayerKind, ModelSpec, ModelSpecBuilder, Role, SelfConditioning};
 
 const MB: u64 = 1 << 20;
@@ -143,11 +143,9 @@ pub fn stable_diffusion_v2_1() -> ModelSpec {
         .build();
     b.push_component(unet);
 
-    validated(
-        b.self_conditioning(SelfConditioning::default())
-            .input_shape(512, 512)
-            .build(),
-    )
+    b.self_conditioning(SelfConditioning::default())
+        .input_shape(512, 512)
+        .build()
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! the paper's introduction motivates).
 
 use super::sd::{unet_blocks, vae_encoder};
-use super::{layer_ms64, spread, validated};
+use super::{layer_ms64, spread};
 use crate::{ComponentBuilder, LayerKind, ModelSpec, ModelSpecBuilder, Role, SelfConditioning};
 
 const MB: u64 = 1 << 20;
@@ -58,11 +58,9 @@ pub fn sdxl_base() -> ModelSpec {
     unet.deps = vec![clip_l, big_g, vae];
     b.push_component(unet);
 
-    validated(
-        b.self_conditioning(SelfConditioning::default())
-            .input_shape(1024, 1024)
-            .build(),
-    )
+    b.self_conditioning(SelfConditioning::default())
+        .input_shape(1024, 1024)
+        .build()
 }
 
 /// Imagen-style base model: a 2 B-parameter 64×64 backbone conditioned on a
@@ -97,7 +95,7 @@ pub fn imagen_base() -> ModelSpec {
     backbone.deps = vec![t5];
     b.push_component(backbone);
 
-    validated(b.input_shape(64, 64).build())
+    b.input_shape(64, 64).build()
 }
 
 #[cfg(test)]

@@ -67,7 +67,7 @@ pub fn synthetic_model(
 /// The smallest interesting model: 4 backbone blocks, 3 frozen layers.
 /// Used across the workspace's unit tests.
 pub fn tiny_model() -> ModelSpec {
-    super::validated(synthetic_model(4, 10.0, &[4.0, 2.0, 1.0], false))
+    synthetic_model(4, 10.0, &[4.0, 2.0, 1.0], false)
 }
 
 #[cfg(test)]

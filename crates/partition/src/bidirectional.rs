@@ -1,21 +1,44 @@
 //! Bidirectional (two-backbone) partitioning DP (paper §4.2, Eqns. 10–16).
 //!
 //! Fast path: states live on a flat `(down_layers, up_layers)` grid per
-//! level, per-level stage terms for every layer interval of both backbones
-//! are tabulated up front from the shared [`CostPrefix`] tables, and the
+//! level, stage terms come from the shared [`CostPrefix`] tables, and the
 //! same branch-and-bound bound and lookahead as the single-backbone DP
 //! discard candidates that cannot win. Each remaining level runs one
 //! stage of each backbone, so the lookahead is the larger of the two
 //! backbones' remaining work over the remaining levels; down's remaining
 //! layers are `i2..`, up's are `0..L_up − j2` (its reversed mapping).
 //!
-//! After pruning almost every state is unreachable, so each level keeps
-//! its non-empty states in a list in state-index order — the `(i, j)`
-//! order of a nested walk over every predecessor — and a destination
-//! `(i2, j2)` visits only the listed states with `i < i2` and `j < j2`.
-//! Candidate order, front order and tie-breaking are those of the full
-//! walk. Bit-identical to
-//! [`Partitioner::partition_bidirectional_reference`].
+//! The DP computes only what the selected plan can depend on:
+//!
+//! * **Level tables hold the level's read set.** Level `s` of `S` moves
+//!   from a state with `i ≥ s − 1` (every earlier level placed at least one
+//!   layer) to one with `i2 ≤ L_down − (S − s)` (every later level still
+//!   gets one), so it reads down intervals `i..i2` with
+//!   `s − 1 ≤ i < i2 ≤ L_down − (S − s)`, and at the last level only those
+//!   with `i2 = L_down`; likewise for up. Two buffers, allocated once per
+//!   DP, are refilled with exactly those entries for each level. Every
+//!   other entry is stale from an earlier level, whose offsets may differ
+//!   in input link, sync shape and device class, and no read reaches it.
+//! * **The last level builds only the final state.** The backtrack reads
+//!   only `state(L_down, L_up)`, and the bound tightens only there, so
+//!   the other last-level states were never read. The final state's front
+//!   is built from the same candidates, in the same order, under the same
+//!   bound.
+//! * **Predecessors are walked by rows.** After pruning almost every state
+//!   is unreachable, so each level keeps its non-empty states in state
+//!   order, grouped into rows of equal `i`. A destination `(i2, j2)` walks
+//!   the rows with `i < i2`, and within a row the `j < j2`, stopping at the
+//!   first `j ≥ j2`. Candidates arrive in the `(i, j)` order of a nested
+//!   walk over every predecessor, so front order and tie-breaking are
+//!   those of the full walk.
+//! * **Rows that cannot pass are skipped whole.** Every pair of a row has
+//!   `t0 = max(T0_down, T0_up) ≥ T0_down` and `gap ≥ gap_down`. `max`, and
+//!   IEEE `×` and `+` by the positive `coeff`, are monotone, so when
+//!   `coeff·max(T0_down, R) + gap_down > bound` every pair of the row fails
+//!   the pair test too, under this bound or any tighter one. The test
+//!   keeps `>`: with `≥` a row holding a tied optimum would be dropped.
+//!
+//! Bit-identical to [`Partitioner::partition_bidirectional_reference`].
 
 use crate::config::PartitionConfig;
 use crate::dp::{layer_work, lookahead, suffix_sums, DpStats, FrontArena};
@@ -165,24 +188,32 @@ impl<'a> Partitioner<'a> {
         let costs_down: Vec<_> = prefixes_down.iter().map(|p| p.batch_view(batch)).collect();
         let costs_up: Vec<_> = prefixes_up.iter().map(|p| p.batch_view(batch)).collect();
 
-        // Per-level stage terms for every candidate interval of both
-        // backbones. `down_at(s)[i * (l_down + 1) + i2]` holds the terms of
-        // down-stage `i..i2` placed at level-`s` offsets; likewise for up
-        // with its reversed layer mapping. The level's offsets determine
-        // its device class (both pipelines share the same devices).
-        let level_terms = |s: usize| -> (Vec<StageTerms>, Vec<StageTerms>) {
+        // Per-level stage terms, refilled for each level into two buffers
+        // allocated once per DP. `dt[i * (l_down + 1) + i2]` holds the
+        // terms of down-stage `i..i2` placed at level-`s` offsets; likewise
+        // `ut` for up with its reversed layer mapping. The level's offsets
+        // determine its device class (both pipelines share the same
+        // devices). Level `s` fills exactly the intervals it can read (see
+        // the module docs); entries outside them are stale from an earlier
+        // level and never read.
+        let zero = StageTerms {
+            t0: 0.0,
+            sync_gap: 0.0,
+        };
+        let mut dt = vec![zero; (l_down + 1) * (l_down + 1)];
+        let mut ut = vec![zero; (l_up + 1) * (l_up + 1)];
+        let fill_level = |s: usize, dt: &mut [StageTerms], ut: &mut [StageTerms]| {
+            let left = s_total - s;
             let link = self.cost().input_link((s - 1) * r);
             let shape = self.cost().sync_shape((s - 1) * r..s * r);
             let class = self.cost().class_of_offsets((s - 1) * r..s * r);
-            let zero = StageTerms {
-                t0: 0.0,
-                sync_gap: 0.0,
-            };
-            let mut dt = vec![zero; (l_down + 1) * (l_down + 1)];
-            for i in 0..l_down {
-                for i2 in (i + 1)..=l_down {
+            let down_costs = &costs_down[class.min(costs_down.len() - 1)];
+            let up_costs = &costs_up[class.min(costs_up.len() - 1)];
+            for i in (s - 1)..(l_down - left) {
+                let i2_lo = if left == 0 { l_down } else { i + 1 };
+                for i2 in i2_lo..=(l_down - left) {
                     dt[i * (l_down + 1) + i2] = self.cost().stage_terms_prefixed(
-                        &costs_down[class.min(costs_down.len() - 1)],
+                        down_costs,
                         i..i2,
                         link,
                         sc_prob,
@@ -191,11 +222,11 @@ impl<'a> Partitioner<'a> {
                     );
                 }
             }
-            let mut ut = vec![zero; (l_up + 1) * (l_up + 1)];
-            for j in 0..l_up {
-                for j2 in (j + 1)..=l_up {
+            for j in (s - 1)..(l_up - left) {
+                let j2_lo = if left == 0 { l_up } else { j + 1 };
+                for j2 in j2_lo..=(l_up - left) {
                     ut[j * (l_up + 1) + j2] = self.cost().stage_terms_prefixed(
-                        &costs_up[class.min(costs_up.len() - 1)],
+                        up_costs,
                         (l_up - j2)..(l_up - j),
                         link,
                         sc_prob,
@@ -204,7 +235,6 @@ impl<'a> Partitioner<'a> {
                     );
                 }
             }
-            (dt, ut)
         };
 
         // Branch-and-bound seed from the even split of both backbones,
@@ -257,18 +287,28 @@ impl<'a> Partitioner<'a> {
         seed.insert(seg, 0.0, 0.0, 0, 0);
         seed.end_state(state(0, 0), seg);
         levels.push(seed);
-        // The previous level's non-empty states, in state-index order:
-        // the (i, j) order of a nested walk over every predecessor.
-        let mut live: Vec<usize> = vec![state(0, 0)];
+        // The previous level's non-empty states in state-index order, as
+        // rows of equal `i`: row `(i, start, end)` holds the states
+        // `(i, j)` for `j` in `cols[start..end]`, ascending. Walking the
+        // rows in order visits states in the (i, j) order of a nested walk
+        // over every predecessor.
+        let mut rows: Vec<(usize, usize, usize)> = vec![(0, 0, 1)];
+        let mut cols: Vec<usize> = vec![0];
+        let (mut cur_rows, mut cur_cols) = (Vec::new(), Vec::new());
 
         for s in 1..=s_total {
             let left = s_total - s;
-            let (dt, ut) = level_terms(s);
+            // The backtrack reads only the final state, and the bound
+            // tightens only there, so the last level builds nothing else.
+            let last = left == 0;
+            fill_level(s, &mut dt, &mut ut);
             let mut cur = FrontArena::new(num_states);
-            let mut cur_live = Vec::new();
+            cur_rows.clear();
+            cur_cols.clear();
             let prev = &levels[s - 1];
-            for i2 in s..=(l_down - left) {
-                for j2 in s..=(l_up - left) {
+            let (i2_lo, j2_lo) = if last { (l_down, l_up) } else { (s, s) };
+            for i2 in i2_lo..=(l_down - left) {
+                for j2 in j2_lo..=(l_up - left) {
                     // Every remaining level runs one stage of each
                     // backbone, so either backbone's remaining work bounds
                     // the final W; skip the destination when that loses.
@@ -278,45 +318,58 @@ impl<'a> Partitioner<'a> {
                     }
                     let dest = state(i2, j2);
                     let seg = cur.begin_state();
-                    for &from in &live {
-                        let (i, j) = (from / (l_up + 1), from % (l_up + 1));
+                    for &(i, start, end) in &rows {
                         if i >= i2 {
                             break;
                         }
-                        if j >= j2 {
-                            continue;
-                        }
                         let d_terms = dt[i * (l_down + 1) + i2];
-                        let u_terms = ut[j * (l_up + 1) + j2];
-                        let t0 = d_terms.t0.max(u_terms.t0);
-                        let gap = d_terms.sync_gap.max(u_terms.sync_gap);
-                        // Each point of this front costs at least this.
-                        if coeff * t0.max(ahead) + gap > bound {
+                        // Every pair in this row has `t0 ≥ d_terms.t0` and
+                        // `gap ≥ d_terms.sync_gap`, so each costs at least
+                        // this: the pair test below would skip them all.
+                        if coeff * d_terms.t0.max(ahead) + d_terms.sync_gap > bound {
                             continue;
                         }
-                        for (pi, p) in prev.front(from).iter().enumerate() {
-                            stats.candidates += 1;
-                            let nw = p.w.max(t0);
-                            let ny = p.y.max(gap);
-                            if coeff * nw.max(ahead) + ny > bound {
-                                stats.pruned += 1;
+                        for &j in &cols[start..end] {
+                            if j >= j2 {
+                                break;
+                            }
+                            let u_terms = ut[j * (l_up + 1) + j2];
+                            let t0 = d_terms.t0.max(u_terms.t0);
+                            let gap = d_terms.sync_gap.max(u_terms.sync_gap);
+                            // Each point of this front costs at least this.
+                            if coeff * t0.max(ahead) + gap > bound {
                                 continue;
                             }
-                            let cost = coeff * nw + ny;
-                            if dest == final_state && s == s_total {
-                                bound = bound.min(cost);
+                            let from = state(i, j);
+                            for (pi, p) in prev.front(from).iter().enumerate() {
+                                stats.candidates += 1;
+                                let nw = p.w.max(t0);
+                                let ny = p.y.max(gap);
+                                if coeff * nw.max(ahead) + ny > bound {
+                                    stats.pruned += 1;
+                                    continue;
+                                }
+                                let cost = coeff * nw + ny;
+                                if last {
+                                    bound = bound.min(cost);
+                                }
+                                cur.insert(seg, nw, ny, from as u32, pi as u32);
                             }
-                            cur.insert(seg, nw, ny, from as u32, pi as u32);
                         }
                     }
                     cur.end_state(dest, seg);
                     if !cur.front(dest).is_empty() {
-                        cur_live.push(dest);
+                        match cur_rows.last_mut() {
+                            Some((row_i, _, end)) if *row_i == i2 => *end += 1,
+                            _ => cur_rows.push((i2, cur_cols.len(), cur_cols.len() + 1)),
+                        }
+                        cur_cols.push(j2);
                     }
                 }
             }
             levels.push(cur);
-            live = cur_live;
+            std::mem::swap(&mut rows, &mut cur_rows);
+            std::mem::swap(&mut cols, &mut cur_cols);
         }
 
         let best_idx =

@@ -20,7 +20,7 @@
 //!
 //! # Fast-path layout (parent-pointer DP)
 //!
-//! The production DPs are engineered around three ideas; the naive
+//! The production DPs are engineered around these ideas; the naive
 //! originals are preserved verbatim as
 //! [`Partitioner::partition_single_reference`] /
 //! [`Partitioner::partition_bidirectional_reference`] and the equivalence
@@ -63,8 +63,32 @@
 //!   any next stage `x`), so a pruned point's descendants would be pruned
 //!   as well. `R` sums work in a different order from the stage terms, so
 //!   it carries a `1 − 1e-9` margin: without it a perfectly balanced
-//!   optimum could be pruned by one ulp. The bidirectional DP also walks
-//!   only each level's non-empty states, in the full walk's order.
+//!   optimum could be pruned by one ulp.
+//! * **No unread work.** Both DPs build only what the backtrack or the
+//!   bound can read, keeping every floating-point expression and the
+//!   candidate order, so plans stay bit-identical:
+//!   - *The last level builds only the final state* (`(L, D)`, or
+//!     `(L_down, L_up)`): the backtrack reads nothing else and the bound
+//!     tightens only there, so its front comes from the same candidates,
+//!     in the same order, under the same bound. Only [`DpStats`] changes.
+//!   - *Bidirectional level tables hold the level's read set.* Level `s`
+//!     of `S` reads down intervals `i..i2` with
+//!     `s − 1 ≤ i < i2 ≤ L_down − (S − s)` (only `i2 = L_down` at the last
+//!     level), and likewise for up. Two buffers allocated once per DP are
+//!     refilled with exactly those entries; the rest are stale from an
+//!     earlier level, whose link, sync shape and class may differ, and are
+//!     never read.
+//!   - *Bidirectional predecessors are walked by rows.* Each level keeps
+//!     its non-empty states in state order, as rows of equal `i`; a
+//!     destination `(i2, j2)` walks the rows with `i < i2` and, within
+//!     one, the `j < j2`, so candidates arrive in the full walk's `(i, j)`
+//!     order.
+//!   - *A bidirectional row is skipped whole* when
+//!     `coeff·max(T0_down, R) + gap_down > bound`. Each pair's `t0` and
+//!     `gap` are at least the down stage's, and `max`, IEEE `×` and `+` by
+//!     the positive `coeff` are monotone, so every pair of that row would
+//!     fail its own test. The test keeps `>`: `≥` would drop a tied
+//!     optimum.
 //!
 //! # Example
 //!

@@ -18,9 +18,11 @@
 //! class-minimum work. A candidate is pruned when
 //! `coeff·max(W, R) + Y > bound`; a destination when `coeff·R > bound`;
 //! a whole predecessor front when `coeff·max(T0, R) + gap > bound`. The
-//! non-uniform path keeps the plain bound. The output is bit-identical to
-//! the naive reference implementation in [`crate::reference`]; see the
-//! crate docs for the layout and the equivalence argument.
+//! non-uniform path keeps the plain bound. The last level builds only the
+//! final state `(L, D)`, the one state the backtrack and the bound read.
+//! The output is bit-identical to the naive reference implementation in
+//! [`crate::reference`]; see the crate docs for the layout and the
+//! equivalence argument.
 
 use crate::config::PartitionConfig;
 use crate::dp::{layer_work, lookahead, suffix_sums, DpStats, FrontArena};
@@ -287,13 +289,18 @@ impl<'a> Partitioner<'a> {
         let final_state = state(num_layers, num_devices);
         for s in 1..=s_total {
             let stages_left = s_total - s;
+            // The backtrack reads only the final state, and the bound
+            // tightens only there, so the last level builds nothing else
+            // (its device count is already `num_devices`).
+            let last = stages_left == 0;
+            let l2_lo = if last { num_layers } else { s };
             let mut cur = FrontArena::new(num_states);
             let prev = &levels[s - 1];
             #[expect(
                 clippy::needless_range_loop,
                 reason = "`l2` is a state coordinate, not a mere cursor into `rem`"
             )]
-            for l2 in s..=(num_layers - stages_left) {
+            for l2 in l2_lo..=(num_layers - stages_left) {
                 // Destination device counts: forced to s * r when uniform,
                 // otherwise anything leaving >= 1 device per later stage
                 // (and exactly `num_devices` for the last stage).
@@ -357,7 +364,7 @@ impl<'a> Partitioner<'a> {
                                     continue;
                                 }
                                 let cost = coeff * nw + ny;
-                                if dest == final_state && s == s_total {
+                                if last {
                                     bound = bound.min(cost);
                                 }
                                 cur.insert(seg, nw, ny, state(l, d) as u32, pi as u32);

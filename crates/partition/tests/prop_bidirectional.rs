@@ -1,9 +1,9 @@
 //! Property tests for the bidirectional (two-backbone) DP.
 
-use dpipe_cluster::{ClusterSpec, DataParallelLayout};
-use dpipe_model::{zoo, ComponentId, ModelSpec};
-use dpipe_partition::{PartitionConfig, Partitioner};
-use dpipe_profile::{DeviceModel, ProfileDb, Profiler};
+use dpipe_cluster::{ClusterSpec, DataParallelLayout, DeviceClass};
+use dpipe_model::{zoo, ComponentId, ModelSpec, SelfConditioning};
+use dpipe_partition::{DpStats, PartitionConfig, Partitioner};
+use dpipe_profile::{CostPrefix, DeviceModel, ProfileDb, Profiler};
 use proptest::prelude::*;
 
 /// Two synthetic backbones with the given per-layer weight profiles.
@@ -32,6 +32,33 @@ fn two_backbone_model(down: &[f64], up: &[f64]) -> ModelSpec {
 
 fn db_for(model: &ModelSpec) -> ProfileDb {
     Profiler::new(DeviceModel::a100_like()).profile(model, 32).0
+}
+
+/// The oracle's three cluster families, each `machines` × `per_node` GPUs:
+/// one node of that many GPUs; p4de machines joined by inter-node links,
+/// so levels differ in input link and in the machines their sync spans;
+/// or a fleet alternating A100 and H100 machines, so levels also differ in
+/// device class.
+fn cluster(kind: usize, machines: usize, per_node: usize, h100_first: bool) -> ClusterSpec {
+    let cluster = match kind {
+        0 => return ClusterSpec::single_node(machines * per_node),
+        1 => ClusterSpec::p4de(machines),
+        _ => ClusterSpec::p4de(machines).with_machine_classes(
+            (0..machines)
+                .map(|m| {
+                    if (m % 2 == 0) == h100_first {
+                        DeviceClass::h100()
+                    } else {
+                        DeviceClass::a100()
+                    }
+                })
+                .collect(),
+        ),
+    };
+    ClusterSpec {
+        devices_per_machine: per_node,
+        ..cluster
+    }
 }
 
 proptest! {
@@ -102,5 +129,56 @@ proptest! {
             .unwrap()
             .t_max;
         prop_assert!((ta - tb).abs() < 0.05 * ta.max(tb), "{ta} vs {tb}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The pruned, row-walking DP with per-level interval tables selects
+    /// exactly the plan the naive reference selects, for every stage count
+    /// that divides the group. Multi-machine and mixed fleets give each
+    /// level its own link, sync shape and class, so a table entry left over
+    /// from an earlier level would change the result.
+    #[test]
+    fn fast_dp_matches_reference_on_every_cluster_family(
+        down in proptest::collection::vec(0.3f64..3.0, 4..13),
+        up in proptest::collection::vec(0.3f64..3.0, 4..13),
+        self_cond in any::<bool>(),
+        shape in (0usize..3, 2usize..4, 1usize..5, any::<bool>()),
+        micro_batches in 1usize..7,
+        batch in 8u32..64,
+    ) {
+        let (kind, machines, per_node, h100_first) = shape;
+        let mut model = two_backbone_model(&down, &up);
+        if self_cond {
+            model.self_conditioning = Some(SelfConditioning::default());
+        }
+        let cluster = cluster(kind, machines, per_node, h100_first);
+        let scales = cluster.class_map().compute_scales();
+        let (dbs, _) = Profiler::new(DeviceModel::a100_like()).profile_classes(&model, batch, &scales);
+        let group = cluster.world_size();
+        let layout = DataParallelLayout::new(&cluster, group).unwrap();
+        let p = Partitioner::new(&dbs[0], &cluster, &layout).with_class_dbs(&dbs);
+        let (b0, b1) = (ComponentId(0), ComponentId(1));
+        for stages in (1..=group.min(down.len()).min(up.len())).filter(|&s| group.is_multiple_of(s)) {
+            let cfg = PartitionConfig::new(stages, micro_batches, f64::from(batch));
+            let local = cfg.micro_batch() / (group / stages) as f64;
+            let prefixes = |comp: ComponentId| -> Vec<CostPrefix> {
+                (0..p.cost().num_classes())
+                    .map(|class| {
+                        let db = p.cost().db_for(class);
+                        let mut prefix = CostPrefix::new(db, comp);
+                        prefix.ensure_batch(db, local);
+                        prefix
+                    })
+                    .collect()
+            };
+            let mut stats = DpStats::default();
+            let fast = p.partition_bidirectional_with(b0, b1, &cfg, &prefixes(b0), &prefixes(b1), &mut stats);
+            let reference = p.partition_bidirectional_reference(b0, b1, &cfg);
+            prop_assert_eq!(fast, reference, "kind={} {}x{} S={}", kind, machines, per_node, stages);
+            prop_assert!(stats.pruned <= stats.candidates);
+        }
     }
 }
