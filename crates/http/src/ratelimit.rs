@@ -28,7 +28,7 @@ pub struct RateLimiter {
     state: Mutex<HashMap<IpAddr, Bucket>>,
 }
 
-/// Lock-order witness tag for [`RateLimiter::state`] (static key form).
+/// Names [`RateLimiter::state`] in the lock witness's panic.
 const LIMITER_STATE_TAG: &str = "http::RateLimiter::state";
 
 impl RateLimiter {

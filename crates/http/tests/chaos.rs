@@ -174,18 +174,13 @@ fn simulate_failpoint_panic_is_a_contained_500_and_spares_the_cache() {
     );
 }
 
-/// Lock-order witness under fire: concurrent plan/simulate/metrics
-/// load plus a server torn down mid-flight, with every production lock
+/// Lock witness under fire: concurrent plan/simulate/metrics load plus
+/// a server torn down mid-flight, with every production lock
 /// acquisition registered with [`dpipe_sync::witness`] (debug builds).
-/// Two invariants:
-///
-/// - zero lock-order inversions observed across the whole suite (the
-///   witness panics at the proving acquisition, so a violation also
-///   fails whichever request tripped it);
-/// - the observed graph is a subgraph of the one `dpipe_analyze`
-///   derives statically — every runtime lock and ordering was already
-///   known to the `lock-order` pass. An observed node or edge missing
-///   from the static graph means the static analysis has a blind spot.
+/// No thread may take a tagged lock while holding one. The witness
+/// panics at the nested acquisition, and the server answers that
+/// panic with a 500, so the count it keeps is asserted here as well:
+/// zero across the whole suite.
 #[test]
 fn concurrent_load_and_shutdown_observe_no_lock_inversions() {
     // Phase 1: strict concurrent load, every response checked.
@@ -241,30 +236,10 @@ fn concurrent_load_and_shutdown_observe_no_lock_inversions() {
     assert_eq!(
         dpipe_sync::witness::inversions(),
         0,
-        "lock-order inversions observed:\n{}",
-        dpipe_sync::witness::dump_dot()
+        "nested tagged acquisitions observed"
     );
-    let ws_root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let static_graph = dpipe_analyze::lock_graph(&ws_root).expect("static lock graph");
-    for node in dpipe_sync::witness::observed_nodes() {
-        assert!(
-            static_graph.nodes.iter().any(|n| n == node),
-            "observed lock `{node}` is unknown to the static lock-order pass"
-        );
-    }
-    for (from, to) in dpipe_sync::witness::observed_edges() {
-        assert!(
-            static_graph
-                .edges
-                .iter()
-                .any(|e| e.from == from && e.to == to),
-            "observed order `{from}` -> `{to}` is missing from the static graph:\n{}",
-            static_graph.to_text()
-        );
-    }
     // In debug builds the witness is armed and must have actually seen
-    // the serving stack's locks — the subgraph check above is vacuous
-    // otherwise.
+    // the serving stack's locks — the check above is vacuous otherwise.
     if cfg!(debug_assertions) {
         let nodes = dpipe_sync::witness::observed_nodes();
         for expected in ["sync::Bounded::state", "serve::Shard::map"] {

@@ -41,9 +41,7 @@ enum Slot<V> {
     Ready(V, u64),
 }
 
-/// Lock-order witness tag for [`Shard::map`]; must match the static
-/// pass's `crate::Type::field` key so observed orders check against
-/// the derived graph.
+/// Names [`Shard::map`] in the lock witness's panic.
 const SHARD_MAP_TAG: &str = "serve::Shard::map";
 
 struct Shard<V> {
@@ -179,8 +177,9 @@ impl<V: Clone> ShardedCache<V> {
     /// The boolean is `true` for a cache hit — including callers that
     /// arrived while another thread was computing the same key and merely
     /// waited for it (they did no planning work themselves). If `compute`
-    /// panics, the in-flight marker is removed and waiters are woken so a
-    /// later caller can retry; the panic propagates to the computing caller.
+    /// (or `retain`, below) panics, the in-flight marker is removed and
+    /// waiters are woken so a later caller can retry; the panic propagates
+    /// to the computing caller.
     pub fn get_or_compute(&self, key: u64, compute: impl FnOnce() -> V) -> (V, bool) {
         self.get_or_compute_with(key, compute, |_| true)
     }
@@ -246,9 +245,10 @@ impl<V: Clone> ShardedCache<V> {
         }
         impl<V> Drop for Unpublish<'_, V> {
             fn drop(&mut self) {
-                // Only reached on unwind out of `compute`: clear the marker
-                // (recovering the lock even mid-panic — the in-flight slot
-                // must go away) and wake waiters so they can retry.
+                // Only reached on unwind out of `compute`, `retain` or the
+                // publish step: clear the marker (recovering the lock even
+                // mid-panic — the in-flight slot must go away) and wake
+                // waiters so they can retry.
                 self.shard
                     .map
                     .lock_recover_tagged(SHARD_MAP_TAG)
@@ -257,9 +257,10 @@ impl<V: Clone> ShardedCache<V> {
             }
         }
 
-        let guard = Unpublish { shard, key };
+        // Declared before the map guard below, so on unwind it drops
+        // after that guard and its own lock never nests.
+        let unpublish = Unpublish { shard, key };
         let value = compute();
-        std::mem::forget(guard);
 
         let mut map = shard.map.lock_recover_tagged(SHARD_MAP_TAG);
         let mut evicted = 0u64;
@@ -271,6 +272,7 @@ impl<V: Clone> ShardedCache<V> {
             self.uncached.fetch_add(1, Ordering::Relaxed);
         }
         drop(map);
+        std::mem::forget(unpublish);
         shard.ready.notify_all();
         self.misses.fetch_add(1, Ordering::Relaxed);
         (
@@ -417,6 +419,24 @@ mod tests {
         assert!(panicker.join().is_err());
         // The key is retryable and the cache is not wedged.
         assert_eq!(cache.get_or_compute(5, || 11), (11, false));
+    }
+
+    #[test]
+    fn a_panicking_retain_leaves_the_key_recomputable() {
+        let cache: Arc<ShardedCache<u64>> = Arc::new(ShardedCache::new(1));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_compute_with(5, || 1, |_| panic!("retain"))
+        }));
+        assert!(caught.is_err());
+        // A stranded in-flight slot would block this lookup for ever, so
+        // it runs on its own thread under a deadline.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let c = Arc::clone(&cache);
+        std::thread::spawn(move || tx.send(c.get_or_compute(5, || 2)));
+        assert_eq!(
+            rx.recv_timeout(std::time::Duration::from_secs(5)),
+            Ok((2, false))
+        );
     }
 
     #[test]

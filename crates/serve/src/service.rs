@@ -123,6 +123,97 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
+/// Answers one job. A panic anywhere in it becomes an uncached
+/// [`PlanError::Internal`] answer: a dead worker would shrink the pool,
+/// and once the last one died, queued jobs (and their callers) would
+/// wait for ever.
+fn answer(cache: &ShardedCache<PlanOutcome>, job: &Job) -> PlanResponse {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| resolve(cache, job))).unwrap_or_else(
+        |payload| PlanResponse {
+            index: job.index,
+            fingerprint: job.request.fingerprint(),
+            label: job.request.label(),
+            outcome: Err(PlanError::Internal(format!(
+                "planning worker panicked: {}",
+                panic_message(payload.as_ref())
+            ))),
+            cache_hit: false,
+        },
+    )
+}
+
+/// Resolves one job through the cache, planning it on a miss.
+fn resolve(cache: &ShardedCache<PlanOutcome>, job: &Job) -> PlanResponse {
+    let fingerprint = job.request.fingerprint();
+    let label = job.request.label();
+    let trace = &job.trace;
+    let mut service_span = match trace {
+        Some(t) => t.tracer.child_span("plan_service", t.parent),
+        None => Span::none(),
+    };
+    let service_span_id = service_span.id();
+    let lookup_started = Instant::now();
+    let (outcome, resolution) = cache.get_or_compute_observed(
+        fingerprint,
+        || {
+            let mut execute_span = match trace {
+                Some(t) => t.tracer.child_span("plan_execute", service_span_id),
+                None => Span::none(),
+            };
+            let execute_id = execute_span.id();
+            let tracer = trace.as_ref().map(|t| t.tracer.clone()).unwrap_or_default();
+            // Contained here as well as in `answer`: a planner panic
+            // becomes an outcome that `retain` declines to cache and
+            // that the cache counts as a miss.
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                job.request
+                    .plan_traced(job.parallelism, &tracer, execute_id)
+                    .map(Arc::new)
+            }))
+            .unwrap_or_else(|payload| {
+                Err(PlanError::Internal(format!(
+                    "planner panicked: {}",
+                    panic_message(payload.as_ref())
+                )))
+            });
+            execute_span.set("ok", outcome.is_ok());
+            outcome
+        },
+        // Plans and deterministic verdicts are worth keeping; a contained
+        // panic is transient and must not poison its fingerprint forever.
+        |outcome| {
+            outcome
+                .as_ref()
+                .map_or_else(PlanError::is_deterministic, |_| true)
+        },
+    );
+    let cache_hit = resolution.hit;
+    if let Some(t) = trace {
+        // The single-flight wait happened inside the lookup; synthesize
+        // its span after the fact.
+        if let Some(waited) = resolution.waited {
+            t.tracer.record_between(
+                "single_flight_wait",
+                service_span_id,
+                lookup_started,
+                lookup_started + waited,
+            );
+        }
+        service_span.set("cache", if cache_hit { "hit" } else { "miss" });
+        service_span.set("evictions", resolution.evictions);
+        service_span.set("fingerprint", format!("{fingerprint:016x}"));
+        service_span.set("label", label.as_str());
+    }
+    service_span.finish();
+    PlanResponse {
+        index: job.index,
+        fingerprint,
+        label,
+        outcome,
+        cache_hit,
+    }
+}
+
 /// A worker pool + sharded plan cache serving [`PlanRequest`]s.
 ///
 /// Dropping the service closes the queue and joins every worker once the
@@ -153,90 +244,14 @@ impl PlanService {
                     .name(format!("dpipe-serve-{i}"))
                     .spawn(move || {
                         while let Some(job) = queue.pop() {
-                            let fingerprint = job.request.fingerprint();
-                            let label = job.request.label();
-                            let request = job.request;
-                            // Contain any unexpected planner panic: a dead
-                            // worker would silently shrink the pool and
-                            // strand the caller waiting on the reply.
-                            let parallelism = job.parallelism;
-                            let trace = job.trace;
-                            let mut service_span = match &trace {
-                                Some(t) => t.tracer.child_span("plan_service", t.parent),
-                                None => Span::none(),
-                            };
-                            let service_span_id = service_span.id();
-                            let lookup_started = Instant::now();
-                            let (outcome, resolution) = cache.get_or_compute_observed(
-                                fingerprint,
-                                || {
-                                    let mut execute_span = match &trace {
-                                        Some(t) => {
-                                            t.tracer.child_span("plan_execute", service_span_id)
-                                        }
-                                        None => Span::none(),
-                                    };
-                                    let execute_id = execute_span.id();
-                                    let tracer = trace
-                                        .as_ref()
-                                        .map(|t| t.tracer.clone())
-                                        .unwrap_or_default();
-                                    let outcome = std::panic::catch_unwind(
-                                        std::panic::AssertUnwindSafe(|| {
-                                            request
-                                                .plan_traced(parallelism, &tracer, execute_id)
-                                                .map(Arc::new)
-                                        }),
-                                    )
-                                    .unwrap_or_else(|payload| {
-                                        Err(PlanError::Internal(format!(
-                                            "planner panicked: {}",
-                                            panic_message(&payload)
-                                        )))
-                                    });
-                                    execute_span.set("ok", outcome.is_ok());
-                                    outcome
-                                },
-                                // Plans and deterministic verdicts are worth
-                                // keeping; a contained panic is transient and
-                                // must not poison its fingerprint forever.
-                                |outcome| {
-                                    outcome
-                                        .as_ref()
-                                        .map_or_else(PlanError::is_deterministic, |_| true)
-                                },
-                            );
-                            let cache_hit = resolution.hit;
-                            if let Some(t) = &trace {
-                                // The single-flight wait happened inside the
-                                // lookup; synthesize its span after the fact.
-                                if let Some(waited) = resolution.waited {
-                                    t.tracer.record_between(
-                                        "single_flight_wait",
-                                        service_span_id,
-                                        lookup_started,
-                                        lookup_started + waited,
-                                    );
-                                }
-                                service_span.set("cache", if cache_hit { "hit" } else { "miss" });
-                                service_span.set("evictions", resolution.evictions);
-                                service_span.set("fingerprint", format!("{fingerprint:016x}"));
-                                service_span.set("label", label.as_str());
-                            }
-                            service_span.finish();
+                            let response = answer(&cache, &job);
                             // Decrement *before* replying: a caller that sees
                             // its answer must never still see itself counted
                             // in the backlog gauge.
                             pending.fetch_sub(1, Ordering::Relaxed);
                             // A dropped reply receiver just means the caller
                             // stopped listening; the plan is cached either way.
-                            let _ = job.reply.send(PlanResponse {
-                                index: job.index,
-                                fingerprint,
-                                label,
-                                outcome,
-                                cache_hit,
-                            });
+                            let _ = job.reply.send(response);
                         }
                     })
             })
@@ -296,9 +311,9 @@ impl PlanService {
     /// Plans a batch of requests across the pool, blocking until all are
     /// done. Each plan searches on one thread: parallelism across requests
     /// beats parallelism within one. Responses come back in submission
-    /// order. Requests the service could not finish (a lost worker, a
-    /// closed queue) come back with a [`PlanError::Internal`] outcome
-    /// instead of panicking the caller.
+    /// order. A request that panics anywhere in its job, or that a
+    /// closed queue refused, comes back with a [`PlanError::Internal`]
+    /// outcome instead of panicking the caller.
     pub fn plan_batch(&self, requests: Vec<PlanRequest>) -> Vec<PlanResponse> {
         self.plan_batch_inner(requests, 1, None)
     }
@@ -316,17 +331,17 @@ impl PlanService {
             self.submit(index, request, parallelism, trace.clone(), tx.clone());
         }
         drop(tx);
-        // The reply channel closes once every submitted job is answered (or
-        // every worker died); both end this loop without a panic.
+        // The reply channel closes once every submitted job is answered or
+        // dropped unanswered; both end this loop without a panic.
         while responses.len() < n {
             match rx.recv() {
                 Ok(response) => responses.push(response),
                 Err(_) => break,
             }
         }
-        // Any index still missing was consumed by a worker that died
-        // mid-plan, or refused by a closed queue: answer it as an internal
-        // error rather than hanging or panicking the caller.
+        // Any index still missing was refused by a closed queue (workers
+        // answer even a job that panics): answer it as an internal error
+        // rather than hanging or panicking the caller.
         let mut seen = vec![false; n];
         for r in &responses {
             if r.index < n {
@@ -340,7 +355,7 @@ impl PlanService {
                     fingerprint: 0,
                     label: String::new(),
                     outcome: Err(PlanError::Internal(
-                        "a planning worker died before answering".to_owned(),
+                        "the planning service dropped the request".to_owned(),
                     )),
                     cache_hit: false,
                 });
@@ -579,6 +594,39 @@ mod tests {
         // Untraced submissions record nothing.
         let _ = service.plan_one(request(96));
         assert!(tracer.take().is_empty());
+    }
+
+    #[test]
+    fn a_panic_anywhere_in_a_job_is_answered() {
+        use dpipe_sync::LockRecoverTagged;
+        let cache = ShardedCache::new(1);
+        let (reply, _rx) = mpsc::channel();
+        let job = Job {
+            index: 3,
+            request: request(64),
+            parallelism: 1,
+            trace: None,
+            reply,
+        };
+        // With a tagged lock held, the cache's own acquisition nests,
+        // which the witness refuses in debug builds: a panic outside the
+        // planner's own containment.
+        let held = std::sync::Mutex::new(());
+        let _guard = held.lock_recover_tagged("servetest::Held::lock");
+        let response = answer(&cache, &job);
+        assert_eq!(response.index, 3);
+        assert_eq!(response.fingerprint, job.request.fingerprint());
+        if cfg!(debug_assertions) {
+            assert!(
+                matches!(&response.outcome, Err(PlanError::Internal(m))
+                    if m.starts_with("planning worker panicked: lock witness: acquiring `serve::Shard::map`")),
+                "{:?}",
+                response.outcome.as_ref().err()
+            );
+            assert!(!response.cache_hit);
+        } else {
+            assert!(response.outcome.is_ok());
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ struct State<T> {
     closed: bool,
 }
 
-/// Lock-order witness tag for [`Bounded::state`] (static key form).
+/// Names [`Bounded::state`] in the lock witness's panic.
 const BOUNDED_STATE_TAG: &str = "sync::Bounded::state";
 
 /// A bounded blocking-pop / non-blocking-push queue.
@@ -78,19 +78,6 @@ impl<T> Bounded<T> {
         }
     }
 
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.state
-            .lock_recover_tagged(BOUNDED_STATE_TAG)
-            .items
-            .len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Closes the queue: future pushes fail, poppers drain then get `None`.
     pub fn close(&self) {
         self.state.lock_recover_tagged(BOUNDED_STATE_TAG).closed = true;
@@ -113,7 +100,10 @@ mod tests {
         assert!(q.try_push(3).is_ok());
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), Some(3));
-        assert!(q.is_empty());
+        // Drained: both slots are free again, in order.
+        assert!(q.try_push(4).is_ok());
+        assert!(q.try_push(5).is_ok());
+        assert_eq!(q.pop(), Some(4));
     }
 
     #[test]

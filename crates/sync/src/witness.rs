@@ -1,27 +1,29 @@
-//! Runtime lock-order witness (armed under `debug_assertions` only).
+//! Runtime lock witness (armed under `debug_assertions` only).
 //!
-//! The static `lock-order` pass in `dpipe_analyze` derives the graph of
-//! lock orders the code *can* exhibit; this module records the orders
-//! the process *does* exhibit. Each tagged acquisition
-//! ([`crate::LockRecoverTagged`]) pushes its tag onto a thread-local
-//! stack of held locks and records one `held → acquired` edge per lock
-//! already held. Two invariants are enforced on the spot:
+//! Each tagged acquisition ([`crate::LockRecoverTagged`]) records its tag
+//! as the lock its thread holds. One rule is enforced on the spot: **a
+//! thread holds at most one tagged lock.** Acquiring a tagged lock while
+//! already holding one panics at the acquisition, naming both tags:
 //!
-//! - **No inversion:** if `B → A` was ever observed, acquiring `B`
-//!   while holding `A` panics — two threads interleaving those orders
-//!   is a deadlock waiting for load.
-//! - **No self-nesting:** re-acquiring a tag already held by this
-//!   thread panics — `std::sync::Mutex` is not reentrant.
+//! - re-acquiring the tag already held is a self-deadlock, because
+//!   `std::sync::Mutex` is not reentrant;
+//! - acquiring a different tag is a lock-order edge, and two threads
+//!   taking such edges in opposite orders deadlock under load. No
+//!   production path nests two tagged locks, so the first nesting fails
+//!   the debug test that runs it, before any inversion can form.
 //!
-//! Tags use the same `crate::Type::field` naming scheme as the static
-//! pass's lock keys, so tests can assert the observed graph is a
-//! subgraph of the statically derived one (see the http chaos suite).
-//! In release builds every hook compiles to nothing: the observed
-//! graph is empty and [`inversions`] is zero.
+//! `Bounded::try_push`, `Bounded::pop` and the tagged condvar wait each
+//! take a tagged lock, so calling them with a guard held panics too.
+//!
+//! The witness sees only the paths that debug tests run. The source gate
+//! in `tests/lint_gate.rs` covers the rest of the lock discipline: every
+//! lock is tagged, and a module that takes one makes no blocking call.
+//! In release builds every hook compiles to nothing: no node is recorded
+//! and [`inversions`] is zero.
 
 #[cfg(debug_assertions)]
 mod armed {
-    use std::cell::RefCell;
+    use std::cell::Cell;
     use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
@@ -29,56 +31,49 @@ mod armed {
     use crate::LockRecover;
 
     thread_local! {
-        /// Tags of locks this thread currently holds, with the token id
-        /// that releases each (guards drop in any order, not LIFO).
-        static HELD: RefCell<Vec<(u64, &'static str)>> = const { RefCell::new(Vec::new()) };
+        /// The tagged lock this thread holds, if any, with the id of the
+        /// token that releases it.
+        static HELD: Cell<Option<(u64, &'static str)>> = const { Cell::new(None) };
     }
 
     static NEXT_ID: AtomicU64 = AtomicU64::new(1);
     static INVERSIONS: AtomicU64 = AtomicU64::new(0);
-    /// Every `held → acquired` pair observed process-wide.
-    static EDGES: Mutex<BTreeSet<(&'static str, &'static str)>> = Mutex::new(BTreeSet::new());
-    /// Every tag ever acquired (nodes of the observed graph).
+    /// Every tag ever acquired.
     static NODES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
 
     pub fn acquire(tag: &'static str) -> u64 {
         let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
         NODES.lock_recover().insert(tag);
-        let held: Vec<&'static str> = HELD.with(|h| h.borrow().iter().map(|&(_, t)| t).collect());
-        for h in held {
-            if h == tag {
-                INVERSIONS.fetch_add(1, Ordering::Relaxed);
+        if let Some((_, held)) = HELD.get() {
+            INVERSIONS.fetch_add(1, Ordering::Relaxed);
+            if held == tag {
                 fail(
                     tag,
-                    h,
+                    held,
                     "same lock re-acquired while held (Mutex is not reentrant)",
                 );
             }
-            let mut edges = EDGES.lock_recover();
-            if edges.contains(&(tag, h)) {
-                drop(edges);
-                INVERSIONS.fetch_add(1, Ordering::Relaxed);
-                fail(tag, h, "opposite order was observed earlier");
-            }
-            edges.insert((h, tag));
+            fail(tag, held, "a thread may hold one tagged lock at a time");
         }
-        HELD.with(|h| h.borrow_mut().push((id, tag)));
+        HELD.set(Some((id, tag)));
         id
     }
 
     pub fn release(id: u64) {
-        HELD.with(|h| h.borrow_mut().retain(|&(i, _)| i != id));
+        if HELD.get().is_some_and(|(held, _)| held == id) {
+            HELD.set(None);
+        }
     }
 
-    /// A lock-order violation is a latent deadlock: fail the test run
+    /// A nested acquisition is a latent deadlock: fail the test run
     /// loudly at the exact acquisition that proves it.
     #[expect(
         clippy::panic,
-        reason = "the witness is a debug-only test oracle; an observed lock-order inversion is a latent deadlock and must abort the test run at the proving acquisition"
+        reason = "the witness is a debug-only test oracle; a nested tagged acquisition is a latent deadlock and must abort the test run at the proving acquisition"
     )]
     fn fail(acquiring: &'static str, held: &'static str, why: &str) -> ! {
         panic!(
-            "lock-order inversion: acquiring `{}` while holding `{}` ({})",
+            "lock witness: acquiring `{}` while holding `{}` ({})",
             acquiring, held, why
         );
     }
@@ -87,24 +82,14 @@ mod armed {
         INVERSIONS.load(Ordering::Relaxed)
     }
 
-    pub fn observed_edges() -> Vec<(&'static str, &'static str)> {
-        EDGES.lock_recover().iter().copied().collect()
-    }
-
     pub fn observed_nodes() -> Vec<&'static str> {
         NODES.lock_recover().iter().copied().collect()
-    }
-
-    pub fn reset() {
-        EDGES.lock_recover().clear();
-        NODES.lock_recover().clear();
-        INVERSIONS.store(0, Ordering::Relaxed);
     }
 }
 
 /// A held-lock registration. Created by tagged acquisitions; dropping
-/// it unregisters the lock from the thread's held stack. In release
-/// builds this is a zero-sized no-op carrying only the tag.
+/// it unregisters the lock from its thread. In release builds this is a
+/// no-op carrying only the tag.
 #[derive(Debug)]
 pub struct Token {
     pub(crate) tag: &'static str,
@@ -113,8 +98,8 @@ pub struct Token {
 }
 
 impl Token {
-    /// Record an acquisition of `tag`, panicking (debug builds) on an
-    /// observed order inversion or self-nesting.
+    /// Record an acquisition of `tag`, panicking (debug builds) when the
+    /// thread already holds a tagged lock.
     pub fn acquire(tag: &'static str) -> Token {
         Token {
             tag,
@@ -131,7 +116,9 @@ impl Drop for Token {
     }
 }
 
-/// Total order inversions observed so far (always 0 in release builds).
+/// Nested tagged acquisitions refused so far (always 0 in release
+/// builds). The count outlives the panic, so a caller that contains
+/// panics (the HTTP server answers 500) can still assert on it.
 pub fn inversions() -> u64 {
     #[cfg(debug_assertions)]
     {
@@ -140,18 +127,6 @@ pub fn inversions() -> u64 {
     #[cfg(not(debug_assertions))]
     {
         0
-    }
-}
-
-/// The observed lock-order edges, sorted (empty in release builds).
-pub fn observed_edges() -> Vec<(&'static str, &'static str)> {
-    #[cfg(debug_assertions)]
-    {
-        armed::observed_edges()
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        Vec::new()
     }
 }
 
@@ -165,29 +140,4 @@ pub fn observed_nodes() -> Vec<&'static str> {
     {
         Vec::new()
     }
-}
-
-/// The observed graph in the same deterministic Graphviz shape as
-/// `dpipe_analyze graph --dot`, for eyeballing against the static one.
-pub fn dump_dot() -> String {
-    let mut out = String::new();
-    out.push_str("digraph observed_lock_order {\n");
-    out.push_str("  rankdir=LR;\n");
-    out.push_str("  node [shape=box, fontname=\"monospace\"];\n");
-    for n in observed_nodes() {
-        out.push_str(&format!("  \"{}\";\n", n));
-    }
-    for (from, to) in observed_edges() {
-        out.push_str(&format!("  \"{}\" -> \"{}\";\n", from, to));
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Clear the observed graph and inversion counter. Test-harness
-/// helper: the globals are process-wide, so only call this from
-/// single-threaded setup code, never mid-workload.
-pub fn reset() {
-    #[cfg(debug_assertions)]
-    armed::reset();
 }

@@ -112,7 +112,7 @@ impl SpanRecord {
     }
 }
 
-/// Lock-order witness tag for [`Collector::finished`] (static key form).
+/// Names [`Collector::finished`] in the lock witness's panic.
 const COLLECTOR_FINISHED_TAG: &str = "trace::Collector::finished";
 
 struct Collector {

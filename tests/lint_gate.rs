@@ -1,10 +1,15 @@
 //! The panic, clock and map lints run in CI's two clippy steps, not in
-//! `cargo test`. This test keeps those gates from eroding unseen: it
-//! fails if the `cargo lint` alias loses a target filter or a denied
-//! lint, if CI stops running either clippy step, or if a crate's
+//! `cargo test`. `lint_gates_stay_wired` keeps those gates from eroding
+//! unseen: it fails if the `cargo lint` alias loses a target filter or a
+//! denied lint, if CI stops running either clippy step, or if a crate's
 //! `clippy.toml` loses a ban.
+//!
+//! `lock_modules_take_tagged_locks_and_never_block` is the lock gate. The
+//! debug-build witness in `dpipe_sync` panics when a thread takes a
+//! second tagged lock; this test keeps every lock visible to it, and
+//! keeps blocking calls out of the modules that take one.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 fn read(rel: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
@@ -103,4 +108,156 @@ fn lint_gates_stay_wired() {
             );
         }
     }
+}
+
+/// Calls that can block the current thread: socket and stream I/O,
+/// channel ends, condvar waits, joins, sleeps and parks, thread spawns
+/// and `Bounded::pop`. `wait_recover_tagged` is the one blocking call a
+/// lock module may make: it takes the guard and releases the lock while
+/// it waits.
+const BLOCKING: [&str; 27] = [
+    "accept",
+    "connect",
+    "flush",
+    "join",
+    "park",
+    "peek",
+    "peek_from",
+    "pop",
+    "read",
+    "read_exact",
+    "read_to_end",
+    "read_to_string",
+    "recv",
+    "recv_deadline",
+    "recv_from",
+    "recv_timeout",
+    "send",
+    "send_timeout",
+    "send_to",
+    "sleep",
+    "spawn",
+    "wait",
+    "wait_recover",
+    "wait_timeout",
+    "wait_while",
+    "write",
+    "write_all",
+];
+
+/// Lock acquisitions the witness cannot see.
+const UNTAGGED: [&str; 4] = [".lock()", ".lock_recover()", ".wait_recover(", "RwLock"];
+
+/// The files that implement the tagged primitives on plain locks.
+const PRIMITIVES: [&str; 2] = ["crates/sync/src/lib.rs", "crates/sync/src/witness.rs"];
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+    for entry in entries {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Violations of the lock rules in one source file. Only library code
+/// counts: the lines before the first `#[cfg(test)]`, with `//`
+/// comments cut off.
+fn lock_findings(rel: &str, source: &str) -> Vec<String> {
+    let code: Vec<(usize, &str)> = source
+        .lines()
+        .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
+        .map(|l| l.find("//").map_or(l, |i| &l[..i]))
+        .enumerate()
+        .map(|(i, l)| (i + 1, l))
+        .collect();
+    let mut findings = Vec::new();
+    for (line, text) in &code {
+        for pattern in UNTAGGED {
+            if text.contains(pattern) {
+                findings.push(format!(
+                    "{rel}:{line}: `{pattern}` is invisible to the witness; take the lock with `lock_recover_tagged`"
+                ));
+            }
+        }
+    }
+    if code.iter().any(|(_, t)| t.contains("lock_recover_tagged(")) {
+        for (line, text) in &code {
+            for name in BLOCKING {
+                if text.contains(&format!(".{name}(")) || text.contains(&format!("::{name}(")) {
+                    findings.push(format!(
+                        "{rel}:{line}: blocking call `{name}` in a module that takes a tagged lock"
+                    ));
+                }
+            }
+        }
+    }
+    findings
+}
+
+#[test]
+fn lock_modules_take_tagged_locks_and_never_block() {
+    // The scanner itself, on seeded sources.
+    let lock_module = "fn f(m: &M) {\n    let g = m.map.lock_recover_tagged(TAG);\n";
+    assert!(lock_findings("a.rs", lock_module).is_empty());
+    for (seed, expected) in [
+        ("    tx.send(g.len());\n", "a.rs:3: blocking call `send`"),
+        (
+            "    std::thread::spawn(|| {});\n",
+            "a.rs:3: blocking call `spawn`",
+        ),
+        (
+            "    let s = m.other.lock_recover();\n",
+            "a.rs:3: `.lock_recover()`",
+        ),
+        ("    field: RwLock<u8>,\n", "a.rs:3: `RwLock`"),
+    ] {
+        let findings = lock_findings("a.rs", &format!("{lock_module}{seed}"));
+        assert!(
+            findings.len() == 1 && findings[0].starts_with(expected),
+            "{seed}: {findings:?}"
+        );
+    }
+    let quiet = format!(
+        "{lock_module}    state = ready.wait_recover_tagged(state); // tx.send(1)\n#[cfg(test)]\nmod tests {{ fn t() {{ rx.recv(); }} }}\n"
+    );
+    assert!(lock_findings("a.rs", &quiet).is_empty());
+    assert!(lock_findings("b.rs", "fn g() { rx.recv(); }\n").is_empty());
+
+    // The workspace's library sources.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("src"), &mut files);
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        rust_files(
+            &krate.expect("crate directory").path().join("src"),
+            &mut files,
+        );
+    }
+    files.sort();
+    let mut lock_modules = 0;
+    let mut findings = Vec::new();
+    for path in &files {
+        let rel = path
+            .strip_prefix(root)
+            .expect("under the workspace")
+            .to_string_lossy()
+            .into_owned();
+        if PRIMITIVES.contains(&rel.as_str()) {
+            continue;
+        }
+        let source = read(&rel);
+        lock_modules += usize::from(source.contains("lock_recover_tagged("));
+        findings.extend(lock_findings(&rel, &source));
+    }
+    assert!(
+        lock_modules > 0,
+        "no lock module among {} files",
+        files.len()
+    );
+    assert!(findings.is_empty(), "{}", findings.join("\n"));
 }
