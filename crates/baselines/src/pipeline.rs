@@ -5,7 +5,8 @@ use dpipe_cluster::{ClusterSpec, DataParallelLayout};
 use dpipe_model::ComponentId;
 use dpipe_model::MemoryModel;
 use dpipe_partition::{
-    enumerate_configs, PartitionConfig, PartitionPlan, Partitioner, SearchSpace, StagePlan,
+    enumerate_configs, CostModel, PartitionConfig, PartitionPlan, Partitioner, SearchSpace,
+    StageCost, StagePlan,
 };
 use dpipe_profile::ProfileDb;
 use dpipe_schedule::{PipelineSchedule, ScheduleBuilder, ScheduleKind};
@@ -118,7 +119,9 @@ pub fn gpipe(
         t_sync_gap: 0.0,
         t_max: 0.0,
     };
-    let schedule = ScheduleBuilder::new(db, cluster, &layout)
+    // One reference database: every device class is timed on it.
+    let cost = CostModel::new(vec![db.clone()], cluster);
+    let schedule = ScheduleBuilder::new(&StageCost::new(&cost, &layout))
         .build_single(&plan, ScheduleKind::GPipe)
         .map_err(|e| e.to_string())?;
     // GPipe retains every micro-batch's activations through the forward
@@ -168,6 +171,8 @@ pub fn spp(
     let layers = db.model().component(backbone).num_layers();
     let configs =
         enumerate_configs(cluster, global_batch, layers, space).map_err(|e| e.to_string())?;
+    // One reference database: every device class is timed on it.
+    let cost = CostModel::new(vec![db.clone()], cluster);
     let mut best: Option<BaselineReport> = None;
     for hp in configs {
         // SPP is a pipeline planner: it always partitions the model into at
@@ -179,7 +184,7 @@ pub fn spp(
         let Some(layout) = DataParallelLayout::new(cluster, hp.group_size) else {
             continue;
         };
-        let part = Partitioner::new(db, cluster, &layout);
+        let part = Partitioner::new(&cost, &layout);
         let cfg = PartitionConfig::new(
             hp.num_stages,
             hp.num_micro_batches,
@@ -189,7 +194,7 @@ pub fn spp(
             continue;
         };
         let Ok(schedule) =
-            ScheduleBuilder::new(db, cluster, &layout).build_single(&plan, ScheduleKind::Fifo1F1B)
+            ScheduleBuilder::new(part.cost()).build_single(&plan, ScheduleKind::Fifo1F1B)
         else {
             continue;
         };

@@ -9,7 +9,7 @@ use dpipe_bench::profile;
 use dpipe_cluster::{ClusterSpec, DataParallelLayout};
 use dpipe_fill::{FillConfig, Filler};
 use dpipe_model::zoo;
-use dpipe_partition::{PartitionConfig, PartitionPlan, Partitioner, StagePlan};
+use dpipe_partition::{CostModel, PartitionConfig, PartitionPlan, Partitioner, StagePlan};
 use dpipe_schedule::{ScheduleBuilder, ScheduleKind};
 use dpipe_sim::CombinedIteration;
 
@@ -20,17 +20,18 @@ fn cross_iteration_overlap() {
     println!("\n[1] cross-iteration overlap (ControlNet, 8 GPUs, batch 384)");
     let model = zoo::controlnet_v1_0();
     let cluster = ClusterSpec::single_node(8);
-    let db = profile(&model, &cluster, 384);
+    let cost = CostModel::new(vec![profile(&model, &cluster, 384)], &cluster);
     let layout = DataParallelLayout::new(&cluster, 2).unwrap();
     let bb = model.backbones().next().unwrap().0;
-    let plan = Partitioner::new(&db, &cluster, &layout)
+    let part = Partitioner::new(&cost, &layout);
+    let plan = part
         .partition_single(bb, &PartitionConfig::new(2, 1, 96.0))
         .unwrap();
-    let sched = ScheduleBuilder::new(&db, &cluster, &layout)
+    let sched = ScheduleBuilder::new(part.cost())
         .build_single(&plan, ScheduleKind::Fifo1F1B)
         .unwrap();
     let bubbles = sched.bubbles(0.010);
-    let filler = Filler::new(&db, FillConfig::default());
+    let filler = Filler::new(cost.db(), FillConfig::default());
     let fill = filler.fill(&bubbles, sched.group_batch, 2).unwrap();
     let overlapped = CombinedIteration::new(&sched, &bubbles, &fill);
     let serial_tail = filler.baseline_frozen_time(sched.group_batch, 2);
@@ -54,33 +55,33 @@ fn bidirectional_vs_separate() {
     let model = zoo::cdm_lsun();
     let cluster = ClusterSpec::single_node(8);
     let batch = 256u32;
-    let db = profile(&model, &cluster, batch);
+    let cost = CostModel::new(vec![profile(&model, &cluster, batch)], &cluster);
     let mut bbs = model.backbones().map(|(id, _)| id);
     let b0 = bbs.next().unwrap();
     let b1 = bbs.next().unwrap();
 
     // Bidirectional on all 8 devices (one group).
     let layout8 = DataParallelLayout::new(&cluster, 8).unwrap();
-    let part = Partitioner::new(&db, &cluster, &layout8);
+    let part = Partitioner::new(&cost, &layout8);
     let bi = part
         .partition_bidirectional(b0, b1, &PartitionConfig::new(4, 4, batch as f64))
         .unwrap();
-    let bi_sched = ScheduleBuilder::new(&db, &cluster, &layout8)
+    let bi_sched = ScheduleBuilder::new(part.cost())
         .build_bidirectional(&bi)
         .unwrap();
     let bi_throughput = bi_sched.group_batch / bi_sched.iteration_time();
 
     // Separate: each backbone on 4 devices, both running concurrently.
     let cluster4 = ClusterSpec::single_node(4);
-    let db4 = profile(&model, &cluster4, batch);
+    let cost4 = CostModel::new(vec![profile(&model, &cluster4, batch)], &cluster4);
     let layout4 = DataParallelLayout::new(&cluster4, 4).unwrap();
-    let part4 = Partitioner::new(&db4, &cluster4, &layout4);
+    let part4 = Partitioner::new(&cost4, &layout4);
     let mut worst = 0.0f64;
     for b in [b0, b1] {
         let p = part4
             .partition_single(b, &PartitionConfig::new(4, 4, batch as f64))
             .unwrap();
-        let s = ScheduleBuilder::new(&db4, &cluster4, &layout4)
+        let s = ScheduleBuilder::new(part4.cost())
             .build_single(&p, ScheduleKind::Fifo1F1B)
             .unwrap();
         worst = worst.max(s.iteration_time());
@@ -112,12 +113,13 @@ fn partition_quality() {
         }
     }
     let cluster = ClusterSpec::single_node(4);
-    let db = profile(&model, &cluster, 64);
+    let cost = CostModel::new(vec![profile(&model, &cluster, 64)], &cluster);
     let layout = DataParallelLayout::new(&cluster, 4).unwrap();
     let bb = model.backbones().next().unwrap().0;
-    let builder = ScheduleBuilder::new(&db, &cluster, &layout);
+    let part = Partitioner::new(&cost, &layout);
+    let builder = ScheduleBuilder::new(part.cost());
 
-    let dp_plan = Partitioner::new(&db, &cluster, &layout)
+    let dp_plan = part
         .partition_single(bb, &PartitionConfig::new(4, 8, 64.0))
         .unwrap();
     let dp_sched = builder
@@ -165,13 +167,14 @@ fn bubble_threshold() {
     println!("\n[4] minimum-bubble threshold (ControlNet, 8 GPUs, batch 384)");
     let model = zoo::controlnet_v1_0();
     let cluster = ClusterSpec::single_node(8);
-    let db = profile(&model, &cluster, 384);
+    let cost = CostModel::new(vec![profile(&model, &cluster, 384)], &cluster);
     let layout = DataParallelLayout::new(&cluster, 2).unwrap();
     let bb = model.backbones().next().unwrap().0;
-    let plan = Partitioner::new(&db, &cluster, &layout)
+    let part = Partitioner::new(&cost, &layout);
+    let plan = part
         .partition_single(bb, &PartitionConfig::new(2, 2, 96.0))
         .unwrap();
-    let sched = ScheduleBuilder::new(&db, &cluster, &layout)
+    let sched = ScheduleBuilder::new(part.cost())
         .build_single(&plan, ScheduleKind::Fifo1F1B)
         .unwrap();
     for min_ms in [1.0, 10.0, 50.0, 100.0] {
@@ -179,7 +182,7 @@ fn bubble_threshold() {
         // The setup cost grows with smaller thresholds in practice; the
         // default config charges it per item either way.
         let fill = Filler::new(
-            &db,
+            cost.db(),
             FillConfig {
                 min_bubble_seconds: min_ms * 1e-3,
                 ..FillConfig::default()

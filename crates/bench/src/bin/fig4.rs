@@ -8,7 +8,7 @@ use dpipe_bench::profile;
 use dpipe_cluster::{ClusterSpec, DataParallelLayout};
 use dpipe_fill::{FillConfig, Filler};
 use dpipe_model::zoo;
-use dpipe_partition::{PartitionConfig, Partitioner};
+use dpipe_partition::{CostModel, PartitionConfig, Partitioner};
 use dpipe_schedule::{Bubble, ScheduleBuilder, ScheduleKind};
 
 fn main() {
@@ -32,20 +32,20 @@ fn main() {
             // One pipeline group spanning `stages` devices (r = 1), as in the
             // paper's profiling setup.
             let cluster = ClusterSpec::single_node(stages);
-            let db = profile(&model, &cluster, batch);
+            let cost = CostModel::new(vec![profile(&model, &cluster, batch)], &cluster);
             let layout = DataParallelLayout::new(&cluster, stages).unwrap();
-            let part = Partitioner::new(&db, &cluster, &layout);
-            let bb = db.model().backbones().next().unwrap().0;
+            let part = Partitioner::new(&cost, &layout);
+            let bb = model.backbones().next().unwrap().0;
             print!("{stages:>8}");
             for micro in 1..=4 {
                 let cfg = PartitionConfig::new(stages, micro, batch as f64);
                 let plan = part.partition_single(bb, &cfg).unwrap();
-                let sched = ScheduleBuilder::new(&db, &cluster, &layout)
+                let sched = ScheduleBuilder::new(part.cost())
                     .build_single(&plan, ScheduleKind::Fifo1F1B)
                     .unwrap();
                 // Iteration = non-trainable (data parallel, before pipeline)
                 // + pipeline, as in the paper's Fig. 4 measurement.
-                let filler = Filler::new(&db, FillConfig::default());
+                let filler = Filler::new(cost.db(), FillConfig::default());
                 let frozen = filler.baseline_frozen_time(batch as f64, stages);
                 let iter = frozen + sched.iteration_time();
                 let idle: f64 = sched.bubbles(0.0).iter().map(Bubble::device_seconds).sum();

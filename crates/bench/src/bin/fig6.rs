@@ -7,7 +7,7 @@
 use dpipe_bench::profile;
 use dpipe_cluster::{ClusterSpec, DataParallelLayout};
 use dpipe_model::{zoo, LayerId};
-use dpipe_partition::{PartitionConfig, Partitioner};
+use dpipe_partition::{CostModel, PartitionConfig, Partitioner};
 use dpipe_schedule::{ScheduleBuilder, ScheduleKind};
 
 fn main() {
@@ -52,12 +52,13 @@ fn main() {
         let bb = model.backbones().next().unwrap().0;
         for stages in [2usize, 3, 4] {
             let cluster = ClusterSpec::single_node(stages);
-            let db = profile(&model, &cluster, 64);
+            let cost = CostModel::new(vec![profile(&model, &cluster, 64)], &cluster);
             let layout = DataParallelLayout::new(&cluster, stages).unwrap();
-            let plan = Partitioner::new(&db, &cluster, &layout)
+            let part = Partitioner::new(&cost, &layout);
+            let plan = part
                 .partition_single(bb, &PartitionConfig::new(stages, 4, 64.0))
                 .unwrap();
-            let sched = ScheduleBuilder::new(&db, &cluster, &layout)
+            let sched = ScheduleBuilder::new(part.cost())
                 .build_single(&plan, ScheduleKind::Fifo1F1B)
                 .unwrap();
             let longest = sched

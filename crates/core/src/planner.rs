@@ -11,12 +11,12 @@ use dpipe_cluster::{ClassMap, ClusterSpec, DataParallelLayout};
 use dpipe_fill::{FillConfig, Filler};
 use dpipe_model::{ComponentId, MemoryModel, ModelSpec};
 use dpipe_partition::{
-    enumerate_configs, layer_work, DpStats, HyperParams, PartitionConfig, Partitioner, SearchSpace,
-    BOUND_MARGIN,
+    enumerate_configs, layer_work, CostModel, DpStats, HyperParams, PartitionConfig, Partitioner,
+    SearchSpace, BOUND_MARGIN,
 };
 use dpipe_profile::{CostPrefix, DeviceModel, ProfileDb, Profiler, ProfilingReport};
 use dpipe_schedule::{ScheduleBuilder, ScheduleKind};
-use dpipe_sim::CombinedIteration;
+use dpipe_sim::{CombinedIteration, IterationTiming};
 use dpipe_spec::PlanSpec;
 use dpipe_trace::{Span, SpanId, Tracer};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -148,14 +148,14 @@ impl WorkerResult {
 }
 
 /// What one planning call's config search shares, read-only, across
-/// workers: the enumerated configs, per-class profiles and cost tables,
-/// each config's throughput bound and the visit order.
+/// workers: the enumerated configs, the cost model (per-class profiles,
+/// class map and communication model) and cost tables, each config's
+/// throughput bound and the visit order.
 struct Search<'p> {
     global_batch: u32,
     backbones: Vec<ComponentId>,
     configs: Vec<HyperParams>,
-    class_map: ClassMap,
-    dbs: Vec<ProfileDb>,
+    cost: CostModel,
     prefixes: Vec<Vec<CostPrefix>>,
     bounds: Vec<f64>,
     order: Vec<usize>,
@@ -322,37 +322,40 @@ impl Planner {
         self
     }
 
-    /// Builds one profile database per device class (analytic or
-    /// record-backed), plus the profiling report of the reference pass.
-    fn profile_class_dbs(
+    /// Profiles one database per device class (analytic or record-backed)
+    /// into the plan's cost model, plus the profiling report of the
+    /// reference pass.
+    fn profile_cost_model(
         &self,
-        compute_scales: &[f64],
         global_batch: u32,
-    ) -> Result<(Vec<ProfileDb>, ProfilingReport), PlanError> {
+    ) -> Result<(CostModel, ProfilingReport), PlanError> {
         let world = self.cluster.world_size();
-        if !self.record_backed {
-            let profiler = Profiler::new(DeviceModel::a100_like()).with_world_size(world);
-            return Ok(profiler.profile_classes(&self.model, global_batch, compute_scales));
-        }
-        let mut dbs = Vec::with_capacity(compute_scales.len());
-        let mut report = None;
-        for &scale in compute_scales {
-            let device = if scale == 1.0 {
-                DeviceModel::a100_like()
-            } else {
-                DeviceModel::a100_like().scaled(scale)
-            };
-            let profiler = Profiler::new(device).with_world_size(world);
-            let (db, r) = profiler.profile_records(&self.model, global_batch)?;
-            if report.is_none() {
-                report = Some(r);
+        let compute_scales = self.cluster.class_map().compute_scales();
+        let (dbs, report) = if self.record_backed {
+            let mut dbs = Vec::with_capacity(compute_scales.len());
+            let mut report = None;
+            for &scale in &compute_scales {
+                let device = if scale == 1.0 {
+                    DeviceModel::a100_like()
+                } else {
+                    DeviceModel::a100_like().scaled(scale)
+                };
+                let profiler = Profiler::new(device).with_world_size(world);
+                let (db, r) = profiler.profile_records(&self.model, global_batch)?;
+                if report.is_none() {
+                    report = Some(r);
+                }
+                dbs.push(db);
             }
-            dbs.push(db);
-        }
-        let report = report.ok_or_else(|| {
-            PlanError::InvalidRequest("cluster resolves to zero device classes".to_owned())
-        })?;
-        Ok((dbs, report))
+            let report = report.ok_or_else(|| {
+                PlanError::InvalidRequest("cluster resolves to zero device classes".to_owned())
+            })?;
+            (dbs, report)
+        } else {
+            let profiler = Profiler::new(DeviceModel::a100_like()).with_world_size(world);
+            profiler.profile_classes(&self.model, global_batch, &compute_scales)
+        };
+        Ok((CostModel::new(dbs, &self.cluster), report))
     }
 
     /// Runs the full workflow for a global batch size, returning the best
@@ -495,11 +498,9 @@ impl Planner {
 
         // Step 1: profile once per device class (simulated wall time
         // reported). Homogeneous clusters resolve to a single class.
-        let class_map = self.cluster.class_map();
         let mut profile_span = self.tracer.child_span("profile", root);
-        let (dbs, profile_report) =
-            self.profile_class_dbs(&class_map.compute_scales(), global_batch)?;
-        profile_span.set("classes", dbs.len());
+        let (cost, profile_report) = self.profile_cost_model(global_batch)?;
+        profile_span.set("classes", cost.num_classes());
         profile_span.set("simulated_wall_s", profile_report.wall_time_seconds);
         profile_span.finish();
 
@@ -525,8 +526,9 @@ impl Planner {
         let prefixes: Vec<Vec<CostPrefix>> = backbones
             .iter()
             .map(|&bb| {
-                dbs.iter()
-                    .map(|class_db| {
+                (0..cost.num_classes())
+                    .map(|class| {
+                        let class_db = cost.db_for(class);
                         let mut prefix = CostPrefix::new(class_db, bb);
                         for hp in &configs {
                             let cfg = PartitionConfig::new(
@@ -560,8 +562,7 @@ impl Planner {
             global_batch,
             backbones,
             configs,
-            class_map,
-            dbs,
+            cost,
             prefixes,
             bounds,
             order,
@@ -644,8 +645,8 @@ impl Planner {
         span: &mut Span,
     ) -> ConfigOutcome {
         let hp = search.configs[index];
-        let (dbs, backbones, prefixes) = (&search.dbs, &search.backbones, &search.prefixes);
-        let (fill_cfg, class_map) = (&search.fill_cfg, &search.class_map);
+        let (cost, backbones, prefixes) = (&search.cost, &search.backbones, &search.prefixes);
+        let fill_cfg = &search.fill_cfg;
         let mut outcome = ConfigOutcome {
             index,
             plan: None,
@@ -666,7 +667,7 @@ impl Planner {
             hp.num_micro_batches,
             hp.group_batch(search.global_batch, world),
         );
-        let part = Partitioner::new(&dbs[0], &self.cluster, &layout).with_class_dbs(dbs);
+        let part = Partitioner::new(cost, &layout);
 
         let t0 = Instant::now();
         let partition_span = self.tracer.child_span("partition", span.id());
@@ -695,7 +696,7 @@ impl Planner {
         let t1 = Instant::now();
         let schedule_span = self.tracer.child_span("schedule", span.id());
         outcome.scheduled = true;
-        let builder = ScheduleBuilder::new(&dbs[0], &self.cluster, &layout).with_class_dbs(dbs);
+        let builder = ScheduleBuilder::new(part.cost());
         let schedule = match &partition {
             BackbonePartition::Single(p) => builder.build_single(p, self.schedule),
             BackbonePartition::Bidirectional(p) => builder.build_bidirectional(p),
@@ -724,7 +725,7 @@ impl Planner {
         // The frozen part runs data-parallel on every device; its tail is
         // gated by the slowest device class.
         let filler = Filler::new(
-            &dbs[class_map.slowest_class().min(dbs.len() - 1)],
+            cost.db_for(cost.class_map().slowest_class()),
             fill_cfg.clone(),
         );
         let fill = if self.options.bubble_filling {
@@ -739,22 +740,23 @@ impl Planner {
                 Err(_) => return outcome,
             }
         };
-        let combined = CombinedIteration::new(&schedule, &bubbles, &fill);
+        let timing = IterationTiming::new(&schedule, &fill);
         fill_span.set("bubbles", bubbles.len());
         fill_span.finish();
         outcome.fill_seconds = t1.elapsed().as_secs_f64();
 
-        let Some(peak) = self.check_memory(&search.mm, &partition, &layout, class_map) else {
+        let Some(peak) = self.check_memory(&search.mm, &partition, &layout, cost.class_map())
+        else {
             return outcome;
         };
-        let throughput = combined.cluster_throughput(dp_groups);
+        let throughput = timing.cluster_throughput(dp_groups);
         outcome.plan = Some(Plan {
             hyper: hp,
             partition,
             schedule,
             bubbles,
             fill,
-            iteration_time: combined.iteration_time(),
+            iteration_time: timing.iteration_time(),
             throughput,
             // A candidate carries no meaningful ratio: selection reads only
             // throughput and index, so `plan_with_stats` computes the ratio
@@ -790,9 +792,7 @@ impl Planner {
         if backbones.len() > 2 {
             return Err(PlanError::TooManyBackbones(backbones.len()));
         }
-        let class_map = self.cluster.class_map();
-        let (dbs, profile_report) =
-            self.profile_class_dbs(&class_map.compute_scales(), global_batch)?;
+        let (cost, profile_report) = self.profile_cost_model(global_batch)?;
         let min_layers = backbones
             .iter()
             .map(|&b| self.model.component(b).num_layers())
@@ -818,7 +818,7 @@ impl Planner {
                 hp.num_micro_batches,
                 hp.group_batch(global_batch, world),
             );
-            let part = Partitioner::new(&dbs[0], &self.cluster, &layout).with_class_dbs(&dbs);
+            let part = Partitioner::new(&cost, &layout);
             let t0 = Instant::now();
             let partition = if backbones.len() == 1 {
                 match part.partition_single_reference(backbones[0], &cfg) {
@@ -834,8 +834,7 @@ impl Planner {
             partition_seconds += t0.elapsed().as_secs_f64();
 
             let t1 = Instant::now();
-            let builder =
-                ScheduleBuilder::new(&dbs[0], &self.cluster, &layout).with_class_dbs(&dbs);
+            let builder = ScheduleBuilder::new(part.cost());
             let schedule = match &partition {
                 BackbonePartition::Single(p) => builder.build_single(p, self.schedule),
                 BackbonePartition::Bidirectional(p) => builder.build_bidirectional(p),
@@ -843,7 +842,7 @@ impl Planner {
             let Ok(schedule) = schedule else { continue };
             let bubbles = schedule.bubbles(fill_cfg.min_bubble_seconds);
             let filler = Filler::new(
-                &dbs[class_map.slowest_class().min(dbs.len() - 1)],
+                cost.db_for(cost.class_map().slowest_class()),
                 fill_cfg.clone(),
             );
             let fill = if self.options.bubble_filling {
@@ -860,7 +859,7 @@ impl Planner {
             let combined = CombinedIteration::new(&schedule, &bubbles, &fill);
             fill_seconds += t1.elapsed().as_secs_f64();
 
-            let Some(peak) = self.check_memory(&mm, &partition, &layout, &class_map) else {
+            let Some(peak) = self.check_memory(&mm, &partition, &layout, cost.class_map()) else {
                 continue;
             };
             let dp_groups = world / hp.group_size;

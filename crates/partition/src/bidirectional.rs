@@ -77,7 +77,7 @@ impl<'a> Partitioner<'a> {
         up: ComponentId,
         cfg: &PartitionConfig,
     ) -> Result<(usize, usize, usize), PartitionError> {
-        let model = self.cost().db().model();
+        let model = self.cost().model().db().model();
         for &c in &[down, up] {
             let comp = model
                 .components
@@ -135,9 +135,10 @@ impl<'a> Partitioner<'a> {
         let (_, _, r) = self.validate_bidirectional(down, up, cfg)?;
         let batch = cfg.micro_batch() / r as f64;
         let build = |comp: ComponentId| -> Vec<CostPrefix> {
-            (0..self.cost().num_classes())
+            let model = self.cost().model();
+            (0..model.num_classes())
                 .map(|class| {
-                    let db = self.cost().db_for(class);
+                    let db = model.db_for(class);
                     let mut prefix = CostPrefix::new(db, comp);
                     prefix.ensure_batch(db, batch);
                     prefix
@@ -437,6 +438,7 @@ impl<'a> Partitioner<'a> {
 mod tests {
     use super::*;
     use crate::dp::{layer_work, lookahead, suffix_sums};
+    use crate::CostModel;
     use dpipe_cluster::{ClusterSpec, DataParallelLayout};
     use dpipe_model::zoo;
     use dpipe_profile::{DeviceModel, Profiler};
@@ -451,7 +453,8 @@ mod tests {
     fn bidirectional_covers_both_backbones() {
         let (db, cluster) = setup();
         let layout = DataParallelLayout::new(&cluster, 8).unwrap();
-        let p = Partitioner::new(&db, &cluster, &layout);
+        let cost = CostModel::new(vec![db.clone()], &cluster);
+        let p = Partitioner::new(&cost, &layout);
         let mut backbones = db.model().backbones().map(|(id, _)| id);
         let b0 = backbones.next().unwrap();
         let b1 = backbones.next().unwrap();
@@ -477,7 +480,8 @@ mod tests {
     fn up_pipeline_stage0_sits_at_chain_start_offsets() {
         let (db, cluster) = setup();
         let layout = DataParallelLayout::new(&cluster, 8).unwrap();
-        let p = Partitioner::new(&db, &cluster, &layout);
+        let cost = CostModel::new(vec![db.clone()], &cluster);
+        let p = Partitioner::new(&cost, &layout);
         let mut bbs = db.model().backbones().map(|(id, _)| id);
         let b0 = bbs.next().unwrap();
         let b1 = bbs.next().unwrap();
@@ -507,7 +511,8 @@ mod tests {
     fn rejects_non_dividing_stages() {
         let (db, cluster) = setup();
         let layout = DataParallelLayout::new(&cluster, 8).unwrap();
-        let p = Partitioner::new(&db, &cluster, &layout);
+        let cost = CostModel::new(vec![db.clone()], &cluster);
+        let p = Partitioner::new(&cost, &layout);
         let mut bbs = db.model().backbones().map(|(id, _)| id);
         let b0 = bbs.next().unwrap();
         let b1 = bbs.next().unwrap();
@@ -523,7 +528,8 @@ mod tests {
         // sum of two standalone pipelines' bounds on half the devices each.
         let (db, cluster) = setup();
         let layout = DataParallelLayout::new(&cluster, 8).unwrap();
-        let p = Partitioner::new(&db, &cluster, &layout);
+        let cost = CostModel::new(vec![db.clone()], &cluster);
+        let p = Partitioner::new(&cost, &layout);
         let mut bbs = db.model().backbones().map(|(id, _)| id);
         let b0 = bbs.next().unwrap();
         let b1 = bbs.next().unwrap();
@@ -540,7 +546,8 @@ mod tests {
     fn lookahead_on_chosen_path_is_at_most_final_w() {
         let (db, cluster) = setup();
         let layout = DataParallelLayout::new(&cluster, 8).unwrap();
-        let p = Partitioner::new(&db, &cluster, &layout);
+        let cost = CostModel::new(vec![db.clone()], &cluster);
+        let p = Partitioner::new(&cost, &layout);
         let mut bbs = db.model().backbones().map(|(id, _)| id);
         let (b0, b1) = (bbs.next().unwrap(), bbs.next().unwrap());
         let l_down = db.model().component(b0).num_layers();
@@ -590,7 +597,8 @@ mod tests {
         let (db, _) = Profiler::new(DeviceModel::a100_like()).profile(&model, 48);
         let cluster = ClusterSpec::single_node(12);
         let layout = DataParallelLayout::new(&cluster, 12).unwrap();
-        let p = Partitioner::new(&db, &cluster, &layout);
+        let cost = CostModel::new(vec![db.clone()], &cluster);
+        let p = Partitioner::new(&cost, &layout);
         let mut bbs = db.model().backbones().map(|(id, _)| id);
         let (b0, b1) = (bbs.next().unwrap(), bbs.next().unwrap());
         for s in [1usize, 2, 3, 4, 6, 12] {
@@ -609,7 +617,8 @@ mod tests {
     fn matches_reference_bit_for_bit() {
         let (db, cluster) = setup();
         let layout = DataParallelLayout::new(&cluster, 8).unwrap();
-        let p = Partitioner::new(&db, &cluster, &layout);
+        let cost = CostModel::new(vec![db.clone()], &cluster);
+        let p = Partitioner::new(&cost, &layout);
         let mut bbs = db.model().backbones().map(|(id, _)| id);
         let b0 = bbs.next().unwrap();
         let b1 = bbs.next().unwrap();

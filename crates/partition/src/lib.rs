@@ -95,14 +95,17 @@
 //! ```
 //! use dpipe_cluster::{ClusterSpec, DataParallelLayout};
 //! use dpipe_model::zoo;
-//! use dpipe_partition::{PartitionConfig, Partitioner};
+//! use dpipe_partition::{CostModel, PartitionConfig, Partitioner};
 //! use dpipe_profile::{DeviceModel, Profiler};
 //!
 //! let model = zoo::stable_diffusion_v2_1();
 //! let cluster = ClusterSpec::single_node(8);
 //! let (db, _) = Profiler::new(DeviceModel::a100_like()).profile(&model, 64);
+//! // Once per plan: one profile database per device class.
+//! let cost = CostModel::new(vec![db], &cluster);
+//! // Once per config: the data-parallel layout of its group size.
 //! let layout = DataParallelLayout::new(&cluster, 8).unwrap();
-//! let part = Partitioner::new(&db, &cluster, &layout);
+//! let part = Partitioner::new(&cost, &layout);
 //! let backbone = model.backbones().next().unwrap().0;
 //! let plan = part
 //!     .partition_single(backbone, &PartitionConfig::new(4, 4, 64.0))
@@ -120,6 +123,7 @@ mod reference;
 mod search;
 mod single;
 mod stage_cost;
+mod stage_times;
 
 pub use bidirectional::BidirectionalPlan;
 pub use config::PartitionConfig;
@@ -129,4 +133,5 @@ pub use pareto::ParetoFront;
 pub use plan::{PartitionPlan, StagePlan};
 pub use search::{enumerate_configs, HyperParams, SearchSpace, SearchSpaceError};
 pub use single::Partitioner;
-pub use stage_cost::{StageCost, StageTerms, SyncShape};
+pub use stage_cost::{CostModel, StageCost, StageTerms};
+pub use stage_times::StageTimes;

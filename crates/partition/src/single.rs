@@ -28,53 +28,37 @@ use crate::config::PartitionConfig;
 use crate::dp::{layer_work, lookahead, suffix_sums, DpStats, FrontArena};
 use crate::error::PartitionError;
 use crate::plan::{PartitionPlan, StagePlan};
-use crate::stage_cost::{StageCost, SyncShape};
-use dpipe_cluster::{ClusterSpec, DataParallelLayout, LinkParams};
+use crate::stage_cost::{CostModel, StageCost, SyncShape};
+use dpipe_cluster::{DataParallelLayout, LinkParams};
 use dpipe_model::ComponentId;
-use dpipe_profile::{BatchCosts, CostPrefix, ProfileDb};
+use dpipe_profile::{BatchCosts, CostPrefix};
 
 /// The unified backbone partitioner.
 ///
-/// Holds references to the profile database, cluster topology and
-/// data/pipeline layout; see the crate docs for an end-to-end example.
+/// Partitions on one config's data-parallel layout, timing every candidate
+/// stage through a [`StageCost`] over the plan's [`CostModel`]; see the
+/// crate docs for an end-to-end example.
 #[derive(Debug)]
 pub struct Partitioner<'a> {
     cost: StageCost<'a>,
 }
 
 impl<'a> Partitioner<'a> {
-    /// Creates a partitioner.
-    pub fn new(
-        db: &'a ProfileDb,
-        cluster: &'a ClusterSpec,
-        layout: &'a DataParallelLayout,
-    ) -> Self {
+    /// Creates a partitioner for `layout` over the plan's cost model.
+    pub fn new(model: &'a CostModel, layout: &'a DataParallelLayout) -> Self {
         Partitioner {
-            cost: StageCost::new(db, cluster, layout),
+            cost: StageCost::new(model, layout),
         }
     }
 
-    /// Supplies one [`ProfileDb`] per distinct device class of the cluster
-    /// (class order of [`ClusterSpec::class_map`]); stage costs are then
-    /// looked up against the class of the devices each stage lands on. See
-    /// [`StageCost::with_class_dbs`].
-    pub fn with_class_dbs(mut self, class_dbs: &'a [ProfileDb]) -> Self {
-        self.cost = self.cost.with_class_dbs(class_dbs);
-        self
-    }
-
-    /// The stage-cost evaluator (exposed for baselines that reuse the cost
-    /// terms, e.g. SPP).
+    /// The stage-cost evaluator: the schedule builder times the plan's
+    /// stages through it.
     pub fn cost(&self) -> &StageCost<'a> {
         &self.cost
     }
 
     pub(crate) fn self_cond_prob(&self) -> f64 {
-        self.cost
-            .db()
-            .model()
-            .self_conditioning
-            .map_or(0.0, |sc| sc.probability)
+        self.cost.model().self_cond_prob()
     }
 
     /// Validates a request, returning `(L, D)`.
@@ -83,7 +67,7 @@ impl<'a> Partitioner<'a> {
         backbone: ComponentId,
         cfg: &PartitionConfig,
     ) -> Result<(usize, usize), PartitionError> {
-        let model = self.cost.db().model();
+        let model = self.cost.model().db().model();
         let comp = model
             .components
             .get(backbone.index())
@@ -126,9 +110,10 @@ impl<'a> Partitioner<'a> {
     pub fn build_prefixes(&self, backbone: ComponentId, cfg: &PartitionConfig) -> Vec<CostPrefix> {
         let micro = cfg.micro_batch();
         let devices = self.cost.layout().group_size;
-        (0..self.cost.num_classes())
+        let model = self.cost.model();
+        (0..model.num_classes())
             .map(|class| {
-                let db = self.cost.db_for(class);
+                let db = model.db_for(class);
                 let mut prefix = CostPrefix::new(db, backbone);
                 if cfg.force_uniform {
                     let r = devices / cfg.num_stages.max(1);
@@ -200,7 +185,7 @@ impl<'a> Partitioner<'a> {
         // re-looks-up) any of them.
         let links: Vec<Option<LinkParams>> =
             (0..num_devices).map(|o| self.cost.input_link(o)).collect();
-        let num_classes = self.cost.num_classes().min(prefixes.len()).max(1);
+        let num_classes = self.cost.model().num_classes().min(prefixes.len()).max(1);
         let mut views: Vec<Vec<Option<BatchCosts<'_>>>> =
             vec![vec![None; num_devices + 1]; num_classes];
         for (class, class_views) in views.iter_mut().enumerate() {
@@ -433,9 +418,10 @@ impl<'a> Partitioner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CostModel;
     use dpipe_cluster::ClusterSpec;
     use dpipe_model::zoo;
-    use dpipe_profile::{DeviceModel, Profiler};
+    use dpipe_profile::{DeviceModel, ProfileDb, Profiler};
 
     struct Fixture {
         db: ProfileDb,
@@ -458,7 +444,8 @@ mod tests {
     fn partition_covers_all_layers() {
         let f = fixture(zoo::stable_diffusion_v2_1(), 8, 64);
         let layout = DataParallelLayout::new(&f.cluster, 8).unwrap();
-        let p = Partitioner::new(&f.db, &f.cluster, &layout);
+        let cost = CostModel::new(vec![f.db.clone()], &f.cluster);
+        let p = Partitioner::new(&cost, &layout);
         for s in [1usize, 2, 4, 8] {
             let plan = p
                 .partition_single(backbone(&f.db), &PartitionConfig::new(s, 4, 64.0))
@@ -476,7 +463,8 @@ mod tests {
         let model = zoo::synthetic_model(12, 10.0, &[1.0], false);
         let f = fixture(model, 4, 16);
         let layout = DataParallelLayout::new(&f.cluster, 4).unwrap();
-        let p = Partitioner::new(&f.db, &f.cluster, &layout);
+        let cost = CostModel::new(vec![f.db.clone()], &f.cluster);
+        let p = Partitioner::new(&cost, &layout);
         let plan = p
             .partition_single(backbone(&f.db), &PartitionConfig::new(4, 4, 16.0))
             .unwrap();
@@ -500,7 +488,8 @@ mod tests {
         }
         let f = fixture(model, 2, 16);
         let layout = DataParallelLayout::new(&f.cluster, 2).unwrap();
-        let p = Partitioner::new(&f.db, &f.cluster, &layout);
+        let cost = CostModel::new(vec![f.db.clone()], &f.cluster);
+        let p = Partitioner::new(&cost, &layout);
         let plan = p
             .partition_single(backbone(&f.db), &PartitionConfig::new(2, 4, 16.0))
             .unwrap();
@@ -521,7 +510,8 @@ mod tests {
         // overheads, so it should not explode. Sanity: finite and positive.
         let f = fixture(zoo::stable_diffusion_v2_1(), 8, 64);
         let layout = DataParallelLayout::new(&f.cluster, 8).unwrap();
-        let p = Partitioner::new(&f.db, &f.cluster, &layout);
+        let cost = CostModel::new(vec![f.db.clone()], &f.cluster);
+        let p = Partitioner::new(&cost, &layout);
         let bb = backbone(&f.db);
         let t1 = p
             .partition_single(bb, &PartitionConfig::new(4, 1, 64.0))
@@ -548,14 +538,17 @@ mod tests {
         let layout = DataParallelLayout::new(&f_v.cluster, 8).unwrap();
         let bb = backbone(&f_v.db);
         let cfg = PartitionConfig::new(4, 4, 64.0);
-        let t_v = Partitioner::new(&f_v.db, &f_v.cluster, &layout)
+        let t_v = Partitioner::new(&CostModel::new(vec![f_v.db.clone()], &f_v.cluster), &layout)
             .partition_single(bb, &cfg)
             .unwrap()
             .t_max;
-        let t_sc = Partitioner::new(&f_sc.db, &f_sc.cluster, &layout)
-            .partition_single(bb, &cfg)
-            .unwrap()
-            .t_max;
+        let t_sc = Partitioner::new(
+            &CostModel::new(vec![f_sc.db.clone()], &f_sc.cluster),
+            &layout,
+        )
+        .partition_single(bb, &cfg)
+        .unwrap()
+        .t_max;
         assert!(t_sc > t_v, "t_sc={t_sc} t_v={t_v}");
     }
 
@@ -563,7 +556,8 @@ mod tests {
     fn rejects_bad_configs() {
         let f = fixture(zoo::tiny_model(), 4, 16);
         let layout = DataParallelLayout::new(&f.cluster, 4).unwrap();
-        let p = Partitioner::new(&f.db, &f.cluster, &layout);
+        let cost = CostModel::new(vec![f.db.clone()], &f.cluster);
+        let p = Partitioner::new(&cost, &layout);
         let bb = backbone(&f.db);
         assert!(matches!(
             p.partition_single(bb, &PartitionConfig::new(8, 2, 16.0)),
@@ -592,7 +586,8 @@ mod tests {
     fn nonuniform_allows_unequal_replication() {
         let f = fixture(zoo::synthetic_model(8, 10.0, &[1.0], false), 3, 12);
         let layout = DataParallelLayout::new(&f.cluster, 3).unwrap();
-        let p = Partitioner::new(&f.db, &f.cluster, &layout);
+        let cost = CostModel::new(vec![f.db.clone()], &f.cluster);
+        let p = Partitioner::new(&cost, &layout);
         let plan = p
             .partition_single(
                 backbone(&f.db),
@@ -608,7 +603,8 @@ mod tests {
     fn matches_reference_bit_for_bit() {
         let f = fixture(zoo::stable_diffusion_v2_1(), 8, 64);
         let layout = DataParallelLayout::new(&f.cluster, 8).unwrap();
-        let p = Partitioner::new(&f.db, &f.cluster, &layout);
+        let cost = CostModel::new(vec![f.db.clone()], &f.cluster);
+        let p = Partitioner::new(&cost, &layout);
         let bb = backbone(&f.db);
         for (s, m) in [(1usize, 1usize), (2, 4), (4, 2), (8, 8)] {
             let cfg = PartitionConfig::new(s, m, 64.0);
@@ -619,7 +615,8 @@ mod tests {
         // Non-uniform replication exercises the full (l, d) grid.
         let f3 = fixture(zoo::synthetic_model(9, 10.0, &[1.0], false), 5, 20);
         let layout3 = DataParallelLayout::new(&f3.cluster, 5).unwrap();
-        let p3 = Partitioner::new(&f3.db, &f3.cluster, &layout3);
+        let cost = CostModel::new(vec![f3.db.clone()], &f3.cluster);
+        let p3 = Partitioner::new(&cost, &layout3);
         let bb3 = backbone(&f3.db);
         for s in [1usize, 2, 3, 4] {
             let cfg = PartitionConfig::new(s, 2, 20.0).with_nonuniform();
@@ -641,7 +638,8 @@ mod tests {
         for (model, devices) in models {
             let f = fixture(model, devices, 64);
             let layout = DataParallelLayout::new(&f.cluster, devices).unwrap();
-            let p = Partitioner::new(&f.db, &f.cluster, &layout);
+            let cost = CostModel::new(vec![f.db.clone()], &f.cluster);
+            let p = Partitioner::new(&cost, &layout);
             let bb = backbone(&f.db);
             let layers = f.db.model().component(bb).num_layers();
             for (s, m) in [(1usize, 1usize), (2, 4), (4, 2), (4, 8)] {
@@ -673,7 +671,8 @@ mod tests {
         for self_cond in [false, true] {
             let f = fixture(zoo::synthetic_model(12, 10.0, &[1.0], self_cond), 12, 48);
             let layout = DataParallelLayout::new(&f.cluster, 12).unwrap();
-            let p = Partitioner::new(&f.db, &f.cluster, &layout);
+            let cost = CostModel::new(vec![f.db.clone()], &f.cluster);
+            let p = Partitioner::new(&cost, &layout);
             let bb = backbone(&f.db);
             for s in [1usize, 2, 3, 4, 6, 12] {
                 for m in [1usize, 4] {
@@ -692,7 +691,8 @@ mod tests {
     fn stats_count_candidates_and_prunes() {
         let f = fixture(zoo::stable_diffusion_v2_1(), 8, 64);
         let layout = DataParallelLayout::new(&f.cluster, 8).unwrap();
-        let p = Partitioner::new(&f.db, &f.cluster, &layout);
+        let cost = CostModel::new(vec![f.db.clone()], &f.cluster);
+        let p = Partitioner::new(&cost, &layout);
         let bb = backbone(&f.db);
         let cfg = PartitionConfig::new(4, 4, 64.0);
         let prefixes = p.build_prefixes(bb, &cfg);

@@ -1,44 +1,106 @@
-//! Per-stage cost terms: `T0(s)`, `T_S(s)`, `T_C(s)` (Eqns. 3–6, 17).
+//! The cost model of a plan and its per-stage cost terms: `T0(s)`,
+//! `T_S(s)`, `T_C(s)` (Eqns. 3–6, 17).
 
 use dpipe_cluster::{ClassMap, ClusterSpec, CommModel, DataParallelLayout, DeviceId, LinkParams};
-use dpipe_model::ComponentId;
+use dpipe_model::{ComponentId, LayerId};
 use dpipe_profile::{BatchCosts, ProfileDb};
 use std::ops::Range;
+
+/// The cost model of one plan: one [`ProfileDb`] per device class, the
+/// cluster's [`ClassMap`] and its [`CommModel`]. Built once per plan; each
+/// config's [`StageCost`] borrows it, so the partition DP and the schedule
+/// time every stage from the same quantities.
+///
+/// On heterogeneous clusters ([`ClusterSpec::machine_classes`]) a stage's
+/// compute is timed on the database of its effective class
+/// ([`StageCost::class_of_offsets`]). A class without its own database is
+/// timed on database 0, the reference: with a single database, compute is
+/// treated as homogeneous while link and memory effects still apply.
+/// Activation, gradient and output byte counts always come from
+/// database 0.
+#[derive(Debug)]
+pub struct CostModel {
+    /// One profile database per device class, in class order.
+    dbs: Vec<ProfileDb>,
+    class_map: ClassMap,
+    comm: CommModel,
+}
+
+impl CostModel {
+    /// Builds the cost model of `cluster` from one database per device
+    /// class, in the class order of [`ClusterSpec::class_map`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dbs` is empty.
+    pub fn new(dbs: Vec<ProfileDb>, cluster: &ClusterSpec) -> Self {
+        assert!(!dbs.is_empty(), "a cost model needs a reference database");
+        CostModel {
+            dbs,
+            class_map: cluster.class_map(),
+            comm: cluster.comm_model(),
+        }
+    }
+
+    /// The reference database (class 0).
+    pub fn db(&self) -> &ProfileDb {
+        &self.dbs[0]
+    }
+
+    /// The database that times device class `class`: its own, or the
+    /// reference database when it has none.
+    pub fn db_for(&self, class: usize) -> &ProfileDb {
+        self.dbs.get(class).unwrap_or(&self.dbs[0])
+    }
+
+    /// Number of distinct device classes on the cluster (≥ 1).
+    pub fn num_classes(&self) -> usize {
+        self.class_map.num_classes()
+    }
+
+    /// The cluster's resolved device classes.
+    pub fn class_map(&self) -> &ClassMap {
+        &self.class_map
+    }
+
+    /// The cluster's communication model.
+    pub(crate) fn comm(&self) -> &CommModel {
+        &self.comm
+    }
+
+    /// Self-conditioning probability of the profiled model (0 when off).
+    pub(crate) fn self_cond_prob(&self) -> f64 {
+        self.db()
+            .model()
+            .self_conditioning
+            .map_or(0.0, |sc| sc.probability)
+    }
+}
 
 /// The *shape* of a stage's gradient-sync group — device count, machines
 /// spanned, and the slowest spanned machine's intra-link scale — which
 /// fully determines the all-reduce cost model for any byte volume.
 /// Precomputed once per candidate device range by the DP hot path.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SyncShape {
+pub(crate) struct SyncShape {
     /// Devices all-reducing together (replicas × pipeline groups).
-    pub group: usize,
+    pub(crate) group: usize,
     /// Machines those devices span.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Slowest spanned machine's intra-node link scale (1.0 homogeneous).
-    pub intra_scale: f64,
+    pub(crate) intra_scale: f64,
 }
 
-/// Evaluates the paper's per-stage cost equations for candidate stages.
+/// Evaluates a plan's [`CostModel`] on one config's data-parallel layout.
 ///
-/// On heterogeneous clusters ([`ClusterSpec::machine_classes`]) a stage's
-/// compute terms are looked up against the *effective class* of the devices
-/// it lands on: the slowest class among its replicas across every pipeline
-/// group (replicas split the micro-batch evenly and run in lockstep, so the
-/// slowest device bounds the stage). Supply one [`ProfileDb`] per distinct
-/// class with [`StageCost::with_class_dbs`]; without them every class falls
-/// back to the reference database (compute is treated as homogeneous while
-/// link/memory effects still apply).
+/// A stage's compute terms are looked up against the *effective class* of
+/// the devices it lands on: the slowest class among its replicas across
+/// every pipeline group (replicas split the micro-batch evenly and run in
+/// lockstep, so the slowest device bounds the stage).
 #[derive(Debug)]
 pub struct StageCost<'a> {
-    db: &'a ProfileDb,
-    cluster: &'a ClusterSpec,
-    comm: CommModel,
+    model: &'a CostModel,
     layout: &'a DataParallelLayout,
-    /// One profile database per distinct device class, in class order.
-    class_dbs: Option<&'a [ProfileDb]>,
-    /// Resolved device classes of the cluster.
-    class_map: ClassMap,
     /// Chain offset → effective class index across every pipeline group.
     offset_class: Vec<usize>,
 }
@@ -54,16 +116,12 @@ pub struct StageTerms {
 }
 
 impl<'a> StageCost<'a> {
-    /// Creates a cost evaluator.
-    pub fn new(
-        db: &'a ProfileDb,
-        cluster: &'a ClusterSpec,
-        layout: &'a DataParallelLayout,
-    ) -> Self {
-        let class_map = cluster.class_map();
+    /// Creates the evaluator of `model` on `layout`, resolving each chain
+    /// offset's effective class once.
+    pub fn new(model: &'a CostModel, layout: &'a DataParallelLayout) -> Self {
         let offset_class = (0..layout.group_size)
             .map(|o| {
-                class_map.effective_class(
+                model.class_map.effective_class(
                     layout
                         .groups
                         .iter()
@@ -72,86 +130,50 @@ impl<'a> StageCost<'a> {
             })
             .collect();
         StageCost {
-            db,
-            cluster,
-            comm: cluster.comm_model(),
+            model,
             layout,
-            class_dbs: None,
-            class_map,
             offset_class,
         }
     }
 
-    /// Supplies one [`ProfileDb`] per distinct device class (class order of
-    /// [`ClusterSpec::class_map`]); stage compute terms are then looked up
-    /// against the class of the devices each stage lands on.
-    pub fn with_class_dbs(mut self, class_dbs: &'a [ProfileDb]) -> Self {
-        self.class_dbs = Some(class_dbs);
-        self
+    /// The plan's cost model.
+    pub fn model(&self) -> &'a CostModel {
+        self.model
     }
 
-    /// The reference profile database in use.
-    pub fn db(&self) -> &ProfileDb {
-        self.db
+    /// The data-parallel layout this evaluator plans for.
+    pub(crate) fn layout(&self) -> &'a DataParallelLayout {
+        self.layout
     }
 
-    /// Number of distinct device classes on the cluster (≥ 1).
-    pub fn num_classes(&self) -> usize {
-        self.class_map.num_classes()
-    }
-
-    /// The profile database answering for a device class (the reference
-    /// database when no per-class databases were supplied).
-    pub fn db_for(&self, class: usize) -> &ProfileDb {
-        self.class_dbs
-            .and_then(|dbs| dbs.get(class))
-            .unwrap_or(self.db)
-    }
-
-    /// The effective class of a contiguous chain-offset range: the slowest
-    /// class among the devices at those offsets in every pipeline group
-    /// (ties toward the smaller class index, the [`ClassMap`] rule).
-    /// Class 0 for an empty range.
-    pub fn class_of_offsets(&self, offsets: Range<usize>) -> usize {
-        self.class_map
-            .effective_of_indices(offsets.map(|o| self.offset_class.get(o).copied().unwrap_or(0)))
-    }
-
-    /// The communication model in use.
-    pub fn comm(&self) -> &CommModel {
-        &self.comm
+    /// The effective class of a set of chain offsets: the slowest class
+    /// among the devices at those offsets in every pipeline group (ties
+    /// toward the smaller class index, the [`ClassMap`] rule). Class 0 for
+    /// an empty set.
+    pub(crate) fn class_of_offsets(&self, offsets: impl IntoIterator<Item = usize>) -> usize {
+        self.model.class_map.effective_of_indices(
+            offsets
+                .into_iter()
+                .map(|o| self.offset_class.get(o).copied().unwrap_or(0)),
+        )
     }
 
     /// Link carrying pipeline traffic into the stage whose first device sits
     /// at chain `offset` of group 0. `None` for stage 0 (no predecessor).
-    pub fn input_link(&self, offset: usize) -> Option<LinkParams> {
+    pub(crate) fn input_link(&self, offset: usize) -> Option<LinkParams> {
         if offset == 0 {
             return None;
         }
         let group0 = &self.layout.groups[0];
         let a = group0.devices[offset - 1];
         let b = group0.devices[offset];
-        Some(self.comm.p2p_link(a, b))
+        Some(self.model.comm.p2p_link(a, b))
     }
 
     /// Compute part of `T0(s)`: forward + backward of the stage's layers for
-    /// one micro-batch at local batch `micro_batch / r`, timed on the
-    /// reference device class. With `self_cond = true` the forward term
-    /// doubles (Eqn. 17). ([`StageCost::stage_terms`] resolves the stage's
-    /// device class and times against the matching database.)
-    pub fn compute_time(
-        &self,
-        comp: ComponentId,
-        layers: Range<usize>,
-        replication: usize,
-        micro_batch: f64,
-        self_cond: bool,
-    ) -> f64 {
-        self.compute_time_on(self.db, comp, layers, replication, micro_batch, self_cond)
-    }
-
-    fn compute_time_on(
-        &self,
+    /// one micro-batch at local batch `micro_batch / r`, timed on `db`. With
+    /// `self_cond = true` the forward term doubles (Eqn. 17).
+    fn compute_time(
         db: &ProfileDb,
         comp: ComponentId,
         layers: Range<usize>,
@@ -177,7 +199,7 @@ impl<'a> StageCost<'a> {
         clippy::too_many_arguments,
         reason = "one argument per stage quantity of Eqns. 3 and 17"
     )]
-    pub fn comm_time(
+    fn comm_time(
         &self,
         comp: ComponentId,
         boundary_layer: usize,
@@ -190,8 +212,9 @@ impl<'a> StageCost<'a> {
         let Some(link) = link else { return 0.0 };
         let b = micro_batch / replication as f64;
         let bytes = self
-            .db
-            .boundary_bytes(comp, dpipe_model::LayerId(boundary_layer), b);
+            .model
+            .db()
+            .boundary_bytes(comp, LayerId(boundary_layer), b);
         let (vol, lats) = if self_cond {
             (3.0 * bytes as f64, 3.0)
         } else {
@@ -200,39 +223,13 @@ impl<'a> StageCost<'a> {
         comm_scale * vol / link.bandwidth + lats * link.latency
     }
 
-    /// `T0(s)` — the max of compute and communication (Eqn. 3 / 17), timed
-    /// on the reference device class.
+    /// `T0(s)` — the max of compute and communication (Eqn. 3 / 17), with
+    /// compute timed on `db`.
     #[expect(
         clippy::too_many_arguments,
         reason = "one argument per stage quantity of Eqns. 3 and 17"
     )]
-    pub fn t0(
-        &self,
-        comp: ComponentId,
-        layers: Range<usize>,
-        replication: usize,
-        micro_batch: f64,
-        link: Option<LinkParams>,
-        self_cond: bool,
-        comm_scale: f64,
-    ) -> f64 {
-        self.t0_on(
-            self.db,
-            comp,
-            layers,
-            replication,
-            micro_batch,
-            link,
-            self_cond,
-            comm_scale,
-        )
-    }
-
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one argument per stage quantity of Eqns. 3 and 17"
-    )]
-    fn t0_on(
+    fn t0(
         &self,
         db: &ProfileDb,
         comp: ComponentId,
@@ -243,7 +240,7 @@ impl<'a> StageCost<'a> {
         self_cond: bool,
         comm_scale: f64,
     ) -> f64 {
-        let compute = self.compute_time_on(
+        let compute = Self::compute_time(
             db,
             comp,
             layers.clone(),
@@ -267,49 +264,32 @@ impl<'a> StageCost<'a> {
         compute.max(comm)
     }
 
-    /// Devices over which this stage's gradients are all-reduced: its `r`
-    /// devices in every pipeline group (cross-group data parallelism plus
-    /// intra-group replication).
-    pub fn sync_devices(&self, device_offsets: &[usize]) -> Vec<DeviceId> {
+    /// Devices over which a stage at `device_offsets` all-reduces its
+    /// gradients: its devices in every pipeline group (cross-group data
+    /// parallelism plus intra-group replication), group by group.
+    pub(crate) fn sync_devices<'s>(
+        &'s self,
+        device_offsets: &'s [usize],
+    ) -> impl Iterator<Item = DeviceId> + 's {
+        self.layout
+            .groups
+            .iter()
+            .flat_map(move |g| device_offsets.iter().map(move |&o| g.devices[o]))
+    }
+
+    /// [`StageCost::sync_devices`] collected into an exactly sized vector.
+    fn sync_device_vec(&self, device_offsets: &[usize]) -> Vec<DeviceId> {
         let mut devs = Vec::with_capacity(device_offsets.len() * self.layout.groups.len());
-        for g in &self.layout.groups {
-            for &o in device_offsets {
-                devs.push(g.devices[o]);
-            }
-        }
+        devs.extend(self.sync_devices(device_offsets));
         devs
-    }
-
-    /// `T_S(s)` — gradient synchronisation time (Eqn. 4).
-    pub fn sync_time(
-        &self,
-        comp: ComponentId,
-        layers: Range<usize>,
-        device_offsets: &[usize],
-    ) -> f64 {
-        let bytes = self.db.grad_bytes_range(comp, layers);
-        let devs = self.sync_devices(device_offsets);
-        self.comm.allreduce_time(bytes, &devs)
-    }
-
-    /// `T_C(s)` — compensation: the backward time of the stage's layers for
-    /// one micro-batch (the paper's lower bound, Eqn. 5), timed on the
-    /// reference device class.
-    pub fn compensation_time(
-        &self,
-        comp: ComponentId,
-        layers: Range<usize>,
-        replication: usize,
-        micro_batch: f64,
-    ) -> f64 {
-        self.db
-            .bwd_time_range(comp, layers, micro_batch / replication as f64)
     }
 
     /// Full stage terms under an expectation over self-conditioning: with
     /// probability `sc_prob` the iteration pays the Eqn.-17 `T0`, otherwise
     /// the Eqn.-3 `T0`. Compute terms are timed on the effective device
-    /// class of the stage's offsets ([`StageCost::class_of_offsets`]).
+    /// class of the stage's offsets ([`StageCost::class_of_offsets`]);
+    /// `T_S(s)` is Eqn. 4 and `T_C(s)` the stage's backward time (the
+    /// paper's lower bound, Eqn. 5).
     #[expect(
         clippy::too_many_arguments,
         reason = "one argument per stage quantity of Eqns. 3 and 17"
@@ -326,9 +306,9 @@ impl<'a> StageCost<'a> {
     ) -> StageTerms {
         let first = device_offsets.first().copied().unwrap_or(0);
         let class = self.class_of_offsets(first..first + device_offsets.len());
-        let db = self.db_for(class);
+        let db = self.model.db_for(class);
         let link = self.input_link(first);
-        let t0_plain = self.t0_on(
+        let t0_plain = self.t0(
             db,
             comp,
             layers.clone(),
@@ -339,7 +319,7 @@ impl<'a> StageCost<'a> {
             comm_scale,
         );
         let t0 = if sc_prob > 0.0 {
-            let t0_sc = self.t0_on(
+            let t0_sc = self.t0(
                 db,
                 comp,
                 layers.clone(),
@@ -353,7 +333,11 @@ impl<'a> StageCost<'a> {
         } else {
             t0_plain
         };
-        let ts = self.sync_time(comp, layers.clone(), device_offsets);
+        let bytes = self.model.db().grad_bytes_range(comp, layers.clone());
+        let ts = self
+            .model
+            .comm
+            .allreduce_time(bytes, &self.sync_device_vec(device_offsets));
         let tc = db.bwd_time_range(comp, layers, micro_batch / replication as f64);
         StageTerms {
             t0,
@@ -363,13 +347,13 @@ impl<'a> StageCost<'a> {
 
     /// The sync-group shape for a stage occupying the contiguous chain
     /// offsets `device_offsets` (replicated across every pipeline group).
-    pub fn sync_shape(&self, device_offsets: Range<usize>) -> SyncShape {
+    pub(crate) fn sync_shape(&self, device_offsets: Range<usize>) -> SyncShape {
         let offsets: Vec<usize> = device_offsets.collect();
-        let devs = self.sync_devices(&offsets);
+        let devs = self.sync_device_vec(&offsets);
         SyncShape {
             group: devs.len(),
-            nodes: self.cluster.machines_spanned(&devs),
-            intra_scale: self.comm.min_intra_link_scale(&devs),
+            nodes: self.model.comm.cluster().machines_spanned(&devs),
+            intra_scale: self.model.comm.min_intra_link_scale(&devs),
         }
     }
 
@@ -382,7 +366,7 @@ impl<'a> StageCost<'a> {
     /// corresponding naive method, with interval sums taken from the prefix
     /// table (which reproduces `ProfileDb`'s left-to-right folds exactly)
     /// and the all-reduce answered via the cached [`SyncShape`].
-    pub fn stage_terms_prefixed(
+    pub(crate) fn stage_terms_prefixed(
         &self,
         costs: &BatchCosts<'_>,
         layers: Range<usize>,
@@ -413,8 +397,8 @@ impl<'a> StageCost<'a> {
         } else {
             t0_plain
         };
-        // Mirrors `sync_time` (Eqn. 4) and `compensation_time` (Eqn. 5).
-        let ts = self.comm.allreduce_time_shape_scaled(
+        // Mirrors `stage_terms`' `T_S` (Eqn. 4) and `T_C` (Eqn. 5).
+        let ts = self.model.comm.allreduce_time_shape_scaled(
             costs.grad_bytes_range(&layers),
             shape.group,
             shape.nodes,
@@ -428,7 +412,7 @@ impl<'a> StageCost<'a> {
 
     /// Self-conditioning feedback transfer `T_F = O_L(B̄)/R_p2p + L_p2p`
     /// (Eqn. 18): the last stage's output travels back to stage 0.
-    pub fn feedback_time(&self, comp: ComponentId, micro_batch: f64) -> f64 {
+    pub(crate) fn feedback_time(&self, comp: ComponentId, micro_batch: f64) -> f64 {
         let group0 = &self.layout.groups[0];
         let first = group0.devices[0];
         #[expect(
@@ -439,19 +423,9 @@ impl<'a> StageCost<'a> {
         if first == last {
             return 0.0;
         }
-        let link = self.comm.p2p_link(last, first);
-        let bytes = self.db.output_bytes(comp, micro_batch);
+        let link = self.model.comm.p2p_link(last, first);
+        let bytes = self.model.db().output_bytes(comp, micro_batch);
         bytes as f64 / link.bandwidth + link.latency
-    }
-
-    /// The cluster this evaluator plans for.
-    pub fn cluster(&self) -> &ClusterSpec {
-        self.cluster
-    }
-
-    /// The data-parallel layout this evaluator plans for.
-    pub fn layout(&self) -> &DataParallelLayout {
-        self.layout
     }
 }
 
@@ -462,18 +436,11 @@ mod tests {
     use dpipe_profile::{DeviceModel, Profiler};
     use std::sync::Arc;
 
-    struct Fixture {
-        db: ProfileDb,
-        cluster: ClusterSpec,
-    }
-
-    fn fixture() -> Fixture {
+    fn sd_model(devices: usize) -> (CostModel, ClusterSpec) {
         let model = zoo::stable_diffusion_v2_1();
         let (db, _) = Profiler::new(DeviceModel::a100_like()).profile(&model, 64);
-        Fixture {
-            db,
-            cluster: ClusterSpec::single_node(8),
-        }
+        let cluster = ClusterSpec::single_node(devices);
+        (CostModel::new(vec![db], &cluster), cluster)
     }
 
     fn backbone(db: &ProfileDb) -> ComponentId {
@@ -482,24 +449,24 @@ mod tests {
 
     #[test]
     fn t0_compute_dominates_for_conv_stages() {
-        let f = fixture();
-        let layout = DataParallelLayout::new(&f.cluster, 8).unwrap();
-        let sc = StageCost::new(&f.db, &f.cluster, &layout);
-        let bb = backbone(&f.db);
+        let (model, cluster) = sd_model(8);
+        let layout = DataParallelLayout::new(&cluster, 8).unwrap();
+        let sc = StageCost::new(&model, &layout);
+        let (db, bb) = (model.db(), backbone(model.db()));
         let link = sc.input_link(4);
-        let t0 = sc.t0(bb, 14..28, 2, 16.0, link, false, 1.0);
-        let compute = sc.compute_time(bb, 14..28, 2, 16.0, false);
+        let t0 = sc.t0(db, bb, 14..28, 2, 16.0, link, false, 1.0);
+        let compute = StageCost::compute_time(db, bb, 14..28, 2, 16.0, false);
         assert_eq!(t0, compute, "intra-node p2p should not dominate");
     }
 
     #[test]
     fn self_cond_inflates_t0() {
-        let f = fixture();
-        let layout = DataParallelLayout::new(&f.cluster, 8).unwrap();
-        let sc = StageCost::new(&f.db, &f.cluster, &layout);
-        let bb = backbone(&f.db);
-        let plain = sc.t0(bb, 0..14, 4, 16.0, None, false, 1.0);
-        let with_sc = sc.t0(bb, 0..14, 4, 16.0, None, true, 1.0);
+        let (model, cluster) = sd_model(8);
+        let layout = DataParallelLayout::new(&cluster, 8).unwrap();
+        let sc = StageCost::new(&model, &layout);
+        let (db, bb) = (model.db(), backbone(model.db()));
+        let plain = sc.t0(db, bb, 0..14, 4, 16.0, None, false, 1.0);
+        let with_sc = sc.t0(db, bb, 0..14, 4, 16.0, None, true, 1.0);
         // 2*fwd + bwd vs fwd + bwd with bwd = 2*fwd: ratio 4/3.
         assert!(
             (with_sc / plain - 4.0 / 3.0).abs() < 0.01,
@@ -510,10 +477,10 @@ mod tests {
 
     #[test]
     fn stage_terms_expectation_interpolates() {
-        let f = fixture();
-        let layout = DataParallelLayout::new(&f.cluster, 8).unwrap();
-        let sc = StageCost::new(&f.db, &f.cluster, &layout);
-        let bb = backbone(&f.db);
+        let (model, cluster) = sd_model(8);
+        let layout = DataParallelLayout::new(&cluster, 8).unwrap();
+        let sc = StageCost::new(&model, &layout);
+        let bb = backbone(model.db());
         let t_none = sc
             .stage_terms(bb, 0..14, 4, &[0, 1, 2, 3], 16.0, 0.0, 1.0)
             .t0;
@@ -528,10 +495,10 @@ mod tests {
 
     #[test]
     fn sync_devices_span_groups() {
-        let f = fixture();
-        let layout = DataParallelLayout::new(&f.cluster, 4).unwrap(); // 2 groups
-        let sc = StageCost::new(&f.db, &f.cluster, &layout);
-        let devs = sc.sync_devices(&[2, 3]);
+        let (model, cluster) = sd_model(8);
+        let layout = DataParallelLayout::new(&cluster, 4).unwrap(); // 2 groups
+        let sc = StageCost::new(&model, &layout);
+        let devs = sc.sync_device_vec(&[2, 3]);
         assert_eq!(
             devs,
             vec![DeviceId(2), DeviceId(3), DeviceId(6), DeviceId(7)]
@@ -540,17 +507,17 @@ mod tests {
 
     #[test]
     fn feedback_time_zero_on_single_device_group() {
-        let f = fixture();
-        let layout = DataParallelLayout::new(&f.cluster, 1).unwrap();
-        let sc = StageCost::new(&f.db, &f.cluster, &layout);
-        assert_eq!(sc.feedback_time(backbone(&f.db), 8.0), 0.0);
+        let (model, cluster) = sd_model(8);
+        let layout = DataParallelLayout::new(&cluster, 1).unwrap();
+        let sc = StageCost::new(&model, &layout);
+        assert_eq!(sc.feedback_time(backbone(model.db()), 8.0), 0.0);
     }
 
     #[test]
     fn input_link_none_for_stage_zero() {
-        let f = fixture();
-        let layout = DataParallelLayout::new(&f.cluster, 8).unwrap();
-        let sc = StageCost::new(&f.db, &f.cluster, &layout);
+        let (model, cluster) = sd_model(8);
+        let layout = DataParallelLayout::new(&cluster, 8).unwrap();
+        let sc = StageCost::new(&model, &layout);
         assert!(sc.input_link(0).is_none());
         assert!(sc.input_link(4).is_some());
     }
@@ -558,12 +525,12 @@ mod tests {
     #[test]
     fn sync_gap_clamped_non_negative() {
         // A stage with huge backward and tiny gradients has TS < TC.
-        let model = Arc::new(zoo::tiny_model());
-        let db = ProfileDb::new(model, DeviceModel::a100_like());
+        let db = ProfileDb::new(Arc::new(zoo::tiny_model()), DeviceModel::a100_like());
         let cluster = ClusterSpec::single_node(2);
         let layout = DataParallelLayout::new(&cluster, 2).unwrap();
-        let sc = StageCost::new(&db, &cluster, &layout);
-        let bb = db.model().backbones().next().unwrap().0;
+        let model = CostModel::new(vec![db], &cluster);
+        let sc = StageCost::new(&model, &layout);
+        let bb = backbone(model.db());
         let terms = sc.stage_terms(bb, 0..4, 1, &[0], 64.0, 0.0, 1.0);
         assert!(terms.sync_gap >= 0.0);
     }

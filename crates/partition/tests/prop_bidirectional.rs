@@ -2,7 +2,7 @@
 
 use dpipe_cluster::{ClusterSpec, DataParallelLayout, DeviceClass};
 use dpipe_model::{zoo, ComponentId, ModelSpec, SelfConditioning};
-use dpipe_partition::{DpStats, PartitionConfig, Partitioner};
+use dpipe_partition::{CostModel, DpStats, PartitionConfig, Partitioner};
 use dpipe_profile::{CostPrefix, DeviceModel, ProfileDb, Profiler};
 use proptest::prelude::*;
 
@@ -77,7 +77,8 @@ proptest! {
         let db = db_for(&model);
         let cluster = ClusterSpec::single_node(stages);
         let layout = DataParallelLayout::new(&cluster, stages).unwrap();
-        let p = Partitioner::new(&db, &cluster, &layout);
+        let cost = CostModel::new(vec![db.clone()], &cluster);
+        let p = Partitioner::new(&cost, &layout);
         let plan = p
             .partition_bidirectional(ComponentId(0), ComponentId(1), &PartitionConfig::new(stages, 2, 32.0))
             .unwrap();
@@ -120,11 +121,11 @@ proptest! {
         let cluster = ClusterSpec::single_node(stages);
         let layout = DataParallelLayout::new(&cluster, stages).unwrap();
         let cfg = PartitionConfig::new(stages, 2, 32.0);
-        let ta = Partitioner::new(&db_a, &cluster, &layout)
+        let ta = Partitioner::new(&CostModel::new(vec![db_a.clone()], &cluster), &layout)
             .partition_bidirectional(ComponentId(0), ComponentId(1), &cfg)
             .unwrap()
             .t_max;
-        let tb = Partitioner::new(&db_b, &cluster, &layout)
+        let tb = Partitioner::new(&CostModel::new(vec![db_b.clone()], &cluster), &layout)
             .partition_bidirectional(ComponentId(0), ComponentId(1), &cfg)
             .unwrap()
             .t_max;
@@ -159,15 +160,16 @@ proptest! {
         let (dbs, _) = Profiler::new(DeviceModel::a100_like()).profile_classes(&model, batch, &scales);
         let group = cluster.world_size();
         let layout = DataParallelLayout::new(&cluster, group).unwrap();
-        let p = Partitioner::new(&dbs[0], &cluster, &layout).with_class_dbs(&dbs);
+        let cost = CostModel::new(dbs, &cluster);
+        let p = Partitioner::new(&cost, &layout);
         let (b0, b1) = (ComponentId(0), ComponentId(1));
         for stages in (1..=group.min(down.len()).min(up.len())).filter(|&s| group.is_multiple_of(s)) {
             let cfg = PartitionConfig::new(stages, micro_batches, f64::from(batch));
             let local = cfg.micro_batch() / (group / stages) as f64;
             let prefixes = |comp: ComponentId| -> Vec<CostPrefix> {
-                (0..p.cost().num_classes())
+                (0..cost.num_classes())
                     .map(|class| {
-                        let db = p.cost().db_for(class);
+                        let db = cost.db_for(class);
                         let mut prefix = CostPrefix::new(db, comp);
                         prefix.ensure_batch(db, local);
                         prefix

@@ -3,7 +3,7 @@
 
 use dpipe_cluster::{ClusterSpec, DataParallelLayout, DeviceClass};
 use dpipe_model::zoo;
-use dpipe_partition::{DpStats, PartitionConfig, Partitioner};
+use dpipe_partition::{CostModel, DpStats, PartitionConfig, Partitioner};
 use dpipe_profile::{CostPrefix, DeviceModel, NoiseConfig, ProfileDb, Profiler};
 use proptest::prelude::*;
 
@@ -84,7 +84,8 @@ proptest! {
         prop_assume!(stages <= layers);
         let (db, cluster) = profiled(layers, ms, self_cond, devices, batch);
         let layout = DataParallelLayout::new(&cluster, devices).unwrap();
-        let part = Partitioner::new(&db, &cluster, &layout);
+        let cost = CostModel::new(vec![db.clone()], &cluster);
+        let part = Partitioner::new(&cost, &layout);
         let bb = db.model().backbones().next().unwrap().0;
         let cfg = PartitionConfig::new(stages, micro, batch as f64);
         let fast = part.partition_single(bb, &cfg).unwrap();
@@ -104,7 +105,8 @@ proptest! {
         prop_assume!(stages <= layers && stages <= devices);
         let (db, cluster) = profiled(layers, ms, self_cond, devices, batch);
         let layout = DataParallelLayout::new(&cluster, devices).unwrap();
-        let part = Partitioner::new(&db, &cluster, &layout);
+        let cost = CostModel::new(vec![db.clone()], &cluster);
+        let part = Partitioner::new(&cost, &layout);
         let bb = db.model().backbones().next().unwrap().0;
         let cfg = PartitionConfig::new(stages, 2, batch as f64).with_nonuniform();
         let fast = part.partition_single(bb, &cfg).unwrap();
@@ -125,7 +127,8 @@ proptest! {
         prop_assume!(layers >= 4);
         let (db, cluster) = profiled(layers, ms, self_cond, 8, batch);
         let layout = DataParallelLayout::new(&cluster, 8).unwrap();
-        let part = Partitioner::new(&db, &cluster, &layout);
+        let cost = CostModel::new(vec![db.clone()], &cluster);
+        let part = Partitioner::new(&cost, &layout);
         let bb = db.model().backbones().next().unwrap().0;
         let cfg = PartitionConfig::new(4, 4, batch as f64);
         let prefixes = part.build_prefixes(bb, &cfg);
@@ -164,8 +167,9 @@ proptest! {
         let scales = cluster.class_map().compute_scales();
         let (dbs, _) = profiler.profile_classes(&model, batch, &scales);
         let layout = DataParallelLayout::new(&cluster, 8).unwrap();
-        let part = Partitioner::new(&dbs[0], &cluster, &layout).with_class_dbs(&dbs);
         let bb = dbs[0].model().backbones().next().unwrap().0;
+        let cost = CostModel::new(dbs, &cluster);
+        let part = Partitioner::new(&cost, &layout);
         let cfg = PartitionConfig::new(stages, micro, batch as f64);
         let fast = part.partition_single(bb, &cfg).unwrap();
         let reference = part.partition_single_reference(bb, &cfg).unwrap();
@@ -181,7 +185,8 @@ fn bidirectional_fast_matches_reference_on_zoo() {
         let (db, _) = Profiler::new(DeviceModel::a100_like()).profile(&model, batch);
         let cluster = ClusterSpec::single_node(8);
         let layout = DataParallelLayout::new(&cluster, 8).unwrap();
-        let part = Partitioner::new(&db, &cluster, &layout);
+        let cost = CostModel::new(vec![db.clone()], &cluster);
+        let part = Partitioner::new(&cost, &layout);
         let mut bbs = db.model().backbones().map(|(id, _)| id);
         let b0 = bbs.next().unwrap();
         let b1 = bbs.next().unwrap();

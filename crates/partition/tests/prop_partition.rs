@@ -3,7 +3,7 @@
 
 use dpipe_cluster::{ClusterSpec, DataParallelLayout};
 use dpipe_model::{zoo, ComponentId};
-use dpipe_partition::{PartitionConfig, Partitioner, StageCost};
+use dpipe_partition::{CostModel, PartitionConfig, Partitioner, StageCost};
 use dpipe_profile::{DeviceModel, ProfileDb, Profiler};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -37,7 +37,8 @@ fn brute_force_two_stages(
     m_count: usize,
 ) -> f64 {
     let layout = DataParallelLayout::new(cluster, 2).unwrap();
-    let cost = StageCost::new(db, cluster, &layout);
+    let model = CostModel::new(vec![db.clone()], cluster);
+    let cost = StageCost::new(&model, &layout);
     let bb = backbone(db);
     let layers = db.model().component(bb).num_layers();
     let coeff = (m_count + 2 * 2 - 2) as f64;
@@ -64,7 +65,8 @@ proptest! {
         let db = db_for(&weights);
         let cluster = ClusterSpec::single_node(2);
         let layout = DataParallelLayout::new(&cluster, 2).unwrap();
-        let p = Partitioner::new(&db, &cluster, &layout);
+        let cost = CostModel::new(vec![db.clone()], &cluster);
+        let p = Partitioner::new(&cost, &layout);
         let cfg = PartitionConfig::new(2, m_count, 16.0);
         let plan = p.partition_single(backbone(&db), &cfg).unwrap();
         let brute = brute_force_two_stages(&db, &cluster, cfg.micro_batch(), m_count);
@@ -88,7 +90,8 @@ proptest! {
         if stages > layers { return Ok(()); }
         let cluster = ClusterSpec::single_node(stages * 2);
         let layout = DataParallelLayout::new(&cluster, stages * 2).unwrap();
-        let p = Partitioner::new(&db, &cluster, &layout);
+        let cost = CostModel::new(vec![db.clone()], &cluster);
+        let p = Partitioner::new(&cost, &layout);
         let cfg = PartitionConfig::new(stages, m_count, 32.0);
         let plan = p.partition_single(backbone(&db), &cfg).unwrap();
         prop_assert!(plan.covers(layers));
@@ -107,7 +110,8 @@ proptest! {
         if stages > weights.len() { return Ok(()); }
         let cluster = ClusterSpec::single_node(stages);
         let layout = DataParallelLayout::new(&cluster, stages).unwrap();
-        let p = Partitioner::new(&db, &cluster, &layout);
+        let cost = CostModel::new(vec![db.clone()], &cluster);
+        let p = Partitioner::new(&cost, &layout);
         let cfg = PartitionConfig::new(stages, 2, 16.0);
         let plan = p.partition_single(backbone(&db), &cfg).unwrap();
         let bb = backbone(&db);
@@ -131,9 +135,9 @@ proptest! {
         let cluster = ClusterSpec::single_node(2);
         let layout = DataParallelLayout::new(&cluster, 2).unwrap();
         let cfg = PartitionConfig::new(2, 2, 16.0);
-        let t1 = Partitioner::new(&db1, &cluster, &layout)
+        let t1 = Partitioner::new(&CostModel::new(vec![db1.clone()], &cluster), &layout)
             .partition_single(backbone(&db1), &cfg).unwrap().t_max;
-        let t2 = Partitioner::new(&db2, &cluster, &layout)
+        let t2 = Partitioner::new(&CostModel::new(vec![db2.clone()], &cluster), &layout)
             .partition_single(backbone(&db2), &cfg).unwrap().t_max;
         prop_assert!(t2 > t1);
     }

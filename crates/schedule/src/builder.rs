@@ -3,11 +3,7 @@
 use crate::op::{Deps, Op, OpId, OpKind, PipelineDirection};
 use crate::schedule::{PipelineSchedule, SyncOp};
 use crate::simulate::{simulate, Policy};
-use crate::stage_times::StageTimes;
-use dpipe_cluster::{ClusterSpec, DataParallelLayout};
-use dpipe_partition::{BidirectionalPlan, PartitionPlan};
-use dpipe_profile::ProfileDb;
-use std::borrow::Cow;
+use dpipe_partition::{BidirectionalPlan, PartitionPlan, StageCost, StageTimes};
 use std::error::Error;
 use std::fmt;
 
@@ -40,15 +36,12 @@ impl fmt::Display for ScheduleError {
 
 impl Error for ScheduleError {}
 
-/// Builds simulated pipeline schedules from partition plans.
+/// Builds simulated pipeline schedules from partition plans, timing each
+/// stage through the [`StageCost`] the plan was partitioned with
+/// ([`StageCost::stage_times`]).
 #[derive(Debug)]
 pub struct ScheduleBuilder<'a> {
-    db: &'a ProfileDb,
-    cluster: &'a ClusterSpec,
-    layout: &'a DataParallelLayout,
-    /// One profile database per device class (heterogeneous clusters);
-    /// `None` times every stage on the reference database.
-    class_dbs: Option<&'a [ProfileDb]>,
+    cost: &'a StageCost<'a>,
 }
 
 /// One pipeline's op-construction request.
@@ -62,37 +55,14 @@ struct PipelineSpec<'t> {
 }
 
 impl<'a> ScheduleBuilder<'a> {
-    /// Creates a builder.
-    pub fn new(
-        db: &'a ProfileDb,
-        cluster: &'a ClusterSpec,
-        layout: &'a DataParallelLayout,
-    ) -> Self {
-        ScheduleBuilder {
-            db,
-            cluster,
-            layout,
-            class_dbs: None,
-        }
-    }
-
-    /// Supplies one [`ProfileDb`] per distinct device class (class order of
-    /// [`ClusterSpec::class_map`]); stage times are then derived via
-    /// [`StageTimes::from_plan_classed`].
-    pub fn with_class_dbs(mut self, class_dbs: &'a [ProfileDb]) -> Self {
-        self.class_dbs = Some(class_dbs);
-        self
-    }
-
-    /// The class databases, defaulting to the reference database alone.
-    fn dbs(&self) -> &[ProfileDb] {
-        self.class_dbs
-            .unwrap_or_else(|| std::slice::from_ref(self.db))
+    /// Creates a builder over one config's stage-cost evaluator.
+    pub fn new(cost: &'a StageCost<'a>) -> Self {
+        ScheduleBuilder { cost }
     }
 
     /// Whether the profiled model trains with self-conditioning.
     fn self_cond(&self) -> bool {
-        self.db.model().self_conditioning.is_some()
+        self.cost.model().db().model().self_conditioning.is_some()
     }
 
     /// Builds and simulates a schedule for a single-backbone plan.
@@ -109,33 +79,13 @@ impl<'a> ScheduleBuilder<'a> {
         if plan.stages.is_empty() {
             return Err(ScheduleError::EmptyPlan);
         }
-        let times = StageTimes::from_plan_classed(self.dbs(), self.cluster, self.layout, plan);
-        self.build_from_times(&times, kind, self.self_cond())
-    }
-
-    /// Builds a schedule directly from stage times (used by baselines and
-    /// tests that craft synthetic stage profiles).
-    pub fn build_from_times(
-        &self,
-        times: &StageTimes,
-        kind: ScheduleKind,
-        self_cond: bool,
-    ) -> Result<PipelineSchedule, ScheduleError> {
+        let times = self.cost.stage_times(plan);
         let s_count = times.num_stages();
-        let times = if self_cond && times.sc_scale == 0.0 {
-            Cow::Owned(StageTimes {
-                sc_scale: 1.0,
-                ..times.clone()
-            })
-        } else {
-            Cow::Borrowed(times)
-        };
-        let times = &*times;
         let spec = PipelineSpec {
-            times,
+            times: &times,
             direction: PipelineDirection::Down,
             slots: (0..s_count).collect(),
-            self_cond,
+            self_cond: self.self_cond(),
             kind,
         };
         let ops = build_ops(&[spec], s_count);
@@ -144,7 +94,7 @@ impl<'a> ScheduleBuilder<'a> {
             s_count,
             times.micro_batch,
             Policy::StrictOrder,
-            &[times],
+            &[&times],
         )
     }
 
@@ -158,10 +108,8 @@ impl<'a> ScheduleBuilder<'a> {
         if plan.down.stages.is_empty() || plan.up.stages.is_empty() {
             return Err(ScheduleError::EmptyPlan);
         }
-        let down_times =
-            StageTimes::from_plan_classed(self.dbs(), self.cluster, self.layout, &plan.down);
-        let up_times =
-            StageTimes::from_plan_classed(self.dbs(), self.cluster, self.layout, &plan.up);
+        let down_times = self.cost.stage_times(&plan.down);
+        let up_times = self.cost.stage_times(&plan.up);
         let s_count = plan.down.stages.len();
         let slot_of = |sp: &dpipe_partition::StagePlan| sp.device_offsets[0] / sp.replication;
         let down_slots: Vec<usize> = plan.down.stages.iter().map(slot_of).collect();
@@ -426,20 +374,22 @@ fn finish(
 mod tests {
     use super::*;
     use crate::ScheduledOp;
+    use dpipe_cluster::{ClusterSpec, DataParallelLayout};
     use dpipe_model::zoo;
-    use dpipe_partition::{PartitionConfig, Partitioner};
+    use dpipe_partition::{CostModel, PartitionConfig, Partitioner};
     use dpipe_profile::{DeviceModel, Profiler};
 
     struct Fixture {
-        db: ProfileDb,
+        cost: CostModel,
         cluster: ClusterSpec,
     }
 
     fn fixture(model: dpipe_model::ModelSpec, devices: usize, batch: u32) -> Fixture {
         let (db, _) = Profiler::new(DeviceModel::a100_like()).profile(&model, batch);
+        let cluster = ClusterSpec::single_node(devices);
         Fixture {
-            db,
-            cluster: ClusterSpec::single_node(devices),
+            cost: CostModel::new(vec![db], &cluster),
+            cluster,
         }
     }
 
@@ -451,12 +401,12 @@ mod tests {
     ) -> PipelineSchedule {
         let f = fixture(model, stages, 64);
         let layout = DataParallelLayout::new(&f.cluster, stages).unwrap();
-        let p = Partitioner::new(&f.db, &f.cluster, &layout);
-        let bb = f.db.model().backbones().next().unwrap().0;
+        let p = Partitioner::new(&f.cost, &layout);
+        let bb = f.cost.db().model().backbones().next().unwrap().0;
         let plan = p
             .partition_single(bb, &PartitionConfig::new(stages, micro, 64.0))
             .unwrap();
-        ScheduleBuilder::new(&f.db, &f.cluster, &layout)
+        ScheduleBuilder::new(p.cost())
             .build_single(&plan, kind)
             .unwrap()
     }
@@ -532,7 +482,6 @@ mod tests {
             fwd: vec![1.0; s],
             bwd: vec![2.0; s],
             comm_in: vec![0.0; s],
-            feedback: 0.0,
             sync: vec![0.0; s],
             replication: vec![1; s],
             micro_batch: 1.0,
@@ -662,14 +611,14 @@ mod tests {
         let model = zoo::cdm_lsun();
         let f = fixture(model, 4, 64);
         let layout = DataParallelLayout::new(&f.cluster, 4).unwrap();
-        let p = Partitioner::new(&f.db, &f.cluster, &layout);
-        let mut bbs = f.db.model().backbones().map(|(id, _)| id);
+        let p = Partitioner::new(&f.cost, &layout);
+        let mut bbs = f.cost.db().model().backbones().map(|(id, _)| id);
         let b0 = bbs.next().unwrap();
         let b1 = bbs.next().unwrap();
         let plan = p
             .partition_bidirectional(b0, b1, &PartitionConfig::new(4, 4, 64.0))
             .unwrap();
-        let s = ScheduleBuilder::new(&f.db, &f.cluster, &layout)
+        let s = ScheduleBuilder::new(p.cost())
             .build_bidirectional(&plan)
             .unwrap();
         s.check_consistency().unwrap();
@@ -695,8 +644,8 @@ mod tests {
         let model = zoo::cdm_lsun();
         let f = fixture(model, 4, 64);
         let layout = DataParallelLayout::new(&f.cluster, 4).unwrap();
-        let p = Partitioner::new(&f.db, &f.cluster, &layout);
-        let mut bbs = f.db.model().backbones().map(|(id, _)| id);
+        let p = Partitioner::new(&f.cost, &layout);
+        let mut bbs = f.cost.db().model().backbones().map(|(id, _)| id);
         let plan = p
             .partition_bidirectional(
                 bbs.next().unwrap(),
@@ -704,7 +653,7 @@ mod tests {
                 &PartitionConfig::new(2, 2, 64.0),
             )
             .unwrap();
-        let s = ScheduleBuilder::new(&f.db, &f.cluster, &layout)
+        let s = ScheduleBuilder::new(p.cost())
             .build_bidirectional(&plan)
             .unwrap();
         assert_eq!(s.group_batch, 128.0);

@@ -31,20 +31,22 @@
 //! ```
 //! use dpipe_cluster::{ClusterSpec, DataParallelLayout};
 //! use dpipe_model::zoo;
-//! use dpipe_partition::{PartitionConfig, Partitioner};
+//! use dpipe_partition::{CostModel, PartitionConfig, Partitioner};
 //! use dpipe_profile::{DeviceModel, Profiler};
 //! use dpipe_schedule::{ScheduleBuilder, ScheduleKind};
 //!
 //! let model = zoo::stable_diffusion_v2_1();
 //! let cluster = ClusterSpec::single_node(8);
 //! let (db, _) = Profiler::new(DeviceModel::a100_like()).profile(&model, 64);
+//! let cost = CostModel::new(vec![db], &cluster);
 //! let layout = DataParallelLayout::new(&cluster, 8).unwrap();
-//! let part = Partitioner::new(&db, &cluster, &layout);
+//! let part = Partitioner::new(&cost, &layout);
 //! let bb = model.backbones().next().unwrap().0;
 //! let plan = part
 //!     .partition_single(bb, &PartitionConfig::new(4, 4, 64.0))
 //!     .unwrap();
-//! let sched = ScheduleBuilder::new(&db, &cluster, &layout)
+//! // The schedule times its stages through the partitioner's stage costs.
+//! let sched = ScheduleBuilder::new(part.cost())
 //!     .build_single(&plan, ScheduleKind::Fifo1F1B)
 //!     .unwrap();
 //! assert!(sched.iteration_time() > 0.0);
@@ -57,11 +59,9 @@ mod op;
 mod render;
 mod schedule;
 mod simulate;
-mod stage_times;
 
 pub use bubble::{extract_bubbles, Bubble};
 pub use builder::{ScheduleBuilder, ScheduleError, ScheduleKind};
 pub use op::{Deps, Op, OpId, OpKind, PipelineDirection};
 pub use render::render_timeline;
 pub use schedule::{PipelineSchedule, ScheduledOp};
-pub use stage_times::StageTimes;

@@ -62,19 +62,21 @@ mod tests {
     use crate::builder::{ScheduleBuilder, ScheduleKind};
     use dpipe_cluster::{ClusterSpec, DataParallelLayout};
     use dpipe_model::zoo;
-    use dpipe_partition::{PartitionConfig, Partitioner};
+    use dpipe_partition::{CostModel, PartitionConfig, Partitioner};
     use dpipe_profile::{DeviceModel, Profiler};
 
     fn render(stages: usize, micro: usize) -> String {
         let model = zoo::synthetic_model(8, 10.0, &[1.0], false);
         let cluster = ClusterSpec::single_node(stages);
         let (db, _) = Profiler::new(DeviceModel::a100_like()).profile(&model, 32);
+        let cost = CostModel::new(vec![db], &cluster);
         let layout = DataParallelLayout::new(&cluster, stages).unwrap();
-        let bb = db.model().backbones().next().unwrap().0;
-        let plan = Partitioner::new(&db, &cluster, &layout)
+        let bb = model.backbones().next().unwrap().0;
+        let part = Partitioner::new(&cost, &layout);
+        let plan = part
             .partition_single(bb, &PartitionConfig::new(stages, micro, 32.0))
             .unwrap();
-        let sched = ScheduleBuilder::new(&db, &cluster, &layout)
+        let sched = ScheduleBuilder::new(part.cost())
             .build_single(&plan, ScheduleKind::Fifo1F1B)
             .unwrap();
         render_timeline(&sched, 60)

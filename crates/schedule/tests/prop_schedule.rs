@@ -5,7 +5,7 @@
 
 use dpipe_cluster::{ClusterSpec, DataParallelLayout};
 use dpipe_model::zoo;
-use dpipe_partition::{PartitionConfig, Partitioner};
+use dpipe_partition::{CostModel, PartitionConfig, Partitioner};
 use dpipe_profile::{DeviceModel, Profiler};
 use dpipe_schedule::{
     extract_bubbles, Bubble, Op, PipelineSchedule, ScheduleBuilder, ScheduleKind,
@@ -23,12 +23,14 @@ fn schedule_for(
     let model = zoo::synthetic_model(layers, layer_ms, &[1.0, 2.0], self_cond);
     let cluster = ClusterSpec::single_node(stages);
     let (db, _) = Profiler::new(DeviceModel::a100_like()).profile(&model, 32);
+    let cost = CostModel::new(vec![db], &cluster);
     let layout = DataParallelLayout::new(&cluster, stages).unwrap();
-    let bb = db.model().backbones().next().unwrap().0;
-    let plan = Partitioner::new(&db, &cluster, &layout)
+    let bb = model.backbones().next().unwrap().0;
+    let part = Partitioner::new(&cost, &layout);
+    let plan = part
         .partition_single(bb, &PartitionConfig::new(stages, micro, 32.0))
         .unwrap();
-    ScheduleBuilder::new(&db, &cluster, &layout)
+    ScheduleBuilder::new(part.cost())
         .build_single(&plan, kind)
         .unwrap()
 }
@@ -43,13 +45,15 @@ fn bidirectional_schedule(
 ) -> PipelineSchedule {
     let cluster = ClusterSpec::single_node(devices);
     let (db, _) = Profiler::new(DeviceModel::a100_like()).profile(&model, 64);
+    let cost = CostModel::new(vec![db], &cluster);
     let layout = DataParallelLayout::new(&cluster, devices).unwrap();
-    let mut backbones = db.model().backbones().map(|(id, _)| id);
+    let mut backbones = model.backbones().map(|(id, _)| id);
     let (down, up) = (backbones.next().unwrap(), backbones.next().unwrap());
-    let plan = Partitioner::new(&db, &cluster, &layout)
+    let part = Partitioner::new(&cost, &layout);
+    let plan = part
         .partition_bidirectional(down, up, &PartitionConfig::new(stages, micro, 64.0))
         .unwrap();
-    ScheduleBuilder::new(&db, &cluster, &layout)
+    ScheduleBuilder::new(part.cost())
         .build_bidirectional(&plan)
         .unwrap()
 }

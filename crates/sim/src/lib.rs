@@ -26,23 +26,25 @@
 //! use dpipe_fill::{FillConfig, Filler};
 //! use dpipe_cluster::{ClusterSpec, DataParallelLayout};
 //! use dpipe_model::zoo;
-//! use dpipe_partition::{PartitionConfig, Partitioner};
+//! use dpipe_partition::{CostModel, PartitionConfig, Partitioner};
 //! use dpipe_profile::{DeviceModel, Profiler};
 //! use dpipe_schedule::{ScheduleBuilder, ScheduleKind};
 //!
 //! let model = zoo::stable_diffusion_v2_1();
 //! let cluster = ClusterSpec::single_node(8);
 //! let (db, _) = Profiler::new(DeviceModel::a100_like()).profile(&model, 64);
+//! let cost = CostModel::new(vec![db], &cluster);
 //! let layout = DataParallelLayout::new(&cluster, 8).unwrap();
 //! let bb = model.backbones().next().unwrap().0;
-//! let plan = Partitioner::new(&db, &cluster, &layout)
+//! let part = Partitioner::new(&cost, &layout);
+//! let plan = part
 //!     .partition_single(bb, &PartitionConfig::new(4, 4, 64.0))
 //!     .unwrap();
-//! let sched = ScheduleBuilder::new(&db, &cluster, &layout)
+//! let sched = ScheduleBuilder::new(part.cost())
 //!     .build_single(&plan, ScheduleKind::Fifo1F1B)
 //!     .unwrap();
 //! let bubbles = sched.bubbles(0.010);
-//! let fill = Filler::new(&db, FillConfig::default())
+//! let fill = Filler::new(cost.db(), FillConfig::default())
 //!     .fill(&bubbles, sched.group_batch, 8)
 //!     .unwrap();
 //! let combined = CombinedIteration::new(&sched, &bubbles, &fill);
@@ -54,7 +56,7 @@ mod des;
 pub mod fault;
 mod instr;
 
-pub use combine::CombinedIteration;
+pub use combine::{CombinedIteration, IterationTiming};
 pub use des::{Event, EventQueue, SimError};
 pub use fault::{FaultPlan, FaultSpec, LinkFault, NodeDropFault, StragglerFault};
 pub use instr::{FaultedRun, InstrError, Instruction, InstructionSim, InstructionTrace};

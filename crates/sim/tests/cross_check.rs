@@ -4,9 +4,9 @@
 
 use dpipe_cluster::{ClusterSpec, DataParallelLayout};
 use dpipe_model::zoo;
-use dpipe_partition::{PartitionConfig, Partitioner};
+use dpipe_partition::{CostModel, PartitionConfig, Partitioner, StageTimes};
 use dpipe_profile::{DeviceModel, Profiler};
-use dpipe_schedule::{ScheduleBuilder, ScheduleKind, StageTimes};
+use dpipe_schedule::{ScheduleBuilder, ScheduleKind};
 use dpipe_sim::{Instruction, InstructionSim};
 use proptest::prelude::*;
 
@@ -68,13 +68,15 @@ fn instruction_sim_matches_analytic_gpipe() {
     model.self_conditioning = None;
     let cluster = ClusterSpec::single_node(4);
     let (db, _) = Profiler::new(DeviceModel::a100_like()).profile(&model, 64);
+    let cost = CostModel::new(vec![db], &cluster);
     let layout = DataParallelLayout::new(&cluster, 4).unwrap();
-    let bb = db.model().backbones().next().unwrap().0;
-    let plan = Partitioner::new(&db, &cluster, &layout)
+    let bb = model.backbones().next().unwrap().0;
+    let part = Partitioner::new(&cost, &layout);
+    let plan = part
         .partition_single(bb, &PartitionConfig::new(4, 4, 64.0))
         .unwrap();
-    let times = StageTimes::from_plan(&db, &cluster, &layout, &plan);
-    let sched = ScheduleBuilder::new(&db, &cluster, &layout)
+    let times = part.cost().stage_times(&plan);
+    let sched = ScheduleBuilder::new(part.cost())
         .build_single(&plan, ScheduleKind::GPipe)
         .unwrap();
     let (_, makespan) = InstructionSim::run(&gpipe_streams(&times)).unwrap();
@@ -103,7 +105,6 @@ proptest! {
             fwd: vec![fwd_ms * 1e-3; stages],
             bwd: vec![2.0 * fwd_ms * 1e-3; stages],
             comm_in: vec![0.0; stages],
-            feedback: 0.0,
             sync: vec![0.0; stages],
             replication: vec![1; stages],
             micro_batch: 8.0,

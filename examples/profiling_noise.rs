@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --release --example profiling_noise`
 
+use diffusionpipe::partition::StageCost;
 use diffusionpipe::prelude::*;
 use diffusionpipe::profile::NoiseConfig;
 
@@ -16,7 +17,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_world_size(8)
         .profile(&model, batch);
 
+    let truth = CostModel::new(vec![true_db], &cluster);
     let layout = DataParallelLayout::new(&cluster, 2).unwrap();
+    let true_times = StageCost::new(&truth, &layout);
     let bb = model.backbones().next().expect("backbone").0;
     let cfg = PartitionConfig::new(2, 1, 96.0);
 
@@ -25,15 +28,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "sigma", "bubble ratio", "fill ratio", "iter (ms)"
     );
     for sigma in [0.0, 0.01, 0.03, 0.05, 0.10] {
-        let noisy = true_db.clone().with_noise(NoiseConfig { sigma, seed: 7 });
-        let plan = Partitioner::new(&noisy, &cluster, &layout).partition_single(bb, &cfg)?;
+        let noisy_db = truth
+            .db()
+            .clone()
+            .with_noise(NoiseConfig { sigma, seed: 7 });
+        let noisy = CostModel::new(vec![noisy_db], &cluster);
+        let plan = Partitioner::new(&noisy, &layout).partition_single(bb, &cfg)?;
         // The schedule realises TRUE durations; filling decisions were made
         // from the noisy view.
-        let sched = ScheduleBuilder::new(&true_db, &cluster, &layout)
-            .build_single(&plan, ScheduleKind::Fifo1F1B)?;
+        let sched =
+            ScheduleBuilder::new(&true_times).build_single(&plan, ScheduleKind::Fifo1F1B)?;
         let bubbles = sched.bubbles(0.010);
         let fill =
-            Filler::new(&noisy, FillConfig::default()).fill(&bubbles, sched.group_batch, 2)?;
+            Filler::new(noisy.db(), FillConfig::default()).fill(&bubbles, sched.group_batch, 2)?;
         let combined = CombinedIteration::new(&sched, &bubbles, &fill);
         println!(
             "{:>7.0}% {:>13.1}% {:>13.1}% {:>12.0}",

@@ -90,7 +90,7 @@ pub mod prelude {
     pub use crate::fill::{FillConfig, Filler};
     pub use crate::http::{HttpClient, HttpServer, ServerConfig};
     pub use crate::model::{zoo, ModelSpec};
-    pub use crate::partition::{PartitionConfig, Partitioner, SearchSpace};
+    pub use crate::partition::{CostModel, PartitionConfig, Partitioner, SearchSpace};
     pub use crate::profile::{DeviceModel, ProfileDb, Profiler};
     pub use crate::schedule::{ScheduleBuilder, ScheduleKind};
     pub use crate::serve::{PlanRequest, PlanService, ServiceConfig, SweepReport};

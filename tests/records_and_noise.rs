@@ -7,6 +7,7 @@
 //! planning from the analytic model, and moderate profiling noise must
 //! degrade the fill only mildly.
 
+use diffusionpipe::partition::StageCost;
 use diffusionpipe::prelude::*;
 use diffusionpipe::profile::NoiseConfig;
 use diffusionpipe::sim::CombinedIteration;
@@ -59,7 +60,8 @@ fn planning_from_records_matches_analytic_planning() {
         .unwrap();
     let hp = analytic_plan.hyper;
     let layout = DataParallelLayout::new(&cluster, hp.group_size).unwrap();
-    let part = Partitioner::new(&recorded, &cluster, &layout);
+    let cost = CostModel::new(vec![recorded], &cluster);
+    let part = Partitioner::new(&cost, &layout);
     let bb = model.backbones().next().unwrap().0;
     let cfg = PartitionConfig::new(
         hp.num_stages,
@@ -67,11 +69,11 @@ fn planning_from_records_matches_analytic_planning() {
         hp.group_batch(batch, 8),
     );
     let plan = part.partition_single(bb, &cfg).unwrap();
-    let sched = ScheduleBuilder::new(&recorded, &cluster, &layout)
+    let sched = ScheduleBuilder::new(part.cost())
         .build_single(&plan, ScheduleKind::Fifo1F1B)
         .unwrap();
     let bubbles = sched.bubbles(0.010);
-    let fill = Filler::new(&recorded, FillConfig::default())
+    let fill = Filler::new(cost.db(), FillConfig::default())
         .fill(&bubbles, sched.group_batch, hp.group_size)
         .unwrap();
     let combined = CombinedIteration::new(&sched, &bubbles, &fill);
@@ -94,27 +96,33 @@ fn noise_degrades_fill_gracefully() {
     let batch = 384u32;
     let profiler = Profiler::new(DeviceModel::a100_like()).with_world_size(8);
     let (true_db, _) = profiler.profile(&model, batch);
+    let truth = CostModel::new(vec![true_db], &cluster);
 
     let layout = DataParallelLayout::new(&cluster, 2).unwrap();
+    let true_times = StageCost::new(&truth, &layout);
     let bb = model.backbones().next().unwrap().0;
     let cfg = PartitionConfig::new(2, 1, 96.0);
 
     let mut ratios = Vec::new();
     for sigma in [0.0, 0.05] {
-        let noisy = true_db.clone().with_noise(NoiseConfig { sigma, seed: 7 });
+        let noisy_db = truth
+            .db()
+            .clone()
+            .with_noise(NoiseConfig { sigma, seed: 7 });
+        let noisy = CostModel::new(vec![noisy_db], &cluster);
         // Plan from noisy view.
-        let plan = Partitioner::new(&noisy, &cluster, &layout)
+        let plan = Partitioner::new(&noisy, &layout)
             .partition_single(bb, &cfg)
             .unwrap();
         // Evaluate with true times: the schedule realises true durations,
         // but the *fill decisions* were made from the noisy view. We model
         // the §6.2 effect by filling with noisy times and measuring the
         // overrun/underrun against the true bubble capacity.
-        let sched = ScheduleBuilder::new(&true_db, &cluster, &layout)
+        let sched = ScheduleBuilder::new(&true_times)
             .build_single(&plan, ScheduleKind::Fifo1F1B)
             .unwrap();
         let bubbles = sched.bubbles(0.010);
-        let fill = Filler::new(&noisy, FillConfig::default())
+        let fill = Filler::new(noisy.db(), FillConfig::default())
             .fill(&bubbles, sched.group_batch, 2)
             .unwrap();
         let combined = CombinedIteration::new(&sched, &bubbles, &fill);
