@@ -988,6 +988,39 @@ mod tests {
         );
     }
 
+    /// A self-conditioning probability of 0.0 costs nothing: the schedule
+    /// runs every self-conditioning forward for zero time, as the
+    /// partitioner charges it, so the plan keeps a vanishing probability's
+    /// throughput.
+    #[test]
+    fn zero_self_conditioning_probability_is_scheduled_free() {
+        let plan_at = |probability: f64| {
+            let mut model = zoo::stable_diffusion_v2_1();
+            model.self_conditioning = Some(dpipe_model::SelfConditioning { probability });
+            Planner::new(model, ClusterSpec::single_node(8))
+                .plan(256)
+                .unwrap()
+        };
+        let (zero, tiny) = (plan_at(0.0), plan_at(1e-12));
+        let sc_forwards: Vec<_> = zero
+            .schedule
+            .ops
+            .iter()
+            .filter(|o| o.op.kind == dpipe_schedule::OpKind::SelfCondForward)
+            .collect();
+        assert!(!sc_forwards.is_empty());
+        for o in sc_forwards {
+            assert_eq!((o.op.duration, o.end - o.start), (0.0, 0.0), "{o:?}");
+        }
+        let rel = (zero.throughput - tiny.throughput).abs() / tiny.throughput;
+        assert!(
+            rel < 1e-9,
+            "probability 0.0 gives {} samples/s, 1e-12 gives {}",
+            zero.throughput,
+            tiny.throughput
+        );
+    }
+
     #[test]
     fn partial_batch_ablation_is_between() {
         let full = Planner::plan_spec(&sd_spec(384, true, true)).unwrap();

@@ -1,12 +1,15 @@
 //! Property tests: schedules built from arbitrary synthetic models are
 //! always consistent, and bubble extraction conserves time. The list
-//! scheduler and the bubble sweep are checked bit for bit against the
-//! straightforward algorithms they replaced, kept here as oracles.
+//! scheduler, the bubble sweep and the stage-times derivation are checked
+//! bit for bit against the straightforward algorithms they replaced, kept
+//! here as oracles.
 
-use dpipe_cluster::{ClusterSpec, DataParallelLayout};
-use dpipe_model::zoo;
-use dpipe_partition::{CostModel, PartitionConfig, Partitioner};
-use dpipe_profile::{DeviceModel, Profiler};
+use dpipe_cluster::{ClusterSpec, DataParallelLayout, DeviceClass, DeviceId};
+use dpipe_model::{zoo, ComponentId, LayerId, ModelSpec, SelfConditioning};
+use dpipe_partition::{
+    CostModel, PartitionConfig, PartitionPlan, Partitioner, StageCost, StagePlan, StageTimes,
+};
+use dpipe_profile::{DeviceModel, ProfileDb, Profiler};
 use dpipe_schedule::{
     extract_bubbles, Bubble, Op, PipelineSchedule, ScheduleBuilder, ScheduleKind,
 };
@@ -230,6 +233,203 @@ fn assert_schedule_bubbles_match(s: &PipelineSchedule) -> Result<(), TestCaseErr
     Ok(())
 }
 
+/// Oracle: the stage-times derivation from before the plan-wide cost
+/// model. It rebuilds the class map and the communication model on every
+/// call and resolves each stage's class over its devices in every group;
+/// `dbs` holds one database per device class, and a class without one is
+/// timed on database 0.
+fn reference_stage_times(
+    dbs: &[ProfileDb],
+    cluster: &ClusterSpec,
+    layout: &DataParallelLayout,
+    plan: &PartitionPlan,
+) -> StageTimes {
+    let db = &dbs[0];
+    let comm = cluster.comm_model();
+    let class_map = cluster.class_map();
+    let db_for_stage = |stage: &StagePlan| -> &ProfileDb {
+        dbs.get(class_map.effective_class(stage_devices(layout, stage)))
+            .unwrap_or(db)
+    };
+    let group0 = &layout.groups[0];
+    let first_in_group0 = |stage: &StagePlan| group0.devices[stage.device_offsets[0]];
+    let last_in_group0 = |stage: &StagePlan| group0.devices[*stage.device_offsets.last().unwrap()];
+    let mut devs = Vec::new();
+    let s_count = plan.stages.len();
+    let mut fwd = Vec::with_capacity(s_count);
+    let mut bwd = Vec::with_capacity(s_count);
+    let mut comm_in = Vec::with_capacity(s_count);
+    let mut sync = Vec::with_capacity(s_count);
+    let mut replication = Vec::with_capacity(s_count);
+    for (i, stage) in plan.stages.iter().enumerate() {
+        let stage_db = db_for_stage(stage);
+        let local = stage.local_batch(plan.micro_batch);
+        fwd.push(stage_db.fwd_time_range(stage.component, stage.layers.clone(), local));
+        bwd.push(stage_db.bwd_time_range(stage.component, stage.layers.clone(), local));
+        replication.push(stage.replication);
+        if i == 0 {
+            comm_in.push(0.0);
+        } else {
+            let src = last_in_group0(&plan.stages[i - 1]);
+            let dst = first_in_group0(stage);
+            let bytes = db.boundary_bytes(
+                stage.component,
+                LayerId(stage.layers.start.saturating_sub(1)),
+                local,
+            );
+            comm_in.push(comm.p2p_time(bytes, src, dst));
+        }
+        devs.clear();
+        devs.extend(stage_devices(layout, stage));
+        let grad = db.grad_bytes_range(stage.component, stage.layers.clone());
+        sync.push(comm.allreduce_time(grad, &devs));
+    }
+    StageTimes {
+        fwd,
+        bwd,
+        comm_in,
+        sync,
+        replication,
+        micro_batch: plan.micro_batch,
+        num_micro_batches: plan.num_micro_batches,
+        sc_scale: db
+            .model()
+            .self_conditioning
+            .map_or(0.0, |sc| sc.probability),
+    }
+}
+
+/// A stage's devices in every pipeline group, group by group.
+fn stage_devices<'a>(
+    layout: &'a DataParallelLayout,
+    stage: &'a StagePlan,
+) -> impl Iterator<Item = DeviceId> + 'a {
+    layout
+        .groups
+        .iter()
+        .flat_map(move |g| stage.device_offsets.iter().map(move |&o| g.devices[o]))
+}
+
+/// `count − 1` sorted cut points in `1..len`, picked by `draws`.
+fn cuts(len: usize, count: usize, draws: &[usize]) -> Vec<usize> {
+    let mut free: Vec<usize> = (1..len).collect();
+    let mut picked: Vec<usize> = draws
+        .iter()
+        .take(count - 1)
+        .map(|&d| free.remove(d % free.len()))
+        .collect();
+    picked.sort_unstable();
+    picked
+}
+
+/// A random plan of `component` (`layers` layers) over a `devices`-wide
+/// chain: `stages` contiguous layer ranges and device blocks, cut at
+/// `draws`. With `reversed`, stage 0 takes the last block, as the up
+/// pipeline of a bidirectional plan does.
+fn random_plan(
+    component: ComponentId,
+    layers: usize,
+    devices: usize,
+    stages: usize,
+    draws: &[usize],
+    (micro_batch, num_micro_batches): (f64, usize),
+    reversed: bool,
+) -> PartitionPlan {
+    let bounds = |len: usize, offset: usize| -> Vec<usize> {
+        let mut b = vec![0];
+        b.extend(cuts(len, stages, &draws[offset..]));
+        b.push(len);
+        b
+    };
+    let (layer_bounds, device_bounds) = (bounds(layers, 0), bounds(devices, stages));
+    let stages = (0..stages)
+        .map(|s| {
+            let block = if reversed { stages - 1 - s } else { s };
+            let offsets = device_bounds[block]..device_bounds[block + 1];
+            StagePlan {
+                component,
+                layers: layer_bounds[s]..layer_bounds[s + 1],
+                replication: offsets.len(),
+                device_offsets: offsets.collect(),
+            }
+        })
+        .collect();
+    PartitionPlan {
+        stages,
+        num_micro_batches,
+        micro_batch,
+        t0: 0.0,
+        t_sync_gap: 0.0,
+        t_max: 0.0,
+    }
+}
+
+/// One of three cluster families, each `machines` × `per_node` GPUs: one
+/// node of that many GPUs; p4de machines joined by inter-node links; or a
+/// fleet alternating A100 and H100 machines.
+fn oracle_cluster(kind: usize, machines: usize, per_node: usize, h100_first: bool) -> ClusterSpec {
+    let cluster = match kind {
+        0 => return ClusterSpec::single_node(machines * per_node),
+        1 => ClusterSpec::p4de(machines),
+        _ => ClusterSpec::p4de(machines).with_machine_classes(
+            (0..machines)
+                .map(|m| {
+                    if (m % 2 == 0) == h100_first {
+                        DeviceClass::h100()
+                    } else {
+                        DeviceClass::a100()
+                    }
+                })
+                .collect(),
+        ),
+    };
+    ClusterSpec {
+        devices_per_machine: per_node,
+        ..cluster
+    }
+}
+
+/// `StageCost::stage_times` equals the oracle on every plan, field by
+/// field and bit for bit.
+fn assert_stage_times_match(
+    model: &ModelSpec,
+    cluster: &ClusterSpec,
+    group_pick: usize,
+    plans: impl Fn(usize) -> Vec<PartitionPlan>,
+) -> Result<(), TestCaseError> {
+    let scales = cluster.class_map().compute_scales();
+    let (dbs, _) = Profiler::new(DeviceModel::a100_like()).profile_classes(model, 32, &scales);
+    let sizes = DataParallelLayout::candidate_group_sizes(cluster);
+    let group = sizes[group_pick % sizes.len()];
+    let layout = DataParallelLayout::new(cluster, group).unwrap();
+    let cost = CostModel::new(dbs.clone(), cluster);
+    let stage_cost = StageCost::new(&cost, &layout);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for plan in plans(group) {
+        let got = stage_cost.stage_times(&plan);
+        let want = reference_stage_times(&dbs, cluster, &layout, &plan);
+        let stages: Vec<_> = plan
+            .stages
+            .iter()
+            .map(|s| (s.layers.clone(), s.device_offsets.clone()))
+            .collect();
+        prop_assert_eq!(bits(&got.fwd), bits(&want.fwd), "fwd of {:?}", stages);
+        prop_assert_eq!(bits(&got.bwd), bits(&want.bwd), "bwd of {:?}", stages);
+        prop_assert_eq!(
+            bits(&got.comm_in),
+            bits(&want.comm_in),
+            "comm_in of {:?}",
+            stages
+        );
+        prop_assert_eq!(bits(&got.sync), bits(&want.sync), "sync of {:?}", stages);
+        prop_assert_eq!(&got.replication, &want.replication);
+        prop_assert_eq!(got.micro_batch.to_bits(), want.micro_batch.to_bits());
+        prop_assert_eq!(got.num_micro_batches, want.num_micro_batches);
+        prop_assert_eq!(got.sc_scale.to_bits(), want.sc_scale.to_bits());
+    }
+    Ok(())
+}
+
 /// 2^-43 s, about 1.1e-13: nine of these span the 1e-12 edge tolerance.
 const TICK: f64 = 1.0 / (1u64 << 43) as f64;
 
@@ -390,6 +590,61 @@ proptest! {
         assert_schedule_bubbles_match(&s)?;
     }
 
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Single-backbone stage times equal the oracle derivation: 1–5
+    /// stages cut at random layers and devices, self-conditioning on or
+    /// off, on one node, linked machines or a mixed A100/H100 fleet.
+    #[test]
+    fn single_backbone_stage_times_match_the_reference(
+        layers in 5usize..13,
+        picks in (1usize..6, 0usize..16),
+        draws in proptest::collection::vec(0usize..64, 10),
+        sc in (any::<bool>(), 0.0f64..1.0),
+        shape in (0usize..3, 2usize..4, 1usize..5, any::<bool>()),
+        micro in (1.0f64..16.0, 1usize..7),
+    ) {
+        let (stages, group_pick) = picks;
+        let (kind, machines, per_node, h100_first) = shape;
+        let mut model = zoo::synthetic_model(layers, 10.0, &[1.0, 2.0], false);
+        model.self_conditioning = sc.0.then_some(SelfConditioning { probability: sc.1 });
+        let bb = model.backbones().next().unwrap().0;
+        let cluster = oracle_cluster(kind, machines, per_node, h100_first);
+        assert_stage_times_match(&model, &cluster, group_pick, |group| {
+            let stages = stages.min(group).min(layers);
+            vec![random_plan(bb, layers, group, stages, &draws, micro, false)]
+        })?;
+    }
+
+    /// Two-backbone stage times equal the oracle derivation for both the
+    /// down pipeline and the up pipeline, whose stage 0 sits on the last
+    /// devices, on the same cluster families.
+    #[test]
+    fn two_backbone_stage_times_match_the_reference(
+        layers in (5usize..13, 5usize..13),
+        picks in (1usize..6, 0usize..16),
+        draws in (proptest::collection::vec(0usize..64, 10), proptest::collection::vec(0usize..64, 10)),
+        shape in (0usize..3, 2usize..4, 1usize..5, any::<bool>()),
+        micro in (1.0f64..16.0, 1usize..7),
+    ) {
+        let (stages, group_pick) = picks;
+        let (kind, machines, per_node, h100_first) = shape;
+        let mut model = zoo::synthetic_model(layers.0, 10.0, &[1.0, 2.0], false);
+        model.components.push(zoo::synthetic_backbone("up", layers.1, 2_000_000, 14.0));
+        let mut backbones = model.backbones().map(|(id, _)| id);
+        let (down, up) = (backbones.next().unwrap(), backbones.next().unwrap());
+        let cluster = oracle_cluster(kind, machines, per_node, h100_first);
+        assert_stage_times_match(&model, &cluster, group_pick, |group| {
+            let stages = stages.min(group).min(layers.0).min(layers.1);
+            vec![
+                random_plan(down, layers.0, group, stages, &draws.0, micro, false),
+                random_plan(up, layers.1, group, stages, &draws.1, micro, true),
+            ]
+        })?;
+    }
 }
 
 proptest! {
