@@ -461,8 +461,8 @@ mod tests {
         let plan = p
             .partition_bidirectional(b0, b1, &PartitionConfig::new(4, 4, 128.0))
             .unwrap();
-        assert_eq!(plan.down.num_stages(), 4);
-        assert_eq!(plan.up.num_stages(), 4);
+        assert_eq!(plan.down.stages.len(), 4);
+        assert_eq!(plan.up.stages.len(), 4);
         assert!(plan.down.covers(db.model().component(b0).num_layers()));
         // Up plan covers all layers too, but stage 0 holds the *last* chain
         // offsets. Verify coverage by sorting ranges.
@@ -607,7 +607,7 @@ mod tests {
                 let fast = p.partition_bidirectional(b0, b1, &cfg).unwrap();
                 let reference = p.partition_bidirectional_reference(b0, b1, &cfg).unwrap();
                 assert_eq!(fast, reference, "S={s} M={m}");
-                let sizes: Vec<usize> = fast.down.stages.iter().map(|st| st.num_layers()).collect();
+                let sizes: Vec<usize> = fast.down.stages.iter().map(|st| st.layers.len()).collect();
                 assert_eq!(sizes, vec![12 / s; s], "S={s} M={m}");
             }
         }

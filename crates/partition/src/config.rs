@@ -39,7 +39,7 @@ impl PartitionConfig {
     }
 
     /// The coefficient `M + 2S − 2` multiplying `T0` in Eqn. (1).
-    pub fn critical_path_factor(&self) -> f64 {
+    pub(crate) fn critical_path_factor(&self) -> f64 {
         (self.num_micro_batches + 2 * self.num_stages - 2) as f64
     }
 }

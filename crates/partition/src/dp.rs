@@ -131,7 +131,7 @@ pub(crate) struct FrontArena {
 
 impl FrontArena {
     /// An arena for `num_states` states with all fronts empty.
-    pub fn new(num_states: usize) -> Self {
+    pub(crate) fn new(num_states: usize) -> Self {
         FrontArena {
             points: Vec::new(),
             spans: vec![(u32::MAX, 0); num_states],
@@ -141,13 +141,13 @@ impl FrontArena {
     /// Marks the start of destination state construction; returns the
     /// segment start to pass to [`FrontArena::insert`].
     #[inline]
-    pub fn begin_state(&self) -> usize {
+    pub(crate) fn begin_state(&self) -> usize {
         self.points.len()
     }
 
     /// Seals the current destination state's span.
     #[inline]
-    pub fn end_state(&mut self, state: usize, seg_start: usize) {
+    pub(crate) fn end_state(&mut self, state: usize, seg_start: usize) {
         let len = self.points.len() - seg_start;
         self.spans[state] = (seg_start as u32, len as u32);
     }
@@ -155,7 +155,7 @@ impl FrontArena {
     /// Pareto-inserts `(w, y)` into the segment that started at
     /// `seg_start`. Returns true if the point was kept.
     #[inline]
-    pub fn insert(
+    pub(crate) fn insert(
         &mut self,
         seg_start: usize,
         w: f64,
@@ -191,7 +191,7 @@ impl FrontArena {
 
     /// The front of a state (empty slice if unreachable).
     #[inline]
-    pub fn front(&self, state: usize) -> &[FrontPoint] {
+    pub(crate) fn front(&self, state: usize) -> &[FrontPoint] {
         let (start, len) = self.spans[state];
         if start == u32::MAX {
             return &[];
@@ -201,7 +201,7 @@ impl FrontArena {
 
     /// Index of the point minimising `coeff * w + y` within a state's
     /// front — first minimum wins, matching `ParetoFront::best`.
-    pub fn best(&self, state: usize, coeff: f64) -> Option<usize> {
+    pub(crate) fn best(&self, state: usize, coeff: f64) -> Option<usize> {
         let front = self.front(state);
         let mut best: Option<(usize, f64)> = None;
         for (i, p) in front.iter().enumerate() {

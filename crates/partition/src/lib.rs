@@ -129,7 +129,6 @@ pub use bidirectional::BidirectionalPlan;
 pub use config::PartitionConfig;
 pub use dp::{layer_work, DpStats, BOUND_MARGIN};
 pub use error::PartitionError;
-pub use pareto::ParetoFront;
 pub use plan::{PartitionPlan, StagePlan};
 pub use search::{enumerate_configs, HyperParams, SearchSpace, SearchSpaceError};
 pub use single::Partitioner;

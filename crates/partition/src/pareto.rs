@@ -7,7 +7,7 @@
 /// point on the front, so keeping the front (rather than a single scalar)
 /// makes the DP exact for Eqn. (2) of the paper.
 #[derive(Debug, Clone)]
-pub struct ParetoFront<T> {
+pub(crate) struct ParetoFront<T> {
     points: Vec<(f64, f64, T)>,
 }
 
@@ -19,13 +19,13 @@ impl<T: Clone> Default for ParetoFront<T> {
 
 impl<T: Clone> ParetoFront<T> {
     /// An empty front.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Inserts a candidate point, keeping only non-dominated points.
     /// Returns true if the point was kept.
-    pub fn insert(&mut self, w: f64, y: f64, payload: T) -> bool {
+    pub(crate) fn insert(&mut self, w: f64, y: f64, payload: T) -> bool {
         // Dominated by an existing point?
         if self.points.iter().any(|&(pw, py, _)| pw <= w && py <= y) {
             return false;
@@ -37,22 +37,17 @@ impl<T: Clone> ParetoFront<T> {
     }
 
     /// All non-dominated points.
-    pub fn points(&self) -> &[(f64, f64, T)] {
+    pub(crate) fn points(&self) -> &[(f64, f64, T)] {
         &self.points
     }
 
     /// True if no point has been kept.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
 
-    /// Number of points on the front.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
     /// The point minimising `coeff * w + y`.
-    pub fn best(&self, coeff: f64) -> Option<&(f64, f64, T)> {
+    pub(crate) fn best(&self, coeff: f64) -> Option<&(f64, f64, T)> {
         self.points.iter().min_by(|a, b| {
             let ca = coeff * a.0 + a.1;
             let cb = coeff * b.0 + b.1;
@@ -71,7 +66,7 @@ mod tests {
         assert!(f.insert(1.0, 5.0, 'a'));
         assert!(!f.insert(2.0, 6.0, 'b')); // dominated by a
         assert!(f.insert(0.5, 7.0, 'c')); // trade-off
-        assert_eq!(f.len(), 2);
+        assert_eq!(f.points().len(), 2);
     }
 
     #[test]
@@ -80,7 +75,7 @@ mod tests {
         f.insert(2.0, 2.0, 'a');
         f.insert(3.0, 1.0, 'b');
         assert!(f.insert(1.0, 1.0, 'c')); // dominates both
-        assert_eq!(f.len(), 1);
+        assert_eq!(f.points().len(), 1);
         assert_eq!(f.points()[0].2, 'c');
     }
 
@@ -100,7 +95,7 @@ mod tests {
         let mut f = ParetoFront::new();
         assert!(f.insert(1.0, 1.0, 'a'));
         assert!(!f.insert(1.0, 1.0, 'b'));
-        assert_eq!(f.len(), 1);
+        assert_eq!(f.points().len(), 1);
     }
 
     #[test]

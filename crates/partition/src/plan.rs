@@ -19,11 +19,6 @@ pub struct StagePlan {
 }
 
 impl StagePlan {
-    /// Number of layers in the stage.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// The devices running this stage in the given group.
     ///
     /// # Panics
@@ -62,11 +57,6 @@ pub struct PartitionPlan {
 }
 
 impl PartitionPlan {
-    /// Number of stages `S`.
-    pub fn num_stages(&self) -> usize {
-        self.stages.len()
-    }
-
     /// Checks that stages cover `0..num_layers` contiguously without
     /// overlap. Used by tests and debug assertions.
     pub fn covers(&self, num_layers: usize) -> bool {

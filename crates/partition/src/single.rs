@@ -450,7 +450,7 @@ mod tests {
             let plan = p
                 .partition_single(backbone(&f.db), &PartitionConfig::new(s, 4, 64.0))
                 .unwrap();
-            assert_eq!(plan.num_stages(), s);
+            assert_eq!(plan.stages.len(), s);
             assert!(plan.covers(28), "stages {:?}", plan.stages);
             assert_eq!(plan.devices_used(), 8);
         }
@@ -468,7 +468,7 @@ mod tests {
         let plan = p
             .partition_single(backbone(&f.db), &PartitionConfig::new(4, 4, 16.0))
             .unwrap();
-        let sizes: Vec<usize> = plan.stages.iter().map(|s| s.num_layers()).collect();
+        let sizes: Vec<usize> = plan.stages.iter().map(|s| s.layers.len()).collect();
         assert_eq!(sizes, vec![3, 3, 3, 3]);
     }
 
@@ -494,7 +494,7 @@ mod tests {
             .partition_single(backbone(&f.db), &PartitionConfig::new(2, 4, 16.0))
             .unwrap();
         assert!(
-            plan.stages[0].num_layers() < plan.stages[1].num_layers(),
+            plan.stages[0].layers.len() < plan.stages[1].layers.len(),
             "{:?}",
             plan.stages
                 .iter()
@@ -680,7 +680,7 @@ mod tests {
                     let fast = p.partition_single(bb, &cfg).unwrap();
                     let reference = p.partition_single_reference(bb, &cfg).unwrap();
                     assert_eq!(fast, reference, "S={s} M={m} sc={self_cond}");
-                    let sizes: Vec<usize> = fast.stages.iter().map(|st| st.num_layers()).collect();
+                    let sizes: Vec<usize> = fast.stages.iter().map(|st| st.layers.len()).collect();
                     assert_eq!(sizes, vec![12 / s; s], "S={s} M={m} sc={self_cond}");
                 }
             }

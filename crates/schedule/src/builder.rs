@@ -541,11 +541,14 @@ mod tests {
         let m = zoo::synthetic_model(8, 10.0, &[1.0], false);
         let s = single_schedule(m, 4, 4, ScheduleKind::GPipe);
         s.check_consistency().unwrap();
-        let f = s.ops_of_kind(OpKind::Forward).next().unwrap();
+        let forwards = || s.ops.iter().filter(|o| o.op.kind == OpKind::Forward);
+        let f = forwards().next().unwrap();
         let fdur = f.end - f.start;
         let expected_fwd_phase = (4.0 + 3.0) * fdur;
         let last_fwd_end = s
-            .ops_of_kind(OpKind::Forward)
+            .ops
+            .iter()
+            .filter(|o| o.op.kind == OpKind::Forward)
             .map(|o| o.end)
             .fold(0.0, f64::max);
         assert!(
@@ -585,8 +588,8 @@ mod tests {
         let m = zoo::synthetic_model(8, 10.0, &[1.0], true);
         let s = single_schedule(m, 2, 2, ScheduleKind::Fifo1F1B);
         s.check_consistency().unwrap();
-        let n_sc = s.ops_of_kind(OpKind::SelfCondForward).count();
-        let n_f = s.ops_of_kind(OpKind::Forward).count();
+        let count = |kind| s.ops.iter().filter(|o| o.op.kind == kind).count();
+        let (n_sc, n_f) = (count(OpKind::SelfCondForward), count(OpKind::Forward));
         assert_eq!(n_sc, n_f);
         // On every stage the SC pass of a micro-batch completes before the
         // main pass of that micro-batch starts (Fig. 10's back-to-back

@@ -1,7 +1,7 @@
 //! Simulated pipeline schedules.
 
 use crate::bubble::{extract_bubbles, Bubble};
-use crate::op::{Op, OpKind, PipelineDirection};
+use crate::op::{Op, PipelineDirection};
 
 /// An operation with simulated start/end times.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,7 +65,7 @@ impl PipelineSchedule {
     }
 
     /// Total devices in the pipeline group.
-    pub fn total_devices(&self) -> usize {
+    pub(crate) fn total_devices(&self) -> usize {
         self.slot_replication.iter().sum()
     }
 
@@ -101,11 +101,6 @@ impl PipelineSchedule {
         }
         let idle: f64 = self.bubbles(0.0).iter().map(Bubble::device_seconds).sum();
         idle / (iter * self.total_devices() as f64)
-    }
-
-    /// Ops of a given kind, convenient for tests.
-    pub fn ops_of_kind(&self, kind: OpKind) -> impl Iterator<Item = &ScheduledOp> {
-        self.ops.iter().filter(move |o| o.op.kind == kind)
     }
 
     /// Validates the schedule: ops on one slot never overlap, and every

@@ -42,14 +42,9 @@ impl IterationTiming {
         (self.compute_end + self.leftover).max(self.sync_end)
     }
 
-    /// Throughput of one pipeline group, samples/second.
-    pub fn group_throughput(&self) -> f64 {
-        self.group_batch / self.iteration_time()
-    }
-
-    /// Cluster throughput with `dp_groups` identical groups.
+    /// Cluster throughput with `dp_groups` identical groups, samples/second.
     pub fn cluster_throughput(&self, dp_groups: usize) -> f64 {
-        self.group_throughput() * dp_groups as f64
+        self.group_batch / self.iteration_time() * dp_groups as f64
     }
 }
 
@@ -129,18 +124,13 @@ impl CombinedIteration {
         self.timing.iteration_time()
     }
 
-    /// Throughput of one pipeline group, samples/second.
-    pub fn group_throughput(&self) -> f64 {
-        self.timing.group_throughput()
-    }
-
     /// Cluster throughput with `dp_groups` identical groups.
     pub fn cluster_throughput(&self, dp_groups: usize) -> f64 {
         self.timing.cluster_throughput(dp_groups)
     }
 
     /// Residual bubbles of the merged timeline.
-    pub fn bubbles(&self, min_duration: f64) -> Vec<Bubble> {
+    pub(crate) fn bubbles(&self, min_duration: f64) -> Vec<Bubble> {
         extract_bubbles(
             &self.busy,
             &self.slot_replication,
@@ -162,16 +152,6 @@ impl CombinedIteration {
             .sum();
         let total: usize = self.slot_replication.iter().sum();
         idle / (iter * total as f64)
-    }
-
-    /// End of backbone compute (before the frozen tail).
-    pub fn compute_end(&self) -> f64 {
-        self.timing.compute_end
-    }
-
-    /// Duration of the frozen tail.
-    pub fn leftover(&self) -> f64 {
-        self.timing.leftover
     }
 }
 
@@ -214,7 +194,7 @@ mod tests {
         let filled = CombinedIteration::new(&sched, &bubbles, &fill);
         let unfilled = CombinedIteration::without_filling(&sched, fill.baseline_frozen_time);
         assert!(filled.iteration_time() < unfilled.iteration_time());
-        assert!(filled.group_throughput() > unfilled.group_throughput());
+        assert!(filled.cluster_throughput(1) > unfilled.cluster_throughput(1));
     }
 
     #[test]
@@ -239,7 +219,9 @@ mod tests {
         let bubbles = sched.bubbles(0.010);
         let fill = filler.fill(&bubbles, sched.group_batch, 8).unwrap();
         let combined = CombinedIteration::new(&sched, &bubbles, &fill);
-        assert!((combined.cluster_throughput(4) - 4.0 * combined.group_throughput()).abs() < 1e-9);
+        assert!(
+            (combined.cluster_throughput(4) - 4.0 * combined.cluster_throughput(1)).abs() < 1e-9
+        );
     }
 
     #[test]
@@ -248,7 +230,7 @@ mod tests {
         let filler = Filler::new(&db, FillConfig::default());
         let fill = filler.fill(&[], sched.group_batch, 8).unwrap(); // nothing filled
         let combined = CombinedIteration::new(&sched, &[], &fill);
-        assert!(combined.iteration_time() >= combined.compute_end() + combined.leftover() - 1e-9);
+        assert!(combined.iteration_time() >= sched.compute_end() + fill.leftover_time - 1e-9);
         assert!(combined.iteration_time() >= sched.sync_end() - 1e-9);
     }
 }

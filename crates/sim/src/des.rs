@@ -42,7 +42,7 @@ impl Error for SimError {}
 
 /// A timestamped event carrying a payload.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Event<T> {
+pub(crate) struct Event<T> {
     /// Simulation time in seconds.
     pub time: f64,
     /// Tie-break sequence number (FIFO among equal times).
@@ -74,7 +74,7 @@ impl<T: PartialEq> Ord for Event<T> {
 
 /// A deterministic min-time event queue.
 #[derive(Debug)]
-pub struct EventQueue<T: PartialEq> {
+pub(crate) struct EventQueue<T: PartialEq> {
     heap: BinaryHeap<Event<T>>,
     seq: u64,
     now: f64,
@@ -92,12 +92,13 @@ impl<T: PartialEq> Default for EventQueue<T> {
 
 impl<T: PartialEq> EventQueue<T> {
     /// An empty queue at time 0.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Current simulation time (time of the last popped event).
-    pub fn now(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn now(&self) -> f64 {
         self.now
     }
 
@@ -109,7 +110,7 @@ impl<T: PartialEq> EventQueue<T> {
     /// [`SimError::PastTime`] if it is behind the current simulation time;
     /// in both cases the event is *not* enqueued, so a poisoned time can
     /// never reach the heap's comparator.
-    pub fn schedule(&mut self, time: f64, payload: T) -> Result<(), SimError> {
+    pub(crate) fn schedule(&mut self, time: f64, payload: T) -> Result<(), SimError> {
         if !time.is_finite() {
             return Err(SimError::NonFiniteTime { time });
         }
@@ -128,19 +129,8 @@ impl<T: PartialEq> EventQueue<T> {
         Ok(())
     }
 
-    /// Schedules `payload` after a delay from now.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`EventQueue::schedule`] applied to `now + delay`
-    /// (a NaN or negative delay is rejected).
-    pub fn schedule_after(&mut self, delay: f64, payload: T) -> Result<(), SimError> {
-        let now = self.now;
-        self.schedule(now + delay, payload)
-    }
-
     /// Pops the earliest event, advancing the clock.
-    pub fn pop(&mut self) -> Option<Event<T>> {
+    pub(crate) fn pop(&mut self) -> Option<Event<T>> {
         let ev = self.heap.pop()?;
         // `schedule` rejects poisoned times, so the clock can only move
         // forward; this assert guards the invariant in debug builds.
@@ -155,12 +145,14 @@ impl<T: PartialEq> EventQueue<T> {
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 }
@@ -192,16 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_uses_clock() {
-        let mut q = EventQueue::new();
-        q.schedule(5.0, 'a').unwrap();
-        q.pop();
-        q.schedule_after(1.0, 'b').unwrap();
-        let e = q.pop().unwrap();
-        assert_eq!(e.time, 6.0);
-    }
-
-    #[test]
     fn rejects_past_events() {
         let mut q = EventQueue::new();
         q.schedule(5.0, 'a').unwrap();
@@ -226,10 +208,6 @@ mod tests {
                 Err(SimError::NonFiniteTime { .. })
             ));
         }
-        assert!(matches!(
-            q.schedule_after(f64::NAN, 'x'),
-            Err(SimError::NonFiniteTime { .. })
-        ));
         assert!(q.is_empty());
     }
 

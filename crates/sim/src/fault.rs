@@ -398,7 +398,7 @@ fn optional_f64(fields: &Fields<'_>, key: &str) -> Result<Option<f64>, SpecError
 
 /// Hard cap on retransmits of a single message, so a loss probability close
 /// to 1 degrades the timeline instead of hanging it.
-pub const MAX_RETRANSMITS: u32 = 16;
+pub(crate) const MAX_RETRANSMITS: u32 = 16;
 
 /// A [`FaultSpec`] compiled onto one simulation's instruction streams.
 ///
@@ -513,14 +513,21 @@ impl FaultPlan {
     }
 
     /// Time at which stream `s` stops starting instructions, if any.
-    pub fn drop_at(&self, s: usize) -> Option<f64> {
+    pub(crate) fn drop_at(&self, s: usize) -> Option<f64> {
         self.drop_at.get(s).copied().flatten()
     }
 
     /// Effective transfer duration for a send from stream `src` to stream
     /// `dst` starting at time `t` with fault-free duration `seconds`.
     /// `tag` feeds the deterministic retransmit sampling.
-    pub fn transfer_seconds(&self, src: usize, dst: usize, t: f64, seconds: f64, tag: u64) -> f64 {
+    pub(crate) fn transfer_seconds(
+        &self,
+        src: usize,
+        dst: usize,
+        t: f64,
+        seconds: f64,
+        tag: u64,
+    ) -> f64 {
         if self.links.is_empty() {
             return seconds;
         }

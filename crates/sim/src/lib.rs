@@ -57,6 +57,6 @@ pub mod fault;
 mod instr;
 
 pub use combine::{CombinedIteration, IterationTiming};
-pub use des::{Event, EventQueue, SimError};
+pub use des::SimError;
 pub use fault::{FaultPlan, FaultSpec, LinkFault, NodeDropFault, StragglerFault};
 pub use instr::{FaultedRun, InstrError, Instruction, InstructionSim, InstructionTrace};
