@@ -15,7 +15,7 @@
 //!   and device offsets are all reconstructed from the state indices during
 //!   backtracking.
 //!
-//! Pareto semantics are identical to [`crate::ParetoFront`]: a candidate
+//! Pareto semantics are identical to [`crate::pareto::ParetoFront`]: a candidate
 //! dominated by an existing point (`<=` in both coordinates) is rejected,
 //! and insertion evicts newly-dominated points while preserving order — the
 //! tie-breaking behaviour the equivalence suite depends on.

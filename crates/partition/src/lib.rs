@@ -18,6 +18,19 @@
 //! `(W, Y)` pairs per state instead of a single scalar, guaranteeing the
 //! optimum of Eqn. (2) is never pruned.
 //!
+//! # One cost model per plan
+//!
+//! A [`CostModel`] holds what every config of a plan shares: one profile
+//! database per device class, the cluster's class map and its
+//! communication model. It is built once per plan. Each config borrows it
+//! through a [`StageCost`] for its data-parallel layout, which resolves
+//! only the layout's per-offset device classes. The DPs cost candidate
+//! stages through that [`StageCost`], and the schedule takes its
+//! per-stage times from [`StageCost::stage_times`], so the bound and the
+//! simulated pipeline read the same stage quantities. A device class
+//! without its own database is timed on database 0
+//! ([`CostModel::db_for`]).
+//!
 //! # Fast-path layout (parent-pointer DP)
 //!
 //! The production DPs are engineered around these ideas; the naive
@@ -31,7 +44,7 @@
 //!   precomputed [`dpipe_profile::CostPrefix`] whose triangular tables
 //!   reproduce the naive left-to-right summation exactly, so the fast path
 //!   rounds identically. Gradient-sync all-reduce costs use a cached
-//!   [`SyncShape`] (device count, machines spanned, slowest intra-link
+//!   `SyncShape` (device count, machines spanned, slowest intra-link
 //!   scale) instead of materialising device lists. On heterogeneous
 //!   clusters there is one table set per device class and each stage is
 //!   looked up against the effective class of its devices.

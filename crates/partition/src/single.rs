@@ -424,15 +424,16 @@ mod tests {
     use dpipe_profile::{DeviceModel, ProfileDb, Profiler};
 
     struct Fixture {
-        db: ProfileDb,
+        cost: CostModel,
         cluster: ClusterSpec,
     }
 
     fn fixture(model: dpipe_model::ModelSpec, devices: usize, batch: u32) -> Fixture {
         let (db, _) = Profiler::new(DeviceModel::a100_like()).profile(&model, batch);
+        let cluster = ClusterSpec::single_node(devices);
         Fixture {
-            db,
-            cluster: ClusterSpec::single_node(devices),
+            cost: CostModel::new(vec![db], &cluster),
+            cluster,
         }
     }
 
@@ -444,11 +445,10 @@ mod tests {
     fn partition_covers_all_layers() {
         let f = fixture(zoo::stable_diffusion_v2_1(), 8, 64);
         let layout = DataParallelLayout::new(&f.cluster, 8).unwrap();
-        let cost = CostModel::new(vec![f.db.clone()], &f.cluster);
-        let p = Partitioner::new(&cost, &layout);
+        let p = Partitioner::new(&f.cost, &layout);
         for s in [1usize, 2, 4, 8] {
             let plan = p
-                .partition_single(backbone(&f.db), &PartitionConfig::new(s, 4, 64.0))
+                .partition_single(backbone(f.cost.db()), &PartitionConfig::new(s, 4, 64.0))
                 .unwrap();
             assert_eq!(plan.stages.len(), s);
             assert!(plan.covers(28), "stages {:?}", plan.stages);
@@ -463,10 +463,9 @@ mod tests {
         let model = zoo::synthetic_model(12, 10.0, &[1.0], false);
         let f = fixture(model, 4, 16);
         let layout = DataParallelLayout::new(&f.cluster, 4).unwrap();
-        let cost = CostModel::new(vec![f.db.clone()], &f.cluster);
-        let p = Partitioner::new(&cost, &layout);
+        let p = Partitioner::new(&f.cost, &layout);
         let plan = p
-            .partition_single(backbone(&f.db), &PartitionConfig::new(4, 4, 16.0))
+            .partition_single(backbone(f.cost.db()), &PartitionConfig::new(4, 4, 16.0))
             .unwrap();
         let sizes: Vec<usize> = plan.stages.iter().map(|s| s.layers.len()).collect();
         assert_eq!(sizes, vec![3, 3, 3, 3]);
@@ -488,10 +487,9 @@ mod tests {
         }
         let f = fixture(model, 2, 16);
         let layout = DataParallelLayout::new(&f.cluster, 2).unwrap();
-        let cost = CostModel::new(vec![f.db.clone()], &f.cluster);
-        let p = Partitioner::new(&cost, &layout);
+        let p = Partitioner::new(&f.cost, &layout);
         let plan = p
-            .partition_single(backbone(&f.db), &PartitionConfig::new(2, 4, 16.0))
+            .partition_single(backbone(f.cost.db()), &PartitionConfig::new(2, 4, 16.0))
             .unwrap();
         assert!(
             plan.stages[0].layers.len() < plan.stages[1].layers.len(),
@@ -510,9 +508,8 @@ mod tests {
         // overheads, so it should not explode. Sanity: finite and positive.
         let f = fixture(zoo::stable_diffusion_v2_1(), 8, 64);
         let layout = DataParallelLayout::new(&f.cluster, 8).unwrap();
-        let cost = CostModel::new(vec![f.db.clone()], &f.cluster);
-        let p = Partitioner::new(&cost, &layout);
-        let bb = backbone(&f.db);
+        let p = Partitioner::new(&f.cost, &layout);
+        let bb = backbone(f.cost.db());
         let t1 = p
             .partition_single(bb, &PartitionConfig::new(4, 1, 64.0))
             .unwrap()
@@ -536,19 +533,16 @@ mod tests {
         let f_v = fixture(vanilla, 8, 64);
         let f_sc = fixture(zoo::stable_diffusion_v2_1(), 8, 64);
         let layout = DataParallelLayout::new(&f_v.cluster, 8).unwrap();
-        let bb = backbone(&f_v.db);
+        let bb = backbone(f_v.cost.db());
         let cfg = PartitionConfig::new(4, 4, 64.0);
-        let t_v = Partitioner::new(&CostModel::new(vec![f_v.db.clone()], &f_v.cluster), &layout)
+        let t_v = Partitioner::new(&f_v.cost, &layout)
             .partition_single(bb, &cfg)
             .unwrap()
             .t_max;
-        let t_sc = Partitioner::new(
-            &CostModel::new(vec![f_sc.db.clone()], &f_sc.cluster),
-            &layout,
-        )
-        .partition_single(bb, &cfg)
-        .unwrap()
-        .t_max;
+        let t_sc = Partitioner::new(&f_sc.cost, &layout)
+            .partition_single(bb, &cfg)
+            .unwrap()
+            .t_max;
         assert!(t_sc > t_v, "t_sc={t_sc} t_v={t_v}");
     }
 
@@ -556,9 +550,8 @@ mod tests {
     fn rejects_bad_configs() {
         let f = fixture(zoo::tiny_model(), 4, 16);
         let layout = DataParallelLayout::new(&f.cluster, 4).unwrap();
-        let cost = CostModel::new(vec![f.db.clone()], &f.cluster);
-        let p = Partitioner::new(&cost, &layout);
-        let bb = backbone(&f.db);
+        let p = Partitioner::new(&f.cost, &layout);
+        let bb = backbone(f.cost.db());
         assert!(matches!(
             p.partition_single(bb, &PartitionConfig::new(8, 2, 16.0)),
             Err(PartitionError::TooManyStages { .. })
@@ -586,11 +579,10 @@ mod tests {
     fn nonuniform_allows_unequal_replication() {
         let f = fixture(zoo::synthetic_model(8, 10.0, &[1.0], false), 3, 12);
         let layout = DataParallelLayout::new(&f.cluster, 3).unwrap();
-        let cost = CostModel::new(vec![f.db.clone()], &f.cluster);
-        let p = Partitioner::new(&cost, &layout);
+        let p = Partitioner::new(&f.cost, &layout);
         let plan = p
             .partition_single(
-                backbone(&f.db),
+                backbone(f.cost.db()),
                 &PartitionConfig::new(2, 2, 12.0).with_nonuniform(),
             )
             .unwrap();
@@ -603,9 +595,8 @@ mod tests {
     fn matches_reference_bit_for_bit() {
         let f = fixture(zoo::stable_diffusion_v2_1(), 8, 64);
         let layout = DataParallelLayout::new(&f.cluster, 8).unwrap();
-        let cost = CostModel::new(vec![f.db.clone()], &f.cluster);
-        let p = Partitioner::new(&cost, &layout);
-        let bb = backbone(&f.db);
+        let p = Partitioner::new(&f.cost, &layout);
+        let bb = backbone(f.cost.db());
         for (s, m) in [(1usize, 1usize), (2, 4), (4, 2), (8, 8)] {
             let cfg = PartitionConfig::new(s, m, 64.0);
             let fast = p.partition_single(bb, &cfg).unwrap();
@@ -615,9 +606,8 @@ mod tests {
         // Non-uniform replication exercises the full (l, d) grid.
         let f3 = fixture(zoo::synthetic_model(9, 10.0, &[1.0], false), 5, 20);
         let layout3 = DataParallelLayout::new(&f3.cluster, 5).unwrap();
-        let cost = CostModel::new(vec![f3.db.clone()], &f3.cluster);
-        let p3 = Partitioner::new(&cost, &layout3);
-        let bb3 = backbone(&f3.db);
+        let p3 = Partitioner::new(&f3.cost, &layout3);
+        let bb3 = backbone(f3.cost.db());
         for s in [1usize, 2, 3, 4] {
             let cfg = PartitionConfig::new(s, 2, 20.0).with_nonuniform();
             let fast = p3.partition_single(bb3, &cfg).unwrap();
@@ -638,10 +628,9 @@ mod tests {
         for (model, devices) in models {
             let f = fixture(model, devices, 64);
             let layout = DataParallelLayout::new(&f.cluster, devices).unwrap();
-            let cost = CostModel::new(vec![f.db.clone()], &f.cluster);
-            let p = Partitioner::new(&cost, &layout);
-            let bb = backbone(&f.db);
-            let layers = f.db.model().component(bb).num_layers();
+            let p = Partitioner::new(&f.cost, &layout);
+            let bb = backbone(f.cost.db());
+            let layers = f.cost.db().model().component(bb).num_layers();
             for (s, m) in [(1usize, 1usize), (2, 4), (4, 2), (4, 8)] {
                 let cfg = PartitionConfig::new(s, m, 64.0);
                 let plan = p.partition_single(bb, &cfg).unwrap();
@@ -671,9 +660,8 @@ mod tests {
         for self_cond in [false, true] {
             let f = fixture(zoo::synthetic_model(12, 10.0, &[1.0], self_cond), 12, 48);
             let layout = DataParallelLayout::new(&f.cluster, 12).unwrap();
-            let cost = CostModel::new(vec![f.db.clone()], &f.cluster);
-            let p = Partitioner::new(&cost, &layout);
-            let bb = backbone(&f.db);
+            let p = Partitioner::new(&f.cost, &layout);
+            let bb = backbone(f.cost.db());
             for s in [1usize, 2, 3, 4, 6, 12] {
                 for m in [1usize, 4] {
                     let cfg = PartitionConfig::new(s, m, 48.0);
@@ -691,9 +679,8 @@ mod tests {
     fn stats_count_candidates_and_prunes() {
         let f = fixture(zoo::stable_diffusion_v2_1(), 8, 64);
         let layout = DataParallelLayout::new(&f.cluster, 8).unwrap();
-        let cost = CostModel::new(vec![f.db.clone()], &f.cluster);
-        let p = Partitioner::new(&cost, &layout);
-        let bb = backbone(&f.db);
+        let p = Partitioner::new(&f.cost, &layout);
+        let bb = backbone(f.cost.db());
         let cfg = PartitionConfig::new(4, 4, 64.0);
         let prefixes = p.build_prefixes(bb, &cfg);
         let mut stats = DpStats::default();

@@ -12,12 +12,11 @@ use std::ops::Range;
 /// time every stage from the same quantities.
 ///
 /// On heterogeneous clusters ([`ClusterSpec::machine_classes`]) a stage's
-/// compute is timed on the database of its effective class
-/// ([`StageCost::class_of_offsets`]). A class without its own database is
-/// timed on database 0, the reference: with a single database, compute is
-/// treated as homogeneous while link and memory effects still apply.
-/// Activation, gradient and output byte counts always come from
-/// database 0.
+/// compute is timed on the database of its effective class (see
+/// [`StageCost`]). A class without its own database is timed on database
+/// 0, the reference: with a single database, compute is treated as
+/// homogeneous while link and memory effects still apply. Activation,
+/// gradient and output byte counts always come from database 0.
 #[derive(Debug)]
 pub struct CostModel {
     /// One profile database per device class, in class order.
@@ -287,7 +286,7 @@ impl<'a> StageCost<'a> {
     /// Full stage terms under an expectation over self-conditioning: with
     /// probability `sc_prob` the iteration pays the Eqn.-17 `T0`, otherwise
     /// the Eqn.-3 `T0`. Compute terms are timed on the effective device
-    /// class of the stage's offsets ([`StageCost::class_of_offsets`]);
+    /// class of the stage's offsets;
     /// `T_S(s)` is Eqn. 4 and `T_C(s)` the stage's backward time (the
     /// paper's lower bound, Eqn. 5).
     #[expect(

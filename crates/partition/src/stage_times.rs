@@ -41,8 +41,7 @@ impl StageCost<'_> {
     /// The per-stage times of a partition plan, in one pass over its
     /// stages. Stage replicas run in lockstep, so one timeline per stage
     /// suffices:
-    /// - `fwd` and `bwd` are timed on the stage's effective class
-    ///   ([`StageCost::class_of_offsets`]);
+    /// - `fwd` and `bwd` are timed on the stage's effective class;
     /// - `comm_in[s]` moves stage `s`'s boundary activation from the last
     ///   device of stage `s−1` to the first device of stage `s`, in group 0;
     /// - `sync[s]` all-reduces the stage's gradients over its devices in

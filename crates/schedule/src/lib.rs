@@ -7,14 +7,21 @@
 //! time, and the pipeline bubbles as `(start, end, idle devices)` tuples
 //! (paper §5).
 //!
+//! A [`ScheduleBuilder`] times each stage through the
+//! [`dpipe_partition::StageCost`] the plan was partitioned with, so the DP's
+//! bound and the simulated schedule read one cost model: the same per-class
+//! profile databases, class map and communication model, built once per
+//! plan.
+//!
 //! # Cost
 //!
 //! The planner builds one schedule per partitioned config, so each kernel
 //! is linear in the `n` ops of a schedule up to a factor of its `S` slots,
 //! and allocates a fixed number of buffers rather than one per op:
 //!
-//! - [`StageTimes::from_plan_classed`]: one pass over the stages, reusing
-//!   one device buffer for every stage's all-reduce.
+//! - Stage times ([`dpipe_partition::StageCost::stage_times`]): one pass
+//!   over the stages, reusing one device buffer for every stage's
+//!   all-reduce; the class map and communication model come built.
 //! - Op graph: O(n). Each [`Op`] holds its at most two dependencies inline
 //!   ([`Deps`]), and its priority is numbered as the op is placed.
 //! - List scheduler: O(n·S + e) for `e` dependencies under the strict order
