@@ -23,7 +23,7 @@ pub struct BaselineReport {
 impl BaselineReport {
     /// Marks the report as out of memory against a budget, zeroing the
     /// throughput (an OOM run produces nothing).
-    pub fn with_memory(mut self, peak: u64, budget: u64) -> Self {
+    pub(crate) fn with_memory(mut self, peak: u64, budget: u64) -> Self {
         self.peak_memory_bytes = peak;
         self.oom = peak > budget;
         if self.oom {

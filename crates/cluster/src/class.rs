@@ -127,7 +127,7 @@ impl ClassMap {
     }
 
     /// Class index of a device (0 for out-of-range ranks).
-    pub fn class_of_device(&self, d: DeviceId) -> usize {
+    pub(crate) fn class_of_device(&self, d: DeviceId) -> usize {
         let machine = d.rank() / self.devices_per_machine.max(1);
         self.machine_class.get(machine).copied().unwrap_or(0)
     }

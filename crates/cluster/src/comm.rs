@@ -14,7 +14,7 @@ pub struct LinkParams {
 
 impl LinkParams {
     /// Time to move `bytes` over this link once: `latency + bytes/bandwidth`.
-    pub fn transfer_time(&self, bytes: u64) -> f64 {
+    pub(crate) fn transfer_time(&self, bytes: u64) -> f64 {
         self.latency + bytes as f64 / self.bandwidth
     }
 }
@@ -41,7 +41,7 @@ pub struct CommModel {
 
 impl CommModel {
     /// Creates a model for the given cluster.
-    pub fn new(cluster: ClusterSpec) -> Self {
+    pub(crate) fn new(cluster: ClusterSpec) -> Self {
         let machine_link_scales = cluster.machine_link_scales();
         CommModel {
             cluster,
@@ -102,7 +102,7 @@ impl CommModel {
     /// Effective inter-node collective bandwidth for a collective spanning
     /// `nodes` machines: the full EFA bandwidth within a rack pair, divided
     /// by the spine oversubscription beyond that.
-    pub fn inter_collective_bandwidth(&self, nodes: usize) -> f64 {
+    pub(crate) fn inter_collective_bandwidth(&self, nodes: usize) -> f64 {
         if nodes <= 2 {
             self.cluster.inter_link.bandwidth
         } else {
@@ -123,23 +123,15 @@ impl CommModel {
             return 0.0;
         }
         let nodes = self.cluster.machines_spanned(devices);
-        self.allreduce_time_shape_scaled(bytes, g, nodes, self.min_intra_link_scale(devices))
+        self.allreduce_time_shape(bytes, g, nodes, self.min_intra_link_scale(devices))
     }
 
     /// [`CommModel::allreduce_time`] for a group whose *shape* — device
-    /// count and machines spanned — is already known, assuming
-    /// reference-class intra-node links. The arithmetic is identical to
-    /// [`CommModel::allreduce_time`] on a homogeneous cluster by
-    /// construction.
-    pub fn allreduce_time_shape(&self, bytes: u64, group: usize, nodes: usize) -> f64 {
-        self.allreduce_time_shape_scaled(bytes, group, nodes, 1.0)
-    }
-
-    /// [`CommModel::allreduce_time_shape`] with an explicit intra-node link
-    /// scale (the slowest spanned machine's class scale, cached by the
-    /// partitioning hot path alongside the group shape). A scale of exactly
-    /// 1.0 is bit-identical to the unscaled form.
-    pub fn allreduce_time_shape_scaled(
+    /// count, machines spanned and the slowest spanned machine's
+    /// intra-node link scale — is already known (the partitioning hot path
+    /// caches it). The arithmetic is identical to
+    /// [`CommModel::allreduce_time`] by construction.
+    pub fn allreduce_time_shape(
         &self,
         bytes: u64,
         group: usize,
@@ -169,28 +161,6 @@ impl CommModel {
             0.0
         };
         intra + inter
-    }
-
-    /// Bandwidth/latency summary used by the partitioner for a *stage*
-    /// replicated on `devices`: the all-reduce is timed via
-    /// [`CommModel::allreduce_time`]; this helper exposes the equivalent
-    /// effective rate for Eqn. (4)'s `R_ar`/`L_ar` form.
-    pub fn allreduce_effective(&self, devices: &[DeviceId]) -> LinkParams {
-        let g = devices.len();
-        if g <= 1 {
-            return LinkParams {
-                bandwidth: f64::INFINITY,
-                latency: 0.0,
-            };
-        }
-        // Derive from a reference 1 GiB transfer.
-        let reference: u64 = 1 << 30;
-        let t = self.allreduce_time(reference, devices);
-        let lat = self.allreduce_time(0, devices);
-        LinkParams {
-            bandwidth: reference as f64 / (t - lat).max(1e-12),
-            latency: lat,
-        }
     }
 }
 
@@ -247,7 +217,7 @@ mod tests {
             for bytes in [0u64, 1 << 16, 3_550_000_000] {
                 assert_eq!(
                     m.allreduce_time(bytes, &devs),
-                    m.allreduce_time_shape(bytes, count, nodes),
+                    m.allreduce_time_shape(bytes, count, nodes, 1.0),
                     "count={count} bytes={bytes}"
                 );
             }
@@ -259,30 +229,6 @@ mod tests {
         let m = model(8);
         assert_eq!(m.inter_collective_bandwidth(2), 24.0e9);
         assert!(m.inter_collective_bandwidth(4) < 15.0e9);
-    }
-
-    #[test]
-    fn allreduce_effective_rates_are_sane() {
-        let m = model(2);
-        let devs: Vec<DeviceId> = (0..16).map(DeviceId).collect();
-        let eff = m.allreduce_effective(&devs);
-        assert!(eff.bandwidth > 1e9 && eff.bandwidth < 300e9);
-        assert!(eff.latency >= 0.0);
-        let single = m.allreduce_effective(&[DeviceId(0)]);
-        assert!(single.bandwidth.is_infinite());
-    }
-
-    #[test]
-    fn shape_scaled_with_unit_scale_is_bit_identical() {
-        let m = model(4);
-        for (g, nodes) in [(8usize, 1usize), (16, 2), (24, 3)] {
-            for bytes in [0u64, 1 << 20, 3_550_000_000] {
-                assert_eq!(
-                    m.allreduce_time_shape(bytes, g, nodes),
-                    m.allreduce_time_shape_scaled(bytes, g, nodes, 1.0),
-                );
-            }
-        }
     }
 
     #[test]

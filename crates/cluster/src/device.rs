@@ -20,7 +20,7 @@ impl DeviceId {
 
 impl MachineId {
     /// Returns the machine index.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0
     }
 }

@@ -19,12 +19,6 @@ impl PipelineGroup {
     pub fn size(&self) -> usize {
         self.devices.len()
     }
-
-    /// The sub-chain of the last `r` devices — where the DP places the
-    /// stage currently being decided (paper §4.1).
-    pub fn last_devices(&self, r: usize) -> &[DeviceId] {
-        &self.devices[self.devices.len() - r..]
-    }
 }
 
 /// Mixed data + pipeline parallelism (paper Fig. 8): the world is divided
@@ -71,18 +65,6 @@ impl DataParallelLayout {
         self.groups.get(d.rank() / self.group_size)
     }
 
-    /// Devices at the same position in every group — the set over which one
-    /// stage replica's gradients are all-reduced when a stage occupies one
-    /// device per group plus `r`-way replication inside the group.
-    ///
-    /// `offset` is the device's position within its group.
-    pub fn cross_group_peers(&self, offset: usize) -> Vec<DeviceId> {
-        self.groups
-            .iter()
-            .filter_map(|g| g.devices.get(offset).copied())
-            .collect()
-    }
-
     /// All group sizes that evenly divide the world size (the candidate `D`
     /// values enumerated by the hyper-parameter search).
     pub fn candidate_group_sizes(cluster: &ClusterSpec) -> Vec<usize> {
@@ -116,29 +98,11 @@ mod tests {
     }
 
     #[test]
-    fn cross_group_peers_align_by_offset() {
-        let c = ClusterSpec::p4de(1);
-        let l = DataParallelLayout::new(&c, 4).unwrap();
-        assert_eq!(l.cross_group_peers(0), vec![DeviceId(0), DeviceId(4)]);
-        assert_eq!(l.cross_group_peers(3), vec![DeviceId(3), DeviceId(7)]);
-    }
-
-    #[test]
     fn candidate_group_sizes_are_divisors() {
         let c = ClusterSpec::p4de(1);
         assert_eq!(
             DataParallelLayout::candidate_group_sizes(&c),
             vec![1, 2, 4, 8]
         );
-    }
-
-    #[test]
-    fn last_devices_returns_suffix() {
-        let g = PipelineGroup {
-            index: 0,
-            devices: (0..4).map(DeviceId).collect(),
-        };
-        assert_eq!(g.last_devices(2), &[DeviceId(2), DeviceId(3)]);
-        assert_eq!(g.size(), 4);
     }
 }

@@ -112,7 +112,7 @@ impl ClusterSpec {
 
     /// The implicit class of every machine when no explicit classes are set:
     /// compute scale 1.0, the cluster's default memory, link scale 1.0.
-    pub fn default_class(&self) -> DeviceClass {
+    pub(crate) fn default_class(&self) -> DeviceClass {
         DeviceClass {
             name: "a100".to_owned(),
             compute_scale: 1.0,
@@ -165,18 +165,10 @@ impl ClusterSpec {
     }
 
     /// Per-machine intra-node link scales (1.0 everywhere when homogeneous).
-    pub fn machine_link_scales(&self) -> Vec<f64> {
+    pub(crate) fn machine_link_scales(&self) -> Vec<f64> {
         (0..self.machines)
             .map(|m| self.class_of_machine(MachineId(m)).link_scale)
             .collect()
-    }
-
-    /// Device memory of one device, honouring its machine's class.
-    pub fn device_memory_of(&self, d: DeviceId) -> u64 {
-        let machine = d.rank() / self.devices_per_machine.max(1);
-        self.machine_classes
-            .get(machine)
-            .map_or(self.device_memory_bytes, |c| c.memory_bytes)
     }
 
     /// Total number of devices.
@@ -194,13 +186,13 @@ impl ClusterSpec {
     /// # Panics
     ///
     /// Panics if the device rank is out of range.
-    pub fn machine_of(&self, d: DeviceId) -> MachineId {
+    pub(crate) fn machine_of(&self, d: DeviceId) -> MachineId {
         assert!(d.rank() < self.world_size(), "device {d} out of range");
         MachineId(d.rank() / self.devices_per_machine)
     }
 
     /// True if both devices are on the same machine.
-    pub fn same_machine(&self, a: DeviceId, b: DeviceId) -> bool {
+    pub(crate) fn same_machine(&self, a: DeviceId, b: DeviceId) -> bool {
         self.machine_of(a) == self.machine_of(b)
     }
 
@@ -352,7 +344,7 @@ mod tests {
         let map = c.class_map();
         assert_eq!(map.num_classes(), 1);
         assert_eq!(map.compute_scales(), vec![1.0]);
-        assert_eq!(c.device_memory_of(DeviceId(5)), c.device_memory_bytes);
+        assert_eq!(map.min_memory([DeviceId(5)]), c.device_memory_bytes);
         assert_eq!(c.machine_link_scales(), vec![1.0, 1.0]);
     }
 
@@ -382,9 +374,9 @@ mod tests {
     #[test]
     fn device_memory_honours_classes() {
         let c = ClusterSpec::mixed(&[(DeviceClass::a100(), 1), (DeviceClass::a10g(), 1)]);
-        assert_eq!(c.device_memory_of(DeviceId(0)), 80 * (1 << 30));
-        assert_eq!(c.device_memory_of(DeviceId(8)), 24 * (1 << 30));
         let map = c.class_map();
+        assert_eq!(map.min_memory([DeviceId(0)]), 80 * (1 << 30));
+        assert_eq!(map.min_memory([DeviceId(8)]), 24 * (1 << 30));
         assert_eq!(map.slowest_class(), 1);
         assert_eq!(
             map.min_memory(c.devices().collect::<Vec<_>>()),

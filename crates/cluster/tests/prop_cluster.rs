@@ -74,16 +74,20 @@ proptest! {
         prop_assert!(seen.into_iter().all(|s| s));
     }
 
-    /// Effective all-reduce rates derived from the α-β model reproduce the
-    /// raw time: t(bytes) ≈ latency + bytes / bandwidth.
+    /// Effective all-reduce rates read off a zero-byte and a 1 GiB
+    /// transfer reproduce the raw time: t(bytes) ≈ latency + bytes /
+    /// bandwidth, the α-β form of Eqn. (4).
     #[test]
     fn effective_rates_reconstruct_time(machines in 1usize..8, kib in 1u64..(1 << 20)) {
         let bytes = kib * 1024;
         let m = ClusterSpec::p4de(machines).comm_model();
         let devices: Vec<DeviceId> = (0..machines * 8).map(DeviceId).collect();
-        let eff = m.allreduce_effective(&devices);
+        let reference: u64 = 1 << 30;
+        let latency = m.allreduce_time(0, &devices);
+        let bandwidth =
+            reference as f64 / (m.allreduce_time(reference, &devices) - latency).max(1e-12);
         let direct = m.allreduce_time(bytes, &devices);
-        let reconstructed = eff.latency + bytes as f64 / eff.bandwidth;
+        let reconstructed = latency + bytes as f64 / bandwidth;
         prop_assert!(
             (direct - reconstructed).abs() <= 1e-6 * direct.max(1e-9) + 1e-12,
             "direct {direct} vs reconstructed {reconstructed}"

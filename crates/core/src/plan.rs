@@ -16,7 +16,7 @@ pub enum BackbonePartition {
 
 impl BackbonePartition {
     /// The estimated upper bound `T_max` used to rank partitions.
-    pub fn t_max(&self) -> f64 {
+    pub(crate) fn t_max(&self) -> f64 {
         match self {
             BackbonePartition::Single(p) => p.t_max,
             BackbonePartition::Bidirectional(p) => p.t_max,
@@ -70,11 +70,6 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Number of pipeline stages.
-    pub fn num_stages(&self) -> usize {
-        self.hyper.num_stages
-    }
-
     /// Data-parallel degree (`world / D`).
     pub fn data_parallel_degree(&self, world: usize) -> usize {
         world / self.hyper.group_size
@@ -167,7 +162,6 @@ mod tests {
         assert!(s.contains(&format!("id {:016x}", plan.fingerprint())));
         assert_eq!(plan.fingerprint(), plan.clone().fingerprint());
         assert_eq!(plan.data_parallel_degree(16), 2);
-        assert_eq!(plan.num_stages(), 2);
         assert_eq!(plan.partition.t_max(), 0.5);
     }
 }

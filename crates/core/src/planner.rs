@@ -516,7 +516,7 @@ impl Planner {
         enumerate_span.finish();
 
         let mut fill_cfg = self.fill_cfg.clone();
-        fill_cfg.partial_batch = self.options.partial_batch;
+        fill_cfg.partial_batch &= self.options.partial_batch;
         let world = self.cluster.world_size();
 
         // One CostPrefix per (backbone, device class), shared (read-only)
@@ -802,7 +802,7 @@ impl Planner {
             .map_err(|e| PlanError::InvalidRequest(e.to_string()))?;
 
         let mut fill_cfg = self.fill_cfg.clone();
-        fill_cfg.partial_batch = self.options.partial_batch;
+        fill_cfg.partial_batch &= self.options.partial_batch;
         let world = self.cluster.world_size();
         let mm = MemoryModel::new(&self.model);
 
@@ -1028,6 +1028,27 @@ mod tests {
         let no_fill = Planner::plan_spec(&sd_spec(384, false, false)).unwrap();
         assert!(full.throughput >= no_partial.throughput);
         assert!(no_partial.throughput >= 0.98 * no_fill.throughput);
+    }
+
+    /// `fill.partial_batch: false` turns partial-batch layers off as
+    /// `options.partial_batch: false` does: the planner allows them only
+    /// when both switches do.
+    #[test]
+    fn either_partial_batch_switch_turns_partial_layers_off() {
+        let spec =
+            || PlanSpec::zoo("controlnet", ClusterSpec::single_node(8), 256).with_parallelism(1);
+        let full = Planner::plan_spec(&spec()).unwrap();
+        let options_off = Planner::plan_spec(&spec().with_options(PlannerOptions {
+            bubble_filling: true,
+            partial_batch: false,
+        }))
+        .unwrap();
+        let fill_off = Planner::plan_spec(
+            &spec().with_fill_config(dpipe_fill::FillConfig::default().without_partial_batch()),
+        )
+        .unwrap();
+        assert_ne!(full.summary(), options_off.summary());
+        assert_eq!(fill_off.summary(), options_off.summary());
     }
 
     #[test]

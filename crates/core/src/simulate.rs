@@ -278,7 +278,11 @@ pub fn stage_layouts(plan: &Plan) -> Vec<StageLayout> {
 
 impl MigrationDiff {
     /// Computes the edit script turning `old` into `new`.
-    pub fn between(old: &[StageLayout], new: &[StageLayout], devices_retired: Vec<usize>) -> Self {
+    pub(crate) fn between(
+        old: &[StageLayout],
+        new: &[StageLayout],
+        devices_retired: Vec<usize>,
+    ) -> Self {
         let aligned = old.len().min(new.len());
         let mut edits = Vec::new();
         let mut stages_moved = 0;
@@ -438,7 +442,7 @@ fn stage_layout_json(layout: &StageLayout) -> JsonValue {
 
 impl MigrationDiff {
     /// The diff as a JSON object (constructive edit script included).
-    pub fn to_json_value(&self) -> JsonValue {
+    pub(crate) fn to_json_value(&self) -> JsonValue {
         let edits = self
             .edits
             .iter()

@@ -5,7 +5,8 @@
 //! rest best-bound first on any number of workers, and prunes both
 //! partition DPs with a lookahead bound. None of that may change the
 //! selected plan. This draws random zoo models, clusters (one node, p4de
-//! multi-node, and mixed A100/H100 fleets in both orders), batches of at
+//! multi-node, mixed A100/H100 fleets in both orders, and one A100, one
+//! H100 and one A10G machine), batches of at
 //! least the world size, both single-backbone schedules, ablation options,
 //! record-backed profiles, search-space bounds and worker counts, and
 //! compares the summary
@@ -23,8 +24,9 @@ use dpipe_spec::{PlanSpec, PlannerOptions};
 use proptest::prelude::*;
 
 /// `kind` picks the cluster family and `size` (1..=8) its scale: one node
-/// of `size` GPUs, 2–8 p4de nodes, or 2–4 mixed A100/H100 nodes in either
-/// order. `per_node` shrinks the multi-node machines from 8 GPUs.
+/// of `size` GPUs, 2–8 p4de nodes, 2–4 mixed A100/H100 nodes in either
+/// order, or one A100, one H100 and one A10G machine of `size` GPUs each.
+/// `per_node` shrinks the multi-node machines from 8 GPUs.
 fn cluster(kind: usize, size: usize, per_node: Option<usize>) -> ClusterSpec {
     let (a100, h100) = (DeviceClass::a100(), DeviceClass::h100());
     let (first, second) = (1 + (size - 1) % 2, 1 + (size - 1) / 4);
@@ -32,7 +34,11 @@ fn cluster(kind: usize, size: usize, per_node: Option<usize>) -> ClusterSpec {
         0 => return ClusterSpec::single_node(size),
         1 => ClusterSpec::p4de(size.max(2)),
         2 => ClusterSpec::mixed(&[(a100, first), (h100, second)]),
-        _ => ClusterSpec::mixed(&[(h100, first), (a100, second)]),
+        3 => ClusterSpec::mixed(&[(h100, first), (a100, second)]),
+        _ => ClusterSpec {
+            devices_per_machine: size,
+            ..ClusterSpec::mixed(&[(a100, 1), (h100, 1), (DeviceClass::a10g(), 1)])
+        },
     };
     ClusterSpec {
         devices_per_machine: per_node.unwrap_or(cluster.devices_per_machine),
@@ -78,7 +84,7 @@ proptest! {
     #[test]
     fn fast_plan_matches_reference(
         model in 0usize..7,
-        shape in (0usize..4, 1usize..9),
+        shape in (0usize..5, 1usize..9),
         batch in (1u32..4, 0u32..32),
         flags in (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
         workers in 1usize..4,

@@ -39,10 +39,10 @@ impl SyntheticTask {
 
     /// The conditioning mix: the main pass input is
     /// `encoded + SC_MIX * first_pass_output` (first pass detached).
-    pub const SC_MIX: f32 = 0.5;
+    pub(crate) const SC_MIX: f32 = 0.5;
 
     /// The frozen encoder (same weights every call).
-    pub fn build_frozen(&self) -> Mlp {
+    pub(crate) fn build_frozen(&self) -> Mlp {
         Mlp::uniform(
             self.frozen_blocks,
             self.dim,
@@ -52,14 +52,14 @@ impl SyntheticTask {
 
     /// A fresh backbone with `blocks` Linear+SiLU blocks (same weights every
     /// call — both the engine and the reference start identically).
-    pub fn build_backbone(&self, blocks: usize) -> Mlp {
+    pub(crate) fn build_backbone(&self, blocks: usize) -> Mlp {
         Mlp::uniform(blocks, self.dim, self.seed)
     }
 
     /// Raw input and regression target for iteration `iter`. The target is
     /// a fixed function of the input (`y = 0.1·x`) so the task is learnable
     /// and losses trend downward across iterations.
-    pub fn batch_for(&self, iter: usize) -> (Matrix, Matrix) {
+    pub(crate) fn batch_for(&self, iter: usize) -> (Matrix, Matrix) {
         let x = Matrix::randn(self.batch, self.dim, self.seed ^ ((iter as u64) << 1));
         let y = x.scale(0.1);
         (x, y)

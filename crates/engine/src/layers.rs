@@ -141,7 +141,7 @@ pub struct Silu {
 
 impl Silu {
     /// Creates the activation.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Silu::default()
     }
 }

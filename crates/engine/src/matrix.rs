@@ -43,34 +43,29 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
+    pub(crate) fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), rows * cols, "shape/data mismatch");
         Matrix { rows, cols, data }
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Raw data slice.
-    pub fn data(&self) -> &[f32] {
+    pub(crate) fn data(&self) -> &[f32] {
         &self.data
     }
 
     /// Mutable raw data.
-    pub fn data_mut(&mut self) -> &mut [f32] {
+    pub(crate) fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Element access.
-    pub fn at(&self, r: usize, c: usize) -> f32 {
-        self.data[r * self.cols + c]
     }
 
     /// Matrix product `self (r×k) · other (k×c)`.
@@ -109,7 +104,7 @@ impl Matrix {
     }
 
     /// Elementwise map.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
+    pub(crate) fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
         Matrix {
             rows: self.rows,
             cols: self.cols,
@@ -122,7 +117,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `bias.len() != cols`.
-    pub fn add_row(&self, bias: &[f32]) -> Matrix {
+    pub(crate) fn add_row(&self, bias: &[f32]) -> Matrix {
         assert_eq!(bias.len(), self.cols);
         let mut out = self.clone();
         for row in out.data.chunks_exact_mut(self.cols) {
@@ -134,7 +129,7 @@ impl Matrix {
     }
 
     /// Column sums (gradient of a broadcast bias).
-    pub fn col_sums(&self) -> Vec<f32> {
+    pub(crate) fn col_sums(&self) -> Vec<f32> {
         let mut out = vec![0.0; self.cols];
         for row in self.data.chunks_exact(self.cols) {
             for (o, v) in out.iter_mut().zip(row) {
@@ -145,7 +140,7 @@ impl Matrix {
     }
 
     /// Scales all elements.
-    pub fn scale(&self, s: f32) -> Matrix {
+    pub(crate) fn scale(&self, s: f32) -> Matrix {
         self.map(|x| x * s)
     }
 
@@ -229,6 +224,14 @@ impl Sub for &Matrix {
                 .map(|(a, b)| a - b)
                 .collect(),
         }
+    }
+}
+
+#[cfg(test)]
+impl Matrix {
+    /// Element access.
+    pub(crate) fn at(&self, r: usize, c: usize) -> f32 {
+        self.data[r * self.cols + c]
     }
 }
 

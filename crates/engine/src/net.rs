@@ -50,20 +50,6 @@ impl Mlp {
         out
     }
 
-    /// Number of raw layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Forward with caching.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        for l in &mut self.layers {
-            h = l.forward(&h);
-        }
-        h
-    }
-
     /// Forward without caching.
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
         let mut h = x.clone();
@@ -73,18 +59,9 @@ impl Mlp {
         h
     }
 
-    /// Backward; returns input gradient.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mut g = grad_out.clone();
-        for l in self.layers.iter_mut().rev() {
-            g = l.backward(&g);
-        }
-        g
-    }
-
     /// Forward returning the per-layer input cache, so several
     /// micro-batches can be in flight simultaneously (1F1B pipelining).
-    pub fn forward_cached(&self, x: &Matrix) -> (Matrix, Vec<Matrix>) {
+    pub(crate) fn forward_cached(&self, x: &Matrix) -> (Matrix, Vec<Matrix>) {
         let mut inputs = Vec::with_capacity(self.layers.len());
         let mut h = x.clone();
         for l in &self.layers {
@@ -100,7 +77,7 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if `inputs.len()` does not match the layer count.
-    pub fn backward_cached(&mut self, inputs: &[Matrix], grad_out: &Matrix) -> Matrix {
+    pub(crate) fn backward_cached(&mut self, inputs: &[Matrix], grad_out: &Matrix) -> Matrix {
         assert_eq!(inputs.len(), self.layers.len(), "cache/layer mismatch");
         let mut g = grad_out.clone();
         for (l, x) in self.layers.iter_mut().rev().zip(inputs.iter().rev()) {
@@ -110,12 +87,12 @@ impl Mlp {
     }
 
     /// Concatenated parameter vector.
-    pub fn params(&self) -> Vec<f32> {
+    pub(crate) fn params(&self) -> Vec<f32> {
         self.layers.iter().flat_map(|l| l.params()).collect()
     }
 
     /// Concatenated gradient vector.
-    pub fn grads(&self) -> Vec<f32> {
+    pub(crate) fn grads(&self) -> Vec<f32> {
         self.layers.iter().flat_map(|l| l.grads()).collect()
     }
 
@@ -124,7 +101,7 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics on size mismatch.
-    pub fn set_grads(&mut self, grads: &[f32]) {
+    pub(crate) fn set_grads(&mut self, grads: &[f32]) {
         let mut off = 0;
         for l in &mut self.layers {
             let n = l.grads().len();
@@ -139,7 +116,7 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics on size mismatch.
-    pub fn set_params(&mut self, params: &[f32]) {
+    pub(crate) fn set_params(&mut self, params: &[f32]) {
         let mut off = 0;
         for l in &mut self.layers {
             let n = l.params().len();
@@ -150,14 +127,14 @@ impl Mlp {
     }
 
     /// Zeroes all gradients.
-    pub fn zero_grads(&mut self) {
+    pub(crate) fn zero_grads(&mut self) {
         for l in &mut self.layers {
             l.zero_grads();
         }
     }
 
     /// SGD step on every layer.
-    pub fn apply_sgd(&mut self, lr: f32) {
+    pub(crate) fn apply_sgd(&mut self, lr: f32) {
         for l in &mut self.layers {
             l.apply_sgd(lr);
         }
@@ -188,6 +165,27 @@ pub fn mse_grad(pred: &Matrix, target: &Matrix) -> Matrix {
 /// training where each micro-batch must be normalised by the full batch.
 pub fn mse_grad_scaled(pred: &Matrix, target: &Matrix, global_elems: usize) -> Matrix {
     (pred - target).scale(2.0 / global_elems as f32)
+}
+
+#[cfg(test)]
+impl Mlp {
+    /// Forward with caching.
+    pub(crate) fn forward(&mut self, x: &Matrix) -> Matrix {
+        let mut h = x.clone();
+        for l in &mut self.layers {
+            h = l.forward(&h);
+        }
+        h
+    }
+
+    /// Backward; returns input gradient.
+    pub(crate) fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+        let mut g = grad_out.clone();
+        for l in self.layers.iter_mut().rev() {
+            g = l.backward(&g);
+        }
+        g
+    }
 }
 
 #[cfg(test)]

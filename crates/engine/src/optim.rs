@@ -38,7 +38,7 @@ impl Optimizer {
 
 /// Per-network optimiser state (Adam moments; empty for SGD).
 #[derive(Debug, Clone)]
-pub struct OptimizerState {
+pub(crate) struct OptimizerState {
     optimizer: Optimizer,
     m: Vec<f32>,
     v: Vec<f32>,
@@ -47,7 +47,7 @@ pub struct OptimizerState {
 
 impl OptimizerState {
     /// Creates state for a parameter vector of length `n`.
-    pub fn new(optimizer: Optimizer, n: usize) -> Self {
+    pub(crate) fn new(optimizer: Optimizer, n: usize) -> Self {
         let (m, v) = match optimizer {
             Optimizer::Sgd { .. } => (Vec::new(), Vec::new()),
             Optimizer::Adam { .. } => (vec![0.0; n], vec![0.0; n]),
@@ -65,7 +65,7 @@ impl OptimizerState {
     /// # Panics
     ///
     /// Panics if the network's parameter count differs from the state's.
-    pub fn step(&mut self, net: &mut Mlp) {
+    pub(crate) fn step(&mut self, net: &mut Mlp) {
         match self.optimizer {
             Optimizer::Sgd { lr } => net.apply_sgd(lr),
             Optimizer::Adam {
@@ -91,11 +91,6 @@ impl OptimizerState {
                 net.set_params(&params);
             }
         }
-    }
-
-    /// The configured optimiser.
-    pub fn optimizer(&self) -> Optimizer {
-        self.optimizer
     }
 }
 

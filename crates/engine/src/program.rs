@@ -18,7 +18,7 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// The effective optimiser for this run.
-    pub fn effective_optimizer(&self) -> crate::tensor::Optimizer {
+    pub(crate) fn effective_optimizer(&self) -> crate::tensor::Optimizer {
         self.optimizer
             .unwrap_or(crate::tensor::Optimizer::Sgd { lr: self.lr })
     }
@@ -110,7 +110,7 @@ pub fn generate_program(num_stages: usize, micro_batches: usize) -> Vec<Vec<Engi
 /// first makes a detached forward pass through all stages; the last stage
 /// feeds the output back to stage 0 (Fig. 10's `Cf`), which mixes it into
 /// the main pass input.
-pub fn generate_program_sc(
+pub(crate) fn generate_program_sc(
     num_stages: usize,
     micro_batches: usize,
     self_cond: bool,

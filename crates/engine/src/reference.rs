@@ -26,7 +26,7 @@ impl ReferenceTrainer {
     }
 
     /// Builds the reference with an explicit optimiser.
-    pub fn with_optimizer(
+    pub(crate) fn with_optimizer(
         task: &SyntheticTask,
         backbone_blocks: usize,
         micro_batches: usize,

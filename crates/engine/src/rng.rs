@@ -3,18 +3,18 @@
 /// A tiny deterministic RNG. Not cryptographic; used only for reproducible
 /// weight initialisation and synthetic data.
 #[derive(Debug, Clone)]
-pub struct DetRng {
+pub(crate) struct DetRng {
     state: u64,
 }
 
 impl DetRng {
     /// Creates an RNG from a seed.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         DetRng { state: seed }
     }
 
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e3779b97f4a7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
@@ -23,12 +23,12 @@ impl DetRng {
     }
 
     /// Uniform in `[0, 1)`.
-    pub fn next_f32(&mut self) -> f32 {
+    pub(crate) fn next_f32(&mut self) -> f32 {
         (self.next_u64() >> 40) as f32 / (1u64 << 24) as f32
     }
 
     /// Approximately standard normal (sum of 12 uniforms minus 6).
-    pub fn next_normal(&mut self) -> f32 {
+    pub(crate) fn next_normal(&mut self) -> f32 {
         let mut s = 0.0f32;
         for _ in 0..12 {
             s += self.next_f32();

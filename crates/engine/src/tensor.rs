@@ -27,5 +27,5 @@
 pub use crate::layers::{Layer, Linear, Silu};
 pub use crate::matrix::Matrix;
 pub use crate::net::{mse_grad, mse_grad_scaled, mse_loss, Mlp};
-pub use crate::optim::{Optimizer, OptimizerState};
-pub use crate::rng::DetRng;
+pub use crate::optim::Optimizer;
+pub(crate) use crate::optim::OptimizerState;

@@ -7,6 +7,8 @@ pub struct FillConfig {
     /// which input/output setup cost is not amortised).
     pub min_bubble_seconds: f64,
     /// Allow partial-batch layers (disabling this is the Fig. 15 ablation).
+    /// A plan spec's `options.partial_batch` can only narrow this: the
+    /// planner fills with partial-batch layers when both allow them.
     pub partial_batch: bool,
     /// Local-batch candidates for partial-batch layers (`b/d` values).
     pub local_batch_candidates: Vec<u32>,

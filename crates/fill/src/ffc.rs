@@ -7,16 +7,9 @@ use dpipe_profile::ProfileDb;
 /// ready list), how many layers starting at its front to execute in the
 /// bubble.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Candidate {
+pub(crate) struct Candidate {
     /// Layer counts per ready component.
     pub counts: Vec<usize>,
-}
-
-impl Candidate {
-    /// Total layers placed.
-    pub fn total_layers(&self) -> usize {
-        self.counts.iter().sum()
-    }
 }
 
 /// Recursively enumerates the full-batch filling candidates of Algorithm 2.
@@ -27,7 +20,7 @@ impl Candidate {
 /// `k0` layers where `k0` is the largest prefix of its pending layers whose
 /// cumulative time fits the remaining bubble time; the recursion then offers
 /// the remainder to component `i+1`.
-pub fn ffc_candidates(
+pub(crate) fn ffc_candidates(
     db: &ProfileDb,
     state: &FrozenState,
     ready: &[usize],
@@ -133,6 +126,14 @@ pub(crate) fn candidate_time(
         }
     }
     t
+}
+
+#[cfg(test)]
+impl Candidate {
+    /// Total layers placed.
+    pub(crate) fn total_layers(&self) -> usize {
+        self.counts.iter().sum()
+    }
 }
 
 #[cfg(test)]

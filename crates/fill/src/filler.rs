@@ -48,11 +48,6 @@ impl<'a> Filler<'a> {
         Filler { db, cfg }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &FillConfig {
-        &self.cfg
-    }
-
     /// Total frozen forward time when executed data-parallel over
     /// `devices` devices with no bubble filling (the baseline tail).
     pub fn baseline_frozen_time(&self, batch: f64, devices: usize) -> f64 {

@@ -44,7 +44,5 @@ mod plan;
 mod state;
 
 pub use config::FillConfig;
-pub use ffc::{ffc_candidates, Candidate};
 pub use filler::{FillError, Filler};
 pub use plan::{BubbleFill, FillItem, FillPlan};
-pub use state::{ComponentProgress, FrozenState};

@@ -36,11 +36,6 @@ impl BubbleFill {
     pub fn used_time(&self) -> f64 {
         self.items.iter().map(|i| i.duration).sum()
     }
-
-    /// Unused bubble time.
-    pub fn waste(&self) -> f64 {
-        (self.bubble_duration - self.used_time()).max(0.0)
-    }
 }
 
 /// Complete bubble-filling plan for one iteration.
@@ -63,7 +58,7 @@ impl FillPlan {
     }
 
     /// Device-seconds of bubble idle time recovered.
-    pub fn filled_device_seconds(&self) -> f64 {
+    pub(crate) fn filled_device_seconds(&self) -> f64 {
         self.bubbles
             .iter()
             .map(|b| b.used_time() * b.devices as f64)
@@ -82,9 +77,12 @@ impl FillPlan {
         }
         self.filled_device_seconds() / total
     }
+}
 
+#[cfg(test)]
+impl FillPlan {
     /// All partial-batch items across bubbles.
-    pub fn partial_items(&self) -> impl Iterator<Item = &FillItem> {
+    pub(crate) fn partial_items(&self) -> impl Iterator<Item = &FillItem> {
         self.bubbles
             .iter()
             .flat_map(|b| b.items.iter())
@@ -115,7 +113,6 @@ mod tests {
             items: vec![item(0.3, false), item(0.2, true)],
         };
         assert!((b.used_time() - 0.5).abs() < 1e-12);
-        assert!((b.waste() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use dpipe_profile::ProfileDb;
 
 /// Progress of one frozen component.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ComponentProgress {
+pub(crate) struct ComponentProgress {
     /// Component id.
     pub component: ComponentId,
     /// Index of the first incomplete layer (the paper's `u_i`).
@@ -19,14 +19,14 @@ pub struct ComponentProgress {
 
 impl ComponentProgress {
     /// True once every layer has processed the full batch.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.next_layer >= self.num_layers
     }
 }
 
 /// Mutable filling state across all frozen components.
 #[derive(Debug, Clone)]
-pub struct FrozenState {
+pub(crate) struct FrozenState {
     /// Frozen components in topological order.
     pub order: Vec<ComponentId>,
     /// Progress per entry of `order`.
@@ -47,7 +47,7 @@ impl FrozenState {
         clippy::expect_used,
         reason = "documented \"# Panics\" contract: callers validate the model first"
     )]
-    pub fn new(model: &ModelSpec, batch: f64) -> Self {
+    pub(crate) fn new(model: &ModelSpec, batch: f64) -> Self {
         let order = model
             .frozen_topological_order()
             .expect("validated model has acyclic frozen graph");
@@ -69,7 +69,7 @@ impl FrozenState {
 
     /// Indices (into `order`) of components whose dependencies are complete
     /// and which still have work, preserving topological order.
-    pub fn ready(&self, model: &ModelSpec) -> Vec<usize> {
+    pub(crate) fn ready(&self, model: &ModelSpec) -> Vec<usize> {
         let complete = |c: ComponentId| {
             self.progress
                 .iter()
@@ -94,7 +94,13 @@ impl FrozenState {
     /// component `order[idx]` on `d` devices data-parallel: the front layer
     /// (offset 0) covers only its remaining samples, deeper layers the full
     /// batch.
-    pub fn layer_time(&self, db: &ProfileDb, idx: usize, offset: usize, devices: usize) -> f64 {
+    pub(crate) fn layer_time(
+        &self,
+        db: &ProfileDb,
+        idx: usize,
+        offset: usize,
+        devices: usize,
+    ) -> f64 {
         let p = &self.progress[idx];
         let layer = p.next_layer + offset;
         debug_assert!(layer < p.num_layers);
@@ -111,7 +117,7 @@ impl FrozenState {
     }
 
     /// Samples the layer at `offset` past the front still needs.
-    pub fn layer_samples(&self, idx: usize, offset: usize) -> f64 {
+    pub(crate) fn layer_samples(&self, idx: usize, offset: usize) -> f64 {
         if offset == 0 {
             self.progress[idx].front_remaining
         } else {
@@ -123,7 +129,7 @@ impl FrozenState {
     /// (starting at the front, which may cover only its remaining samples).
     /// A no-op for `count == 0` so partial progress on the front layer is
     /// preserved.
-    pub fn advance_full(&mut self, idx: usize, count: usize) {
+    pub(crate) fn advance_full(&mut self, idx: usize, count: usize) {
         if count == 0 {
             return;
         }
@@ -135,7 +141,7 @@ impl FrozenState {
 
     /// Consumes `samples` of the front layer of component `order[idx]`
     /// (a partial-batch execution). Advances the front if it completes.
-    pub fn advance_partial(&mut self, idx: usize, samples: f64) {
+    pub(crate) fn advance_partial(&mut self, idx: usize, samples: f64) {
         let p = &mut self.progress[idx];
         p.front_remaining -= samples;
         if p.front_remaining <= 1e-9 {
@@ -146,7 +152,7 @@ impl FrozenState {
 
     /// Remaining frozen work in device-seconds when run on `devices`
     /// data-parallel devices (the leftover tail after filling).
-    pub fn leftover_time(&self, db: &ProfileDb, devices: usize) -> f64 {
+    pub(crate) fn leftover_time(&self, db: &ProfileDb, devices: usize) -> f64 {
         let mut total = 0.0;
         for (i, p) in self.progress.iter().enumerate() {
             if p.is_complete() {
@@ -160,7 +166,7 @@ impl FrozenState {
     }
 
     /// True once every frozen component is complete.
-    pub fn all_complete(&self) -> bool {
+    pub(crate) fn all_complete(&self) -> bool {
         self.progress.iter().all(ComponentProgress::is_complete)
     }
 }

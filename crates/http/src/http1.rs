@@ -85,7 +85,7 @@ pub struct Request {
 }
 
 /// Well-known status reasons for the codes this server emits.
-pub fn reason(status: u16) -> &'static str {
+pub(crate) fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -106,23 +106,18 @@ pub fn reason(status: u16) -> &'static str {
 /// One server-side connection: a stream plus the carry-over buffer that
 /// makes keep-alive pipelining safe (bytes of request N+1 read while
 /// hunting for the end of request N are not lost).
-pub struct HttpConn {
+pub(crate) struct HttpConn {
     stream: TcpStream,
     carry: Vec<u8>,
 }
 
 impl HttpConn {
     /// Wraps an accepted stream.
-    pub fn new(stream: TcpStream) -> Self {
+    pub(crate) fn new(stream: TcpStream) -> Self {
         HttpConn {
             stream,
             carry: Vec::new(),
         }
-    }
-
-    /// The underlying stream (e.g. for peer-address lookup).
-    pub fn stream(&self) -> &TcpStream {
-        &self.stream
     }
 
     /// Reads and parses one request, enforcing `limits`.
@@ -131,7 +126,7 @@ impl HttpConn {
     ///
     /// See [`HttpError`]; `Closed` on clean EOF between requests is the
     /// normal end of a keep-alive session.
-    pub fn read_request(&mut self, limits: &Limits) -> Result<Request, HttpError> {
+    pub(crate) fn read_request(&mut self, limits: &Limits) -> Result<Request, HttpError> {
         self.stream
             .set_read_timeout(Some(limits.read_timeout))
             .map_err(HttpError::Io)?;
@@ -261,7 +256,7 @@ impl HttpConn {
 
     /// Writes one response. `keep_alive` controls the `Connection` header;
     /// the status reason comes from [`reason`].
-    pub fn write_response(
+    pub(crate) fn write_response(
         &mut self,
         status: u16,
         content_type: &str,
@@ -301,7 +296,7 @@ fn is_timeout(e: &std::io::Error) -> bool {
 /// Writes a one-shot response on a raw stream (used by the acceptor to shed
 /// load without occupying a worker). Best-effort: errors are ignored, the
 /// connection is closing anyway.
-pub fn write_oneshot(stream: &mut TcpStream, status: u16, body: &[u8]) {
+pub(crate) fn write_oneshot(stream: &mut TcpStream, status: u16, body: &[u8]) {
     let head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         status,

@@ -24,8 +24,8 @@
 //! The server is built to degrade loudly, not collapse: a bounded accept
 //! queue and a plan-backlog cap shed overload as well-formed 503s, body and
 //! header sizes are capped (413/431), socket reads time out (slowloris),
-//! and per-client token buckets answer 429 past the configured rate. See
-//! [`server`] for the full inventory.
+//! and per-client token buckets answer 429 past the configured rate.
+//! [`ServerConfig`] holds the bounds.
 //!
 //! [`PlanSpec`]: dpipe_spec::PlanSpec
 //!
@@ -41,14 +41,12 @@
 //! assert_eq!(health.text(), "{\"status\":\"ok\"}\n");
 //! ```
 
-pub mod client;
-pub mod http1;
-pub mod metrics;
-pub mod ratelimit;
-pub mod server;
+mod client;
+mod http1;
+mod metrics;
+mod ratelimit;
+mod server;
 
 pub use client::{HttpClient, HttpResponse};
 pub use http1::{HttpError, Limits, Request};
-pub use metrics::{LatencyHistogram, Metrics};
-pub use ratelimit::RateLimiter;
 pub use server::{HttpServer, ServerConfig};

@@ -17,7 +17,7 @@ const BOUNDS_US: [u64; 19] = [
 ];
 
 /// A fixed-bucket latency histogram with atomic counters.
-pub struct LatencyHistogram {
+pub(crate) struct LatencyHistogram {
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
     sum_us: AtomicU64,
@@ -32,7 +32,7 @@ impl Default for LatencyHistogram {
 
 impl LatencyHistogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LatencyHistogram {
             buckets: (0..=BOUNDS_US.len()).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
@@ -42,7 +42,7 @@ impl LatencyHistogram {
     }
 
     /// Records one observation in microseconds.
-    pub fn record_us(&self, us: u64) {
+    pub(crate) fn record_us(&self, us: u64) {
         let idx = BOUNDS_US
             .iter()
             .position(|&bound| us <= bound)
@@ -54,14 +54,14 @@ impl LatencyHistogram {
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
     /// The upper bound (microseconds) of the bucket containing the `q`
     /// quantile (0.0–1.0), or 0 with no observations. The answer for the
     /// open-ended last bucket is the observed maximum.
-    pub fn quantile_us(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_us(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
             return 0;
@@ -83,7 +83,7 @@ impl LatencyHistogram {
     /// Cumulative bucket counts as `(upper_bound_seconds, count_at_or_below)`
     /// pairs, ending with the open-ended `(f64::INFINITY, total)` bucket —
     /// exactly the shape the Prometheus text format wants.
-    pub fn cumulative_buckets_s(&self) -> Vec<(f64, u64)> {
+    pub(crate) fn cumulative_buckets_s(&self) -> Vec<(f64, u64)> {
         let mut out = Vec::with_capacity(self.buckets.len());
         let mut cumulative = 0u64;
         for (idx, bucket) in self.buckets.iter().enumerate() {
@@ -97,13 +97,13 @@ impl LatencyHistogram {
     }
 
     /// Sum of all observations in microseconds.
-    pub fn sum_us(&self) -> u64 {
+    pub(crate) fn sum_us(&self) -> u64 {
         self.sum_us.load(Ordering::Relaxed)
     }
 
     /// The histogram as a JSON object (`count`, `mean_ms`, `p50_ms`,
     /// `p90_ms`, `p99_ms`, `max_ms`).
-    pub fn to_json(&self) -> JsonValue {
+    pub(crate) fn to_json(&self) -> JsonValue {
         let count = self.count();
         let mean_ms = if count == 0 {
             0.0
@@ -135,7 +135,7 @@ impl LatencyHistogram {
 }
 
 /// The server's counter registry.
-pub struct Metrics {
+pub(crate) struct Metrics {
     started: Instant,
     /// Requests fully parsed off the wire.
     pub requests_total: AtomicU64,
@@ -171,7 +171,7 @@ impl Default for Metrics {
 
 impl Metrics {
     /// A zeroed registry started now.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Metrics {
             started: Instant::now(),
             requests_total: AtomicU64::new(0),
@@ -190,12 +190,12 @@ impl Metrics {
     }
 
     /// Seconds since the registry was created.
-    pub fn uptime_s(&self) -> f64 {
+    pub(crate) fn uptime_s(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
     }
 
     /// Tallies a response's status code into the right counter.
-    pub fn count_status(&self, status: u16) {
+    pub(crate) fn count_status(&self, status: u16) {
         match status {
             200 => {
                 self.ok_200.fetch_add(1, Ordering::Relaxed);
@@ -220,7 +220,7 @@ impl Metrics {
     /// queue figures come from the [`PlanService`] the server fronts.
     ///
     /// [`PlanService`]: dpipe_serve::PlanService
-    pub fn to_json(&self, cache: &CacheStats, queue_depth: usize) -> JsonValue {
+    pub(crate) fn to_json(&self, cache: &CacheStats, queue_depth: usize) -> JsonValue {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let uptime = self.uptime_s();
         let plans = load(&self.plans_total);
@@ -294,7 +294,7 @@ impl Metrics {
     /// (version 0.0.4), served by `GET /metrics?format=prometheus`.
     /// Counters get a `_total` suffix, gauges none, and the plan latency
     /// histogram is rendered with cumulative `le` buckets in seconds.
-    pub fn to_prometheus(&self, cache: &CacheStats, queue_depth: usize) -> String {
+    pub(crate) fn to_prometheus(&self, cache: &CacheStats, queue_depth: usize) -> String {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let mut out = String::with_capacity(2048);
         let mut scalar = |name: &str, kind: &str, help: &str, value: String| {

@@ -20,7 +20,7 @@ struct Bucket {
 
 /// A token-bucket rate limiter over client IPs. `rate_per_s <= 0` disables
 /// limiting entirely (every request is allowed).
-pub struct RateLimiter {
+pub(crate) struct RateLimiter {
     rate_per_s: f64,
     burst: f64,
     /// Buckets table cap; see module docs.
@@ -34,7 +34,7 @@ const LIMITER_STATE_TAG: &str = "http::RateLimiter::state";
 impl RateLimiter {
     /// A limiter allowing `rate_per_s` sustained requests per second per
     /// client with bursts of `burst` (clamped to at least 1 when enabled).
-    pub fn new(rate_per_s: f64, burst: f64) -> Self {
+    pub(crate) fn new(rate_per_s: f64, burst: f64) -> Self {
         RateLimiter {
             rate_per_s,
             burst: burst.max(1.0),
@@ -44,12 +44,12 @@ impl RateLimiter {
     }
 
     /// True when rate limiting is disabled.
-    pub fn disabled(&self) -> bool {
+    pub(crate) fn disabled(&self) -> bool {
         self.rate_per_s <= 0.0
     }
 
     /// Takes one token for `ip`; `false` means the client is over its rate.
-    pub fn allow(&self, ip: IpAddr) -> bool {
+    pub(crate) fn allow(&self, ip: IpAddr) -> bool {
         if self.disabled() {
             return true;
         }

@@ -25,7 +25,7 @@ use crate::metrics::Metrics;
 use crate::ratelimit::RateLimiter;
 use diffusionpipe_core::{FaultSpec, PlanError};
 use dpipe_serve::json::{parse, plan_response_doc, simulate_response_doc, JsonValue};
-use dpipe_serve::{PlanRequest, PlanService, ServiceConfig, TraceCtx};
+use dpipe_serve::{panic_message, PlanRequest, PlanService, ServiceConfig, TraceCtx};
 use dpipe_spec::{PlanSpec, SweepSpec};
 use dpipe_sync::{Bounded, PushError};
 use dpipe_trace::{SpanId, Tracer};
@@ -436,18 +436,6 @@ impl Router {
     }
 }
 
-/// Best-effort extraction of a contained panic's message (panics carry
-/// `&str` or `String` payloads in practice).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_owned()
-    }
-}
-
 /// An accepted connection waiting for a handler, stamped at accept time
 /// so the request trace can account for queue wait.
 struct Accepted {
@@ -577,7 +565,7 @@ impl HttpServer {
     }
 
     /// Requests shutdown without waiting (acceptor stops within ~2 ms).
-    pub fn request_shutdown(&self) {
+    pub(crate) fn request_shutdown(&self) {
         self.router.shutdown.store(true, Ordering::SeqCst);
     }
 

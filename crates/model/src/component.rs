@@ -41,7 +41,7 @@ pub struct Component {
 
 impl Component {
     /// Creates a component; prefer [`ComponentBuilder`] for non-trivial ones.
-    pub fn new(name: impl Into<String>, role: Role, layers: Vec<LayerSpec>) -> Self {
+    pub(crate) fn new(name: impl Into<String>, role: Role, layers: Vec<LayerSpec>) -> Self {
         Component {
             name: name.into(),
             role,
@@ -61,18 +61,13 @@ impl Component {
     }
 
     /// Total trainable parameter count across all layers.
-    pub fn param_count(&self) -> u64 {
+    pub(crate) fn param_count(&self) -> u64 {
         self.layers.iter().map(|l| l.param_count).sum()
     }
 
     /// Total parameter bytes (f32).
     pub fn param_bytes(&self) -> u64 {
         self.layers.iter().map(|l| l.param_bytes()).sum()
-    }
-
-    /// Total forward FLOPs per sample.
-    pub fn flops_per_sample(&self) -> f64 {
-        self.layers.iter().map(|l| l.flops_per_sample).sum()
     }
 
     /// Layer spec by id.
@@ -132,13 +127,13 @@ impl ComponentBuilder {
     }
 
     /// Appends many layers.
-    pub fn layers(mut self, layers: impl IntoIterator<Item = LayerSpec>) -> Self {
+    pub(crate) fn layers(mut self, layers: impl IntoIterator<Item = LayerSpec>) -> Self {
         self.component.layers.extend(layers);
         self
     }
 
     /// Declares a dependency on another component's final output.
-    pub fn depends_on(mut self, dep: ComponentId) -> Self {
+    pub(crate) fn depends_on(mut self, dep: ComponentId) -> Self {
         self.component.deps.push(dep);
         self
     }
@@ -146,6 +141,14 @@ impl ComponentBuilder {
     /// Finishes building.
     pub fn build(self) -> Component {
         self.component
+    }
+}
+
+#[cfg(test)]
+impl Component {
+    /// Total forward FLOPs per sample.
+    pub(crate) fn flops_per_sample(&self) -> f64 {
+        self.layers.iter().map(|l| l.flops_per_sample).sum()
     }
 }
 

@@ -89,19 +89,13 @@ impl LayerSpec {
 
     /// Sets the fixed per-invocation overhead (µs), returning `self` for
     /// chaining.
-    pub fn with_overhead_us(mut self, overhead_us: f64) -> Self {
+    pub(crate) fn with_overhead_us(mut self, overhead_us: f64) -> Self {
         self.overhead_us = overhead_us;
         self
     }
 
-    /// Sets the backward/forward FLOP ratio, returning `self` for chaining.
-    pub fn with_backward_mult(mut self, mult: f64) -> Self {
-        self.backward_mult = mult;
-        self
-    }
-
     /// Parameter bytes assuming 4-byte (f32) parameters.
-    pub fn param_bytes(&self) -> u64 {
+    pub(crate) fn param_bytes(&self) -> u64 {
         self.param_count * 4
     }
 
@@ -117,7 +111,7 @@ impl LayerSpec {
 
     /// Returns true if this layer's cost numbers are internally consistent
     /// (non-negative, finite).
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         self.flops_per_sample.is_finite()
             && self.flops_per_sample >= 0.0
             && self.backward_mult.is_finite()
@@ -152,9 +146,8 @@ mod tests {
 
     #[test]
     fn builder_style_setters() {
-        let l = sample().with_overhead_us(10.0).with_backward_mult(1.5);
+        let l = sample().with_overhead_us(10.0);
         assert_eq!(l.overhead_us, 10.0);
-        assert_eq!(l.backward_mult, 1.5);
     }
 
     #[test]

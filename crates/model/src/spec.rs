@@ -14,14 +14,6 @@ pub struct SelfConditioning {
     pub probability: f64,
 }
 
-impl SelfConditioning {
-    /// Self-conditioning always on (probability 1.0) — used when a worst-case
-    /// schedule bound is wanted.
-    pub fn always() -> Self {
-        SelfConditioning { probability: 1.0 }
-    }
-}
-
 impl Default for SelfConditioning {
     fn default() -> Self {
         SelfConditioning { probability: 0.5 }
@@ -44,7 +36,7 @@ pub struct ModelSpec {
 
 impl ModelSpec {
     /// Creates a model spec; prefer [`ModelSpecBuilder`].
-    pub fn new(name: impl Into<String>, components: Vec<Component>) -> Self {
+    pub(crate) fn new(name: impl Into<String>, components: Vec<Component>) -> Self {
         ModelSpec {
             name: name.into(),
             components,
@@ -267,7 +259,7 @@ impl ModelSpec {
     /// # Errors
     ///
     /// Returns [`ModelError::CyclicDependency`] on cycles.
-    pub fn full_topological_order(&self) -> Result<Vec<ComponentId>, ModelError> {
+    pub(crate) fn full_topological_order(&self) -> Result<Vec<ComponentId>, ModelError> {
         let n = self.components.len();
         let mut done = vec![false; n];
         let mut result = Vec::with_capacity(n);
@@ -365,13 +357,13 @@ impl ModelSpecBuilder {
     }
 
     /// Enables self-conditioning.
-    pub fn self_conditioning(mut self, sc: SelfConditioning) -> Self {
+    pub(crate) fn self_conditioning(mut self, sc: SelfConditioning) -> Self {
         self.spec.self_conditioning = Some(sc);
         self
     }
 
     /// Records an input shape (informational).
-    pub fn input_shape(mut self, h: u32, w: u32) -> Self {
+    pub(crate) fn input_shape(mut self, h: u32, w: u32) -> Self {
         self.spec.input_shapes.push((h, w));
         self
     }
@@ -523,6 +515,5 @@ mod tests {
     #[test]
     fn self_conditioning_defaults_to_half() {
         assert_eq!(SelfConditioning::default().probability, 0.5);
-        assert_eq!(SelfConditioning::always().probability, 1.0);
     }
 }

@@ -152,9 +152,9 @@ impl<'a> Partitioner<'a> {
     }
 
     /// [`Partitioner::partition_bidirectional`] against caller-supplied
-    /// per-class [`CostPrefix`] tables (index = device-class index, one
-    /// element on homogeneous clusters), accumulating DP counters into
-    /// `stats`.
+    /// per-class [`CostPrefix`] tables (index = device-class index, exactly
+    /// one table per class of the cost model), accumulating DP counters
+    /// into `stats`.
     ///
     /// # Errors
     ///
@@ -174,9 +174,8 @@ impl<'a> Partitioner<'a> {
         stats: &mut DpStats,
     ) -> Result<BidirectionalPlan, PartitionError> {
         let (l_down, l_up, r) = self.validate_bidirectional(down, up, cfg)?;
-        if prefixes_down.is_empty() || prefixes_up.is_empty() {
-            return Err(PartitionError::NoCostTables);
-        }
+        self.check_tables(prefixes_down)?;
+        self.check_tables(prefixes_up)?;
         let s_total = cfg.num_stages;
         let micro = cfg.micro_batch();
         let sc_prob = self.self_cond_prob();
@@ -208,8 +207,8 @@ impl<'a> Partitioner<'a> {
             let link = self.cost().input_link((s - 1) * r);
             let shape = self.cost().sync_shape((s - 1) * r..s * r);
             let class = self.cost().class_of_offsets((s - 1) * r..s * r);
-            let down_costs = &costs_down[class.min(costs_down.len() - 1)];
-            let up_costs = &costs_up[class.min(costs_up.len() - 1)];
+            let down_costs = &costs_down[class];
+            let up_costs = &costs_up[class];
             for i in (s - 1)..(l_down - left) {
                 let i2_lo = if left == 0 { l_down } else { i + 1 };
                 for i2 in i2_lo..=(l_down - left) {
@@ -252,7 +251,7 @@ impl<'a> Partitioner<'a> {
                 let (i, i2) = ((k - 1) * l_down / s_total, k * l_down / s_total);
                 let (j, j2) = ((k - 1) * l_up / s_total, k * l_up / s_total);
                 let d = self.cost().stage_terms_prefixed(
-                    &costs_down[class.min(costs_down.len() - 1)],
+                    &costs_down[class],
                     i..i2,
                     link,
                     sc_prob,
@@ -260,7 +259,7 @@ impl<'a> Partitioner<'a> {
                     shape,
                 );
                 let u = self.cost().stage_terms_prefixed(
-                    &costs_up[class.min(costs_up.len() - 1)],
+                    &costs_up[class],
                     (l_up - j2)..(l_up - j),
                     link,
                     sc_prob,
@@ -628,5 +627,46 @@ mod tests {
             let reference = p.partition_bidirectional_reference(b0, b1, &cfg).unwrap();
             assert_eq!(fast, reference, "S={s} M={m}");
         }
+    }
+
+    /// Both DPs refuse fewer per-class cost tables than the fleet has
+    /// device classes, rather than costing a class on another's table.
+    #[test]
+    fn dps_refuse_a_table_count_other_than_the_class_count() {
+        use dpipe_cluster::DeviceClass;
+        let model = zoo::cdm_lsun();
+        let (db, _) = Profiler::new(DeviceModel::a100_like()).profile(&model, 128);
+        let cluster = ClusterSpec::mixed(&[
+            (DeviceClass::a100(), 1),
+            (DeviceClass::h100(), 1),
+            (DeviceClass::a10g(), 1),
+        ]);
+        let layout = DataParallelLayout::new(&cluster, cluster.world_size()).unwrap();
+        let cost = CostModel::new(vec![db.clone(); 3], &cluster);
+        assert_eq!(cost.num_classes(), 3);
+        let p = Partitioner::new(&cost, &layout);
+        let mut bbs = db.model().backbones().map(|(id, _)| id);
+        let (b0, b1) = (bbs.next().unwrap(), bbs.next().unwrap());
+        let cfg = PartitionConfig::new(3, 4, 128.0);
+        let two = |comp: ComponentId| -> Vec<CostPrefix> {
+            let mut tables = p.build_prefixes(comp, &cfg);
+            tables.truncate(2);
+            tables
+        };
+        let want = PartitionError::CostTableCount {
+            tables: 2,
+            classes: 3,
+        };
+        let mut stats = DpStats::default();
+        assert_eq!(
+            p.partition_single_with(b0, &cfg, &two(b0), &mut stats),
+            Err(want.clone())
+        );
+        assert_eq!(
+            p.partition_bidirectional_with(b0, b1, &cfg, &two(b0), &two(b1), &mut stats),
+            Err(want.clone())
+        );
+        let message = want.to_string();
+        assert!(message.contains('2') && message.contains('3'), "{message}");
     }
 }

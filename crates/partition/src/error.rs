@@ -31,9 +31,14 @@ pub enum PartitionError {
     NotABackbone(usize),
     /// Zero micro-batches or zero batch size.
     DegenerateConfig,
-    /// An empty per-class [`CostPrefix`](dpipe_profile::CostPrefix) slice
-    /// was supplied; every cluster has at least one device class.
-    NoCostTables,
+    /// The per-class [`CostPrefix`](dpipe_profile::CostPrefix) slice does
+    /// not hold exactly one table per device class of the cost model.
+    CostTableCount {
+        /// Tables supplied.
+        tables: usize,
+        /// Device classes of the cost model.
+        classes: usize,
+    },
 }
 
 impl fmt::Display for PartitionError {
@@ -60,8 +65,11 @@ impl fmt::Display for PartitionError {
             PartitionError::DegenerateConfig => {
                 f.write_str("batch size and micro-batch count must be positive")
             }
-            PartitionError::NoCostTables => {
-                f.write_str("at least one per-class cost table is required")
+            PartitionError::CostTableCount { tables, classes } => {
+                write!(
+                    f,
+                    "{tables} cost tables for {classes} device classes; the DP needs one per class"
+                )
             }
         }
     }

@@ -61,6 +61,20 @@ impl<'a> Partitioner<'a> {
         self.cost.model().self_cond_prob()
     }
 
+    /// Refuses a per-class table slice that does not hold exactly one
+    /// table per device class of the cost model.
+    pub(crate) fn check_tables(&self, tables: &[CostPrefix]) -> Result<(), PartitionError> {
+        let classes = self.cost.model().num_classes();
+        if tables.len() == classes {
+            Ok(())
+        } else {
+            Err(PartitionError::CostTableCount {
+                tables: tables.len(),
+                classes,
+            })
+        }
+    }
+
     /// Validates a request, returning `(L, D)`.
     pub(crate) fn validate(
         &self,
@@ -151,8 +165,8 @@ impl<'a> Partitioner<'a> {
 
     /// [`Partitioner::partition_single`] against caller-supplied per-class
     /// [`CostPrefix`] tables (shared across the configs of one planning
-    /// call; index = device-class index, one element on homogeneous
-    /// clusters), accumulating DP counters into `stats`.
+    /// call; index = device-class index, exactly one table per class of
+    /// the cost model), accumulating DP counters into `stats`.
     ///
     /// # Errors
     ///
@@ -171,9 +185,7 @@ impl<'a> Partitioner<'a> {
         stats: &mut DpStats,
     ) -> Result<PartitionPlan, PartitionError> {
         let (num_layers, num_devices) = self.validate(backbone, cfg)?;
-        if prefixes.is_empty() {
-            return Err(PartitionError::NoCostTables);
-        }
+        self.check_tables(prefixes)?;
         let s_total = cfg.num_stages;
         let micro = cfg.micro_batch();
         let sc_prob = self.self_cond_prob();
@@ -185,11 +197,10 @@ impl<'a> Partitioner<'a> {
         // re-looks-up) any of them.
         let links: Vec<Option<LinkParams>> =
             (0..num_devices).map(|o| self.cost.input_link(o)).collect();
-        let num_classes = self.cost.model().num_classes().min(prefixes.len()).max(1);
+        let num_classes = prefixes.len();
         let mut views: Vec<Vec<Option<BatchCosts<'_>>>> =
             vec![vec![None; num_devices + 1]; num_classes];
-        for (class, class_views) in views.iter_mut().enumerate() {
-            let prefix = &prefixes[class.min(prefixes.len() - 1)];
+        for (prefix, class_views) in prefixes.iter().zip(views.iter_mut()) {
             if cfg.force_uniform {
                 let r = num_devices / s_total;
                 class_views[r] = Some(prefix.batch_view(micro / r as f64));
@@ -205,9 +216,7 @@ impl<'a> Partitioner<'a> {
             reason = "the loop above fills a view for every replication reachable through max_r"
         )]
         let view_for = |class: usize, r: usize| -> &BatchCosts<'_> {
-            views[class.min(num_classes - 1)][r]
-                .as_ref()
-                .expect("replication view present")
+            views[class][r].as_ref().expect("replication view present")
         };
         // Device counts are multiples of `step` (the uniform replication,
         // or 1 when replication may vary), so the state grid and the
@@ -571,7 +580,10 @@ mod tests {
         let mut stats = DpStats::default();
         assert!(matches!(
             p.partition_single_with(bb, &PartitionConfig::new(2, 2, 16.0), &[], &mut stats),
-            Err(PartitionError::NoCostTables)
+            Err(PartitionError::CostTableCount {
+                tables: 0,
+                classes: 1
+            })
         ));
     }
 

@@ -397,7 +397,7 @@ impl<'a> StageCost<'a> {
             t0_plain
         };
         // Mirrors `stage_terms`' `T_S` (Eqn. 4) and `T_C` (Eqn. 5).
-        let ts = self.model.comm.allreduce_time_shape_scaled(
+        let ts = self.model.comm.allreduce_time_shape(
             costs.grad_bytes_range(&layers),
             shape.group,
             shape.nodes,

@@ -34,15 +34,28 @@ fn db_for(model: &ModelSpec) -> ProfileDb {
     Profiler::new(DeviceModel::a100_like()).profile(model, 32).0
 }
 
-/// The oracle's three cluster families, each `machines` × `per_node` GPUs:
-/// one node of that many GPUs; p4de machines joined by inter-node links,
-/// so levels differ in input link and in the machines their sync spans;
-/// or a fleet alternating A100 and H100 machines, so levels also differ in
-/// device class.
+/// The oracle's four cluster families: one node of `machines` × `per_node`
+/// GPUs; `machines` p4de machines of `per_node` GPUs joined by inter-node
+/// links, so levels differ in input link and in the machines their sync
+/// spans; as many machines alternating A100 and H100, so levels also
+/// differ in device class; or three machines of `per_node` GPUs, one each
+/// of A100, H100 and A10G (rotated by `h100_first`), so a third class has
+/// its own table.
 fn cluster(kind: usize, machines: usize, per_node: usize, h100_first: bool) -> ClusterSpec {
     let cluster = match kind {
         0 => return ClusterSpec::single_node(machines * per_node),
         1 => ClusterSpec::p4de(machines),
+        3 => {
+            let mut classes = vec![
+                DeviceClass::a100(),
+                DeviceClass::h100(),
+                DeviceClass::a10g(),
+            ];
+            if h100_first {
+                classes.rotate_left(1);
+            }
+            ClusterSpec::p4de(3).with_machine_classes(classes)
+        }
         _ => ClusterSpec::p4de(machines).with_machine_classes(
             (0..machines)
                 .map(|m| {
@@ -146,7 +159,7 @@ proptest! {
         down in proptest::collection::vec(0.3f64..3.0, 4..13),
         up in proptest::collection::vec(0.3f64..3.0, 4..13),
         self_cond in any::<bool>(),
-        shape in (0usize..3, 2usize..4, 1usize..5, any::<bool>()),
+        shape in (0usize..4, 2usize..4, 1usize..5, any::<bool>()),
         micro_batches in 1usize..7,
         batch in 8u32..64,
     ) {
@@ -179,7 +192,10 @@ proptest! {
             let mut stats = DpStats::default();
             let fast = p.partition_bidirectional_with(b0, b1, &cfg, &prefixes(b0), &prefixes(b1), &mut stats);
             let reference = p.partition_bidirectional_reference(b0, b1, &cfg);
-            prop_assert_eq!(fast, reference, "kind={} {}x{} S={}", kind, machines, per_node, stages);
+            prop_assert_eq!(
+                fast, reference,
+                "kind={} {}x{} S={}", kind, cluster.machines, cluster.devices_per_machine, stages
+            );
             prop_assert!(stats.pruned <= stats.candidates);
         }
     }

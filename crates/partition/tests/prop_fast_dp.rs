@@ -45,25 +45,26 @@ proptest! {
         let b = batch as f64 / 3.0; // fractional batches included
         prefix.ensure_batch(&db, b);
         let n = prefix.num_layers();
+        let view = prefix.batch_view(b);
         for l in 0..n {
             for l2 in l..=n {
                 prop_assert_eq!(
-                    prefix.fwd_range(&(l..l2), b),
+                    view.fwd_range(&(l..l2)),
                     db.fwd_time_range(bb, l..l2, b)
                 );
                 prop_assert_eq!(
-                    prefix.bwd_range(&(l..l2), b),
+                    view.bwd_range(&(l..l2)),
                     db.bwd_time_range(bb, l..l2, b)
                 );
                 prop_assert_eq!(
-                    prefix.grad_bytes_range(&(l..l2)),
+                    view.grad_bytes_range(&(l..l2)),
                     db.grad_bytes_range(bb, l..l2)
                 );
             }
         }
         for l in 0..n {
             prop_assert_eq!(
-                prefix.boundary_bytes(l, b),
+                view.boundary_bytes(l),
                 db.boundary_bytes(bb, dpipe_model::LayerId(l), b)
             );
         }
@@ -143,30 +144,36 @@ proptest! {
     /// Heterogeneous clusters: the pruned, prefix-backed DP with per-class
     /// cost tables selects exactly the partition the naive reference
     /// (class-dispatching `stage_terms`) selects, on a mixed a100 + h100
-    /// two-machine cluster across random models and configs.
+    /// two-machine cluster (either order) or an a100 + h100 + a10g
+    /// three-machine fleet, across random models and configs.
     #[test]
     fn pruned_dp_matches_reference_on_mixed_cluster(
         spec in model_strategy(),
         stages_pow in 0u32..4,
         micro in 1usize..6,
         batch in 8u32..192,
-        fast_first in any::<bool>(),
+        fleet in 0usize..3,
     ) {
         let (layers, ms, self_cond) = spec;
-        let stages = 1usize << stages_pow; // divides the 8-wide group
+        let stages = 1usize << stages_pow; // divides the 8- and 24-wide groups
         prop_assume!(stages <= layers);
-        let classes = if fast_first {
-            [(DeviceClass::h100(), 1usize), (DeviceClass::a100(), 1)]
-        } else {
-            [(DeviceClass::a100(), 1), (DeviceClass::h100(), 1)]
+        let (a100, h100) = (DeviceClass::a100(), DeviceClass::h100());
+        let cluster = match fleet {
+            // 24 GPUs, one machine per class: stages of 3, 6, 12 or 24
+            // devices, some spanning two classes.
+            2 => ClusterSpec::mixed(&[(a100, 1), (h100, 1), (DeviceClass::a10g(), 1)]),
+            // 8 GPUs total, classes split 4/4.
+            _ => ClusterSpec {
+                devices_per_machine: 4,
+                ..ClusterSpec::mixed(&if fleet == 1 { [(h100, 1), (a100, 1)] } else { [(a100, 1), (h100, 1)] })
+            },
         };
-        let mut cluster = ClusterSpec::mixed(&classes);
-        cluster.devices_per_machine = 4; // 8 GPUs total, classes split 4/4
+        let group = cluster.world_size();
         let model = zoo::synthetic_model(layers, ms, &[1.0, 2.0], self_cond);
         let profiler = Profiler::new(DeviceModel::a100_like());
         let scales = cluster.class_map().compute_scales();
         let (dbs, _) = profiler.profile_classes(&model, batch, &scales);
-        let layout = DataParallelLayout::new(&cluster, 8).unwrap();
+        let layout = DataParallelLayout::new(&cluster, group).unwrap();
         let bb = dbs[0].model().backbones().next().unwrap().0;
         let cost = CostModel::new(dbs, &cluster);
         let part = Partitioner::new(&cost, &layout);

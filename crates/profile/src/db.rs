@@ -70,7 +70,10 @@ impl ProfileDb {
     /// # Errors
     ///
     /// [`crate::ProfileError`] if any model layer lacks samples.
-    pub fn with_records(mut self, records: RecordTable) -> Result<Self, crate::ProfileError> {
+    pub(crate) fn with_records(
+        mut self,
+        records: RecordTable,
+    ) -> Result<Self, crate::ProfileError> {
         records.validate_covers(&self.model)?;
         self.records = Some(Arc::new(records));
         Ok(self)
@@ -92,20 +95,14 @@ impl ProfileDb {
         &self.model
     }
 
-    /// The device model used for timing.
-    pub fn device(&self) -> &DeviceModel {
-        &self.device
-    }
-
     fn noise_factor(&self, c: ComponentId, l: LayerId) -> f64 {
         self.noise.map_or(1.0, |n| n.factor(c, l))
     }
 
     /// Forward time `P^f_l(B)` of one layer at a (possibly fractional) local
     /// batch size. Record-backed lookups are total: coverage is validated
-    /// when the records are attached ([`ProfileDb::with_records`]), and a
-    /// layer that somehow still lacks samples falls back to the analytic
-    /// model instead of panicking.
+    /// when the records are attached, and a layer that somehow still lacks
+    /// samples falls back to the analytic model instead of panicking.
     pub fn fwd_time(&self, c: ComponentId, l: LayerId, batch: f64) -> f64 {
         if let Some(records) = &self.records {
             if let Some(samples) = records.layer(c, l) {
@@ -120,7 +117,7 @@ impl ProfileDb {
 
     /// Backward time `P^b_l(B)` (same lookup contract as
     /// [`ProfileDb::fwd_time`]).
-    pub fn bwd_time(&self, c: ComponentId, l: LayerId, batch: f64) -> f64 {
+    pub(crate) fn bwd_time(&self, c: ComponentId, l: LayerId, batch: f64) -> f64 {
         if let Some(records) = &self.records {
             if let Some(samples) = records.layer(c, l) {
                 return samples.bwd(batch) * self.noise_factor(c, l);
@@ -145,12 +142,12 @@ impl ProfileDb {
     }
 
     /// Forward time of a whole component (frozen encoders run forward only).
-    pub fn component_fwd_time(&self, c: ComponentId, batch: f64) -> f64 {
+    pub(crate) fn component_fwd_time(&self, c: ComponentId, batch: f64) -> f64 {
         self.fwd_time_range(c, 0..self.model.component(c).num_layers(), batch)
     }
 
     /// Forward + backward time of a whole component.
-    pub fn component_fwd_bwd_time(&self, c: ComponentId, batch: f64) -> f64 {
+    pub(crate) fn component_fwd_bwd_time(&self, c: ComponentId, batch: f64) -> f64 {
         let n = self.model.component(c).num_layers();
         self.fwd_time_range(c, 0..n, batch) + self.bwd_time_range(c, 0..n, batch)
     }
@@ -165,7 +162,7 @@ impl ProfileDb {
     }
 
     /// Gradient bytes `G_l` of a layer (batch independent for f32 training).
-    pub fn grad_bytes(&self, c: ComponentId, l: LayerId) -> u64 {
+    pub(crate) fn grad_bytes(&self, c: ComponentId, l: LayerId) -> u64 {
         self.model.component(c).layer(l).grad_bytes()
     }
 

@@ -37,16 +37,6 @@ impl DeviceModel {
         }
     }
 
-    /// A device with perfectly linear batch scaling (φ ≡ 1), useful for
-    /// tests that need exact proportionality.
-    pub fn linear() -> Self {
-        DeviceModel {
-            efficiency_coeff: 0.0,
-            name: "linear".to_owned(),
-            ..DeviceModel::a100_like()
-        }
-    }
-
     /// A device `factor`× faster/slower than this one.
     pub fn scaled(&self, factor: f64) -> Self {
         DeviceModel {
@@ -58,7 +48,7 @@ impl DeviceModel {
 
     /// The efficiency multiplier `φ(batch)` (1 at the reference batch,
     /// larger for smaller batches, smaller for bigger ones).
-    pub fn efficiency_factor(&self, batch: f64) -> f64 {
+    pub(crate) fn efficiency_factor(&self, batch: f64) -> f64 {
         if self.efficiency_coeff == 0.0 || batch <= 0.0 {
             return 1.0;
         }
@@ -74,7 +64,7 @@ impl DeviceModel {
     ///
     /// Fractional batches arise from the paper's `B/r` terms when a stage is
     /// replicated on `r` devices.
-    pub fn kernel_time(&self, flops_per_sample: f64, overhead_us: f64, batch: f64) -> f64 {
+    pub(crate) fn kernel_time(&self, flops_per_sample: f64, overhead_us: f64, batch: f64) -> f64 {
         debug_assert!(batch >= 0.0);
         overhead_us * 1e-6
             + flops_per_sample * batch * self.efficiency_factor(batch) / self.peak_flops
@@ -84,6 +74,19 @@ impl DeviceModel {
 impl Default for DeviceModel {
     fn default() -> Self {
         DeviceModel::a100_like()
+    }
+}
+
+#[cfg(test)]
+impl DeviceModel {
+    /// A device with perfectly linear batch scaling (φ ≡ 1), useful for
+    /// tests that need exact proportionality.
+    pub(crate) fn linear() -> Self {
+        DeviceModel {
+            efficiency_coeff: 0.0,
+            name: "linear".to_owned(),
+            ..DeviceModel::a100_like()
+        }
     }
 }
 

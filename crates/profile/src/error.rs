@@ -6,7 +6,7 @@ use std::fmt;
 
 /// Errors from record-backed profiling.
 ///
-/// Raised when a [`crate::RecordTable`] does not cover the model it is
+/// Raised when a table of recorded samples does not cover the model it is
 /// attached to — a model/profile mismatch that previously panicked deep
 /// inside timing queries. Serving layers map this into their own
 /// invalid-request errors instead of dying.

@@ -39,4 +39,3 @@ pub use device::DeviceModel;
 pub use error::ProfileError;
 pub use prefix::{BatchCosts, CostPrefix};
 pub use profiler::{ProfileRecord, Profiler, ProfilingReport};
-pub use records::{LayerSamples, RecordTable};

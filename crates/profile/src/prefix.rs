@@ -148,11 +148,6 @@ impl CostPrefix {
         }
     }
 
-    /// The component this table covers.
-    pub fn component(&self) -> ComponentId {
-        self.comp
-    }
-
     /// Number of layers covered.
     pub fn num_layers(&self) -> usize {
         self.num_layers
@@ -180,12 +175,6 @@ impl CostPrefix {
             bwd: IntervalTable::build(&bwd),
             boundary,
         });
-    }
-
-    /// True when a row for this exact batch exists.
-    pub fn has_batch(&self, batch: f64) -> bool {
-        let bits = batch.to_bits();
-        self.rows.iter().any(|r| r.batch_bits == bits)
     }
 
     #[inline]
@@ -217,47 +206,6 @@ impl CostPrefix {
             row: self.row(batch),
             grad_prefix: &self.grad_prefix,
         }
-    }
-
-    /// Sum of forward times over `layers` at `batch` — bit-identical to
-    /// [`ProfileDb::fwd_time_range`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`ensure_batch`](CostPrefix::ensure_batch) was not called
-    /// for this batch.
-    #[inline]
-    pub fn fwd_range(&self, layers: &Range<usize>, batch: f64) -> f64 {
-        self.row(batch).fwd.range(layers)
-    }
-
-    /// Sum of backward times over `layers` at `batch` — bit-identical to
-    /// [`ProfileDb::bwd_time_range`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch row is missing (see [`CostPrefix::fwd_range`]).
-    #[inline]
-    pub fn bwd_range(&self, layers: &Range<usize>, batch: f64) -> f64 {
-        self.row(batch).bwd.range(layers)
-    }
-
-    /// Activation bytes crossing a boundary after layer `l` at `batch` —
-    /// identical to [`ProfileDb::boundary_bytes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch row is missing (see [`CostPrefix::fwd_range`]).
-    #[inline]
-    pub fn boundary_bytes(&self, l: usize, batch: f64) -> u64 {
-        self.row(batch).boundary[l]
-    }
-
-    /// Gradient bytes summed over `layers` — identical to
-    /// [`ProfileDb::grad_bytes_range`].
-    #[inline]
-    pub fn grad_bytes_range(&self, layers: &Range<usize>) -> u64 {
-        self.grad_prefix[layers.end] - self.grad_prefix[layers.start]
     }
 }
 
@@ -298,25 +246,26 @@ mod tests {
         let n = prefix.num_layers();
         for batch in [16.0, 7.5, 64.0] {
             prefix.ensure_batch(&db, batch);
+            let view = prefix.batch_view(batch);
             for l in 0..n {
                 for l2 in l..=n {
                     assert_eq!(
-                        prefix.fwd_range(&(l..l2), batch),
+                        view.fwd_range(&(l..l2)),
                         db.fwd_time_range(bb, l..l2, batch)
                     );
                     assert_eq!(
-                        prefix.bwd_range(&(l..l2), batch),
+                        view.bwd_range(&(l..l2)),
                         db.bwd_time_range(bb, l..l2, batch)
                     );
                     assert_eq!(
-                        prefix.grad_bytes_range(&(l..l2)),
+                        view.grad_bytes_range(&(l..l2)),
                         db.grad_bytes_range(bb, l..l2)
                     );
                 }
             }
             for l in 0..n {
                 assert_eq!(
-                    prefix.boundary_bytes(l, batch),
+                    view.boundary_bytes(l),
                     db.boundary_bytes(bb, LayerId(l), batch)
                 );
             }
@@ -334,7 +283,7 @@ mod tests {
         prefix.ensure_batch(&base, 12.0);
         let n = prefix.num_layers();
         assert_eq!(
-            prefix.fwd_range(&(0..n), 12.0),
+            prefix.batch_view(12.0).fwd_range(&(0..n)),
             base.fwd_time_range(bb, 0..n, 12.0)
         );
     }
@@ -346,8 +295,8 @@ mod tests {
         let mut prefix = CostPrefix::new(&db, bb);
         prefix.ensure_batch(&db, 8.0);
         prefix.ensure_batch(&db, 8.0);
-        assert!(prefix.has_batch(8.0));
-        assert!(!prefix.has_batch(9.0));
+        assert!(prefix.rows.iter().any(|r| r.batch_bits == 8f64.to_bits()));
+        assert!(!prefix.rows.iter().any(|r| r.batch_bits == 9f64.to_bits()));
         assert_eq!(prefix.rows.len(), 1);
     }
 
@@ -357,7 +306,7 @@ mod tests {
         let db = db();
         let bb = backbone(&db);
         let prefix = CostPrefix::new(&db, bb);
-        let _ = prefix.fwd_range(&(0..1), 8.0);
+        let _ = prefix.batch_view(8.0);
     }
 
     #[test]
@@ -366,7 +315,8 @@ mod tests {
         let bb = backbone(&db);
         let mut prefix = CostPrefix::new(&db, bb);
         prefix.ensure_batch(&db, 4.0);
-        assert_eq!(prefix.fwd_range(&(3..3), 4.0), 0.0);
-        assert_eq!(prefix.grad_bytes_range(&(0..0)), 0);
+        let view = prefix.batch_view(4.0);
+        assert_eq!(view.fwd_range(&(3..3)), 0.0);
+        assert_eq!(view.grad_bytes_range(&(0..0)), 0);
     }
 }

@@ -77,16 +77,10 @@ impl Profiler {
         self
     }
 
-    /// Additional batch sizes to profile beyond the default ladder.
-    pub fn with_extra_batch_sizes(mut self, sizes: impl IntoIterator<Item = u32>) -> Self {
-        self.extra_batch_sizes.extend(sizes);
-        self
-    }
-
     /// The batch-size ladder profiled for a training batch `b`: the paper's
     /// partial-batch candidates {4, 8, 12, 16, 24, 32, 48, 64, 96} capped at
     /// `b`, plus `b` itself and any extras.
-    pub fn batch_ladder(&self, training_batch: u32) -> Vec<u32> {
+    pub(crate) fn batch_ladder(&self, training_batch: u32) -> Vec<u32> {
         let mut sizes: Vec<u32> = [4u32, 8, 12, 16, 24, 32, 48, 64, 96]
             .into_iter()
             .filter(|&s| s <= training_batch)
@@ -148,8 +142,8 @@ impl Profiler {
     ///
     /// [`crate::ProfileError`] if the recorded table fails coverage
     /// validation against the model (cannot happen for tables built here,
-    /// but the typed contract is shared with
-    /// [`ProfileDb::with_records`]).
+    /// but the typed contract is shared with every attachment of records
+    /// to a database).
     pub fn profile_records(
         &self,
         model: &ModelSpec,
@@ -196,6 +190,15 @@ impl Profiler {
             })
             .collect();
         (dbs, report)
+    }
+}
+
+#[cfg(test)]
+impl Profiler {
+    /// Additional batch sizes to profile beyond the default ladder.
+    pub(crate) fn with_extra_batch_sizes(mut self, sizes: impl IntoIterator<Item = u32>) -> Self {
+        self.extra_batch_sizes.extend(sizes);
+        self
     }
 }
 

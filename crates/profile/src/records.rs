@@ -8,13 +8,13 @@ use std::collections::HashMap;
 
 /// Timing samples for one layer: sorted `(batch, fwd_seconds, bwd_seconds)`.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct LayerSamples {
+pub(crate) struct LayerSamples {
     samples: Vec<(f64, f64, f64)>,
 }
 
 impl LayerSamples {
     /// Adds a measurement (keeps the list sorted by batch).
-    pub fn push(&mut self, batch: f64, fwd: f64, bwd: f64) {
+    pub(crate) fn push(&mut self, batch: f64, fwd: f64, bwd: f64) {
         let pos = self.samples.partition_point(|&(b, _, _)| b < batch);
         self.samples.insert(pos, (batch, fwd, bwd));
     }
@@ -45,40 +45,35 @@ impl LayerSamples {
     }
 
     /// Interpolated forward time.
-    pub fn fwd(&self, batch: f64) -> f64 {
+    pub(crate) fn fwd(&self, batch: f64) -> f64 {
         self.interp(batch, |s| s.1).max(0.0)
     }
 
     /// Interpolated backward time.
-    pub fn bwd(&self, batch: f64) -> f64 {
+    pub(crate) fn bwd(&self, batch: f64) -> f64 {
         self.interp(batch, |s| s.2).max(0.0)
     }
 
-    /// Number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
     /// True if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.samples.is_empty()
     }
 }
 
 /// A table of per-layer timing samples.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct RecordTable {
+pub(crate) struct RecordTable {
     layers: HashMap<(usize, usize), LayerSamples>,
 }
 
 impl RecordTable {
     /// An empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RecordTable::default()
     }
 
     /// Records one measurement.
-    pub fn record(&mut self, c: ComponentId, l: LayerId, batch: f64, fwd: f64, bwd: f64) {
+    pub(crate) fn record(&mut self, c: ComponentId, l: LayerId, batch: f64, fwd: f64, bwd: f64) {
         self.layers
             .entry((c.index(), l.index()))
             .or_default()
@@ -88,7 +83,7 @@ impl RecordTable {
     /// Samples for a layer, or `None` if the layer was never profiled.
     /// (This lookup used to panic on any model/profile mismatch; use
     /// [`RecordTable::require_layer`] for a typed error instead.)
-    pub fn layer(&self, c: ComponentId, l: LayerId) -> Option<&LayerSamples> {
+    pub(crate) fn layer(&self, c: ComponentId, l: LayerId) -> Option<&LayerSamples> {
         self.layers.get(&(c.index(), l.index()))
     }
 
@@ -98,7 +93,11 @@ impl RecordTable {
     ///
     /// [`ProfileError::MissingLayer`] if the layer was never profiled,
     /// [`ProfileError::EmptySamples`] if it was recorded with no samples.
-    pub fn require_layer(&self, c: ComponentId, l: LayerId) -> Result<&LayerSamples, ProfileError> {
+    pub(crate) fn require_layer(
+        &self,
+        c: ComponentId,
+        l: LayerId,
+    ) -> Result<&LayerSamples, ProfileError> {
         let samples = self.layer(c, l).ok_or(ProfileError::MissingLayer {
             component: c,
             layer: l,
@@ -117,7 +116,7 @@ impl RecordTable {
     /// # Errors
     ///
     /// The first [`ProfileError`] encountered, in component/layer order.
-    pub fn validate_covers(&self, model: &ModelSpec) -> Result<(), ProfileError> {
+    pub(crate) fn validate_covers(&self, model: &ModelSpec) -> Result<(), ProfileError> {
         for (cid, comp) in model.components_enumerated() {
             for (lid, _) in comp.layers_enumerated() {
                 self.require_layer(cid, lid)?;
@@ -125,10 +124,13 @@ impl RecordTable {
         }
         Ok(())
     }
+}
 
-    /// Number of profiled layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
+#[cfg(test)]
+impl LayerSamples {
+    /// Number of recorded samples.
+    pub(crate) fn len(&self) -> usize {
+        self.samples.len()
     }
 }
 

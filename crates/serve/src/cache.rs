@@ -10,12 +10,13 @@
 //!
 //! Two policies keep the cache sound under open-ended networked traffic:
 //!
-//! * **Bounded residency.** Each shard holds at most
-//!   [`ShardedCache::per_shard_capacity`] finished entries; inserting past
-//!   that evicts the least-recently-used finished entry (in-flight slots are
-//!   never evicted). A stream of millions of unique specs therefore occupies
-//!   bounded memory instead of growing without limit.
-//! * **Retention policy.** [`ShardedCache::get_or_compute_with`] takes a
+//! * **Bounded residency.** Each shard holds at most its share of the
+//!   capacity given to [`ShardedCache::with_capacity`] in finished
+//!   entries; inserting past that evicts the least-recently-used finished
+//!   entry (in-flight slots are never evicted). A stream of millions of
+//!   unique specs therefore occupies bounded memory instead of growing
+//!   without limit.
+//! * **Retention policy.** [`ShardedCache::get_or_compute_observed`] takes a
 //!   `retain` predicate; values it rejects (e.g. transient
 //!   `PlanError::Internal` outcomes) are returned to the caller but *not*
 //!   kept, so a key is never permanently poisoned by a one-off failure. The
@@ -28,7 +29,7 @@
     reason = "the shard map is looked up by fingerprint; eviction takes the minimum of unique LRU stamps, so iteration order never shows"
 )]
 
-use dpipe_sync::{LockRecoverTagged, TaggedGuard, WaitRecoverTagged};
+use dpipe_sync::{LockRecoverTagged, WaitRecoverTagged};
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,15 +110,9 @@ pub struct ShardedCache<V> {
 }
 
 impl<V: Clone> ShardedCache<V> {
-    /// Creates an unbounded cache with `num_shards` independent shards
-    /// (minimum 1).
-    pub fn new(num_shards: usize) -> Self {
-        Self::with_capacity(num_shards, usize::MAX)
-    }
-
     /// Creates a cache whose `total_capacity` finished entries spread over
     /// `num_shards` shards (each shard gets the rounded-up share, minimum
-    /// 1). Pass `usize::MAX` (or use [`ShardedCache::new`]) for unbounded.
+    /// 1; at least one shard). Pass `usize::MAX` for unbounded.
     pub fn with_capacity(num_shards: usize, total_capacity: usize) -> Self {
         let num_shards = num_shards.max(1);
         let per_shard_capacity = if total_capacity == usize::MAX {
@@ -140,11 +135,6 @@ impl<V: Clone> ShardedCache<V> {
             evictions: AtomicU64::new(0),
             uncached: AtomicU64::new(0),
         }
-    }
-
-    /// Finished entries one shard may hold before evicting.
-    pub fn per_shard_capacity(&self) -> usize {
-        self.per_shard_capacity
     }
 
     fn shard(&self, key: u64) -> &Shard<V> {
@@ -172,39 +162,21 @@ impl<V: Clone> ShardedCache<V> {
     }
 
     /// Returns the value for `key`, computing it with `compute` on first
-    /// use, and always retaining the result (subject to capacity).
+    /// use, with the per-call [`CacheResolution`]: whether it hit, how long
+    /// it blocked on another caller's in-flight computation, and how many
+    /// entries publishing the value evicted.
     ///
-    /// The boolean is `true` for a cache hit — including callers that
-    /// arrived while another thread was computing the same key and merely
-    /// waited for it (they did no planning work themselves). If `compute`
-    /// (or `retain`, below) panics, the in-flight marker is removed and
-    /// waiters are woken so a later caller can retry; the panic propagates
-    /// to the computing caller.
-    pub fn get_or_compute(&self, key: u64, compute: impl FnOnce() -> V) -> (V, bool) {
-        self.get_or_compute_with(key, compute, |_| true)
-    }
-
-    /// [`ShardedCache::get_or_compute`] with a retention policy: when
-    /// `retain` rejects the freshly computed value, the value is still
-    /// returned (and the lookup counts as a miss) but the key is left
-    /// vacant, so the next caller recomputes instead of being served a
-    /// transient failure forever. Waiters that piled up behind the
-    /// in-flight slot wake, find the key vacant and recompute — the
-    /// single-flight guarantee only extends to outcomes worth keeping.
-    pub fn get_or_compute_with(
-        &self,
-        key: u64,
-        compute: impl FnOnce() -> V,
-        retain: impl FnOnce(&V) -> bool,
-    ) -> (V, bool) {
-        let (value, resolution) = self.get_or_compute_observed(key, compute, retain);
-        (value, resolution.hit)
-    }
-
-    /// [`ShardedCache::get_or_compute_with`] returning the full per-call
-    /// [`CacheResolution`]: whether it hit, how long it blocked on another
-    /// caller's in-flight computation, and how many entries publishing the
-    /// value evicted.
+    /// A hit includes callers that arrived while another thread was
+    /// computing the same key and merely waited for it (they did no
+    /// planning work themselves). When `retain` rejects the freshly
+    /// computed value, the value is still returned (and the lookup counts
+    /// as a miss) but the key is left vacant, so the next caller recomputes
+    /// instead of being served a transient failure forever. Waiters that
+    /// piled up behind the in-flight slot wake, find the key vacant and
+    /// recompute — the single-flight guarantee only extends to outcomes
+    /// worth keeping. If `compute` or `retain` panics, the in-flight marker
+    /// is removed and waiters are woken so a later caller can retry; the
+    /// panic propagates to the computing caller.
     pub fn get_or_compute_observed(
         &self,
         key: u64,
@@ -313,20 +285,15 @@ impl<V: Clone> ShardedCache<V> {
     }
 
     /// Number of distinct keys resident (finished or in-flight).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.map.lock_recover_tagged(SHARD_MAP_TAG).len())
             .sum()
     }
 
-    /// True when no key is resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Current counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -334,20 +301,6 @@ impl<V: Clone> ShardedCache<V> {
             evictions: self.evictions.load(Ordering::Relaxed),
             uncached: self.uncached.load(Ordering::Relaxed),
         }
-    }
-
-    /// Drops every entry and resets the counters (entries being computed
-    /// right now are unaffected: their publish re-inserts them).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut map: TaggedGuard<'_, HashMap<u64, Slot<V>>> =
-                shard.map.lock_recover_tagged(SHARD_MAP_TAG);
-            map.retain(|_, slot| matches!(slot, Slot::InFlight));
-        }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.uncached.store(0, Ordering::Relaxed);
     }
 }
 
@@ -357,16 +310,31 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
+    fn unbounded<V: Clone>(num_shards: usize) -> ShardedCache<V> {
+        ShardedCache::with_capacity(num_shards, usize::MAX)
+    }
+
+    /// A lookup that retains every value, as `(value, hit)`.
+    fn lookup<V: Clone>(
+        cache: &ShardedCache<V>,
+        key: u64,
+        compute: impl FnOnce() -> V,
+    ) -> (V, bool) {
+        let (value, resolution) = cache.get_or_compute_observed(key, compute, |_| true);
+        (value, resolution.hit)
+    }
+
     #[test]
     fn computes_once_then_hits() {
-        let cache = ShardedCache::new(4);
+        let cache = unbounded(4);
+        assert_eq!(cache.stats().hit_rate(), 0.0);
         let calls = AtomicUsize::new(0);
         let compute = || {
             calls.fetch_add(1, Ordering::SeqCst);
             42u64
         };
-        assert_eq!(cache.get_or_compute(7, compute), (42, false));
-        assert_eq!(cache.get_or_compute(7, || unreachable!()), (42, true));
+        assert_eq!(lookup(&cache, 7, compute), (42, false));
+        assert_eq!(lookup(&cache, 7, || unreachable!()), (42, true));
         assert_eq!(calls.load(Ordering::SeqCst), 1);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
@@ -376,23 +344,23 @@ mod tests {
 
     #[test]
     fn get_only_sees_finished_entries() {
-        let cache: ShardedCache<u64> = ShardedCache::new(2);
+        let cache: ShardedCache<u64> = unbounded(2);
         assert_eq!(cache.get(1), None);
-        cache.get_or_compute(1, || 10);
+        lookup(&cache, 1, || 10);
         assert_eq!(cache.get(1), Some(10));
         assert_eq!(cache.get(2), None);
     }
 
     #[test]
     fn concurrent_identical_keys_single_flight() {
-        let cache = Arc::new(ShardedCache::new(8));
+        let cache = Arc::new(unbounded(8));
         let calls = Arc::new(AtomicUsize::new(0));
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let cache = Arc::clone(&cache);
                 let calls = Arc::clone(&calls);
                 std::thread::spawn(move || {
-                    cache.get_or_compute(99, move || {
+                    lookup(&cache, 99, move || {
                         calls.fetch_add(1, Ordering::SeqCst);
                         // Hold the in-flight slot long enough for the other
                         // threads to arrive and block.
@@ -411,28 +379,28 @@ mod tests {
 
     #[test]
     fn panicking_compute_clears_the_slot() {
-        let cache: Arc<ShardedCache<u64>> = Arc::new(ShardedCache::new(1));
+        let cache: Arc<ShardedCache<u64>> = Arc::new(unbounded(1));
         let c = Arc::clone(&cache);
         let panicker = std::thread::spawn(move || {
-            c.get_or_compute(5, || panic!("boom"));
+            lookup(&c, 5, || panic!("boom"));
         });
         assert!(panicker.join().is_err());
         // The key is retryable and the cache is not wedged.
-        assert_eq!(cache.get_or_compute(5, || 11), (11, false));
+        assert_eq!(lookup(&cache, 5, || 11), (11, false));
     }
 
     #[test]
     fn a_panicking_retain_leaves_the_key_recomputable() {
-        let cache: Arc<ShardedCache<u64>> = Arc::new(ShardedCache::new(1));
+        let cache: Arc<ShardedCache<u64>> = Arc::new(unbounded(1));
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.get_or_compute_with(5, || 1, |_| panic!("retain"))
+            cache.get_or_compute_observed(5, || 1, |_| panic!("retain"))
         }));
         assert!(caught.is_err());
         // A stranded in-flight slot would block this lookup for ever, so
         // it runs on its own thread under a deadline.
         let (tx, rx) = std::sync::mpsc::channel();
         let c = Arc::clone(&cache);
-        std::thread::spawn(move || tx.send(c.get_or_compute(5, || 2)));
+        std::thread::spawn(move || tx.send(lookup(&c, 5, || 2)));
         assert_eq!(
             rx.recv_timeout(std::time::Duration::from_secs(5)),
             Ok((2, false))
@@ -440,28 +408,16 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_counters_and_entries() {
-        let cache = ShardedCache::new(4);
-        cache.get_or_compute(1, || 1u64);
-        cache.get_or_compute(2, || 2u64);
-        cache.clear();
-        assert!(cache.is_empty());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 0));
-        assert_eq!(stats.hit_rate(), 0.0);
-    }
-
-    #[test]
     fn capacity_bounds_residency_with_lru_eviction() {
         // One shard, three finished entries max.
         let cache = ShardedCache::with_capacity(1, 3);
-        assert_eq!(cache.per_shard_capacity(), 3);
+        assert_eq!(cache.per_shard_capacity, 3);
         for k in 0..3u64 {
-            cache.get_or_compute(k, || k);
+            lookup(&cache, k, || k);
         }
         // Touch 0 so 1 becomes the LRU entry, then overflow.
         assert_eq!(cache.get(0), Some(0));
-        cache.get_or_compute(3, || 3);
+        lookup(&cache, 3, || 3);
         let stats = cache.stats();
         assert_eq!(stats.entries, 3);
         assert_eq!(stats.evictions, 1);
@@ -470,7 +426,7 @@ mod tests {
         assert_eq!(cache.get(3), Some(3));
         // A stream of unique keys stays bounded forever.
         for k in 100..1100u64 {
-            cache.get_or_compute(k, || k);
+            lookup(&cache, k, || k);
         }
         assert_eq!(cache.stats().entries, 3);
     }
@@ -478,26 +434,27 @@ mod tests {
     #[test]
     fn capacity_spreads_over_shards() {
         let cache = ShardedCache::with_capacity(4, 8);
-        assert_eq!(cache.per_shard_capacity(), 2);
+        assert_eq!(cache.per_shard_capacity, 2);
         for k in 0..64u64 {
-            cache.get_or_compute(k, || k);
+            lookup(&cache, k, || k);
         }
         assert!(cache.stats().entries <= 8);
     }
 
     #[test]
     fn rejected_values_are_returned_but_not_resident() {
-        let cache: ShardedCache<Result<u64, String>> = ShardedCache::new(2);
-        let (v, hit) = cache.get_or_compute_with(9, || Err("transient".to_owned()), |v| v.is_ok());
+        let cache: ShardedCache<Result<u64, String>> = unbounded(2);
+        let (v, r) =
+            cache.get_or_compute_observed(9, || Err("transient".to_owned()), |v| v.is_ok());
         assert_eq!(v, Err("transient".to_owned()));
-        assert!(!hit);
+        assert!(!r.hit);
         assert_eq!(cache.get(9), None, "transient outcome must not stick");
         assert_eq!(cache.stats().uncached, 1);
         // The key recovers: a later successful compute is cached normally.
-        let (v, hit) = cache.get_or_compute_with(9, || Ok(5), |v| v.is_ok());
-        assert_eq!((v, hit), (Ok(5), false));
+        let (v, r) = cache.get_or_compute_observed(9, || Ok(5), |v| v.is_ok());
+        assert_eq!((v, r.hit), (Ok(5), false));
         assert_eq!(cache.get(9), Some(Ok(5)));
-        assert!(cache.get_or_compute_with(9, || unreachable!(), |_| true).1);
+        assert!(lookup(&cache, 9, || unreachable!()).1);
     }
 
     #[test]
@@ -509,7 +466,7 @@ mod tests {
         let (_, r) = cache.get_or_compute_observed(2, || 2u64, |_| true);
         assert_eq!((r.hit, r.evictions), (false, 1));
         // A caller blocked behind an in-flight computation reports the wait.
-        let cache: Arc<ShardedCache<u64>> = Arc::new(ShardedCache::new(1));
+        let cache: Arc<ShardedCache<u64>> = Arc::new(unbounded(1));
         let c = Arc::clone(&cache);
         let computer = std::thread::spawn(move || {
             c.get_or_compute_observed(
@@ -536,14 +493,14 @@ mod tests {
 
     #[test]
     fn waiters_behind_a_rejected_value_recompute() {
-        let cache: Arc<ShardedCache<u64>> = Arc::new(ShardedCache::new(1));
+        let cache: Arc<ShardedCache<u64>> = Arc::new(unbounded(1));
         let calls = Arc::new(AtomicUsize::new(0));
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let cache = Arc::clone(&cache);
                 let calls = Arc::clone(&calls);
                 std::thread::spawn(move || {
-                    cache.get_or_compute_with(
+                    cache.get_or_compute_observed(
                         7,
                         move || {
                             let n = calls.fetch_add(1, Ordering::SeqCst);

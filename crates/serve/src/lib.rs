@@ -60,7 +60,8 @@ mod sweep;
 pub use cache::{CacheResolution, CacheStats, ShardedCache};
 pub use request::PlanRequest;
 pub use service::{
-    PlanOutcome, PlanResponse, PlanService, ServiceConfig, SimulateResponse, TraceCtx,
+    panic_message, PlanOutcome, PlanResponse, PlanService, ServiceConfig, SimulateResponse,
+    TraceCtx,
 };
 pub use sweep::{SweepPoint, SweepReport};
 // The declarative layer requests and sweeps are built on.

@@ -56,7 +56,7 @@ impl PlanRequest {
     }
 
     /// The canonical spec this request wraps.
-    pub fn spec(&self) -> &PlanSpec {
+    pub(crate) fn spec(&self) -> &PlanSpec {
         &self.spec
     }
 
@@ -91,7 +91,7 @@ impl PlanRequest {
     }
 
     /// Short human-readable label, e.g. `stable-diffusion-v2.1@8gpu/b256`.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         format!(
             "{}@{}gpu/b{}",
             self.model().name,

@@ -112,8 +112,9 @@ struct Job {
     reply: Sender<PlanResponse>,
 }
 
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+/// Best-effort extraction of a contained panic's message (panics carry
+/// `&str` or `String` payloads in practice).
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&str>() {
         s
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -599,7 +600,7 @@ mod tests {
     #[test]
     fn a_panic_anywhere_in_a_job_is_answered() {
         use dpipe_sync::LockRecoverTagged;
-        let cache = ShardedCache::new(1);
+        let cache = ShardedCache::with_capacity(1, usize::MAX);
         let (reply, _rx) = mpsc::channel();
         let job = Job {
             index: 3,

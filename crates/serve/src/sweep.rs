@@ -87,7 +87,7 @@ impl SweepPoint {
     }
 
     /// Residual bubble ratio, if planning succeeded.
-    pub fn bubble_ratio(&self) -> Option<f64> {
+    pub(crate) fn bubble_ratio(&self) -> Option<f64> {
         self.outcome.as_ref().ok().map(|p| p.bubble_ratio)
     }
 

@@ -91,7 +91,7 @@ fn type_error(path: &str, wanted: &str, found: &JsonValue) -> SpecError {
 /// # Errors
 ///
 /// [`SpecError::InvalidValue`] on a type mismatch.
-pub fn as_bool(value: &JsonValue, path: &str) -> Result<bool, SpecError> {
+pub(crate) fn as_bool(value: &JsonValue, path: &str) -> Result<bool, SpecError> {
     value
         .as_bool()
         .ok_or_else(|| type_error(path, "a bool", value))
@@ -114,7 +114,7 @@ pub fn as_u64(value: &JsonValue, path: &str) -> Result<u64, SpecError> {
 /// # Errors
 ///
 /// See [`as_u64`]; additionally rejects values above `u32::MAX`.
-pub fn as_u32(value: &JsonValue, path: &str) -> Result<u32, SpecError> {
+pub(crate) fn as_u32(value: &JsonValue, path: &str) -> Result<u32, SpecError> {
     u32::try_from(as_u64(value, path)?)
         .map_err(|_| SpecError::invalid(path, "value exceeds u32::MAX"))
 }
@@ -145,7 +145,7 @@ pub fn as_f64(value: &JsonValue, path: &str) -> Result<f64, SpecError> {
 /// # Errors
 ///
 /// [`SpecError::InvalidValue`] on a type mismatch.
-pub fn as_str<'a>(value: &'a JsonValue, path: &str) -> Result<&'a str, SpecError> {
+pub(crate) fn as_str<'a>(value: &'a JsonValue, path: &str) -> Result<&'a str, SpecError> {
     value
         .as_str()
         .ok_or_else(|| type_error(path, "a string", value))
@@ -167,7 +167,7 @@ pub fn as_array<'a>(value: &'a JsonValue, path: &str) -> Result<&'a [JsonValue],
 /// # Errors
 ///
 /// Missing field or type mismatch.
-pub fn u64_field(fields: &Fields<'_>, key: &str) -> Result<u64, SpecError> {
+pub(crate) fn u64_field(fields: &Fields<'_>, key: &str) -> Result<u64, SpecError> {
     as_u64(fields.require(key)?, &fields.path(key))
 }
 
@@ -176,7 +176,7 @@ pub fn u64_field(fields: &Fields<'_>, key: &str) -> Result<u64, SpecError> {
 /// # Errors
 ///
 /// Missing field or type mismatch.
-pub fn u32_field(fields: &Fields<'_>, key: &str) -> Result<u32, SpecError> {
+pub(crate) fn u32_field(fields: &Fields<'_>, key: &str) -> Result<u32, SpecError> {
     as_u32(fields.require(key)?, &fields.path(key))
 }
 
@@ -194,7 +194,7 @@ pub fn f64_field(fields: &Fields<'_>, key: &str) -> Result<f64, SpecError> {
 /// # Errors
 ///
 /// Missing field or type mismatch.
-pub fn str_field(fields: &Fields<'_>, key: &str) -> Result<String, SpecError> {
+pub(crate) fn str_field(fields: &Fields<'_>, key: &str) -> Result<String, SpecError> {
     Ok(as_str(fields.require(key)?, &fields.path(key))?.to_owned())
 }
 

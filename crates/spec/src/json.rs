@@ -38,7 +38,7 @@ pub enum JsonValue {
 
 impl JsonValue {
     /// The boolean payload, if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             JsonValue::Bool(b) => Some(*b),
             _ => None,
@@ -95,7 +95,7 @@ impl JsonValue {
     }
 
     /// Human-readable name of the value's type, for diagnostics.
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             JsonValue::Null => "null",
             JsonValue::Bool(_) => "bool",

@@ -7,7 +7,11 @@
 pub struct PlannerOptions {
     /// Fill bubbles with the frozen part (the core contribution).
     pub bubble_filling: bool,
-    /// Allow partial-batch layers inside bubbles.
+    /// Allow partial-batch layers inside bubbles. The planner fills with
+    /// them only when this and [`FillConfig::partial_batch`] both allow
+    /// them.
+    ///
+    /// [`FillConfig::partial_batch`]: dpipe_fill::FillConfig::partial_batch
     pub partial_batch: bool,
 }
 

@@ -47,7 +47,7 @@ impl ModelRef {
 
     /// The reference's display name without resolving (zoo name or the
     /// inline model's name).
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         match self {
             ModelRef::Zoo(name) => name,
             ModelRef::Inline(spec) => &spec.name,

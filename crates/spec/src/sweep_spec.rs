@@ -193,7 +193,7 @@ impl SweepSpec {
     }
 
     /// The canonical JSON tree (axes explicit, template complete).
-    pub fn to_json_value(&self) -> JsonValue {
+    pub(crate) fn to_json_value(&self) -> JsonValue {
         JsonValue::Object(vec![
             (
                 "schema_version".to_owned(),
@@ -249,7 +249,7 @@ impl SweepSpec {
     /// # Errors
     ///
     /// See [`PlanSpec::from_json`].
-    pub fn from_json_value(value: &JsonValue) -> Result<Self, SpecError> {
+    pub(crate) fn from_json_value(value: &JsonValue) -> Result<Self, SpecError> {
         let fields = Fields::new(value, "")?;
         fields.allow(&[
             "schema_version",

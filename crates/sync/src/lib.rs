@@ -10,16 +10,17 @@
 //! The guarded structures in this workspace are all plain data
 //! (counters, `VecDeque`s, cache maps) whose methods uphold their
 //! invariants even when interrupted by unwinding, so the right response
-//! to poisoning is to take the guard and keep serving. These extension
-//! traits make that the one-line default, and clippy's `unwrap_used`
-//! and `expect_used` (`cargo --offline lint`) forbid the panicking form
-//! in library and binary code.
+//! to poisoning is to take the guard and keep serving. The extension
+//! traits [`LockRecoverTagged`] and [`WaitRecoverTagged`] make that the
+//! one-line default, and clippy's `unwrap_used` and `expect_used`
+//! (`cargo --offline lint`) forbid the panicking form in library and
+//! binary code.
 //!
-//! Library code outside this crate takes every lock through the tagged
-//! forms, [`LockRecoverTagged`] and [`WaitRecoverTagged`], so the
-//! debug-build [`witness`] sees each acquisition and panics when a thread
-//! takes a second tagged lock. `tests/lint_gate.rs` checks the sources:
-//! no untagged lock, and no blocking call in a module that takes one.
+//! The crate exports only the tagged forms, so every lock taken through
+//! it is registered with the debug-build [`witness`], which panics when a
+//! thread takes a second tagged lock. `tests/lint_gate.rs` checks the
+//! sources: no untagged lock, and no blocking call in a module that takes
+//! one.
 //!
 //! [`Bounded`] is the workspace's MPMC queue, shared by the HTTP accept
 //! queue and the planning pool's job queue. Its lock is tagged, so the
@@ -29,11 +30,11 @@
 //!
 //! ```
 //! use std::sync::Mutex;
-//! use dpipe_sync::LockRecover;
+//! use dpipe_sync::LockRecoverTagged;
 //!
 //! let m = Mutex::new(0u32);
-//! *m.lock_recover() += 1;
-//! assert_eq!(*m.lock_recover(), 1);
+//! *m.lock_recover_tagged("doc::m") += 1;
+//! assert_eq!(*m.lock_recover_tagged("doc::m"), 1);
 //! ```
 
 use std::ops::{Deref, DerefMut};
@@ -44,8 +45,9 @@ pub mod witness;
 
 pub use queue::{Bounded, PushError};
 
-/// Poison-recovering [`Mutex::lock`].
-pub trait LockRecover<T> {
+/// Poison-recovering [`Mutex::lock`], untagged: the helper behind
+/// [`LockRecoverTagged`] and the witness's own bookkeeping lock.
+pub(crate) trait LockRecover<T> {
     /// Acquire the guard, recovering it from a poisoned lock instead of
     /// panicking. Callers must only guard data whose invariants survive
     /// an unwind mid-critical-section (true of every lock in this
@@ -62,8 +64,9 @@ impl<T> LockRecover<T> for Mutex<T> {
     }
 }
 
-/// Poison-recovering [`Condvar::wait`].
-pub trait WaitRecover {
+/// Poison-recovering [`Condvar::wait`], untagged: the helper behind
+/// [`WaitRecoverTagged`].
+pub(crate) trait WaitRecover {
     /// Block on the condvar, recovering the reacquired guard from a
     /// poisoned lock instead of panicking.
     fn wait_recover<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T>;

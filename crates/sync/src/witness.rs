@@ -41,7 +41,7 @@ mod armed {
     /// Every tag ever acquired.
     static NODES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
 
-    pub fn acquire(tag: &'static str) -> u64 {
+    pub(crate) fn acquire(tag: &'static str) -> u64 {
         let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
         NODES.lock_recover().insert(tag);
         if let Some((_, held)) = HELD.get() {
@@ -59,7 +59,7 @@ mod armed {
         id
     }
 
-    pub fn release(id: u64) {
+    pub(crate) fn release(id: u64) {
         if HELD.get().is_some_and(|(held, _)| held == id) {
             HELD.set(None);
         }
@@ -78,11 +78,11 @@ mod armed {
         );
     }
 
-    pub fn inversions() -> u64 {
+    pub(crate) fn inversions() -> u64 {
         INVERSIONS.load(Ordering::Relaxed)
     }
 
-    pub fn observed_nodes() -> Vec<&'static str> {
+    pub(crate) fn observed_nodes() -> Vec<&'static str> {
         NODES.lock_recover().iter().copied().collect()
     }
 }
@@ -91,7 +91,7 @@ mod armed {
 /// it unregisters the lock from its thread. In release builds this is a
 /// no-op carrying only the tag.
 #[derive(Debug)]
-pub struct Token {
+pub(crate) struct Token {
     pub(crate) tag: &'static str,
     #[cfg(debug_assertions)]
     id: u64,
@@ -100,7 +100,7 @@ pub struct Token {
 impl Token {
     /// Record an acquisition of `tag`, panicking (debug builds) when the
     /// thread already holds a tagged lock.
-    pub fn acquire(tag: &'static str) -> Token {
+    pub(crate) fn acquire(tag: &'static str) -> Token {
         Token {
             tag,
             #[cfg(debug_assertions)]

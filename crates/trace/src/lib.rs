@@ -9,11 +9,8 @@
 //! timestamps from one shared origin.
 //!
 //! Cost model: a disabled tracer ([`Tracer::off`], the default everywhere)
-//! carries no collector at all — every API call is a `None` check. An
-//! allocated collector can additionally be switched off at runtime via an
-//! atomic flag ([`Tracer::set_enabled`]), which reduces every span site to
-//! one relaxed atomic load. The benchmark reports what tracing costs as
-//! `trace.overhead_frac`.
+//! carries no collector at all — every API call is a `None` check. The
+//! benchmark reports what tracing costs as `trace.overhead_frac`.
 //!
 //! Exporters: [`Trace::to_chrome_json`] emits Chrome trace-event JSON
 //! (loadable in Perfetto / `chrome://tracing`), [`Trace::render_tree`] a
@@ -24,7 +21,7 @@ mod tree;
 
 use dpipe_sync::LockRecoverTagged;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -116,7 +113,6 @@ impl SpanRecord {
 const COLLECTOR_FINISHED_TAG: &str = "trace::Collector::finished";
 
 struct Collector {
-    enabled: AtomicBool,
     origin: Instant,
     next_id: AtomicU64,
     finished: Mutex<Vec<SpanRecord>>,
@@ -164,7 +160,6 @@ impl Tracer {
     pub fn starting_at(origin: Instant) -> Self {
         Tracer {
             inner: Some(Arc::new(Collector {
-                enabled: AtomicBool::new(true),
                 origin,
                 next_id: AtomicU64::new(1),
                 finished: Mutex::new(Vec::new()),
@@ -177,24 +172,9 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// Whether spans are currently being recorded.
+    /// Whether spans are being recorded (false only for [`Tracer::off`]).
     pub fn is_enabled(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|c| c.enabled.load(Ordering::Relaxed))
-    }
-
-    /// Toggles recording at runtime. No-op without a collector.
-    pub fn set_enabled(&self, enabled: bool) {
-        if let Some(collector) = &self.inner {
-            collector.enabled.store(enabled, Ordering::Relaxed);
-        }
-    }
-
-    fn active(&self) -> Option<&Arc<Collector>> {
-        self.inner
-            .as_ref()
-            .filter(|c| c.enabled.load(Ordering::Relaxed))
+        self.inner.is_some()
     }
 
     /// Opens a root span starting now.
@@ -213,7 +193,7 @@ impl Tracer {
     }
 
     fn span_full(&self, name: &str, parent: Option<SpanId>, start: Instant) -> Span {
-        let Some(collector) = self.active() else {
+        let Some(collector) = &self.inner else {
             return Span { active: None };
         };
         let id = collector.next_id.fetch_add(1, Ordering::Relaxed);
@@ -239,7 +219,7 @@ impl Tracer {
         start: Instant,
         end: Instant,
     ) -> Option<SpanId> {
-        let collector = self.active()?;
+        let collector = self.inner.as_ref()?;
         let id = collector.next_id.fetch_add(1, Ordering::Relaxed);
         let record = SpanRecord {
             id,
@@ -257,19 +237,7 @@ impl Tracer {
         Some(SpanId(id))
     }
 
-    /// Copies out everything recorded so far.
-    pub fn snapshot(&self) -> Trace {
-        let spans = match &self.inner {
-            Some(collector) => collector
-                .finished
-                .lock_recover_tagged(COLLECTOR_FINISHED_TAG)
-                .clone(),
-            None => Vec::new(),
-        };
-        Trace::from_spans(spans)
-    }
-
-    /// Drains the collector, leaving it empty (and still enabled).
+    /// Drains the collector, leaving it empty.
     pub fn take(&self) -> Trace {
         let spans = match &self.inner {
             Some(collector) => std::mem::take(
@@ -375,7 +343,7 @@ impl Trace {
     }
 
     /// Direct children of `id`, in start order.
-    pub fn children_of(&self, id: u64) -> Vec<&SpanRecord> {
+    pub(crate) fn children_of(&self, id: u64) -> Vec<&SpanRecord> {
         self.spans.iter().filter(|s| s.parent == Some(id)).collect()
     }
 
@@ -428,6 +396,21 @@ impl Trace {
 }
 
 #[cfg(test)]
+impl Tracer {
+    /// Copies out everything recorded so far.
+    pub(crate) fn snapshot(&self) -> Trace {
+        let spans = match &self.inner {
+            Some(collector) => collector
+                .finished
+                .lock_recover_tagged(COLLECTOR_FINISHED_TAG)
+                .clone(),
+            None => Vec::new(),
+        };
+        Trace::from_spans(spans)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::time::Duration;
@@ -442,20 +425,6 @@ mod tests {
         tracer.record_between("x", None, Instant::now(), Instant::now());
         assert!(tracer.snapshot().is_empty());
         assert!(!tracer.is_enabled());
-    }
-
-    #[test]
-    fn runtime_flag_stops_recording() {
-        let tracer = Tracer::new();
-        drop(tracer.span("before"));
-        tracer.set_enabled(false);
-        assert!(!tracer.is_enabled());
-        drop(tracer.span("while_off"));
-        tracer.set_enabled(true);
-        drop(tracer.span("after"));
-        let trace = tracer.snapshot();
-        assert_eq!(trace.len(), 2);
-        assert!(trace.find("while_off").is_none());
     }
 
     #[test]

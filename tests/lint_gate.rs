@@ -61,6 +61,7 @@ fn lint_gates_stay_wired() {
         .collect();
     for lint in [
         "warnings",
+        "unreachable_pub",
         "clippy::unwrap_used",
         "clippy::expect_used",
         "clippy::panic",
