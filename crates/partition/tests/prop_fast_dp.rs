@@ -163,10 +163,12 @@ proptest! {
             // devices, some spanning two classes.
             2 => ClusterSpec::mixed(&[(a100, 1), (h100, 1), (DeviceClass::a10g(), 1)]),
             // 8 GPUs total, classes split 4/4.
-            _ => ClusterSpec {
-                devices_per_machine: 4,
-                ..ClusterSpec::mixed(&if fleet == 1 { [(h100, 1), (a100, 1)] } else { [(a100, 1), (h100, 1)] })
-            },
+            _ => {
+                let classes = if fleet == 1 { [h100, a100] } else { [a100, h100] };
+                let mut cluster = ClusterSpec::mixed(&classes.map(|c| (c, 1)));
+                cluster.devices_per_machine = 4;
+                cluster
+            }
         };
         let group = cluster.world_size();
         let model = zoo::synthetic_model(layers, ms, &[1.0, 2.0], self_cond);
