@@ -77,42 +77,10 @@ impl<'a> Partitioner<'a> {
         up: ComponentId,
         cfg: &PartitionConfig,
     ) -> Result<(usize, usize, usize), PartitionError> {
-        let model = self.cost().model().db().model();
-        for &c in &[down, up] {
-            let comp = model
-                .components
-                .get(c.index())
-                .ok_or(PartitionError::NotABackbone(c.index()))?;
-            if !comp.is_trainable() {
-                return Err(PartitionError::NotABackbone(c.index()));
-            }
-        }
-        let l_down = model.component(down).num_layers();
-        let l_up = model.component(up).num_layers();
-        let s_total = cfg.num_stages;
-        let devices = self.cost().layout().group_size;
-        if cfg.num_micro_batches == 0 || cfg.group_batch <= 0.0 || s_total == 0 {
-            return Err(PartitionError::DegenerateConfig);
-        }
-        if s_total > l_down.min(l_up) {
-            return Err(PartitionError::TooManyStages {
-                stages: s_total,
-                layers: l_down.min(l_up),
-            });
-        }
-        if s_total > devices {
-            return Err(PartitionError::TooFewDevices {
-                stages: s_total,
-                devices,
-            });
-        }
-        if !devices.is_multiple_of(s_total) {
-            return Err(PartitionError::NonUniformGroup {
-                stages: s_total,
-                devices,
-            });
-        }
-        Ok((l_down, l_up, devices / s_total))
+        let l_down = self.backbone_layers(down)?;
+        let l_up = self.backbone_layers(up)?;
+        let r = self.replication(cfg, l_down.min(l_up))?;
+        Ok((l_down, l_up, r))
     }
 
     /// Partitions two backbones for bidirectional pipelining over the same
@@ -120,8 +88,9 @@ impl<'a> Partitioner<'a> {
     /// (both pipelines contribute `M` paired forward/backward slots in the
     /// stable phase).
     ///
-    /// Only uniform replication (`r = D / S`) is supported, matching the
-    /// paper's evaluation setting.
+    /// Replication is uniform, as in the single-backbone DP: level `s` of
+    /// both pipelines sits on chain offsets `(s − 1)·r..s·r`, `r = D / S`
+    /// (see [`PartitionConfig`]).
     ///
     /// # Errors
     ///
@@ -132,21 +101,9 @@ impl<'a> Partitioner<'a> {
         up: ComponentId,
         cfg: &PartitionConfig,
     ) -> Result<BidirectionalPlan, PartitionError> {
-        let (_, _, r) = self.validate_bidirectional(down, up, cfg)?;
-        let batch = cfg.micro_batch() / r as f64;
-        let build = |comp: ComponentId| -> Vec<CostPrefix> {
-            let model = self.cost().model();
-            (0..model.num_classes())
-                .map(|class| {
-                    let db = model.db_for(class);
-                    let mut prefix = CostPrefix::new(db, comp);
-                    prefix.ensure_batch(db, batch);
-                    prefix
-                })
-                .collect()
-        };
-        let prefixes_down = build(down);
-        let prefixes_up = build(up);
+        self.validate_bidirectional(down, up, cfg)?;
+        let prefixes_down = self.build_prefixes(down, cfg);
+        let prefixes_up = self.build_prefixes(up, cfg);
         let mut stats = DpStats::default();
         self.partition_bidirectional_with(down, up, cfg, &prefixes_down, &prefixes_up, &mut stats)
     }
@@ -204,21 +161,19 @@ impl<'a> Partitioner<'a> {
         let mut ut = vec![zero; (l_up + 1) * (l_up + 1)];
         let fill_level = |s: usize, dt: &mut [StageTerms], ut: &mut [StageTerms]| {
             let left = s_total - s;
-            let link = self.cost().input_link((s - 1) * r);
-            let shape = self.cost().sync_shape((s - 1) * r..s * r);
-            let class = self.cost().class_of_offsets((s - 1) * r..s * r);
-            let down_costs = &costs_down[class];
-            let up_costs = &costs_up[class];
+            let g = self.cost().level_geometry(s, r);
+            let down_costs = &costs_down[g.class];
+            let up_costs = &costs_up[g.class];
             for i in (s - 1)..(l_down - left) {
                 let i2_lo = if left == 0 { l_down } else { i + 1 };
                 for i2 in i2_lo..=(l_down - left) {
                     dt[i * (l_down + 1) + i2] = self.cost().stage_terms_prefixed(
                         down_costs,
                         i..i2,
-                        link,
+                        g.link,
                         sc_prob,
                         BIDIR_COMM_SCALE,
-                        shape,
+                        g.shape,
                     );
                 }
             }
@@ -228,10 +183,10 @@ impl<'a> Partitioner<'a> {
                     ut[j * (l_up + 1) + j2] = self.cost().stage_terms_prefixed(
                         up_costs,
                         (l_up - j2)..(l_up - j),
-                        link,
+                        g.link,
                         sc_prob,
                         BIDIR_COMM_SCALE,
-                        shape,
+                        g.shape,
                     );
                 }
             }
@@ -245,26 +200,24 @@ impl<'a> Partitioner<'a> {
             let mut w_h = 0.0f64;
             let mut y_h = 0.0f64;
             for k in 1..=s_total {
-                let link = self.cost().input_link((k - 1) * r);
-                let shape = self.cost().sync_shape((k - 1) * r..k * r);
-                let class = self.cost().class_of_offsets((k - 1) * r..k * r);
+                let g = self.cost().level_geometry(k, r);
                 let (i, i2) = ((k - 1) * l_down / s_total, k * l_down / s_total);
                 let (j, j2) = ((k - 1) * l_up / s_total, k * l_up / s_total);
                 let d = self.cost().stage_terms_prefixed(
-                    &costs_down[class],
+                    &costs_down[g.class],
                     i..i2,
-                    link,
+                    g.link,
                     sc_prob,
                     BIDIR_COMM_SCALE,
-                    shape,
+                    g.shape,
                 );
                 let u = self.cost().stage_terms_prefixed(
-                    &costs_up[class],
+                    &costs_up[g.class],
                     (l_up - j2)..(l_up - j),
-                    link,
+                    g.link,
                     sc_prob,
                     BIDIR_COMM_SCALE,
-                    shape,
+                    g.shape,
                 );
                 w_h = w_h.max(d.t0.max(u.t0));
                 y_h = y_h.max(d.sync_gap.max(u.sync_gap));

@@ -3,6 +3,10 @@
 /// One (S, M, B_group) configuration for the partitioner, where `B_group`
 /// is the batch handled by a single pipeline-parallel group (the global
 /// batch divided by the data-parallel degree).
+///
+/// Replication is uniform in both DPs: each of the `S` stages runs on
+/// `r = D / S` devices, stage `s` on chain offsets `(s − 1)·r..s·r` (the
+/// paper's evaluation setting; footnote 2 of §4.1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionConfig {
     /// Number of pipeline stages `S`.
@@ -11,26 +15,16 @@ pub struct PartitionConfig {
     pub num_micro_batches: usize,
     /// Batch size processed by one pipeline group per iteration.
     pub group_batch: f64,
-    /// Force every stage to use the same replication degree `r = D / S`
-    /// (the paper's evaluation setting; footnote 2 of §4.1).
-    pub force_uniform: bool,
 }
 
 impl PartitionConfig {
-    /// Creates a uniform-replication config.
+    /// Creates a config.
     pub fn new(num_stages: usize, num_micro_batches: usize, group_batch: f64) -> Self {
         PartitionConfig {
             num_stages,
             num_micro_batches,
             group_batch,
-            force_uniform: true,
         }
-    }
-
-    /// Allows stages to use different replication degrees.
-    pub fn with_nonuniform(mut self) -> Self {
-        self.force_uniform = false;
-        self
     }
 
     /// Micro-batch size `B̄ = B_group / M`.
@@ -63,15 +57,5 @@ mod tests {
         );
         // S = 1 degenerates to M.
         assert_eq!(PartitionConfig::new(1, 8, 64.0).critical_path_factor(), 8.0);
-    }
-
-    #[test]
-    fn nonuniform_toggle() {
-        assert!(PartitionConfig::new(2, 2, 8.0).force_uniform);
-        assert!(
-            !PartitionConfig::new(2, 2, 8.0)
-                .with_nonuniform()
-                .force_uniform
-        );
     }
 }

@@ -11,9 +11,9 @@
 //!   possible because the DPs build each destination state *completely*
 //!   before moving to the next (dest-major candidate order);
 //! * a point carries no owned data, only the packed parent coordinates
-//!   (`prev_state`, `prev_point`) — the stage's layer range, replication
-//!   and device offsets are all reconstructed from the state indices during
-//!   backtracking.
+//!   (`prev_state`, `prev_point`) — backtracking reconstructs the stage's
+//!   layer range from the state indices, and its replication and device
+//!   offsets from its level.
 //!
 //! Pareto semantics are identical to [`crate::pareto::ParetoFront`]: a candidate
 //! dominated by an existing point (`<=` in both coordinates) is rejected,

@@ -4,10 +4,14 @@
 //!
 //! * **Single backbone** (§4.1): minimises the critical-path upper bound
 //!   `T_max = T0 (M + 2S − 2) + T0^{S−C}` (Eqn. 1) over all ways of cutting
-//!   the backbone's layer chain into `S` stages and replicating each stage
-//!   over devices (Eqns. 2–9).
+//!   the backbone's layer chain into `S` stages (Eqns. 2–9).
 //! * **Multiple backbones** (§4.2): bidirectional (Chimera-style) pipelining
 //!   of two backbones over the same device chain (Eqns. 10–16).
+//!
+//! Both DPs replicate every stage over `r = D / S` devices, the paper's
+//! evaluation setting (footnote 2 of §4.1): stage `s` sits on chain
+//! offsets `(s − 1)·r..s·r`, so its input link, sync shape and device
+//! class depend on its level alone.
 //! * **Self-conditioning** (§4.3): the extra forward pass inflates the
 //!   per-stage bound (Eqn. 17) and adds the feedback transfer `T_F`
 //!   (Eqn. 18); the optimiser scores the expectation over the
@@ -43,22 +47,23 @@
 //!   gradient bytes, boundary activation bytes) are answered from a
 //!   precomputed [`dpipe_profile::CostPrefix`] whose triangular tables
 //!   reproduce the naive left-to-right summation exactly, so the fast path
-//!   rounds identically. Gradient-sync all-reduce costs use a cached
+//!   rounds identically. Gradient-sync all-reduce costs use a
 //!   `SyncShape` (device count, machines spanned, slowest intra-link
-//!   scale) instead of materialising device lists. On heterogeneous
+//!   scale) resolved once per level instead of materialising device
+//!   lists. On heterogeneous
 //!   clusters there is one table set per device class and each stage is
 //!   looked up against the effective class of its devices.
-//! * **Parent pointers instead of payload clones.** A DP state is a cell
-//!   on a flat grid — `(layers_used, devices_used)` for the single DP,
-//!   `(down_layers, up_layers)` for the bidirectional one — and each
-//!   Pareto point stores only `(W, Y, prev_state, prev_point)` (32 bytes,
-//!   `Copy`). Fronts are contiguous spans in one arena per level, built
-//!   destination-major so construction never interleaves. Backtracking
-//!   reconstructs every stage's layer range, replication and device
-//!   offsets purely from state-index deltas; nothing is cloned per
-//!   candidate.
-//! * **Branch-and-bound pruning.** Before the DP runs, an even
-//!   layer/device split is costed as a complete feasible solution; any
+//! * **Parent pointers instead of payload clones.** A DP state is an index
+//!   into a flat table — the number of layers placed for the single DP
+//!   (`L + 1` states per level), the cell `(down_layers, up_layers)` for
+//!   the bidirectional one — and each Pareto point stores only
+//!   `(W, Y, prev_state, prev_point)` (32 bytes, `Copy`). Fronts are
+//!   contiguous spans in one arena per level, built destination-major so
+//!   construction never interleaves. Backtracking reconstructs every
+//!   stage's layer range from state-index deltas and its device offsets
+//!   from its level; nothing is cloned per candidate.
+//! * **Branch-and-bound pruning.** Before the DP runs, an even layer
+//!   split is costed as a complete feasible solution; any
 //!   candidate whose partial `coeff·W + Y` already exceeds that bound (or
 //!   the tightened bound once complete solutions appear) is discarded.
 //!   Because `W` and `Y` only grow along a chain and the final selection
@@ -80,7 +85,7 @@
 //! * **No unread work.** Both DPs build only what the backtrack or the
 //!   bound can read, keeping every floating-point expression and the
 //!   candidate order, so plans stay bit-identical:
-//!   - *The last level builds only the final state* (`(L, D)`, or
+//!   - *The last level builds only the final state* (`L`, or
 //!     `(L_down, L_up)`): the backtrack reads nothing else and the bound
 //!     tightens only there, so its front comes from the same candidates,
 //!     in the same order, under the same bound. Only [`DpStats`] changes.

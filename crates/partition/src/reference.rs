@@ -32,10 +32,8 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone)]
 struct Choice {
     prev_l: usize,
-    prev_d: usize,
     prev_point: usize,
     layers: std::ops::Range<usize>,
-    replication: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -62,14 +60,14 @@ impl<'a> Partitioner<'a> {
         backbone: ComponentId,
         cfg: &PartitionConfig,
     ) -> Result<PartitionPlan, PartitionError> {
-        let (num_layers, num_devices) = self.validate(backbone, cfg)?;
+        let (num_layers, r) = self.validate(backbone, cfg)?;
         let s_total = cfg.num_stages;
         let micro = cfg.micro_batch();
         let sc_prob = self.self_cond_prob();
 
-        // levels[s] maps (layers_used, devices_used) -> Pareto front.
-        let mut levels: Vec<BTreeMap<(usize, usize), ParetoFront<Choice>>> =
-            Vec::with_capacity(s_total + 1);
+        // levels[s] maps layers_used -> Pareto front; stage `s` sits on
+        // chain offsets (s - 1) * r..s * r.
+        let mut levels: Vec<BTreeMap<usize, ParetoFront<Choice>>> = Vec::with_capacity(s_total + 1);
         let mut level0 = BTreeMap::new();
         let mut seed = ParetoFront::new();
         seed.insert(
@@ -77,71 +75,44 @@ impl<'a> Partitioner<'a> {
             0.0,
             Choice {
                 prev_l: 0,
-                prev_d: 0,
                 prev_point: 0,
                 layers: 0..0,
-                replication: 0,
             },
         );
-        level0.insert((0usize, 0usize), seed);
+        level0.insert(0usize, seed);
         levels.push(level0);
 
         for s in 1..=s_total {
             let stages_left_after = s_total - s;
-            let mut cur: BTreeMap<(usize, usize), ParetoFront<Choice>> = BTreeMap::new();
+            let mut cur: BTreeMap<usize, ParetoFront<Choice>> = BTreeMap::new();
             let prev = &levels[s - 1];
-            for (&(l, d), front) in prev {
-                let reps: Vec<usize> = if cfg.force_uniform {
-                    vec![num_devices / s_total]
-                } else {
-                    (1..=num_devices - d).collect()
-                };
-                for r in reps {
-                    let d2 = d + r;
-                    if d2 > num_devices {
-                        continue;
-                    }
-                    // Remaining stages each need >= 1 device (uniform:
-                    // exactly r each), and the final stage must land on
-                    // exactly num_devices.
-                    let dev_ok = if cfg.force_uniform {
-                        d2 + stages_left_after * r == num_devices
-                    } else {
-                        num_devices - d2 >= stages_left_after
-                            && (stages_left_after > 0 || d2 == num_devices)
-                    };
-                    if !dev_ok {
-                        continue;
-                    }
-                    // Layer split: leave >= 1 layer per remaining stage.
-                    let max_l2 = num_layers - stages_left_after;
-                    for l2 in (l + 1)..=max_l2 {
-                        let layers = l..l2;
-                        let offsets: Vec<usize> = (d..d2).collect();
-                        let terms = self.cost().stage_terms(
-                            backbone,
-                            layers.clone(),
-                            r,
-                            &offsets,
-                            micro,
-                            sc_prob,
-                            1.0,
+            let offsets: Vec<usize> = ((s - 1) * r..s * r).collect();
+            for (&l, front) in prev {
+                // Layer split: leave >= 1 layer per remaining stage.
+                let max_l2 = num_layers - stages_left_after;
+                for l2 in (l + 1)..=max_l2 {
+                    let layers = l..l2;
+                    let terms = self.cost().stage_terms(
+                        backbone,
+                        layers.clone(),
+                        r,
+                        &offsets,
+                        micro,
+                        sc_prob,
+                        1.0,
+                    );
+                    for (pi, &(w, y, _)) in front.points().iter().enumerate() {
+                        let nw = w.max(terms.t0);
+                        let ny = y.max(terms.sync_gap);
+                        cur.entry(l2).or_default().insert(
+                            nw,
+                            ny,
+                            Choice {
+                                prev_l: l,
+                                prev_point: pi,
+                                layers: layers.clone(),
+                            },
                         );
-                        for (pi, &(w, y, _)) in front.points().iter().enumerate() {
-                            let nw = w.max(terms.t0);
-                            let ny = y.max(terms.sync_gap);
-                            cur.entry((l2, d2)).or_default().insert(
-                                nw,
-                                ny,
-                                Choice {
-                                    prev_l: l,
-                                    prev_d: d,
-                                    prev_point: pi,
-                                    layers: layers.clone(),
-                                    replication: r,
-                                },
-                            );
-                        }
                     }
                 }
             }
@@ -149,7 +120,7 @@ impl<'a> Partitioner<'a> {
         }
 
         let final_front = levels[s_total]
-            .get(&(num_layers, num_devices))
+            .get(&num_layers)
             .filter(|f| !f.is_empty())
             .ok_or(PartitionError::TooManyStages {
                 stages: s_total,
@@ -173,7 +144,7 @@ impl<'a> Partitioner<'a> {
 
         // Backtrack.
         let mut stages_rev: Vec<StagePlan> = Vec::with_capacity(s_total);
-        let mut key = (num_layers, num_devices);
+        let mut key = num_layers;
         let mut point = best_idx;
         for s in (1..=s_total).rev() {
             let front = &levels[s][&key];
@@ -181,21 +152,16 @@ impl<'a> Partitioner<'a> {
             stages_rev.push(StagePlan {
                 component: backbone,
                 layers: choice.layers.clone(),
-                replication: choice.replication,
-                device_offsets: (choice.prev_d..choice.prev_d + choice.replication).collect(),
+                replication: r,
+                device_offsets: ((s - 1) * r..s * r).collect(),
             });
-            key = (choice.prev_l, choice.prev_d);
+            key = choice.prev_l;
             point = choice.prev_point;
         }
         stages_rev.reverse();
 
-        #[expect(
-            clippy::expect_used,
-            reason = "the backtrack loop pushes one stage per s in 1..=s_total, and s_total >= 1"
-        )]
-        let r_last = stages_rev.last().expect("at least one stage").replication;
         let feedback = if sc_prob > 0.0 {
-            sc_prob * self.cost().feedback_time(backbone, micro / r_last as f64)
+            sc_prob * self.cost().feedback_time(backbone, micro / r as f64)
         } else {
             0.0
         };

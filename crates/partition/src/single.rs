@@ -1,26 +1,25 @@
 //! Single-backbone partitioning DP (paper §4.1, Eqns. 2–9).
 //!
-//! This is the allocation-free fast path: states live on a flat
-//! `(layers_used, devices_used)` grid per level, Pareto fronts are
-//! contiguous spans in a per-level arena ([`crate::dp`]), and every cost
-//! query is answered in O(1) from a [`CostPrefix`]. With uniform
-//! replication `r` the device count only takes values `k·r`, so the grid
-//! and the sync-shape cache are indexed by `d / r` and sized to the states
-//! the DP can visit.
+//! This is the allocation-free fast path. Replication is uniform, so
+//! stage `s` of `S` always sits on chain offsets `(s − 1)·r..s·r` with
+//! `r = D / S`, and a DP state is the number of layers placed: `L + 1`
+//! states per level. Pareto fronts are contiguous spans in a per-level
+//! arena ([`crate::dp`]), every cost query is answered in O(1) from a
+//! [`CostPrefix`], and each level's input link, sync shape and device
+//! class are resolved once ([`LevelGeometry`]).
 //!
 //! A branch-and-bound upper bound — seeded by an even-split heuristic
 //! solution and tightened as complete solutions appear — discards
-//! candidates that provably cannot win. Under uniform replication a
-//! lookahead sharpens it: after `s` of `S` stages the unplaced layers
-//! `l2..` still need `S − s` stages, and every stage's `T0` is at least
-//! its layers' `fwd·(1 + sc) + bwd` (Eqns. 3 and 17), so the final `W` is
-//! at least `R = rem(l2) / (S − s)`, where `rem` sums the per-layer
-//! class-minimum work. A candidate is pruned when
-//! `coeff·max(W, R) + Y > bound`; a destination when `coeff·R > bound`;
-//! a whole predecessor front when `coeff·max(T0, R) + gap > bound`. The
-//! non-uniform path keeps the plain bound. The last level builds only the
-//! final state `(L, D)`, the one state the backtrack and the bound read.
-//! The output is bit-identical to the naive reference implementation in
+//! candidates that provably cannot win. A lookahead sharpens it: after
+//! `s` of `S` stages the unplaced layers `l2..` still need `S − s`
+//! stages, and every stage's `T0` is at least its layers'
+//! `fwd·(1 + sc) + bwd` (Eqns. 3 and 17), so the final `W` is at least
+//! `R = rem(l2) / (S − s)`, where `rem` sums the per-layer class-minimum
+//! work. A candidate is pruned when `coeff·max(W, R) + Y > bound`; a
+//! destination when `coeff·R > bound`; a whole predecessor front when
+//! `coeff·max(T0, R) + gap > bound`. The last level builds only the final
+//! state `L`, the one state the backtrack and the bound read. The output
+//! is bit-identical to the naive reference implementation in
 //! [`crate::reference`]; see the crate docs for the layout and the
 //! equivalence argument.
 
@@ -28,10 +27,11 @@ use crate::config::PartitionConfig;
 use crate::dp::{layer_work, lookahead, suffix_sums, DpStats, FrontArena};
 use crate::error::PartitionError;
 use crate::plan::{PartitionPlan, StagePlan};
-use crate::stage_cost::{CostModel, StageCost, SyncShape};
-use dpipe_cluster::{DataParallelLayout, LinkParams};
+use crate::stage_cost::{CostModel, LevelGeometry, StageCost, StageTerms};
+use dpipe_cluster::DataParallelLayout;
 use dpipe_model::ComponentId;
 use dpipe_profile::{BatchCosts, CostPrefix};
+use std::ops::Range;
 
 /// The unified backbone partitioner.
 ///
@@ -75,12 +75,9 @@ impl<'a> Partitioner<'a> {
         }
     }
 
-    /// Validates a request, returning `(L, D)`.
-    pub(crate) fn validate(
-        &self,
-        backbone: ComponentId,
-        cfg: &PartitionConfig,
-    ) -> Result<(usize, usize), PartitionError> {
+    /// The layer count of `backbone`, refusing a component that is not a
+    /// trainable backbone of the model.
+    pub(crate) fn backbone_layers(&self, backbone: ComponentId) -> Result<usize, PartitionError> {
         let model = self.cost.model().db().model();
         let comp = model
             .components
@@ -89,56 +86,58 @@ impl<'a> Partitioner<'a> {
         if !comp.is_trainable() {
             return Err(PartitionError::NotABackbone(backbone.index()));
         }
-        let layers = comp.num_layers();
-        let devices = self.cost.layout().group_size;
-        if cfg.num_micro_batches == 0 || cfg.group_batch <= 0.0 || cfg.num_stages == 0 {
-            return Err(PartitionError::DegenerateConfig);
-        }
-        if cfg.num_stages > layers {
-            return Err(PartitionError::TooManyStages {
-                stages: cfg.num_stages,
-                layers,
-            });
-        }
-        if cfg.num_stages > devices {
-            return Err(PartitionError::TooFewDevices {
-                stages: cfg.num_stages,
-                devices,
-            });
-        }
-        if cfg.force_uniform && !devices.is_multiple_of(cfg.num_stages) {
-            return Err(PartitionError::NonUniformGroup {
-                stages: cfg.num_stages,
-                devices,
-            });
-        }
-        Ok((layers, devices))
+        Ok(comp.num_layers())
     }
 
-    /// Builds one [`CostPrefix`] per device class covering every local
-    /// batch this config's DP can query: `micro / r` for the single uniform
-    /// replication, or for every feasible `r` when non-uniform replication
-    /// is allowed. Callers of [`Partitioner::partition_single_with`] can
-    /// build one set per backbone and reuse it across configurations that
-    /// share batch rows. Homogeneous clusters get a single-element vector.
+    /// Checks `cfg`'s (S, M, D) against a chain of `layers` layers,
+    /// returning the uniform replication `r = D / S`.
+    pub(crate) fn replication(
+        &self,
+        cfg: &PartitionConfig,
+        layers: usize,
+    ) -> Result<usize, PartitionError> {
+        let stages = cfg.num_stages;
+        let devices = self.cost.layout().group_size;
+        if cfg.num_micro_batches == 0 || cfg.group_batch <= 0.0 || stages == 0 {
+            return Err(PartitionError::DegenerateConfig);
+        }
+        if stages > layers {
+            return Err(PartitionError::TooManyStages { stages, layers });
+        }
+        if stages > devices {
+            return Err(PartitionError::TooFewDevices { stages, devices });
+        }
+        if !devices.is_multiple_of(stages) {
+            return Err(PartitionError::NonUniformGroup { stages, devices });
+        }
+        Ok(devices / stages)
+    }
+
+    /// Validates a request, returning `(L, r)`.
+    pub(crate) fn validate(
+        &self,
+        backbone: ComponentId,
+        cfg: &PartitionConfig,
+    ) -> Result<(usize, usize), PartitionError> {
+        let layers = self.backbone_layers(backbone)?;
+        Ok((layers, self.replication(cfg, layers)?))
+    }
+
+    /// Builds one [`CostPrefix`] per device class holding the one local
+    /// batch this config's DP queries, `micro / r`. Callers of
+    /// [`Partitioner::partition_single_with`] can build one set per
+    /// backbone and reuse it across configurations that share batch rows.
+    /// Homogeneous clusters get a single-element vector.
     pub fn build_prefixes(&self, backbone: ComponentId, cfg: &PartitionConfig) -> Vec<CostPrefix> {
         let micro = cfg.micro_batch();
-        let devices = self.cost.layout().group_size;
+        let r = self.cost.layout().group_size / cfg.num_stages.max(1);
         let model = self.cost.model();
         (0..model.num_classes())
             .map(|class| {
                 let db = model.db_for(class);
                 let mut prefix = CostPrefix::new(db, backbone);
-                if cfg.force_uniform {
-                    let r = devices / cfg.num_stages.max(1);
-                    if r > 0 {
-                        prefix.ensure_batch(db, micro / r as f64);
-                    }
-                } else {
-                    let max_r = devices.saturating_sub(cfg.num_stages.saturating_sub(1));
-                    for r in 1..=max_r {
-                        prefix.ensure_batch(db, micro / r as f64);
-                    }
+                if r > 0 {
+                    prefix.ensure_batch(db, micro / r as f64);
                 }
                 prefix
             })
@@ -174,7 +173,7 @@ impl<'a> Partitioner<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if a prefix lacks a row for a local batch the DP queries; use
+    /// Panics if a prefix lacks the row for `micro_batch / r`; use
     /// [`CostPrefix::ensure_batch`] (or go through
     /// [`Partitioner::partition_single`], which prepares its own tables).
     pub fn partition_single_with(
@@ -184,231 +183,140 @@ impl<'a> Partitioner<'a> {
         prefixes: &[CostPrefix],
         stats: &mut DpStats,
     ) -> Result<PartitionPlan, PartitionError> {
-        let (num_layers, num_devices) = self.validate(backbone, cfg)?;
+        let (num_layers, r) = self.validate(backbone, cfg)?;
         self.check_tables(prefixes)?;
         let s_total = cfg.num_stages;
         let micro = cfg.micro_batch();
         let sc_prob = self.self_cond_prob();
         let coeff = cfg.critical_path_factor();
 
-        // Per-offset input links, per-(class, replication) resolved cost
-        // views, and lazily-filled sync shapes + effective classes for every
-        // contiguous device range, so the inner loop never rebuilds (or
-        // re-looks-up) any of them.
-        let links: Vec<Option<LinkParams>> =
-            (0..num_devices).map(|o| self.cost.input_link(o)).collect();
-        let num_classes = prefixes.len();
-        let mut views: Vec<Vec<Option<BatchCosts<'_>>>> =
-            vec![vec![None; num_devices + 1]; num_classes];
-        for (prefix, class_views) in prefixes.iter().zip(views.iter_mut()) {
-            if cfg.force_uniform {
-                let r = num_devices / s_total;
-                class_views[r] = Some(prefix.batch_view(micro / r as f64));
-            } else {
-                let max_r = num_devices - (s_total - 1);
-                for (r, view) in class_views.iter_mut().enumerate().take(max_r + 1).skip(1) {
-                    *view = Some(prefix.batch_view(micro / r as f64));
-                }
-            }
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "the loop above fills a view for every replication reachable through max_r"
-        )]
-        let view_for = |class: usize, r: usize| -> &BatchCosts<'_> {
-            views[class][r].as_ref().expect("replication view present")
+        // One resolved cost view per device class at the one local batch,
+        // and each level's input link, sync shape and class, so the inner
+        // loop looks nothing up.
+        let views: Vec<BatchCosts<'_>> = prefixes
+            .iter()
+            .map(|p| p.batch_view(micro / r as f64))
+            .collect();
+        let geometry: Vec<LevelGeometry> = (1..=s_total)
+            .map(|s| self.cost.level_geometry(s, r))
+            .collect();
+        let terms_at = |g: &LevelGeometry, layers: Range<usize>| -> StageTerms {
+            self.cost
+                .stage_terms_prefixed(&views[g.class], layers, g.link, sc_prob, 1.0, g.shape)
         };
-        // Device counts are multiples of `step` (the uniform replication,
-        // or 1 when replication may vary), so the state grid and the
-        // sync-shape cache are indexed by `d / step`.
-        let uniform_r = num_devices / s_total;
-        let step = if cfg.force_uniform { uniform_r } else { 1 };
-        let cols = num_devices / step + 1;
-        let mut shapes: Vec<Option<(SyncShape, usize)>> = vec![None; cols * cols];
-        let mut shape_for = |cost: &StageCost<'a>, d: usize, d2: usize| -> (SyncShape, usize) {
-            let idx = (d / step) * cols + d2 / step;
-            *shapes[idx]
-                .get_or_insert_with(|| (cost.sync_shape(d..d2), cost.class_of_offsets(d..d2)))
-        };
-        // Lookahead (uniform replication only, where every stage runs at
-        // the same local batch): `rem[l]` is the least work layers `l..`
-        // can cost, so `lookahead(rem[l2], stages_left)` bounds the final
-        // `W` of any completion from a state at layer `l2`.
-        let rem = if cfg.force_uniform {
-            let class_views: Vec<BatchCosts<'_>> =
-                (0..num_classes).map(|c| *view_for(c, uniform_r)).collect();
-            suffix_sums(layer_work(&class_views, num_layers, sc_prob).into_iter())
-        } else {
-            vec![0.0; num_layers + 1]
-        };
+        // Lookahead: `rem[l]` is the least work layers `l..` can cost, so
+        // `lookahead(rem[l2], stages_left)` bounds the final `W` of any
+        // completion from a state at layer `l2`.
+        let rem = suffix_sums(layer_work(&views, num_layers, sc_prob).into_iter());
 
-        // Branch-and-bound seed: the even layer/device split is a complete
+        // Branch-and-bound seed: the even layer split is a complete
         // feasible solution, so `coeff * W + Y` of any winning candidate
         // can never exceed its cost.
         let mut bound = f64::INFINITY;
         {
             let mut w_h = 0.0f64;
             let mut y_h = 0.0f64;
-            for k in 1..=s_total {
+            for (k, g) in (1..=s_total).zip(&geometry) {
                 let (l, l2) = ((k - 1) * num_layers / s_total, k * num_layers / s_total);
-                let (d, d2) = ((k - 1) * num_devices / s_total, k * num_devices / s_total);
-                let (shape, class) = shape_for(&self.cost, d, d2);
-                let terms = self.cost.stage_terms_prefixed(
-                    view_for(class, d2 - d),
-                    l..l2,
-                    links[d],
-                    sc_prob,
-                    1.0,
-                    shape,
-                );
+                let terms = terms_at(g, l..l2);
                 w_h = w_h.max(terms.t0);
                 y_h = y_h.max(terms.sync_gap);
             }
             bound = bound.min(coeff * w_h + y_h);
         }
 
-        // DP over (layers_used, devices_used) states, dest-major so each
-        // front is a contiguous arena span. Candidates for one destination
-        // arrive in (prev_l, prev_d, point) order — the canonical order the
-        // reference implementation replicates.
-        let state = |l: usize, d: usize| l * cols + d / step;
-        let num_states = (num_layers + 1) * cols;
+        // DP over placed-layer states, dest-major so each front is a
+        // contiguous arena span. Candidates for one destination arrive in
+        // (prev_l, point) order — the canonical order the reference
+        // implementation replicates.
         let mut levels: Vec<FrontArena> = Vec::with_capacity(s_total + 1);
-        let mut seed = FrontArena::new(num_states);
+        let mut seed = FrontArena::new(num_layers + 1);
         let seg = seed.begin_state();
         seed.insert(seg, 0.0, 0.0, 0, 0);
-        seed.end_state(state(0, 0), seg);
+        seed.end_state(0, seg);
         levels.push(seed);
 
-        let final_state = state(num_layers, num_devices);
-        for s in 1..=s_total {
+        for (s, g) in (1..=s_total).zip(&geometry) {
             let stages_left = s_total - s;
             // The backtrack reads only the final state, and the bound
-            // tightens only there, so the last level builds nothing else
-            // (its device count is already `num_devices`).
+            // tightens only there, so the last level builds nothing else.
             let last = stages_left == 0;
             let l2_lo = if last { num_layers } else { s };
-            let mut cur = FrontArena::new(num_states);
+            let mut cur = FrontArena::new(num_layers + 1);
             let prev = &levels[s - 1];
             #[expect(
                 clippy::needless_range_loop,
                 reason = "`l2` is a state coordinate, not a mere cursor into `rem`"
             )]
             for l2 in l2_lo..=(num_layers - stages_left) {
-                // Destination device counts: forced to s * r when uniform,
-                // otherwise anything leaving >= 1 device per later stage
-                // (and exactly `num_devices` for the last stage).
-                let d2_range = if cfg.force_uniform {
-                    (s * uniform_r)..=(s * uniform_r)
-                } else if stages_left > 0 {
-                    s..=(num_devices - stages_left)
-                } else {
-                    num_devices..=num_devices
-                };
                 // Every candidate into this layer count costs at least
                 // `coeff·R`; skip the destination when that already loses.
                 let ahead = lookahead(rem[l2], stages_left);
                 if coeff * ahead > bound {
                     continue;
                 }
-                for d2 in d2_range {
-                    let dest = state(l2, d2);
-                    let seg = cur.begin_state();
-                    let l_min = s - 1;
-                    let d_lo = if cfg.force_uniform {
-                        (s - 1) * uniform_r
-                    } else {
-                        s - 1
-                    };
-                    let d_hi = if cfg.force_uniform {
-                        (s - 1) * uniform_r
-                    } else {
-                        d2 - 1
-                    };
-                    for l in l_min..l2 {
-                        #[expect(
-                            clippy::needless_range_loop,
-                            reason = "`d` is a state coordinate (also the replication delta and link index), not a mere slice cursor"
-                        )]
-                        for d in d_lo..=d_hi {
-                            let front = prev.front(state(l, d));
-                            if front.is_empty() {
-                                continue;
-                            }
-                            let r = d2 - d;
-                            let (shape, class) = shape_for(&self.cost, d, d2);
-                            let terms = self.cost.stage_terms_prefixed(
-                                view_for(class, r),
-                                l..l2,
-                                links[d],
-                                sc_prob,
-                                1.0,
-                                shape,
-                            );
-                            // Each point of this front costs at least this.
-                            if coeff * terms.t0.max(ahead) + terms.sync_gap > bound {
-                                continue;
-                            }
-                            for (pi, p) in front.iter().enumerate() {
-                                stats.candidates += 1;
-                                let nw = p.w.max(terms.t0);
-                                let ny = p.y.max(terms.sync_gap);
-                                if coeff * nw.max(ahead) + ny > bound {
-                                    stats.pruned += 1;
-                                    continue;
-                                }
-                                let cost = coeff * nw + ny;
-                                if last {
-                                    bound = bound.min(cost);
-                                }
-                                cur.insert(seg, nw, ny, state(l, d) as u32, pi as u32);
-                            }
-                        }
+                let seg = cur.begin_state();
+                for l in (s - 1)..l2 {
+                    let front = prev.front(l);
+                    if front.is_empty() {
+                        continue;
                     }
-                    cur.end_state(dest, seg);
+                    let terms = terms_at(g, l..l2);
+                    // Each point of this front costs at least this.
+                    if coeff * terms.t0.max(ahead) + terms.sync_gap > bound {
+                        continue;
+                    }
+                    for (pi, p) in front.iter().enumerate() {
+                        stats.candidates += 1;
+                        let nw = p.w.max(terms.t0);
+                        let ny = p.y.max(terms.sync_gap);
+                        if coeff * nw.max(ahead) + ny > bound {
+                            stats.pruned += 1;
+                            continue;
+                        }
+                        let cost = coeff * nw + ny;
+                        if last {
+                            bound = bound.min(cost);
+                        }
+                        cur.insert(seg, nw, ny, l as u32, pi as u32);
+                    }
                 }
+                cur.end_state(l2, seg);
             }
             levels.push(cur);
         }
 
         let best_idx =
             levels[s_total]
-                .best(final_state, coeff)
+                .best(num_layers, coeff)
                 .ok_or(PartitionError::TooManyStages {
                     stages: s_total,
                     layers: num_layers,
                 })?;
-        let best_point = levels[s_total].front(final_state)[best_idx];
+        let best_point = levels[s_total].front(num_layers)[best_idx];
         let (w, y) = (best_point.w, best_point.y);
 
-        // Parent-pointer backtrack: each stage's layer range, replication
-        // and device offsets are recovered from the state-index deltas.
+        // Parent-pointer backtrack: stage `s` holds the layers between its
+        // predecessor's state and its own, on offsets `(s − 1)·r..s·r`.
         let mut stages_rev: Vec<StagePlan> = Vec::with_capacity(s_total);
-        let mut cur_state = final_state;
+        let mut l2 = num_layers;
         let mut point = best_idx;
         for s in (1..=s_total).rev() {
-            let p = levels[s].front(cur_state)[point];
-            let (l2, d2) = (cur_state / cols, (cur_state % cols) * step);
-            let prev_state = p.prev_state as usize;
-            let (l, d) = (prev_state / cols, (prev_state % cols) * step);
+            let p = levels[s].front(l2)[point];
+            let l = p.prev_state as usize;
             stages_rev.push(StagePlan {
                 component: backbone,
                 layers: l..l2,
-                replication: d2 - d,
-                device_offsets: (d..d2).collect(),
+                replication: r,
+                device_offsets: ((s - 1) * r..s * r).collect(),
             });
-            cur_state = prev_state;
+            l2 = l;
             point = p.prev_point as usize;
         }
         stages_rev.reverse();
 
-        #[expect(
-            clippy::expect_used,
-            reason = "the backtrack loop pushes one stage per s in 1..=s_total, and s_total >= 1"
-        )]
-        let r_last = stages_rev.last().expect("at least one stage").replication;
         let feedback = if sc_prob > 0.0 {
-            sc_prob * self.cost.feedback_time(backbone, micro / r_last as f64)
+            sc_prob * self.cost.feedback_time(backbone, micro / r as f64)
         } else {
             0.0
         };
@@ -588,22 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn nonuniform_allows_unequal_replication() {
-        let f = fixture(zoo::synthetic_model(8, 10.0, &[1.0], false), 3, 12);
-        let layout = DataParallelLayout::new(&f.cluster, 3).unwrap();
-        let p = Partitioner::new(&f.cost, &layout);
-        let plan = p
-            .partition_single(
-                backbone(f.cost.db()),
-                &PartitionConfig::new(2, 2, 12.0).with_nonuniform(),
-            )
-            .unwrap();
-        assert_eq!(plan.devices_used(), 3);
-        let reps: Vec<usize> = plan.stages.iter().map(|s| s.replication).collect();
-        assert_eq!(reps.iter().sum::<usize>(), 3);
-    }
-
-    #[test]
     fn matches_reference_bit_for_bit() {
         let f = fixture(zoo::stable_diffusion_v2_1(), 8, 64);
         let layout = DataParallelLayout::new(&f.cluster, 8).unwrap();
@@ -615,16 +507,18 @@ mod tests {
             let reference = p.partition_single_reference(bb, &cfg).unwrap();
             assert_eq!(fast, reference, "uniform S={s} M={m}");
         }
-        // Non-uniform replication exercises the full (l, d) grid.
-        let f3 = fixture(zoo::synthetic_model(9, 10.0, &[1.0], false), 5, 20);
-        let layout3 = DataParallelLayout::new(&f3.cluster, 5).unwrap();
-        let p3 = Partitioner::new(&f3.cost, &layout3);
-        let bb3 = backbone(f3.cost.db());
-        for s in [1usize, 2, 3, 4] {
-            let cfg = PartitionConfig::new(s, 2, 20.0).with_nonuniform();
-            let fast = p3.partition_single(bb3, &cfg).unwrap();
-            let reference = p3.partition_single_reference(bb3, &cfg).unwrap();
-            assert_eq!(fast, reference, "nonuniform S={s}");
+        // A non-power-of-two group: S = 3 stages of r = 2 devices, on
+        // a layer count S does not divide.
+        let f6 = fixture(zoo::synthetic_model(10, 10.0, &[1.0], true), 6, 24);
+        let layout6 = DataParallelLayout::new(&f6.cluster, 6).unwrap();
+        let p6 = Partitioner::new(&f6.cost, &layout6);
+        let bb6 = backbone(f6.cost.db());
+        for m in [1usize, 3] {
+            let cfg = PartitionConfig::new(3, m, 24.0);
+            let fast = p6.partition_single(bb6, &cfg).unwrap();
+            let reference = p6.partition_single_reference(bb6, &cfg).unwrap();
+            assert_eq!(fast, reference, "6 GPUs S=3 M={m}");
+            assert!(fast.stages.iter().all(|st| st.replication == 2));
         }
     }
 

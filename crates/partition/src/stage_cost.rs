@@ -79,7 +79,7 @@ impl CostModel {
 /// The *shape* of a stage's gradient-sync group — device count, machines
 /// spanned, and the slowest spanned machine's intra-link scale — which
 /// fully determines the all-reduce cost model for any byte volume.
-/// Precomputed once per candidate device range by the DP hot path.
+/// Resolved once per DP level ([`StageCost::level_geometry`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct SyncShape {
     /// Devices all-reducing together (replicas × pipeline groups).
@@ -88,6 +88,18 @@ pub(crate) struct SyncShape {
     pub(crate) nodes: usize,
     /// Slowest spanned machine's intra-node link scale (1.0 homogeneous).
     pub(crate) intra_scale: f64,
+}
+
+/// Where level `s` of a DP with uniform replication `r` places its stage:
+/// on chain offsets `(s − 1)·r..s·r`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LevelGeometry {
+    /// Link into the stage's first device (`None` at level 1).
+    pub(crate) link: Option<LinkParams>,
+    /// The shape of the stage's gradient-sync group.
+    pub(crate) shape: SyncShape,
+    /// The effective device class of the stage's offsets.
+    pub(crate) class: usize,
 }
 
 /// Evaluates a plan's [`CostModel`] on one config's data-parallel layout.
@@ -159,7 +171,7 @@ impl<'a> StageCost<'a> {
 
     /// Link carrying pipeline traffic into the stage whose first device sits
     /// at chain `offset` of group 0. `None` for stage 0 (no predecessor).
-    pub(crate) fn input_link(&self, offset: usize) -> Option<LinkParams> {
+    fn input_link(&self, offset: usize) -> Option<LinkParams> {
         if offset == 0 {
             return None;
         }
@@ -346,13 +358,24 @@ impl<'a> StageCost<'a> {
 
     /// The sync-group shape for a stage occupying the contiguous chain
     /// offsets `device_offsets` (replicated across every pipeline group).
-    pub(crate) fn sync_shape(&self, device_offsets: Range<usize>) -> SyncShape {
+    fn sync_shape(&self, device_offsets: Range<usize>) -> SyncShape {
         let offsets: Vec<usize> = device_offsets.collect();
         let devs = self.sync_device_vec(&offsets);
         SyncShape {
             group: devs.len(),
             nodes: self.model.comm.cluster().machines_spanned(&devs),
             intra_scale: self.model.comm.min_intra_link_scale(&devs),
+        }
+    }
+
+    /// The input link, sync shape and effective class of the stage that
+    /// level `s` places at replication `r` (see [`LevelGeometry`]).
+    pub(crate) fn level_geometry(&self, s: usize, r: usize) -> LevelGeometry {
+        let offsets = (s - 1) * r..s * r;
+        LevelGeometry {
+            link: self.input_link(offsets.start),
+            shape: self.sync_shape(offsets.clone()),
+            class: self.class_of_offsets(offsets),
         }
     }
 
@@ -364,7 +387,7 @@ impl<'a> StageCost<'a> {
     /// to the naive evaluation: every sub-expression mirrors the
     /// corresponding naive method, with interval sums taken from the prefix
     /// table (which reproduces `ProfileDb`'s left-to-right folds exactly)
-    /// and the all-reduce answered via the cached [`SyncShape`].
+    /// and the all-reduce answered via the level's [`SyncShape`].
     pub(crate) fn stage_terms_prefixed(
         &self,
         costs: &BatchCosts<'_>,

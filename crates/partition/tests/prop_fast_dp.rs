@@ -71,17 +71,20 @@ proptest! {
     }
 
     /// The pruned, prefix-backed, parent-pointer DP selects exactly the
-    /// partition the unpruned naive reference selects — uniform configs.
+    /// partition the unpruned naive reference selects, on one node of
+    /// 1–12 GPUs at any stage count that divides the group: replication
+    /// degrees such as 3, 5 and 6, and odd stage counts, are drawn too.
     #[test]
     fn pruned_dp_matches_reference_uniform(
         spec in model_strategy(),
-        stages_pow in 0u32..4,
+        devices in 1usize..13,
+        stages_pick in 0usize..12,
         micro in 1usize..9,
         batch in 8u32..256,
     ) {
         let (layers, ms, self_cond) = spec;
-        let devices = 8usize;
-        let stages = 1usize << stages_pow; // 1, 2, 4, 8 all divide 8
+        let divisors: Vec<usize> = (1..=devices).filter(|s| devices % s == 0).collect();
+        let stages = divisors[stages_pick % divisors.len()];
         prop_assume!(stages <= layers);
         let (db, cluster) = profiled(layers, ms, self_cond, devices, batch);
         let layout = DataParallelLayout::new(&cluster, devices).unwrap();
@@ -89,27 +92,6 @@ proptest! {
         let part = Partitioner::new(&cost, &layout);
         let bb = db.model().backbones().next().unwrap().0;
         let cfg = PartitionConfig::new(stages, micro, batch as f64);
-        let fast = part.partition_single(bb, &cfg).unwrap();
-        let reference = part.partition_single_reference(bb, &cfg).unwrap();
-        prop_assert_eq!(fast, reference);
-    }
-
-    /// Same, over the full non-uniform (layers × devices) state grid.
-    #[test]
-    fn pruned_dp_matches_reference_nonuniform(
-        spec in model_strategy(),
-        devices in 2usize..7,
-        stages in 1usize..5,
-        batch in 8u32..128,
-    ) {
-        let (layers, ms, self_cond) = spec;
-        prop_assume!(stages <= layers && stages <= devices);
-        let (db, cluster) = profiled(layers, ms, self_cond, devices, batch);
-        let layout = DataParallelLayout::new(&cluster, devices).unwrap();
-        let cost = CostModel::new(vec![db.clone()], &cluster);
-        let part = Partitioner::new(&cost, &layout);
-        let bb = db.model().backbones().next().unwrap().0;
-        let cfg = PartitionConfig::new(stages, 2, batch as f64).with_nonuniform();
         let fast = part.partition_single(bb, &cfg).unwrap();
         let reference = part.partition_single_reference(bb, &cfg).unwrap();
         prop_assert_eq!(fast, reference);
