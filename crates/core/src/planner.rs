@@ -41,8 +41,8 @@ pub struct PlanStats {
     /// evaluation order, so it may vary across parallel runs (the selected
     /// plan never does).
     pub fill_skipped: usize,
-    /// Configurations skipped before partitioning because their
-    /// throughput bound ([`Planner::evaluate_config`]) was strictly below
+    /// Configurations skipped before partitioning because an upper bound
+    /// on their throughput, from per-layer work alone, was strictly below
     /// the best plan found so far. Order-dependent like `fill_skipped`.
     pub bound_skipped: usize,
     /// Partition DPs run (one per configuration that reached the DP).

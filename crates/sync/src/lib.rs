@@ -139,8 +139,7 @@ pub trait WaitRecoverTagged {
 impl WaitRecoverTagged for Condvar {
     fn wait_recover_tagged<'a, T>(&self, guard: TaggedGuard<'a, T>) -> TaggedGuard<'a, T> {
         let TaggedGuard { guard, token } = guard;
-        let tag = token.tag;
-        drop(token);
+        let tag = token.release();
         let guard = self.wait_recover(guard);
         TaggedGuard {
             guard,

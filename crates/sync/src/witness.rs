@@ -107,6 +107,12 @@ impl Token {
             id: armed::acquire(tag),
         }
     }
+
+    /// Unregister the lock (debug builds), returning its tag for the
+    /// re-acquisition after a condvar wait.
+    pub(crate) fn release(self) -> &'static str {
+        self.tag
+    }
 }
 
 #[cfg(debug_assertions)]

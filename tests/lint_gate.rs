@@ -1,8 +1,8 @@
-//! The panic, clock and map lints run in CI's two clippy steps, not in
+//! The panic, clock and map lints run in CI's clippy steps, not in
 //! `cargo test`. `lint_gates_stay_wired` keeps those gates from eroding
 //! unseen: it fails if the `cargo lint` alias loses a target filter or a
-//! denied lint, if CI stops running either clippy step, or if a crate's
-//! `clippy.toml` loses a ban.
+//! denied lint, if CI stops running a clippy step or the rustdoc step,
+//! or if a crate's `clippy.toml` loses a ban.
 //!
 //! `lock_modules_take_tagged_locks_and_never_block` is the lock gate. The
 //! debug-build witness in `dpipe_sync` panics when a thread takes a
@@ -73,11 +73,14 @@ fn lint_gates_stay_wired() {
         assert!(denied.contains(&lint), "alias lost `-D {lint}`: {alias}");
     }
 
-    // CI runs both clippy steps; the all-targets one enforces the bans.
+    // CI runs the clippy steps (all targets in both profiles, which
+    // enforces the bans) and the rustdoc step.
     let ci = read(".github/workflows/ci.yml");
     for step in [
         "cargo lint",
         "cargo clippy --workspace --all-targets -- -D warnings",
+        "cargo clippy --release --workspace --all-targets -- -D warnings",
+        "RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps",
     ] {
         assert!(
             ci.lines()
@@ -165,18 +168,63 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// Whether an unindented line opens an item (not a brace, attribute,
+/// doc or comment line).
+fn opens_item(line: &str) -> bool {
+    const KEYWORDS: [&str; 16] = [
+        "pub ",
+        "pub(",
+        "fn ",
+        "mod ",
+        "impl",
+        "struct ",
+        "enum ",
+        "trait ",
+        "const ",
+        "static ",
+        "use ",
+        "type ",
+        "macro_rules!",
+        "unsafe ",
+        "extern ",
+        "async ",
+    ];
+    KEYWORDS.iter().any(|k| line.starts_with(k))
+}
+
 /// Violations of the lock rules in one source file. Only library code
-/// counts: the lines before the first `#[cfg(test)]`, with `//`
-/// comments cut off.
+/// counts: the lines before the file's first top-level `#[cfg(test)]`,
+/// with `//` comments cut off. An indented `#[cfg(test)]` (a test-only
+/// method inside an `impl`) does not end it. Every top-level item after
+/// that line must carry `#[cfg(test)]` as well; one without it would be
+/// library code hidden from the scan, and is a finding.
 fn lock_findings(rel: &str, source: &str) -> Vec<String> {
-    let code: Vec<(usize, &str)> = source
-        .lines()
-        .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
-        .map(|l| l.find("//").map_or(l, |i| &l[..i]))
+    let lines: Vec<&str> = source.lines().collect();
+    let end = lines
+        .iter()
+        .position(|l| l.starts_with("#[cfg(test)]"))
+        .unwrap_or(lines.len());
+    let code: Vec<(usize, &str)> = lines[..end]
+        .iter()
+        .map(|l| l.find("//").map_or(*l, |i| &l[..i]))
         .enumerate()
         .map(|(i, l)| (i + 1, l))
         .collect();
     let mut findings = Vec::new();
+    let mut tagged = false;
+    for (i, line) in lines.iter().enumerate().skip(end) {
+        if line.starts_with("#[cfg(test)]") {
+            tagged = true;
+        } else if opens_item(line) {
+            if !tagged {
+                findings.push(format!(
+                    "{rel}:{}: library item after a top-level `#[cfg(test)]` is hidden from this gate; move it above",
+                    i + 1
+                ));
+            }
+            tagged = false;
+        }
+    }
     for (line, text) in &code {
         for pattern in UNTAGGED {
             if text.contains(pattern) {
@@ -223,8 +271,23 @@ fn lock_modules_take_tagged_locks_and_never_block() {
             "{seed}: {findings:?}"
         );
     }
+    // A test-only method inside an `impl` does not hide what follows it.
+    let after_test_method = "impl Q {\n    #[cfg(test)]\n    fn now(&self) -> f64 {\n        self.now\n    }\n    fn take(&self) {\n        let g = self.m.lock();\n    }\n}\n";
+    let findings = lock_findings("a.rs", after_test_method);
+    assert!(
+        findings.len() == 1 && findings[0].starts_with("a.rs:7: `.lock()`"),
+        "{findings:?}"
+    );
+    // Nor does a top-level test item: library code after it is a finding.
+    let after_test_item =
+        "fn f() {}\n#[cfg(test)]\nimpl Q {}\n\nfn g(m: &M) {\n    m.x.lock();\n}\n";
+    let findings = lock_findings("a.rs", after_test_item);
+    assert!(
+        findings.len() == 1 && findings[0].starts_with("a.rs:5: library item after"),
+        "{findings:?}"
+    );
     let quiet = format!(
-        "{lock_module}    state = ready.wait_recover_tagged(state); // tx.send(1)\n#[cfg(test)]\nmod tests {{ fn t() {{ rx.recv(); }} }}\n"
+        "{lock_module}    state = ready.wait_recover_tagged(state); // tx.send(1)\n}}\n#[cfg(test)]\nimpl Q {{\n    fn helper() {{}}\n}}\n\n#[cfg(test)]\n#[expect(dead_code, reason = \"seed\")]\nmod tests {{ fn t() {{ rx.recv(); }} }}\n"
     );
     assert!(lock_findings("a.rs", &quiet).is_empty());
     assert!(lock_findings("b.rs", "fn g() { rx.recv(); }\n").is_empty());
