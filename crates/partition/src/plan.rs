@@ -5,7 +5,7 @@ use dpipe_model::ComponentId;
 use std::ops::Range;
 
 /// One pipeline stage: a contiguous layer range of a backbone, replicated
-/// over a suffix of the group's device chain.
+/// over `r` consecutive offsets of the group's device chain.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StagePlan {
     /// The backbone this stage belongs to.
