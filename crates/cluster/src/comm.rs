@@ -66,10 +66,10 @@ impl CommModel {
 
     /// The slowest intra-node link scale among the machines spanned by the
     /// given devices (1.0 for an empty set).
-    pub fn min_intra_link_scale(&self, devices: &[DeviceId]) -> f64 {
+    pub fn min_intra_link_scale(&self, devices: impl IntoIterator<Item = DeviceId>) -> f64 {
         let min = devices
-            .iter()
-            .map(|&d| self.link_scale_of(d))
+            .into_iter()
+            .map(|d| self.link_scale_of(d))
             .fold(f64::INFINITY, f64::min);
         if min.is_finite() {
             min
@@ -122,8 +122,9 @@ impl CommModel {
         if g <= 1 {
             return 0.0;
         }
-        let nodes = self.cluster.machines_spanned(devices);
-        self.allreduce_time_shape(bytes, g, nodes, self.min_intra_link_scale(devices))
+        let nodes = self.cluster.machines_spanned(devices.iter().copied());
+        let intra_scale = self.min_intra_link_scale(devices.iter().copied());
+        self.allreduce_time_shape(bytes, g, nodes, intra_scale)
     }
 
     /// [`CommModel::allreduce_time`] for a group whose *shape* — device
@@ -213,7 +214,7 @@ mod tests {
         let m = model(4);
         for count in [1usize, 2, 8, 12, 24] {
             let devs: Vec<DeviceId> = (0..count).map(DeviceId).collect();
-            let nodes = m.cluster().machines_spanned(&devs);
+            let nodes = m.cluster().machines_spanned(devs.iter().copied());
             for bytes in [0u64, 1 << 16, 3_550_000_000] {
                 assert_eq!(
                     m.allreduce_time(bytes, &devs),
@@ -241,8 +242,8 @@ mod tests {
         let bytes = 1u64 << 30;
         // The a10g machine's PCIe-class fabric throttles the intra leg.
         assert!(mixed.allreduce_time(bytes, &devs) > homo.allreduce_time(bytes, &devs));
-        assert_eq!(mixed.min_intra_link_scale(&devs[..8]), 1.0);
-        assert!(mixed.min_intra_link_scale(&devs) < 1.0);
+        assert_eq!(mixed.min_intra_link_scale(devs[..8].iter().copied()), 1.0);
+        assert!(mixed.min_intra_link_scale(devs.iter().copied()) < 1.0);
         // p2p inside the a10g box is slower than inside the a100 box.
         let fast = mixed.p2p_time(bytes, DeviceId(0), DeviceId(1));
         let slow = mixed.p2p_time(bytes, DeviceId(8), DeviceId(9));

@@ -196,15 +196,36 @@ impl ClusterSpec {
         self.machine_of(a) == self.machine_of(b)
     }
 
-    /// Number of distinct machines spanned by the given devices.
-    pub fn machines_spanned(&self, devices: &[DeviceId]) -> usize {
-        let mut machines: Vec<usize> = devices
-            .iter()
-            .map(|&d| self.machine_of(d).index())
-            .collect();
-        machines.sort_unstable();
-        machines.dedup();
-        machines.len()
+    /// Number of distinct machines spanned by the given devices. Devices
+    /// in ascending rank order, as a layout lists a stage's devices group
+    /// by group, are counted in one pass without allocating; any other
+    /// order is sorted first.
+    pub fn machines_spanned<I>(&self, devices: I) -> usize
+    where
+        I: IntoIterator<Item = DeviceId>,
+        I::IntoIter: Clone,
+    {
+        let devices = devices.into_iter();
+        let mut spanned = 0;
+        let mut last = None;
+        for d in devices.clone() {
+            let m = self.machine_of(d).index();
+            match last {
+                Some(prev) if m == prev => {}
+                Some(prev) if m < prev => {
+                    let mut machines: Vec<usize> =
+                        devices.map(|d| self.machine_of(d).index()).collect();
+                    machines.sort_unstable();
+                    machines.dedup();
+                    return machines.len();
+                }
+                _ => {
+                    spanned += 1;
+                    last = Some(m);
+                }
+            }
+        }
+        spanned
     }
 
     /// The surviving cluster after removing the given machines — the
@@ -291,8 +312,17 @@ mod tests {
     fn machines_spanned_counts_unique() {
         let c = ClusterSpec::p4de(4);
         let devs: Vec<DeviceId> = vec![DeviceId(0), DeviceId(1), DeviceId(8), DeviceId(9)];
-        assert_eq!(c.machines_spanned(&devs), 2);
-        assert_eq!(c.machines_spanned(&[]), 0);
+        assert_eq!(c.machines_spanned(devs.iter().copied()), 2);
+        assert_eq!(c.machines_spanned(std::iter::empty()), 0);
+        // Out of rank order: counted the same.
+        let shuffled = [
+            DeviceId(9),
+            DeviceId(0),
+            DeviceId(24),
+            DeviceId(8),
+            DeviceId(1),
+        ];
+        assert_eq!(c.machines_spanned(shuffled.iter().copied()), 3);
     }
 
     #[test]

@@ -35,12 +35,19 @@ pub struct PlanStats {
     pub feasible: usize,
     /// Partition-DP counters summed over every configuration.
     pub dp: DpStats,
-    /// Configurations whose bubble-filling pass was skipped because their
-    /// post-schedule throughput upper bound could not beat the best plan
-    /// found so far. A performance counter: the exact value depends on
-    /// evaluation order, so it may vary across parallel runs (the selected
-    /// plan never does).
+    /// Configurations whose schedule was built but whose bubble-filling
+    /// pass was skipped, because the throughput upper bound of the built
+    /// schedule could not beat the best plan found so far. Configs the
+    /// makespan floor skips first are counted in `floor_skipped` instead.
+    /// A performance counter: the exact value depends on evaluation order,
+    /// so it may vary across parallel runs (the selected plan never does).
     pub fill_skipped: usize,
+    /// Configurations skipped after partitioning and before any schedule
+    /// was built, because the throughput upper bound of their makespan
+    /// floor, from the partition's stage times alone, was strictly below
+    /// the best plan found so far. Each would have been fill-skipped once
+    /// built. Order-dependent like `fill_skipped`.
+    pub floor_skipped: usize,
     /// Configurations skipped before partitioning because an upper bound
     /// on their throughput, from per-layer work alone, was strictly below
     /// the best plan found so far. Order-dependent like `fill_skipped`.
@@ -63,6 +70,7 @@ struct ConfigOutcome {
     fill_seconds: f64,
     stats: DpStats,
     fill_skipped: bool,
+    floor_skipped: bool,
     partitioned: bool,
     scheduled: bool,
     filled: bool,
@@ -77,6 +85,7 @@ struct WorkerResult {
     fill_seconds: f64,
     stats: DpStats,
     fill_skipped: usize,
+    floor_skipped: usize,
     bound_skipped: usize,
     partitions_run: usize,
     schedules_built: usize,
@@ -109,6 +118,7 @@ impl WorkerResult {
         self.fill_seconds += outcome.fill_seconds;
         self.stats.merge(&outcome.stats);
         self.fill_skipped += usize::from(outcome.fill_skipped);
+        self.floor_skipped += usize::from(outcome.floor_skipped);
         self.partitions_run += usize::from(outcome.partitioned);
         self.schedules_built += usize::from(outcome.scheduled);
         self.fills_run += usize::from(outcome.filled);
@@ -137,6 +147,7 @@ impl WorkerResult {
         self.fill_seconds += other.fill_seconds;
         self.stats.merge(&other.stats);
         self.fill_skipped += other.fill_skipped;
+        self.floor_skipped += other.floor_skipped;
         self.bound_skipped += other.bound_skipped;
         self.partitions_run += other.partitions_run;
         self.schedules_built += other.schedules_built;
@@ -163,19 +174,17 @@ struct Search<'p> {
     mm: MemoryModel<'p>,
 }
 
-/// An upper bound on the cluster throughput config `hp` can reach, from the
-/// per-layer rows of the shared cost tables (`prefixes[backbone][class]`);
-/// `+∞` when the bound degenerates. See [`Planner::evaluate_config`] for
-/// the bound and why it is safe.
-fn throughput_bound(
-    hp: &HyperParams,
-    global_batch: u32,
-    world: usize,
-    prefixes: &[Vec<CostPrefix>],
-    sc_prob: f64,
-) -> f64 {
+/// The micro-batch and local batch `micro / r` of config `hp`.
+fn batches(hp: &HyperParams, global_batch: u32, world: usize) -> (f64, f64) {
     let micro = hp.group_batch(global_batch, world) / hp.num_micro_batches as f64;
-    let batch = micro / (hp.group_size / hp.num_stages) as f64;
+    (micro, micro / (hp.group_size / hp.num_stages) as f64)
+}
+
+/// The per-layer work sums of the config bound at one local batch, from
+/// the per-layer rows of the shared cost tables
+/// (`prefixes[backbone][class]`): `W`, summed over the backbones, and `C`,
+/// the largest backbone's (see [`Planner::evaluate_config`]).
+fn work_at(batch: f64, prefixes: &[Vec<CostPrefix>], sc_prob: f64) -> (f64, f64) {
     let (mut work, mut chain) = (0.0f64, 0.0f64);
     for class_prefixes in prefixes {
         let views: Vec<_> = class_prefixes.iter().map(|p| p.batch_view(batch)).collect();
@@ -183,12 +192,27 @@ fn throughput_bound(
         work += layer_work(&views, layers, sc_prob).iter().sum::<f64>();
         chain = chain.max(layer_work(&views, layers, 0.0).iter().sum());
     }
+    (work, chain)
+}
+
+/// An upper bound on the cluster throughput config `hp` can reach, from
+/// the work sums `(work, chain)` at its local batch ([`work_at`]); `+∞`
+/// when the bound degenerates. See [`Planner::evaluate_config`] for the
+/// bound and why it is safe.
+fn throughput_bound(
+    hp: &HyperParams,
+    global_batch: u32,
+    world: usize,
+    backbones: usize,
+    (work, chain): (f64, f64),
+) -> f64 {
+    let (micro, _) = batches(hp, global_batch, world);
     let m = hp.num_micro_batches as f64;
     let min_compute_end = (m * work / hp.num_stages as f64).max(chain) * (1.0 - BOUND_MARGIN);
     if !(min_compute_end > 0.0 && min_compute_end.is_finite()) {
         return f64::INFINITY;
     }
-    let group_batch = m * micro * prefixes.len() as f64;
+    let group_batch = m * micro * backbones as f64;
     let bound =
         (world / hp.group_size) as f64 * group_batch / min_compute_end * (1.0 + BOUND_MARGIN);
     if bound.is_nan() {
@@ -437,6 +461,7 @@ impl Planner {
         search_span.set("workers", workers);
         search_span.set("feasible", result.feasible);
         search_span.set("fill_skipped", result.fill_skipped);
+        search_span.set("floor_skipped", result.floor_skipped);
         search_span.set("bound_skipped", result.bound_skipped);
         search_span.set("partitions_run", result.partitions_run);
         search_span.set("schedules_built", result.schedules_built);
@@ -451,6 +476,7 @@ impl Planner {
             feasible: result.feasible,
             dp: result.stats,
             fill_skipped: result.fill_skipped,
+            floor_skipped: result.floor_skipped,
             bound_skipped: result.bound_skipped,
             partitions_run: result.partitions_run,
             schedules_built: result.schedules_built,
@@ -531,13 +557,7 @@ impl Planner {
                         let class_db = cost.db_for(class);
                         let mut prefix = CostPrefix::new(class_db, bb);
                         for hp in &configs {
-                            let cfg = PartitionConfig::new(
-                                hp.num_stages,
-                                hp.num_micro_batches,
-                                hp.group_batch(global_batch, world),
-                            );
-                            let r = hp.group_size / hp.num_stages;
-                            prefix.ensure_batch(class_db, cfg.micro_batch() / r as f64);
+                            prefix.ensure_batch(class_db, batches(hp, global_batch, world).1);
                         }
                         prefix
                     })
@@ -550,9 +570,23 @@ impl Planner {
             .model
             .self_conditioning
             .map_or(0.0, |sc| sc.probability);
+        // The configs share a few local batches, so each batch's work sums
+        // are computed once.
+        let mut work: Vec<(u64, (f64, f64))> = Vec::new();
         let bounds: Vec<f64> = configs
             .iter()
-            .map(|hp| throughput_bound(hp, global_batch, world, &prefixes, sc_prob))
+            .map(|hp| {
+                let (_, batch) = batches(hp, global_batch, world);
+                let sums = match work.iter().find(|(bits, _)| *bits == batch.to_bits()) {
+                    Some(&(_, sums)) => sums,
+                    None => {
+                        let sums = work_at(batch, &prefixes, sc_prob);
+                        work.push((batch.to_bits(), sums));
+                        sums
+                    }
+                };
+                throughput_bound(hp, global_batch, world, prefixes.len(), sums)
+            })
             .collect();
         let mut order: Vec<usize> = (0..configs.len()).collect();
         order.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]).then(a.cmp(&b)));
@@ -602,12 +636,25 @@ impl Planner {
     /// margins cover the different summation order; a zero or non-finite
     /// `LB` gives `UB = +∞`, which never skips.
     ///
-    /// `best_so_far` also short-circuits the filling pass: filling only
-    /// ever *adds* time beyond the backbone schedule, so
-    /// `group_batch / max(compute_end, sync_end)` (with the same margin)
-    /// bounds the group throughput from above and a config strictly below
-    /// the best known throughput can be abandoned without changing the
-    /// selection.
+    /// `best_so_far` also cuts two later steps short. Filling only ever
+    /// *adds* time beyond the backbone schedule, so
+    /// `dp_groups · group_batch / max(compute_end, sync_end)` (with the same
+    /// margin) bounds the config's throughput from above:
+    ///
+    /// * **Floor skip.** Before any op graph is built, the partition's
+    ///   stage times, priced once, give a *makespan floor*
+    ///   ([`dpipe_schedule::TimedPipelines::makespan_floor`]) at or below
+    ///   the schedule's `max(compute_end, sync_end)`. When the bound over
+    ///   the floor is strictly below `best_so_far`, the op graph, the list
+    ///   scheduler, the bubble sweep and the fill are all skipped. The
+    ///   bound over the floor is at least the bound over the built
+    ///   schedule, so each such config would have been fill-skipped.
+    /// * **Fill skip.** Otherwise the schedule is built from the same stage
+    ///   times, and when the bound over its makespan is strictly below
+    ///   `best_so_far` the filling pass is skipped.
+    ///
+    /// Either way a config strictly below the best known throughput is
+    /// abandoned without changing the selection.
     fn evaluate_config(
         &self,
         search: &Search<'_>,
@@ -627,6 +674,7 @@ impl Planner {
         span.set("dp_candidates", outcome.stats.candidates);
         span.set("dp_pruned", outcome.stats.pruned);
         span.set("fill_skipped", outcome.fill_skipped);
+        span.set("floor_skipped", outcome.floor_skipped);
         span.set("feasible", outcome.plan.is_some());
         if let Some(plan) = &outcome.plan {
             span.set("throughput", plan.throughput);
@@ -654,6 +702,7 @@ impl Planner {
             fill_seconds: 0.0,
             stats: DpStats::default(),
             fill_skipped: false,
+            floor_skipped: false,
             partitioned: false,
             scheduled: false,
             filled: false,
@@ -667,10 +716,11 @@ impl Planner {
             hp.num_micro_batches,
             hp.group_batch(search.global_batch, world),
         );
-        let part = Partitioner::new(cost, &layout);
-
         let t0 = Instant::now();
         let partition_span = self.tracer.child_span("partition", span.id());
+        // The levels are resolved once, inside the partition span, for the
+        // DP and the stage times both.
+        let part = Partitioner::for_stages(cost, &layout, hp.num_stages);
         outcome.partitioned = true;
         let partition = if backbones.len() == 1 {
             match part.partition_single_with(backbones[0], &cfg, &prefixes[0], &mut outcome.stats) {
@@ -695,28 +745,44 @@ impl Planner {
 
         let t1 = Instant::now();
         let schedule_span = self.tracer.child_span("schedule", span.id());
-        outcome.scheduled = true;
         let builder = ScheduleBuilder::new(part.cost());
-        let schedule = match &partition {
-            BackbonePartition::Single(p) => builder.build_single(p, self.schedule),
-            BackbonePartition::Bidirectional(p) => builder.build_bidirectional(p),
+        let timed = match &partition {
+            BackbonePartition::Single(p) => builder.time_single(p, self.schedule, &prefixes[0]),
+            BackbonePartition::Bidirectional(p) => {
+                builder.time_bidirectional(p, &prefixes[0], &prefixes[1])
+            }
         };
+        let Ok(timed) = timed else {
+            return outcome;
+        };
+        let dp_groups = world / hp.group_size;
+        let group_batch = timed.group_batch();
+        // The throughput upper bound when `makespan` is at most the
+        // schedule's `max(compute_end, sync_end)`; none unless positive.
+        let throughput_ub = |makespan: f64| {
+            (makespan > 0.0)
+                .then(|| dp_groups as f64 * group_batch / makespan * (1.0 + BOUND_MARGIN))
+        };
+        if throughput_ub(timed.makespan_floor()).is_some_and(|ub| ub < best_so_far) {
+            // Floor skip: the span attribute lands on the config span via
+            // the wrapper.
+            outcome.floor_skipped = true;
+            return outcome;
+        }
+        outcome.scheduled = true;
+        let schedule = timed.schedule();
         schedule_span.finish();
         let Ok(schedule) = schedule else {
             return outcome;
         };
 
-        let dp_groups = world / hp.group_size;
-        let makespan = schedule.compute_end().max(schedule.sync_end());
-        if makespan > 0.0 {
-            let throughput_ub =
-                dp_groups as f64 * schedule.group_batch / makespan * (1.0 + BOUND_MARGIN);
-            if throughput_ub < best_so_far {
-                // Fill-skip upper-bound cut: the span attribute lands on the
-                // config span via the wrapper.
-                outcome.fill_skipped = true;
-                return outcome;
-            }
+        if throughput_ub(schedule.compute_end().max(schedule.sync_end()))
+            .is_some_and(|ub| ub < best_so_far)
+        {
+            // Fill-skip upper-bound cut: the span attribute lands on the
+            // config span via the wrapper.
+            outcome.fill_skipped = true;
+            return outcome;
         }
 
         let mut fill_span = self.tracer.child_span("fill", span.id());
@@ -1237,6 +1303,97 @@ mod tests {
             }
         }
         assert!(checked > 400, "only {checked} feasible configs checked");
+    }
+
+    /// The makespan floor never exceeds what a built schedule takes. Every
+    /// config of the benchmark's specs (the golden shapes and the mixed
+    /// fleet), of their GPipe variants and of a self-conditioning
+    /// two-backbone model is partitioned, priced and scheduled as
+    /// `evaluate_config` does with `best_so_far = −∞`, and each built
+    /// schedule's `max(compute_end, sync_end)` is at least its floor.
+    #[test]
+    fn makespan_floor_covers_every_built_schedule() {
+        let mut specs: Vec<PlanSpec> = Vec::new();
+        for name in zoo::NAMES {
+            let single = zoo::by_name(name).unwrap().backbones().count() == 1;
+            for gpus in [8, 16, 64] {
+                for batch in [64, 256] {
+                    let spec = PlanSpec::zoo(name, dpipe_spec::cluster_for_gpus(gpus), batch);
+                    if single {
+                        specs.push(spec.clone().with_schedule(ScheduleKind::GPipe));
+                    }
+                    specs.push(spec);
+                }
+            }
+        }
+        specs.push(
+            PlanSpec::from_json(include_str!(
+                "../../../examples/specs/sd_mixed_a100_h100_b256.json"
+            ))
+            .unwrap(),
+        );
+        let mut cdm = zoo::cdm_lsun();
+        cdm.self_conditioning = Some(dpipe_model::SelfConditioning { probability: 0.6 });
+        for gpus in [8, 16] {
+            specs.push(PlanSpec::new(
+                cdm.clone(),
+                dpipe_spec::cluster_for_gpus(gpus),
+                64,
+            ));
+        }
+        let mut checked = [0usize; 2];
+        for spec in specs {
+            let planner = Planner::from_spec(&spec).unwrap();
+            let (search, _) = planner.prepare_search(spec.global_batch, None).unwrap();
+            let (backbones, prefixes) = (&search.backbones, &search.prefixes);
+            let world = planner.cluster.world_size();
+            for hp in &search.configs {
+                let Some(layout) = DataParallelLayout::new(&planner.cluster, hp.group_size) else {
+                    continue;
+                };
+                let cfg = PartitionConfig::new(
+                    hp.num_stages,
+                    hp.num_micro_batches,
+                    hp.group_batch(search.global_batch, world),
+                );
+                let part = Partitioner::for_stages(&search.cost, &layout, hp.num_stages);
+                let builder = ScheduleBuilder::new(part.cost());
+                let mut stats = DpStats::default();
+                let timed = if let [bb] = backbones[..] {
+                    let Ok(p) = part.partition_single_with(bb, &cfg, &prefixes[0], &mut stats)
+                    else {
+                        continue;
+                    };
+                    builder.time_single(&p, planner.schedule, &prefixes[0])
+                } else {
+                    let Ok(p) = part.partition_bidirectional_with(
+                        backbones[0],
+                        backbones[1],
+                        &cfg,
+                        &prefixes[0],
+                        &prefixes[1],
+                        &mut stats,
+                    ) else {
+                        continue;
+                    };
+                    builder.time_bidirectional(&p, &prefixes[0], &prefixes[1])
+                }
+                .unwrap();
+                let floor = timed.makespan_floor();
+                let schedule = timed.schedule().unwrap();
+                let makespan = schedule.compute_end().max(schedule.sync_end());
+                assert!(
+                    floor > 0.0 && floor <= makespan,
+                    "{} config {hp:?}: floor {floor}, makespan {makespan}",
+                    spec.label()
+                );
+                checked[backbones.len() - 1] += 1;
+            }
+        }
+        assert!(
+            checked[0] > 3000 && checked[1] > 500,
+            "only {checked:?} single- and two-backbone schedules checked"
+        );
     }
 
     #[test]

@@ -161,7 +161,7 @@ impl<'a> Partitioner<'a> {
         let mut ut = vec![zero; (l_up + 1) * (l_up + 1)];
         let fill_level = |s: usize, dt: &mut [StageTerms], ut: &mut [StageTerms]| {
             let left = s_total - s;
-            let g = self.cost().level_geometry(s, r);
+            let g = self.cost().level(s, r);
             let down_costs = &costs_down[g.class];
             let up_costs = &costs_up[g.class];
             for i in (s - 1)..(l_down - left) {
@@ -200,7 +200,7 @@ impl<'a> Partitioner<'a> {
             let mut w_h = 0.0f64;
             let mut y_h = 0.0f64;
             for k in 1..=s_total {
-                let g = self.cost().level_geometry(k, r);
+                let g = self.cost().level(k, r);
                 let (i, i2) = ((k - 1) * l_down / s_total, k * l_down / s_total);
                 let (j, j2) = ((k - 1) * l_up / s_total, k * l_up / s_total);
                 let d = self.cost().stage_terms_prefixed(

@@ -28,11 +28,13 @@
 //! database per device class, the cluster's class map and its
 //! communication model. It is built once per plan. Each config borrows it
 //! through a [`StageCost`] for its data-parallel layout, which resolves
-//! only the layout's per-offset device classes. The DPs cost candidate
-//! stages through that [`StageCost`], and the schedule takes its
-//! per-stage times from [`StageCost::stage_times`], so the bound and the
-//! simulated pipeline read the same stage quantities. A device class
-//! without its own database is timed on database 0
+//! the layout's per-offset device classes and, built
+//! [`for_stages`](StageCost::for_stages), each level's input link, sync
+//! shape and device class once. The DPs cost candidate stages through that
+//! [`StageCost`], and the schedule takes its per-stage times from
+//! [`StageCost::stage_times`], read from the same cost tables the DPs hold,
+//! so the bound and the simulated pipeline read the same stage quantities.
+//! A device class without its own database is timed on database 0
 //! ([`CostModel::db_for`]).
 //!
 //! # Fast-path layout (parent-pointer DP)

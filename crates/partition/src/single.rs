@@ -6,7 +6,8 @@
 //! states per level. Pareto fronts are contiguous spans in a per-level
 //! arena ([`crate::dp`]), every cost query is answered in O(1) from a
 //! [`CostPrefix`], and each level's input link, sync shape and device
-//! class are resolved once ([`LevelGeometry`]).
+//! class are read once per level ([`LevelGeometry`]), resolved once per
+//! config when the partitioner was built [`for_stages`](Partitioner::for_stages).
 //!
 //! A branch-and-bound upper bound — seeded by an even-split heuristic
 //! solution and tightened as complete solutions appear — discards
@@ -48,6 +49,17 @@ impl<'a> Partitioner<'a> {
     pub fn new(model: &'a CostModel, layout: &'a DataParallelLayout) -> Self {
         Partitioner {
             cost: StageCost::new(model, layout),
+        }
+    }
+
+    /// [`Partitioner::new`] for one config of `stages` stages: each level's
+    /// input link, sync shape and device class are resolved once
+    /// ([`StageCost::for_stages`]) and shared by the DP and the stage
+    /// times. Partitions of other stage counts resolve their levels as
+    /// [`Partitioner::new`]'s do.
+    pub fn for_stages(model: &'a CostModel, layout: &'a DataParallelLayout, stages: usize) -> Self {
+        Partitioner {
+            cost: StageCost::for_stages(model, layout, stages),
         }
     }
 
@@ -129,19 +141,9 @@ impl<'a> Partitioner<'a> {
     /// backbone and reuse it across configurations that share batch rows.
     /// Homogeneous clusters get a single-element vector.
     pub fn build_prefixes(&self, backbone: ComponentId, cfg: &PartitionConfig) -> Vec<CostPrefix> {
-        let micro = cfg.micro_batch();
         let r = self.cost.layout().group_size / cfg.num_stages.max(1);
-        let model = self.cost.model();
-        (0..model.num_classes())
-            .map(|class| {
-                let db = model.db_for(class);
-                let mut prefix = CostPrefix::new(db, backbone);
-                if r > 0 {
-                    prefix.ensure_batch(db, micro / r as f64);
-                }
-                prefix
-            })
-            .collect()
+        let batch = (r > 0).then(|| cfg.micro_batch() / r as f64);
+        self.cost.tables(backbone, batch.into_iter())
     }
 
     /// Optimally partitions `backbone` into `cfg.num_stages` stages over the
@@ -190,15 +192,12 @@ impl<'a> Partitioner<'a> {
         let sc_prob = self.self_cond_prob();
         let coeff = cfg.critical_path_factor();
 
-        // One resolved cost view per device class at the one local batch,
-        // and each level's input link, sync shape and class, so the inner
-        // loop looks nothing up.
+        // One resolved cost view per device class at the one local batch;
+        // each level's input link, sync shape and class are read once per
+        // level, so the inner loop looks nothing up.
         let views: Vec<BatchCosts<'_>> = prefixes
             .iter()
             .map(|p| p.batch_view(micro / r as f64))
-            .collect();
-        let geometry: Vec<LevelGeometry> = (1..=s_total)
-            .map(|s| self.cost.level_geometry(s, r))
             .collect();
         let terms_at = |g: &LevelGeometry, layers: Range<usize>| -> StageTerms {
             self.cost
@@ -216,9 +215,9 @@ impl<'a> Partitioner<'a> {
         {
             let mut w_h = 0.0f64;
             let mut y_h = 0.0f64;
-            for (k, g) in (1..=s_total).zip(&geometry) {
+            for k in 1..=s_total {
                 let (l, l2) = ((k - 1) * num_layers / s_total, k * num_layers / s_total);
-                let terms = terms_at(g, l..l2);
+                let terms = terms_at(&self.cost.level(k, r), l..l2);
                 w_h = w_h.max(terms.t0);
                 y_h = y_h.max(terms.sync_gap);
             }
@@ -236,7 +235,8 @@ impl<'a> Partitioner<'a> {
         seed.end_state(0, seg);
         levels.push(seed);
 
-        for (s, g) in (1..=s_total).zip(&geometry) {
+        for s in 1..=s_total {
+            let g = &self.cost.level(s, r);
             let stages_left = s_total - s;
             // The backtrack reads only the final state, and the bound
             // tightens only there, so the last level builds nothing else.

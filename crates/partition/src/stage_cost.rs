@@ -1,9 +1,10 @@
 //! The cost model of a plan and its per-stage cost terms: `T0(s)`,
 //! `T_S(s)`, `T_C(s)` (Eqns. 3–6, 17).
 
+use crate::plan::PartitionPlan;
 use dpipe_cluster::{ClassMap, ClusterSpec, CommModel, DataParallelLayout, DeviceId, LinkParams};
 use dpipe_model::{ComponentId, LayerId};
-use dpipe_profile::{BatchCosts, ProfileDb};
+use dpipe_profile::{BatchCosts, CostPrefix, ProfileDb};
 use std::ops::Range;
 
 /// The cost model of one plan: one [`ProfileDb`] per device class, the
@@ -79,7 +80,7 @@ impl CostModel {
 /// The *shape* of a stage's gradient-sync group — device count, machines
 /// spanned, and the slowest spanned machine's intra-link scale — which
 /// fully determines the all-reduce cost model for any byte volume.
-/// Resolved once per DP level ([`StageCost::level_geometry`]).
+/// Resolved once per level ([`StageCost::for_stages`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct SyncShape {
     /// Devices all-reducing together (replicas × pipeline groups).
@@ -90,8 +91,8 @@ pub(crate) struct SyncShape {
     pub(crate) intra_scale: f64,
 }
 
-/// Where level `s` of a DP with uniform replication `r` places its stage:
-/// on chain offsets `(s − 1)·r..s·r`.
+/// Where a stage sits on the chain: level `s` of a config with uniform
+/// replication `r` places its stage on chain offsets `(s − 1)·r..s·r`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LevelGeometry {
     /// Link into the stage's first device (`None` at level 1).
@@ -108,12 +109,21 @@ pub(crate) struct LevelGeometry {
 /// the devices it lands on: the slowest class among its replicas across
 /// every pipeline group (replicas split the micro-batch evenly and run in
 /// lockstep, so the slowest device bounds the stage).
+///
+/// Built [`for_stages`](StageCost::for_stages), it resolves each level's
+/// input link, sync shape and effective class once, and the partition DPs
+/// and [`StageCost::stage_times`] read that one resolution. A stage on any
+/// other chain offsets is resolved on the spot, the same way.
 #[derive(Debug)]
 pub struct StageCost<'a> {
     model: &'a CostModel,
     layout: &'a DataParallelLayout,
     /// Chain offset → effective class index across every pipeline group.
     offset_class: Vec<usize>,
+    /// Replication `r` of the resolved levels (0 when none are).
+    replication: usize,
+    /// Level `s` on offsets `(s − 1)·r..s·r` is `levels[s − 1]`.
+    levels: Vec<LevelGeometry>,
 }
 
 /// The cost terms of one candidate stage.
@@ -144,7 +154,25 @@ impl<'a> StageCost<'a> {
             model,
             layout,
             offset_class,
+            replication: 0,
+            levels: Vec::new(),
         }
+    }
+
+    /// [`StageCost::new`] for a config of `stages` stages: also resolves
+    /// the input link, sync shape and effective class of each of its
+    /// levels once, at replication `r = D / S`. A stage count that does not
+    /// divide the group resolves nothing.
+    pub fn for_stages(model: &'a CostModel, layout: &'a DataParallelLayout, stages: usize) -> Self {
+        let mut cost = StageCost::new(model, layout);
+        if stages > 0 && layout.group_size.is_multiple_of(stages) {
+            let r = layout.group_size / stages;
+            cost.levels = (0..stages)
+                .map(|k| cost.resolve(k * r..(k + 1) * r))
+                .collect();
+            cost.replication = r;
+        }
+        cost
     }
 
     /// The plan's cost model.
@@ -277,21 +305,16 @@ impl<'a> StageCost<'a> {
 
     /// Devices over which a stage at `device_offsets` all-reduces its
     /// gradients: its devices in every pipeline group (cross-group data
-    /// parallelism plus intra-group replication), group by group.
-    pub(crate) fn sync_devices<'s>(
-        &'s self,
-        device_offsets: &'s [usize],
-    ) -> impl Iterator<Item = DeviceId> + 's {
-        self.layout
-            .groups
-            .iter()
-            .flat_map(move |g| device_offsets.iter().map(move |&o| g.devices[o]))
-    }
-
-    /// [`StageCost::sync_devices`] collected into an exactly sized vector.
+    /// parallelism plus intra-group replication), group by group, in an
+    /// exactly sized vector.
     fn sync_device_vec(&self, device_offsets: &[usize]) -> Vec<DeviceId> {
         let mut devs = Vec::with_capacity(device_offsets.len() * self.layout.groups.len());
-        devs.extend(self.sync_devices(device_offsets));
+        devs.extend(
+            self.layout
+                .groups
+                .iter()
+                .flat_map(|g| device_offsets.iter().map(move |&o| g.devices[o])),
+        );
         devs
     }
 
@@ -356,27 +379,88 @@ impl<'a> StageCost<'a> {
         }
     }
 
-    /// The sync-group shape for a stage occupying the contiguous chain
-    /// offsets `device_offsets` (replicated across every pipeline group).
-    fn sync_shape(&self, device_offsets: Range<usize>) -> SyncShape {
-        let offsets: Vec<usize> = device_offsets.collect();
-        let devs = self.sync_device_vec(&offsets);
-        SyncShape {
-            group: devs.len(),
-            nodes: self.model.comm.cluster().machines_spanned(&devs),
-            intra_scale: self.model.comm.min_intra_link_scale(&devs),
+    /// The input link, sync shape and effective class of a stage on the
+    /// chain offsets `device_offsets`, without allocating. The stage
+    /// all-reduces over its devices in every pipeline group, group by
+    /// group (cross-group data parallelism plus intra-group replication).
+    fn resolve(&self, device_offsets: impl Iterator<Item = usize> + Clone) -> LevelGeometry {
+        let devs = self
+            .layout
+            .groups
+            .iter()
+            .flat_map(|g| device_offsets.clone().map(move |o| g.devices[o]));
+        LevelGeometry {
+            link: device_offsets
+                .clone()
+                .next()
+                .and_then(|o| self.input_link(o)),
+            shape: SyncShape {
+                group: devs.clone().count(),
+                nodes: self.model.comm.cluster().machines_spanned(devs.clone()),
+                intra_scale: self.model.comm.min_intra_link_scale(devs),
+            },
+            class: self.class_of_offsets(device_offsets),
         }
     }
 
-    /// The input link, sync shape and effective class of the stage that
-    /// level `s` places at replication `r` (see [`LevelGeometry`]).
-    pub(crate) fn level_geometry(&self, s: usize, r: usize) -> LevelGeometry {
-        let offsets = (s - 1) * r..s * r;
-        LevelGeometry {
-            link: self.input_link(offsets.start),
-            shape: self.sync_shape(offsets.clone()),
-            class: self.class_of_offsets(offsets),
+    /// The geometry of the stage that level `s` places at replication `r`:
+    /// the level resolved by [`StageCost::for_stages`], or resolved now.
+    pub(crate) fn level(&self, s: usize, r: usize) -> LevelGeometry {
+        match self.levels.get(s - 1) {
+            Some(&g) if r == self.replication => g,
+            _ => self.resolve((s - 1) * r..s * r),
         }
+    }
+
+    /// The geometry of a stage on `device_offsets`: the resolved level's
+    /// when the offsets are one of the levels, resolved now otherwise.
+    pub(crate) fn stage_geometry(&self, device_offsets: &[usize]) -> LevelGeometry {
+        let r = self.replication;
+        match device_offsets.first() {
+            Some(&first)
+                if r > 0
+                    && first.is_multiple_of(r)
+                    && device_offsets.iter().copied().eq(first..first + r) =>
+            {
+                self.level(first / r + 1, r)
+            }
+            _ => self.resolve(device_offsets.iter().copied()),
+        }
+    }
+
+    /// One cost table per device class for the component of `plan`'s
+    /// stages, each holding a row for every stage's local batch: the
+    /// tables [`StageCost::stage_times`] reads, for a plan priced outside
+    /// a config search (which shares one table set per backbone across its
+    /// configs). Empty for a plan without stages.
+    pub fn tables_for(&self, plan: &PartitionPlan) -> Vec<CostPrefix> {
+        let Some(first) = plan.stages.first() else {
+            return Vec::new();
+        };
+        let batches = plan
+            .stages
+            .iter()
+            .map(|st| st.local_batch(plan.micro_batch));
+        self.tables(first.component, batches)
+    }
+
+    /// One [`CostPrefix`] per device class of `component`, each from its
+    /// class's database, with a row for every batch in `batches`.
+    pub(crate) fn tables(
+        &self,
+        component: ComponentId,
+        batches: impl Iterator<Item = f64> + Clone,
+    ) -> Vec<CostPrefix> {
+        (0..self.model.num_classes())
+            .map(|class| {
+                let db = self.model.db_for(class);
+                let mut prefix = CostPrefix::new(db, component);
+                for batch in batches.clone() {
+                    prefix.ensure_batch(db, batch);
+                }
+                prefix
+            })
+            .collect()
     }
 
     /// [`StageCost::stage_terms`] answered in O(1) from a resolved

@@ -4,7 +4,7 @@
 
 use crate::plan::PartitionPlan;
 use crate::stage_cost::StageCost;
-use dpipe_model::LayerId;
+use dpipe_profile::CostPrefix;
 
 /// Concrete per-micro-batch stage times for one pipelined backbone
 /// ([`StageCost::stage_times`]).
@@ -39,21 +39,29 @@ impl StageTimes {
 
 impl StageCost<'_> {
     /// The per-stage times of a partition plan, in one pass over its
-    /// stages. Stage replicas run in lockstep, so one timeline per stage
-    /// suffices:
+    /// stages, read from `tables`: one [`CostPrefix`] per device class for
+    /// the plan's backbone, each holding a row for every stage's local
+    /// batch (the partition DPs' tables, or [`StageCost::tables_for`]).
+    /// The tables reproduce the [`ProfileDb`](dpipe_profile::ProfileDb)
+    /// sums bit for bit. Stage replicas run in lockstep, so one timeline
+    /// per stage suffices:
     /// - `fwd` and `bwd` are timed on the stage's effective class;
     /// - `comm_in[s]` moves stage `s`'s boundary activation from the last
     ///   device of stage `s−1` to the first device of stage `s`, in group 0;
     /// - `sync[s]` all-reduces the stage's gradients over its devices in
-    ///   every group, reusing one device buffer across stages.
+    ///   every group.
+    ///
+    /// Each stage's effective class and sync shape come from its level
+    /// when the evaluator resolved it ([`StageCost::for_stages`]).
     ///
     /// # Panics
     ///
-    /// Panics if a stage has no devices or an offset lies outside the
-    /// layout's groups.
-    pub fn stage_times(&self, plan: &PartitionPlan) -> StageTimes {
+    /// Panics if a stage has no devices, an offset lies outside the
+    /// layout's groups, or a stage's class lacks a table or its table the
+    /// row for the stage's local batch.
+    pub fn stage_times(&self, plan: &PartitionPlan, tables: &[CostPrefix]) -> StageTimes {
         let model = self.model();
-        let (db, comm) = (model.db(), model.comm());
+        let comm = model.comm();
         let group0 = &self.layout().groups[0];
         let s_count = plan.stages.len();
         let mut times = StageTimes {
@@ -66,18 +74,13 @@ impl StageCost<'_> {
             num_micro_batches: plan.num_micro_batches,
             sc_scale: model.self_cond_prob(),
         };
-        let mut devs = Vec::new();
         for (i, stage) in plan.stages.iter().enumerate() {
             let offsets = &stage.device_offsets;
-            let stage_db = model.db_for(self.class_of_offsets(offsets.iter().copied()));
-            let local = stage.local_batch(plan.micro_batch);
-            let (comp, layers) = (stage.component, stage.layers.clone());
-            times
-                .fwd
-                .push(stage_db.fwd_time_range(comp, layers.clone(), local));
-            times
-                .bwd
-                .push(stage_db.bwd_time_range(comp, layers.clone(), local));
+            let geometry = self.stage_geometry(offsets);
+            let costs = tables[geometry.class].batch_view(stage.local_batch(plan.micro_batch));
+            let layers = &stage.layers;
+            times.fwd.push(costs.fwd_range(layers));
+            times.bwd.push(costs.bwd_range(layers));
             times.replication.push(stage.replication);
             times.comm_in.push(match i.checked_sub(1) {
                 None => 0.0,
@@ -85,14 +88,17 @@ impl StageCost<'_> {
                     let prev = &plan.stages[prev].device_offsets;
                     let src = group0.devices[prev[prev.len() - 1]];
                     let dst = group0.devices[offsets[0]];
-                    let boundary = LayerId(layers.start.saturating_sub(1));
-                    comm.p2p_time(db.boundary_bytes(comp, boundary, local), src, dst)
+                    let bytes = costs.boundary_bytes(layers.start.saturating_sub(1));
+                    comm.p2p_time(bytes, src, dst)
                 }
             });
-            devs.clear();
-            devs.extend(self.sync_devices(offsets));
-            let grad = db.grad_bytes_range(comp, layers);
-            times.sync.push(comm.allreduce_time(grad, &devs));
+            let shape = geometry.shape;
+            times.sync.push(comm.allreduce_time_shape(
+                costs.grad_bytes_range(layers),
+                shape.group,
+                shape.nodes,
+                shape.intra_scale,
+            ));
         }
         times
     }
@@ -116,7 +122,7 @@ mod tests {
         let plan = p
             .partition_single(bb, &PartitionConfig::new(stages, micro, 64.0))
             .unwrap();
-        let times = p.cost().stage_times(&plan);
+        let times = p.cost().stage_times(&plan, &p.cost().tables_for(&plan));
         (times, cost)
     }
 

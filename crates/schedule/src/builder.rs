@@ -1,9 +1,13 @@
-//! Constructing pipeline op graphs from partition plans.
+//! Constructing pipeline op graphs from partition plans, and the makespan
+//! floor their schedules cannot beat.
 
 use crate::op::{Deps, Op, OpId, OpKind, PipelineDirection};
 use crate::schedule::{PipelineSchedule, SyncOp};
 use crate::simulate::{simulate, Policy};
-use dpipe_partition::{BidirectionalPlan, PartitionPlan, StageCost, StageTimes};
+use dpipe_partition::{
+    BidirectionalPlan, PartitionPlan, StageCost, StagePlan, StageTimes, BOUND_MARGIN,
+};
+use dpipe_profile::CostPrefix;
 use std::error::Error;
 use std::fmt;
 
@@ -45,13 +49,33 @@ pub struct ScheduleBuilder<'a> {
 }
 
 /// One pipeline's op-construction request.
-struct PipelineSpec<'t> {
-    times: &'t StageTimes,
+#[derive(Debug)]
+struct PipelineSpec {
+    times: StageTimes,
     direction: PipelineDirection,
     /// Chain slot of each stage (stage index → slot).
     slots: Vec<usize>,
     self_cond: bool,
     kind: ScheduleKind,
+}
+
+/// A config's one or two pipelines with their stage times priced once:
+/// the makespan floor ([`TimedPipelines::makespan_floor`]) and the list
+/// scheduler ([`TimedPipelines::schedule`]) both read them. Made by
+/// [`ScheduleBuilder::time_single`] and
+/// [`ScheduleBuilder::time_bidirectional`].
+#[derive(Debug)]
+pub struct TimedPipelines {
+    pipelines: Pipelines,
+    num_slots: usize,
+}
+
+/// One pipeline runs under strict order, two under the work-conserving
+/// merge.
+#[derive(Debug)]
+enum Pipelines {
+    Single([PipelineSpec; 1]),
+    Bidirectional([PipelineSpec; 2]),
 }
 
 impl<'a> ScheduleBuilder<'a> {
@@ -65,7 +89,9 @@ impl<'a> ScheduleBuilder<'a> {
         self.cost.model().db().model().self_conditioning.is_some()
     }
 
-    /// Builds and simulates a schedule for a single-backbone plan.
+    /// Builds and simulates a schedule for a single-backbone plan, pricing
+    /// its stages on cost tables built for the plan
+    /// ([`StageCost::tables_for`]).
     ///
     /// # Errors
     ///
@@ -76,75 +102,270 @@ impl<'a> ScheduleBuilder<'a> {
         plan: &PartitionPlan,
         kind: ScheduleKind,
     ) -> Result<PipelineSchedule, ScheduleError> {
-        if plan.stages.is_empty() {
-            return Err(ScheduleError::EmptyPlan);
-        }
-        let times = self.cost.stage_times(plan);
-        let s_count = times.num_stages();
-        let spec = PipelineSpec {
-            times: &times,
-            direction: PipelineDirection::Down,
-            slots: (0..s_count).collect(),
-            self_cond: self.self_cond(),
-            kind,
-        };
-        let ops = build_ops(&[spec], s_count);
-        finish(
-            ops,
-            s_count,
-            times.micro_batch,
-            Policy::StrictOrder,
-            &[&times],
-        )
+        self.time_single(plan, kind, &self.cost.tables_for(plan))?
+            .schedule()
     }
 
     /// Builds and simulates a bidirectional schedule for two backbones
-    /// (paper Fig. 3). Each pipeline uses FIFO-1F1B ordering; the device
-    /// executes whichever pipeline's op is ready (work-conserving merge).
+    /// (paper Fig. 3), pricing each pipeline's stages on cost tables built
+    /// for it. Each pipeline uses FIFO-1F1B ordering; the device executes
+    /// whichever pipeline's op is ready (work-conserving merge).
+    ///
+    /// # Errors
+    ///
+    /// As [`ScheduleBuilder::build_single`].
     pub fn build_bidirectional(
         &self,
         plan: &BidirectionalPlan,
     ) -> Result<PipelineSchedule, ScheduleError> {
+        let down_tables = self.cost.tables_for(&plan.down);
+        let up_tables = self.cost.tables_for(&plan.up);
+        self.time_bidirectional(plan, &down_tables, &up_tables)?
+            .schedule()
+    }
+
+    /// Prices a single-backbone plan's stages once from `tables` (one
+    /// [`CostPrefix`] per device class for its backbone, holding the
+    /// stages' local batch; see [`StageCost::stage_times`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScheduleError::EmptyPlan`] for plans without stages.
+    pub fn time_single(
+        &self,
+        plan: &PartitionPlan,
+        kind: ScheduleKind,
+        tables: &[CostPrefix],
+    ) -> Result<TimedPipelines, ScheduleError> {
+        if plan.stages.is_empty() {
+            return Err(ScheduleError::EmptyPlan);
+        }
+        let times = self.cost.stage_times(plan, tables);
+        let s_count = times.num_stages();
+        Ok(TimedPipelines {
+            pipelines: Pipelines::Single([PipelineSpec {
+                times,
+                direction: PipelineDirection::Down,
+                slots: (0..s_count).collect(),
+                self_cond: self.self_cond(),
+                kind,
+            }]),
+            num_slots: s_count,
+        })
+    }
+
+    /// Prices both pipelines of a bidirectional plan once, the down
+    /// backbone's stages from `down_tables` and the up backbone's from
+    /// `up_tables` (as in [`ScheduleBuilder::time_single`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScheduleError::EmptyPlan`] if either pipeline has no
+    /// stages.
+    pub fn time_bidirectional(
+        &self,
+        plan: &BidirectionalPlan,
+        down_tables: &[CostPrefix],
+        up_tables: &[CostPrefix],
+    ) -> Result<TimedPipelines, ScheduleError> {
         if plan.down.stages.is_empty() || plan.up.stages.is_empty() {
             return Err(ScheduleError::EmptyPlan);
         }
-        let down_times = self.cost.stage_times(&plan.down);
-        let up_times = self.cost.stage_times(&plan.up);
-        let s_count = plan.down.stages.len();
-        let slot_of = |sp: &dpipe_partition::StagePlan| sp.device_offsets[0] / sp.replication;
-        let down_slots: Vec<usize> = plan.down.stages.iter().map(slot_of).collect();
-        let up_slots: Vec<usize> = plan.up.stages.iter().map(slot_of).collect();
-        let sc = self.self_cond();
-        let specs = [
-            PipelineSpec {
-                times: &down_times,
-                direction: PipelineDirection::Down,
-                slots: down_slots,
-                self_cond: sc,
-                kind: ScheduleKind::Fifo1F1B,
-            },
-            PipelineSpec {
-                times: &up_times,
-                direction: PipelineDirection::Up,
-                slots: up_slots,
-                self_cond: sc,
-                kind: ScheduleKind::Fifo1F1B,
-            },
-        ];
-        let ops = build_ops(&specs, s_count);
-        finish(
-            ops,
-            s_count,
-            down_times.micro_batch,
-            Policy::WorkConserving,
-            &[&down_times, &up_times],
-        )
+        let slot_of = |sp: &StagePlan| sp.device_offsets[0] / sp.replication;
+        let spec = |p: &PartitionPlan, tables, direction| PipelineSpec {
+            times: self.cost.stage_times(p, tables),
+            direction,
+            slots: p.stages.iter().map(slot_of).collect(),
+            self_cond: self.self_cond(),
+            kind: ScheduleKind::Fifo1F1B,
+        };
+        Ok(TimedPipelines {
+            pipelines: Pipelines::Bidirectional([
+                spec(&plan.down, down_tables, PipelineDirection::Down),
+                spec(&plan.up, up_tables, PipelineDirection::Up),
+            ]),
+            num_slots: plan.down.stages.len(),
+        })
     }
+}
+
+impl TimedPipelines {
+    fn specs(&self) -> &[PipelineSpec] {
+        match &self.pipelines {
+            Pipelines::Single(specs) => specs,
+            Pipelines::Bidirectional(specs) => specs,
+        }
+    }
+
+    fn policy(&self) -> Policy {
+        match self.pipelines {
+            Pipelines::Single(_) => Policy::StrictOrder,
+            Pipelines::Bidirectional(_) => Policy::WorkConserving,
+        }
+    }
+
+    /// Batch processed by the group per iteration, all pipelines combined:
+    /// the built schedule's [`PipelineSchedule::group_batch`], bit for bit.
+    pub fn group_batch(&self) -> f64 {
+        self.specs()
+            .iter()
+            .map(|spec| spec.times.micro_batch * spec.times.num_micro_batches as f64)
+            .sum()
+    }
+
+    /// A lower bound on `max(compute_end, sync_end)` of the schedule
+    /// [`TimedPipelines::schedule`] builds, from the stage times alone: no
+    /// op graph, no list scheduling. For stage `s` of a pipeline, write
+    /// `F_s`, `B_s`, `C_s` and `T_s` for its forward, backward, input
+    /// transfer and all-reduce times, `c` for the self-conditioning scale
+    /// (0 when off), `M` for the micro-batches, and
+    /// `tail_s = Σ_{t<s}(B_t + C_{t+1})`.
+    ///
+    /// An op starts no earlier than each dependency's end plus its delay.
+    /// So no main forward of stage `s` starts before `chain_s`, where
+    /// micro-batch 0's forward chain reaches the stage:
+    /// `chain_s = chain_{s−1} + F_{s−1} + C_s`, raised under
+    /// self-conditioning to the end of the self-conditioning chain at `s`.
+    /// Backwards follow the last stage's forwards, so none of them starts
+    /// before `chain_s` either. A slot runs one op at a time, so the
+    /// stage's ops that start from `chain_s` on end no earlier than
+    /// `chain_s` plus their summed time. The last of the stage's ops to end
+    /// is a backward, since each forward's backward runs later on the same
+    /// slot. After it, the backward still travels back to stage 0
+    /// (`tail_s` more), and the stage all-reduces from its last backward's
+    /// end (`T_s` more). Per stage, the floor is therefore
+    /// `chain_s + (work from chain_s on) + max(tail_s, T_s)`:
+    ///
+    /// * **Strict order** (one pipeline, 1F1B or GPipe). Each slot runs its
+    ///   ops in the op graph's order: only `sc(s, 0)` runs before
+    ///   `f(s, 0)`, and the last op is `b(s, M−1)`. The work from `chain_s`
+    ///   on is `M·(F_s + B_s) + (M − 1)·c·F_s`.
+    /// * **Work-conserving** (two pipelines). A slot runs whichever op is
+    ///   ready, so any of the stage's `M` self-conditioning forwards may run
+    ///   before its first main forward, and the work from `chain_s` on is
+    ///   `M·(F_s + B_s)`. Each slot also holds one stage of each pipeline.
+    ///   None of their ops starts before the smaller of the two stages'
+    ///   first-op starts (the self-conditioning chain's start, or `chain_s`
+    ///   without it). The slot's last op, a backward of either pipeline,
+    ///   ends no earlier than that plus both stages' `M·(F·(1 + c) + B)`,
+    ///   followed by the smaller of their two `max(tail, T)`.
+    ///
+    /// The floor sums in a different order from the simulator, so it is
+    /// scaled by `1 −` [`BOUND_MARGIN`]. [`TimedPipelines::schedule`]
+    /// debug-asserts it against every schedule it builds.
+    pub fn makespan_floor(&self) -> f64 {
+        makespan_floor(self.specs(), self.policy())
+    }
+
+    /// Builds the op graph and simulates it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScheduleError::Deadlock`] if simulation cannot make
+    /// progress.
+    pub fn schedule(&self) -> Result<PipelineSchedule, ScheduleError> {
+        let specs = self.specs();
+        let ops = build_ops(specs, self.num_slots);
+        let schedule = finish(
+            ops,
+            self.num_slots,
+            specs[0].times.micro_batch,
+            self.policy(),
+            specs,
+            self.group_batch(),
+        )?;
+        debug_assert!(
+            {
+                let makespan = schedule.iteration_time();
+                makespan >= self.makespan_floor() || makespan.is_nan()
+            },
+            "makespan {} below its floor {}",
+            schedule.iteration_time(),
+            self.makespan_floor()
+        );
+        Ok(schedule)
+    }
+}
+
+/// What one stage of a pipeline contributes to [`makespan_floor`], from
+/// micro-batch 0's chain through the stages before it.
+struct StageFloor {
+    slot: usize,
+    /// No op of the stage starts before this: its self-conditioning chain
+    /// start, or its forward chain start without self-conditioning.
+    first: f64,
+    /// No main forward or backward of the stage starts before this, the
+    /// start of micro-batch 0's forward chain at the stage.
+    chain: f64,
+    /// `M·(F_s + B_s)`: the stage's main forwards and backwards.
+    main: f64,
+    /// `c·F_s`: one self-conditioning forward (0 without).
+    sc: f64,
+    /// `M` as a float.
+    micro_batches: f64,
+    /// After the stage's last backward, the larger of the backward's way
+    /// back to stage 0, `Σ_{t<s}(B_t + C_{t+1})`, and the stage's
+    /// all-reduce `T_s`.
+    after: f64,
+}
+
+impl PipelineSpec {
+    /// Each stage's [`StageFloor`], in stage order, from running sums
+    /// (no allocation). Empty without micro-batches.
+    fn stage_floors(&self) -> impl Iterator<Item = StageFloor> + '_ {
+        let t = &self.times;
+        let c = if self.self_cond { t.sc_scale } else { 0.0 };
+        let m = t.num_micro_batches;
+        let stages = if m == 0 { 0 } else { t.num_stages() };
+        let (mut sc_start, mut chain, mut tail) = (0.0f64, 0.0f64, 0.0f64);
+        (0..stages).map(move |s| {
+            if s > 0 {
+                sc_start = sc_start + c * t.fwd[s - 1] + t.comm_in[s];
+                chain = chain + t.fwd[s - 1] + t.comm_in[s];
+                tail = tail + t.bwd[s - 1] + t.comm_in[s];
+            }
+            if self.self_cond {
+                chain = chain.max(sc_start + c * t.fwd[s]);
+            }
+            StageFloor {
+                slot: self.slots[s],
+                first: if self.self_cond { sc_start } else { chain },
+                chain,
+                main: m as f64 * (t.fwd[s] + t.bwd[s]),
+                sc: c * t.fwd[s],
+                micro_batches: m as f64,
+                after: tail.max(t.sync[s]),
+            }
+        })
+    }
+}
+
+/// [`TimedPipelines::makespan_floor`] of `specs` run under `policy`.
+fn makespan_floor(specs: &[PipelineSpec], policy: Policy) -> f64 {
+    let mut floor = 0.0f64;
+    for spec in specs {
+        for st in spec.stage_floors() {
+            let early_sc = match policy {
+                Policy::StrictOrder => (st.micro_batches - 1.0) * st.sc,
+                Policy::WorkConserving => 0.0,
+            };
+            floor = floor.max(st.chain + st.main + early_sc + st.after);
+        }
+    }
+    if let [down, up] = specs {
+        for d in down.stage_floors() {
+            for u in up.stage_floors().filter(|u| u.slot == d.slot) {
+                let busy = d.main + d.micro_batches * d.sc + u.main + u.micro_batches * u.sc;
+                floor = floor.max(d.first.min(u.first) + busy + d.after.min(u.after));
+            }
+        }
+    }
+    floor * (1.0 - BOUND_MARGIN)
 }
 
 /// Builds all ops for one or two pipelines, each op's priority its position
 /// in its slot's intended execution order.
-fn build_ops(specs: &[PipelineSpec<'_>], num_slots: usize) -> Vec<Op> {
+fn build_ops(specs: &[PipelineSpec], num_slots: usize) -> Vec<Op> {
     debug_assert!(specs.len() <= 2, "at most two pipelines share the slots");
     let mut ops: Vec<Op> = Vec::with_capacity(
         specs
@@ -296,7 +517,8 @@ fn finish(
     num_slots: usize,
     micro_batch: f64,
     policy: Policy,
-    all_times: &[&StageTimes],
+    specs: &[PipelineSpec],
+    group_batch: f64,
 ) -> Result<PipelineSchedule, ScheduleError> {
     let scheduled =
         simulate(ops, num_slots, policy).map_err(|d| ScheduleError::Deadlock(d.remaining))?;
@@ -306,16 +528,16 @@ fn finish(
     // pipeline 1 up.
     let directions = [PipelineDirection::Down, PipelineDirection::Up];
     let offset = |ti: usize| {
-        all_times[..ti]
+        specs[..ti]
             .iter()
-            .map(|t| t.num_stages())
+            .map(|spec| spec.times.num_stages())
             .sum::<usize>()
     };
-    let mut stage_slot: Vec<Option<usize>> = vec![None; offset(all_times.len())];
+    let mut stage_slot: Vec<Option<usize>> = vec![None; offset(specs.len())];
     let mut last_bwd = vec![0.0f64; stage_slot.len()];
     for o in &scheduled {
         let ti = usize::from(o.op.direction == PipelineDirection::Up);
-        if ti >= all_times.len() || o.op.stage >= all_times[ti].num_stages() {
+        if ti >= specs.len() || o.op.stage >= specs[ti].times.num_stages() {
             continue;
         }
         let at = offset(ti) + o.op.stage;
@@ -327,8 +549,8 @@ fn finish(
 
     // Slot replication: from the first pipeline covering each slot.
     let mut slot_replication = vec![0usize; num_slots];
-    for (ti, times) in all_times.iter().enumerate() {
-        for (s, &r) in times.replication.iter().enumerate() {
+    for (ti, spec) in specs.iter().enumerate() {
+        for (s, &r) in spec.times.replication.iter().enumerate() {
             let slot = stage_slot[offset(ti) + s].unwrap_or(s);
             if slot_replication[slot] == 0 {
                 slot_replication[slot] = r;
@@ -344,22 +566,18 @@ fn finish(
     // Gradient syncs: one per (pipeline, stage), starting at that stage's
     // last backward end.
     let mut syncs = Vec::with_capacity(stage_slot.len());
-    for (ti, times) in all_times.iter().enumerate() {
-        for s in 0..times.num_stages() {
+    for (ti, spec) in specs.iter().enumerate() {
+        for (s, &duration) in spec.times.sync.iter().enumerate() {
             let at = offset(ti) + s;
             syncs.push(SyncOp {
                 slot: stage_slot[at].unwrap_or(s),
                 direction: directions[ti.min(1)],
                 start: last_bwd[at],
-                duration: times.sync[s],
+                duration,
             });
         }
     }
 
-    let group_batch: f64 = all_times
-        .iter()
-        .map(|t| t.micro_batch * t.num_micro_batches as f64)
-        .sum();
     Ok(PipelineSchedule {
         ops: scheduled,
         syncs,
@@ -415,11 +633,7 @@ mod tests {
     /// each slot written out as a list (warm-up forwards, then one forward
     /// and one backward, then the cool-down backwards), and the pipelines'
     /// lists merged round-robin, the one matching the slot's parity first.
-    fn reference_priorities(
-        specs: &[PipelineSpec<'_>],
-        ops: &[Op],
-        num_slots: usize,
-    ) -> Vec<usize> {
+    fn reference_priorities(specs: &[PipelineSpec], ops: &[Op], num_slots: usize) -> Vec<usize> {
         let mut lists: Vec<Vec<Vec<usize>>> = Vec::new();
         for spec in specs {
             let (s_count, m_count) = (spec.times.num_stages(), spec.times.num_micro_batches);
@@ -495,8 +709,8 @@ mod tests {
                 let (t, t_other) = (times(s_count, m_count), times(s_count, 7 - m_count));
                 for self_cond in [false, true] {
                     for kind in [ScheduleKind::Fifo1F1B, ScheduleKind::GPipe] {
-                        let spec = |times, direction, slots| PipelineSpec {
-                            times,
+                        let spec = |times: &StageTimes, direction, slots| PipelineSpec {
+                            times: times.clone(),
                             direction,
                             slots,
                             self_cond,

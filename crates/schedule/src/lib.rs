@@ -13,15 +13,25 @@
 //! profile databases, class map and communication model, built once per
 //! plan.
 //!
+//! Pricing and scheduling are two steps. [`ScheduleBuilder::time_single`]
+//! and [`ScheduleBuilder::time_bidirectional`] price a plan's stages once,
+//! into [`TimedPipelines`]; its [`TimedPipelines::makespan_floor`] bounds
+//! the schedule's makespan from those prices alone, and
+//! [`TimedPipelines::schedule`] builds the schedule from the same prices.
+//! The planner skips every config whose floor already loses to its best
+//! plan, so only the rest pay for the kernels below.
+//!
 //! # Cost
 //!
-//! The planner builds one schedule per partitioned config, so each kernel
-//! is linear in the `n` ops of a schedule up to a factor of its `S` slots,
-//! and allocates a fixed number of buffers rather than one per op:
+//! Each kernel is linear in the `n` ops of a schedule up to a factor of
+//! its `S` slots, and allocates a fixed number of buffers rather than one
+//! per op:
 //!
 //! - Stage times ([`dpipe_partition::StageCost::stage_times`]): one pass
-//!   over the stages, reusing one device buffer for every stage's
-//!   all-reduce; the class map and communication model come built.
+//!   over the stages, reading the config's shared cost tables and its
+//!   levels' sync shapes and classes, resolved once per config.
+//! - Makespan floor: one pass over the stages (two pipelines add a pass
+//!   per slot pairing), with no allocation.
 //! - Op graph: O(n). Each [`Op`] holds its at most two dependencies inline
 //!   ([`Deps`]), and its priority is numbered as the op is placed.
 //! - List scheduler: O(n·S + e) for `e` dependencies under the strict order
@@ -68,7 +78,7 @@ mod schedule;
 mod simulate;
 
 pub use bubble::{extract_bubbles, Bubble};
-pub use builder::{ScheduleBuilder, ScheduleError, ScheduleKind};
+pub use builder::{ScheduleBuilder, ScheduleError, ScheduleKind, TimedPipelines};
 pub use op::{Deps, Op, OpId, OpKind, PipelineDirection};
 pub use render::render_timeline;
 pub use schedule::{PipelineSchedule, ScheduledOp};

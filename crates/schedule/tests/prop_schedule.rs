@@ -1,13 +1,14 @@
 //! Property tests: schedules built from arbitrary synthetic models are
-//! always consistent, and bubble extraction conserves time. The list
-//! scheduler, the bubble sweep and the stage-times derivation are checked
-//! bit for bit against the straightforward algorithms they replaced, kept
-//! here as oracles.
+//! always consistent, bubble extraction conserves time, and no schedule
+//! beats its makespan floor. The list scheduler, the bubble sweep and the
+//! stage-times derivation are checked bit for bit against the
+//! straightforward algorithms they replaced, kept here as oracles.
 
 use dpipe_cluster::{ClusterSpec, DataParallelLayout, DeviceClass, DeviceId};
 use dpipe_model::{zoo, ComponentId, LayerId, ModelSpec, SelfConditioning};
 use dpipe_partition::{
-    CostModel, PartitionConfig, PartitionPlan, Partitioner, StageCost, StagePlan, StageTimes,
+    BidirectionalPlan, CostModel, PartitionConfig, PartitionPlan, Partitioner, StageCost,
+    StagePlan, StageTimes,
 };
 use dpipe_profile::{DeviceModel, ProfileDb, Profiler};
 use dpipe_schedule::{
@@ -322,10 +323,24 @@ fn cuts(len: usize, count: usize, draws: &[usize]) -> Vec<usize> {
     picked
 }
 
+/// How [`random_plan`] cuts the device chain into stage blocks.
+#[derive(Clone, Copy)]
+enum Blocks {
+    /// At random draws, so replication differs between stages.
+    Drawn,
+    /// Into equal blocks of `devices / stages`, as the partition DPs place
+    /// stages (`stages` must divide `devices`).
+    Uniform,
+}
+
 /// A random plan of `component` (`layers` layers) over a `devices`-wide
-/// chain: `stages` contiguous layer ranges and device blocks, cut at
-/// `draws`. With `reversed`, stage 0 takes the last block, as the up
-/// pipeline of a bidirectional plan does.
+/// chain: `stages` contiguous layer ranges, cut at `draws`, and device
+/// blocks cut as `blocks` says. With `reversed`, stage 0 takes the last
+/// block, as the up pipeline of a bidirectional plan does.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per drawn plan dimension"
+)]
 fn random_plan(
     component: ComponentId,
     layers: usize,
@@ -334,6 +349,7 @@ fn random_plan(
     draws: &[usize],
     (micro_batch, num_micro_batches): (f64, usize),
     reversed: bool,
+    blocks: Blocks,
 ) -> PartitionPlan {
     let bounds = |len: usize, offset: usize| -> Vec<usize> {
         let mut b = vec![0];
@@ -341,7 +357,11 @@ fn random_plan(
         b.push(len);
         b
     };
-    let (layer_bounds, device_bounds) = (bounds(layers, 0), bounds(devices, stages));
+    let device_bounds = match blocks {
+        Blocks::Drawn => bounds(devices, stages),
+        Blocks::Uniform => (0..=stages).map(|k| k * devices / stages).collect(),
+    };
+    let layer_bounds = bounds(layers, 0);
     let stages = (0..stages)
         .map(|s| {
             let block = if reversed { stages - 1 - s } else { s };
@@ -390,7 +410,9 @@ fn oracle_cluster(kind: usize, machines: usize, per_node: usize, h100_first: boo
 }
 
 /// `StageCost::stage_times` equals the oracle on every plan, field by
-/// field and bit for bit.
+/// field and bit for bit, whether the evaluator resolves the plan's stage
+/// geometry on the spot or once for its stage count, as the planner's
+/// does.
 fn assert_stage_times_match(
     model: &ModelSpec,
     cluster: &ClusterSpec,
@@ -403,30 +425,89 @@ fn assert_stage_times_match(
     let group = sizes[group_pick % sizes.len()];
     let layout = DataParallelLayout::new(cluster, group).unwrap();
     let cost = CostModel::new(dbs.clone(), cluster);
-    let stage_cost = StageCost::new(&cost, &layout);
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for plan in plans(group) {
-        let got = stage_cost.stage_times(&plan);
         let want = reference_stage_times(&dbs, cluster, &layout, &plan);
-        let stages: Vec<_> = plan
-            .stages
-            .iter()
-            .map(|s| (s.layers.clone(), s.device_offsets.clone()))
-            .collect();
-        prop_assert_eq!(bits(&got.fwd), bits(&want.fwd), "fwd of {:?}", stages);
-        prop_assert_eq!(bits(&got.bwd), bits(&want.bwd), "bwd of {:?}", stages);
-        prop_assert_eq!(
-            bits(&got.comm_in),
-            bits(&want.comm_in),
-            "comm_in of {:?}",
-            stages
-        );
-        prop_assert_eq!(bits(&got.sync), bits(&want.sync), "sync of {:?}", stages);
-        prop_assert_eq!(&got.replication, &want.replication);
-        prop_assert_eq!(got.micro_batch.to_bits(), want.micro_batch.to_bits());
-        prop_assert_eq!(got.num_micro_batches, want.num_micro_batches);
-        prop_assert_eq!(got.sc_scale.to_bits(), want.sc_scale.to_bits());
+        for stage_cost in [
+            StageCost::new(&cost, &layout),
+            StageCost::for_stages(&cost, &layout, plan.stages.len()),
+        ] {
+            let got = stage_cost.stage_times(&plan, &stage_cost.tables_for(&plan));
+            let stages: Vec<_> = plan
+                .stages
+                .iter()
+                .map(|s| (s.layers.clone(), s.device_offsets.clone()))
+                .collect();
+            prop_assert_eq!(bits(&got.fwd), bits(&want.fwd), "fwd of {:?}", stages);
+            prop_assert_eq!(bits(&got.bwd), bits(&want.bwd), "bwd of {:?}", stages);
+            prop_assert_eq!(
+                bits(&got.comm_in),
+                bits(&want.comm_in),
+                "comm_in of {:?}",
+                stages
+            );
+            prop_assert_eq!(bits(&got.sync), bits(&want.sync), "sync of {:?}", stages);
+            prop_assert_eq!(&got.replication, &want.replication);
+            prop_assert_eq!(got.micro_batch.to_bits(), want.micro_batch.to_bits());
+            prop_assert_eq!(got.num_micro_batches, want.num_micro_batches);
+            prop_assert_eq!(got.sc_scale.to_bits(), want.sc_scale.to_bits());
+        }
     }
+    Ok(())
+}
+
+/// No schedule built from `plans(group)` beats its makespan floor: each
+/// plan is priced once, and its built schedule's
+/// `max(compute_end, sync_end)` is at least the floor of those prices.
+/// `plans` returns one plan for a single-backbone model and a down/up pair
+/// for a two-backbone one.
+fn assert_floor_holds(
+    model: &ModelSpec,
+    cluster: &ClusterSpec,
+    group_pick: usize,
+    kind: ScheduleKind,
+    plans: impl Fn(usize) -> Vec<PartitionPlan>,
+) -> Result<(), TestCaseError> {
+    let scales = cluster.class_map().compute_scales();
+    let (dbs, _) = Profiler::new(DeviceModel::a100_like()).profile_classes(model, 32, &scales);
+    let sizes = DataParallelLayout::candidate_group_sizes(cluster);
+    let group = sizes[group_pick % sizes.len()];
+    let layout = DataParallelLayout::new(cluster, group).unwrap();
+    let cost = CostModel::new(dbs, cluster);
+    let plans = plans(group);
+    let stage_cost = StageCost::for_stages(&cost, &layout, plans[0].stages.len());
+    let builder = ScheduleBuilder::new(&stage_cost);
+    let timed = match &plans[..] {
+        [plan] => builder.time_single(plan, kind, &stage_cost.tables_for(plan)),
+        [down, up] => builder.time_bidirectional(
+            &BidirectionalPlan {
+                down: down.clone(),
+                up: up.clone(),
+                t_max: 0.0,
+            },
+            &stage_cost.tables_for(down),
+            &stage_cost.tables_for(up),
+        ),
+        _ => unreachable!("one plan per backbone"),
+    }
+    .unwrap();
+    let floor = timed.makespan_floor();
+    let schedule = timed.schedule().unwrap();
+    let makespan = schedule.compute_end().max(schedule.sync_end());
+    prop_assert!(
+        floor > 0.0 && floor <= makespan,
+        "floor {} vs makespan {} for {:?}",
+        floor,
+        makespan,
+        plans
+            .iter()
+            .map(|p| p
+                .stages
+                .iter()
+                .map(|s| (s.layers.clone(), s.device_offsets.clone()))
+                .collect::<Vec<_>>())
+            .collect::<Vec<_>>()
+    );
     Ok(())
 }
 
@@ -615,7 +696,12 @@ proptest! {
         let cluster = oracle_cluster(kind, machines, per_node, h100_first);
         assert_stage_times_match(&model, &cluster, group_pick, |group| {
             let stages = stages.min(group).min(layers);
-            vec![random_plan(bb, layers, group, stages, &draws, micro, false)]
+            let plan = |blocks| random_plan(bb, layers, group, stages, &draws, micro, false, blocks);
+            let mut plans = vec![plan(Blocks::Drawn)];
+            if group.is_multiple_of(stages) {
+                plans.push(plan(Blocks::Uniform));
+            }
+            plans
         })?;
     }
 
@@ -639,9 +725,79 @@ proptest! {
         let cluster = oracle_cluster(kind, machines, per_node, h100_first);
         assert_stage_times_match(&model, &cluster, group_pick, |group| {
             let stages = stages.min(group).min(layers.0).min(layers.1);
+            let pair = |blocks| [
+                random_plan(down, layers.0, group, stages, &draws.0, micro, false, blocks),
+                random_plan(up, layers.1, group, stages, &draws.1, micro, true, blocks),
+            ];
+            let mut plans = pair(Blocks::Drawn).to_vec();
+            if group.is_multiple_of(stages) {
+                plans.extend(pair(Blocks::Uniform));
+            }
+            plans
+        })?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// No single-backbone schedule beats its makespan floor: 1–5 stages cut
+    /// at random layers and devices, 1F1B or GPipe, self-conditioning off
+    /// or on at any probability, on one node, linked machines or a mixed
+    /// A100/H100 fleet.
+    #[test]
+    fn single_backbone_makespan_floor_holds(
+        layers in 5usize..13,
+        picks in (1usize..6, 0usize..16),
+        draws in proptest::collection::vec(0usize..64, 10),
+        sc in (any::<bool>(), 0.0f64..1.0),
+        shape in (0usize..3, 2usize..4, 1usize..5, any::<bool>()),
+        micro in (1.0f64..16.0, 1usize..9, any::<bool>()),
+    ) {
+        let (stages, group_pick) = picks;
+        let (kind, machines, per_node, h100_first) = shape;
+        let mut model = zoo::synthetic_model(layers, 10.0, &[1.0, 2.0], false);
+        model.self_conditioning = sc.0.then_some(SelfConditioning { probability: sc.1 });
+        let bb = model.backbones().next().unwrap().0;
+        let cluster = oracle_cluster(kind, machines, per_node, h100_first);
+        let (micro_batch, micro_batches, gpipe) = micro;
+        let schedule = if gpipe { ScheduleKind::GPipe } else { ScheduleKind::Fifo1F1B };
+        assert_floor_holds(&model, &cluster, group_pick, schedule, |group| {
+            let stages = stages.min(group).min(layers);
+            let micro = (micro_batch, micro_batches);
+            vec![random_plan(bb, layers, group, stages, &draws, micro, false, Blocks::Drawn)]
+        })?;
+    }
+
+    /// No two-backbone schedule beats its makespan floor: both pipelines
+    /// cut at random layers on equal device blocks, up's stage 0 on the
+    /// last block, self-conditioning off or on at any probability, on the
+    /// same cluster families.
+    #[test]
+    fn two_backbone_makespan_floor_holds(
+        layers in (5usize..13, 5usize..13),
+        picks in (1usize..9, 0usize..16),
+        draws in (proptest::collection::vec(0usize..64, 10), proptest::collection::vec(0usize..64, 10)),
+        sc in (any::<bool>(), 0.0f64..1.0),
+        shape in (0usize..3, 2usize..4, 1usize..5, any::<bool>()),
+        micro in (1.0f64..16.0, 1usize..9),
+    ) {
+        let (stage_pick, group_pick) = picks;
+        let (kind, machines, per_node, h100_first) = shape;
+        let mut model = zoo::synthetic_model(layers.0, 10.0, &[1.0, 2.0], false);
+        model.components.push(zoo::synthetic_backbone("up", layers.1, 2_000_000, 14.0));
+        model.self_conditioning = sc.0.then_some(SelfConditioning { probability: sc.1 });
+        let mut backbones = model.backbones().map(|(id, _)| id);
+        let (down, up) = (backbones.next().unwrap(), backbones.next().unwrap());
+        let cluster = oracle_cluster(kind, machines, per_node, h100_first);
+        assert_floor_holds(&model, &cluster, group_pick, ScheduleKind::Fifo1F1B, |group| {
+            let divisors: Vec<usize> = (1..=group.min(layers.0).min(layers.1))
+                .filter(|d| group.is_multiple_of(*d))
+                .collect();
+            let stages = divisors[stage_pick % divisors.len()];
             vec![
-                random_plan(down, layers.0, group, stages, &draws.0, micro, false),
-                random_plan(up, layers.1, group, stages, &draws.1, micro, true),
+                random_plan(down, layers.0, group, stages, &draws.0, micro, false, Blocks::Uniform),
+                random_plan(up, layers.1, group, stages, &draws.1, micro, true, Blocks::Uniform),
             ]
         })?;
     }

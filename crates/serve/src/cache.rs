@@ -48,6 +48,10 @@ const SHARD_MAP_TAG: &str = "serve::Shard::map";
 struct Shard<V> {
     map: Mutex<HashMap<u64, Slot<V>>>,
     ready: Condvar,
+    /// Callers blocked behind an in-flight slot of this shard, so a test
+    /// can tell a waiter is parked without sleeping on it.
+    #[cfg(test)]
+    waiters: AtomicU64,
 }
 
 /// Hit/miss/occupancy counters for a [`ShardedCache`].
@@ -124,6 +128,8 @@ impl<V: Clone> ShardedCache<V> {
             .map(|_| Shard {
                 map: Mutex::new(HashMap::new()),
                 ready: Condvar::new(),
+                #[cfg(test)]
+                waiters: AtomicU64::new(0),
             })
             .collect();
         ShardedCache {
@@ -203,7 +209,11 @@ impl<V: Clone> ShardedCache<V> {
                 }
                 Some(Slot::InFlight) => {
                     wait_started.get_or_insert_with(std::time::Instant::now);
+                    #[cfg(test)]
+                    shard.waiters.fetch_add(1, Ordering::SeqCst);
                     map = shard.ready.wait_recover_tagged(map);
+                    #[cfg(test)]
+                    shard.waiters.fetch_sub(1, Ordering::SeqCst);
                 }
                 None => break,
             }
@@ -466,29 +476,46 @@ mod tests {
         let (_, r) = cache.get_or_compute_observed(2, || 2u64, |_| true);
         assert_eq!((r.hit, r.evictions), (false, 1));
         // A caller blocked behind an in-flight computation reports the wait.
+        // No sleep decides the order: the computer holds its slot until
+        // released, and is released only once the waiter is parked on the
+        // shard and at least `HELD` has passed.
+        const HELD: std::time::Duration = std::time::Duration::from_millis(10);
         let cache: Arc<ShardedCache<u64>> = Arc::new(unbounded(1));
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
         let c = Arc::clone(&cache);
         let computer = std::thread::spawn(move || {
             c.get_or_compute_observed(
                 9,
-                || {
-                    std::thread::sleep(std::time::Duration::from_millis(60));
+                move || {
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
                     7u64
                 },
                 |_| true,
             )
         });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let (v, r) = cache.get_or_compute_observed(9, || unreachable!(), |_| true);
+        entered.recv().unwrap();
+        let c = Arc::clone(&cache);
+        let waiter =
+            std::thread::spawn(move || c.get_or_compute_observed(9, || unreachable!(), |_| true));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while cache.shard(9).waiters.load(Ordering::SeqCst) == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the waiter never parked"
+            );
+            std::thread::yield_now();
+        }
+        std::thread::sleep(HELD);
+        release.send(()).unwrap();
+        let (v, r) = waiter.join().unwrap();
         assert_eq!(v, 7);
         assert!(r.hit);
-        assert!(
-            r.waited
-                .is_some_and(|w| w >= std::time::Duration::from_millis(10)),
-            "{r:?}"
-        );
+        assert!(r.waited.is_some_and(|w| w >= HELD), "{r:?}");
         let (_, r0) = computer.join().unwrap();
         assert!(!r0.hit && r0.waited.is_none(), "{r0:?}");
+        assert_eq!(cache.shard(9).waiters.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -75,7 +75,9 @@ fn instruction_sim_matches_analytic_gpipe() {
     let plan = part
         .partition_single(bb, &PartitionConfig::new(4, 4, 64.0))
         .unwrap();
-    let times = part.cost().stage_times(&plan);
+    let times = part
+        .cost()
+        .stage_times(&plan, &part.cost().tables_for(&plan));
     let sched = ScheduleBuilder::new(part.cost())
         .build_single(&plan, ScheduleKind::GPipe)
         .unwrap();

@@ -20,12 +20,13 @@ const GOLDEN_PATH: &str = "tests/goldens/work_counters.txt";
 fn counter_line(label: &str, s: &PlanStats) -> String {
     format!(
         "{label}\tconfigs={} bound_skipped={} partitions={} dp_candidates={} dp_pruned={} \
-         schedules={} fills={} fill_skipped={} feasible={}",
+         floor_skipped={} schedules={} fills={} fill_skipped={} feasible={}",
         s.configs,
         s.bound_skipped,
         s.partitions_run,
         s.dp.candidates,
         s.dp.pruned,
+        s.floor_skipped,
         s.schedules_built,
         s.fills_run,
         s.fill_skipped,
@@ -50,6 +51,7 @@ fn work_counters_match_committed_file() {
         total.bound_skipped += stats.bound_skipped;
         total.partitions_run += stats.partitions_run;
         total.dp.merge(&stats.dp);
+        total.floor_skipped += stats.floor_skipped;
         total.schedules_built += stats.schedules_built;
         total.fills_run += stats.fills_run;
         total.fill_skipped += stats.fill_skipped;
