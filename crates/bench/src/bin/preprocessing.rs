@@ -1,11 +1,24 @@
 //! §6.4: pre-processing overhead — profiling, partitioning and bubble
-//! filling costs of the offline planning pass.
+//! filling costs of the offline planning pass. Profiling is simulated and
+//! comes with the plan; partitioning and filling are wall time, summed
+//! from the planner's `partition` spans and its `schedule` and `fill`
+//! spans.
 //!
 //! Run with: `cargo run --release -p dpipe-bench --bin preprocessing`
 
-use diffusionpipe_core::Planner;
+use diffusionpipe_core::{Planner, Trace, Tracer};
 use dpipe_cluster::ClusterSpec;
 use dpipe_model::zoo;
+
+/// The summed wall time of the spans named `names`, seconds.
+fn seconds_in(trace: &Trace, names: &[&str]) -> f64 {
+    let micros: u64 = names
+        .iter()
+        .flat_map(|name| trace.spans_named(name))
+        .map(|span| span.duration_us())
+        .sum();
+    micros as f64 / 1e6
+}
 
 fn main() {
     println!("§6.4: pre-processing overhead\n");
@@ -21,17 +34,20 @@ fn main() {
             let cluster = ClusterSpec::p4de(machines);
             let world = cluster.world_size();
             let batch = 32 * world as u32;
+            let tracer = Tracer::new();
             let plan = Planner::new(model.clone(), cluster.clone())
+                .with_tracer(tracer.clone())
                 .plan(batch)
                 .unwrap();
+            let trace = tracer.take();
             println!(
                 "{:<14} {:>6} {:>6} {:>18.1} {:>16.3} {:>12.3}",
                 name,
                 world,
                 batch,
-                plan.preprocessing.profiling_seconds,
-                plan.preprocessing.partition_seconds,
-                plan.preprocessing.fill_seconds
+                plan.profiling_seconds,
+                seconds_in(&trace, &["partition"]),
+                seconds_in(&trace, &["schedule", "fill"])
             );
         }
     }

@@ -14,15 +14,10 @@
 //! tail and the gradient syncs are not in the streams and are accounted
 //! analytically by the simulator.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "the last-backward table is only looked up, never iterated into output"
-)]
-
 use crate::plan::Plan;
 use dpipe_schedule::{OpKind, PipelineDirection};
 use dpipe_sim::Instruction;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// What one instruction in a lowered stream stands for.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,7 +41,7 @@ pub struct Lowered {
     pub(crate) meta: Vec<Vec<StreamMeta>>,
     /// Analytic end of the last backward per (slot, direction) — the
     /// anchor each gradient sync starts from.
-    pub(crate) last_backward: HashMap<(usize, PipelineDirection), f64>,
+    pub(crate) last_backward: BTreeMap<(usize, PipelineDirection), f64>,
 }
 
 /// Lowers the plan's analytic schedule to exact instruction streams.
@@ -124,7 +119,7 @@ pub fn lower_plan(plan: &Plan) -> Lowered {
 
     let mut streams: Vec<Vec<Instruction>> = (0..num_slots).map(|_| Vec::new()).collect();
     let mut meta: Vec<Vec<StreamMeta>> = (0..num_slots).map(|_| Vec::new()).collect();
-    let mut last_backward: HashMap<(usize, PipelineDirection), f64> = HashMap::new();
+    let mut last_backward: BTreeMap<(usize, PipelineDirection), f64> = BTreeMap::new();
     for (slot, list) in items.iter().enumerate() {
         for (_, _, _, item) in list {
             match item {

@@ -43,7 +43,7 @@ mod simulate;
 pub use error::PlanError;
 pub use instructions::{lower_plan, Lowered};
 pub use json::plan_json;
-pub use plan::{BackbonePartition, Plan, PreprocessingReport};
+pub use plan::{BackbonePartition, Plan};
 pub use planner::{PlanStats, Planner, PlannerOptions};
 pub use simulate::{
     degraded_spec, render_sim_timeline, simulate_plan, simulation_json, stage_layouts,

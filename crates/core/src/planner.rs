@@ -1,12 +1,7 @@
 //! The end-to-end planning workflow.
 
-#![expect(
-    clippy::disallowed_methods,
-    reason = "PlanStats times the search; the timings never enter a plan document"
-)]
-
 use crate::error::PlanError;
-use crate::plan::{BackbonePartition, Plan, PreprocessingReport};
+use crate::plan::{BackbonePartition, Plan};
 use dpipe_cluster::{ClassMap, ClusterSpec, DataParallelLayout};
 use dpipe_fill::{FillConfig, Filler};
 use dpipe_model::{ComponentId, MemoryModel, ModelSpec};
@@ -15,12 +10,11 @@ use dpipe_partition::{
     SearchSpace, BOUND_MARGIN,
 };
 use dpipe_profile::{CostPrefix, DeviceModel, ProfileDb, Profiler, ProfilingReport};
-use dpipe_schedule::{ScheduleBuilder, ScheduleKind};
+use dpipe_schedule::{Bubble, ScheduleBuilder, ScheduleKind};
 use dpipe_sim::{CombinedIteration, IterationTiming};
 use dpipe_spec::PlanSpec;
 use dpipe_trace::{Span, SpanId, Tracer};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 pub use dpipe_spec::PlannerOptions;
 
@@ -62,38 +56,59 @@ pub struct PlanStats {
     pub parallelism: usize,
 }
 
-/// One evaluated configuration (internal).
-struct ConfigOutcome {
-    index: usize,
-    plan: Option<Plan>,
-    partition_seconds: f64,
-    fill_seconds: f64,
-    stats: DpStats,
-    fill_skipped: bool,
-    floor_skipped: bool,
-    partitioned: bool,
-    scheduled: bool,
-    filled: bool,
+/// The step at which the config search set a config aside, in step order
+/// (internal). Every evaluated config ends as a plan or as one loss.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Loss {
+    /// The config bound is strictly below the incumbent.
+    Bound,
+    /// The partition DP, or pricing its stages, failed.
+    Partition,
+    /// The makespan floor's throughput bound is strictly below the
+    /// incumbent.
+    Floor,
+    /// The list scheduler failed.
+    Schedule,
+    /// The built schedule's throughput bound is strictly below the
+    /// incumbent, so the fill is skipped.
+    FillSkip,
+    /// The bubble filler failed.
+    Fill,
+    /// A stage does not fit in device memory.
+    Memory,
 }
 
-/// Per-worker reduction state (internal).
+/// The number of [`Loss`] variants.
+const LOSSES: usize = Loss::Memory as usize + 1;
+
+impl Loss {
+    /// The `outcome` attribute of a `config` span set aside here.
+    fn name(self) -> &'static str {
+        match self {
+            Loss::Bound => "bound_skipped",
+            Loss::Partition => "partition_failed",
+            Loss::Floor => "floor_skipped",
+            Loss::Schedule => "schedule_failed",
+            Loss::FillSkip => "fill_skipped",
+            Loss::Fill => "fill_failed",
+            Loss::Memory => "over_memory",
+        }
+    }
+}
+
+/// One search worker's reduction (internal): a count per [`Loss`], the
+/// feasible count, the partition-DP counters and the incumbent (the best
+/// plan so far, with its config index).
 #[derive(Default)]
 struct WorkerResult {
     best: Option<(usize, Plan)>,
     feasible: usize,
-    partition_seconds: f64,
-    fill_seconds: f64,
-    stats: DpStats,
-    fill_skipped: usize,
-    floor_skipped: usize,
-    bound_skipped: usize,
-    partitions_run: usize,
-    schedules_built: usize,
-    fills_run: usize,
+    losses: [usize; LOSSES],
+    dp: DpStats,
 }
 
 impl WorkerResult {
-    /// Throughput of the best plan so far (the incumbent), or −∞.
+    /// Throughput of the incumbent, or −∞.
     fn incumbent(&self) -> f64 {
         self.best
             .as_ref()
@@ -112,30 +127,26 @@ impl WorkerResult {
         }
     }
 
-    /// Folds one config outcome in.
-    fn absorb(&mut self, outcome: ConfigOutcome) {
-        self.partition_seconds += outcome.partition_seconds;
-        self.fill_seconds += outcome.fill_seconds;
-        self.stats.merge(&outcome.stats);
-        self.fill_skipped += usize::from(outcome.fill_skipped);
-        self.floor_skipped += usize::from(outcome.floor_skipped);
-        self.partitions_run += usize::from(outcome.partitioned);
-        self.schedules_built += usize::from(outcome.scheduled);
-        self.fills_run += usize::from(outcome.filled);
-        if let Some(plan) = outcome.plan {
-            self.feasible += 1;
-            self.offer(outcome.index, plan);
-        }
-    }
-
-    /// Evaluates the config at `index` unless its throughput bound is
-    /// strictly below this worker's incumbent.
-    fn visit(&mut self, index: usize, bound: f64, evaluate: &impl Fn(usize, f64) -> ConfigOutcome) {
+    /// Sets the config at `index` aside when its throughput bound is
+    /// strictly below this worker's incumbent, and evaluates it otherwise.
+    fn visit(
+        &mut self,
+        index: usize,
+        bound: f64,
+        evaluate: &impl Fn(usize, f64, &mut DpStats) -> Result<Plan, Loss>,
+    ) {
         let incumbent = self.incumbent();
-        if bound < incumbent {
-            self.bound_skipped += 1;
+        let outcome = if bound < incumbent {
+            Err(Loss::Bound)
         } else {
-            self.absorb(evaluate(index, incumbent));
+            evaluate(index, incumbent, &mut self.dp)
+        };
+        match outcome {
+            Ok(plan) => {
+                self.feasible += 1;
+                self.offer(index, plan);
+            }
+            Err(loss) => self.losses[loss as usize] += 1,
         }
     }
 
@@ -143,18 +154,46 @@ impl WorkerResult {
     /// (max throughput, ties broken by the smaller config index).
     fn merge(&mut self, other: WorkerResult) {
         self.feasible += other.feasible;
-        self.partition_seconds += other.partition_seconds;
-        self.fill_seconds += other.fill_seconds;
-        self.stats.merge(&other.stats);
-        self.fill_skipped += other.fill_skipped;
-        self.floor_skipped += other.floor_skipped;
-        self.bound_skipped += other.bound_skipped;
-        self.partitions_run += other.partitions_run;
-        self.schedules_built += other.schedules_built;
-        self.fills_run += other.fills_run;
+        for (count, theirs) in self.losses.iter_mut().zip(other.losses) {
+            *count += theirs;
+        }
+        self.dp.merge(&other.dp);
         if let Some((index, plan)) = other.best {
             self.offer(index, plan);
         }
+    }
+
+    /// The search counters over `configs` enumerated configs, also set as
+    /// attributes of the `config_search` span. A config reached a step
+    /// when it stopped there or later, so a step's count is the feasible
+    /// configs plus the losses from that step on.
+    fn stats(&self, configs: usize, workers: usize, span: &mut Span) -> PlanStats {
+        let lost = |loss: Loss| self.losses[loss as usize];
+        let reached =
+            |step: Loss| self.feasible + self.losses[step as usize..].iter().sum::<usize>();
+        let stats = PlanStats {
+            configs,
+            feasible: self.feasible,
+            dp: self.dp,
+            fill_skipped: lost(Loss::FillSkip),
+            floor_skipped: lost(Loss::Floor),
+            bound_skipped: lost(Loss::Bound),
+            partitions_run: reached(Loss::Partition),
+            schedules_built: reached(Loss::Schedule),
+            fills_run: reached(Loss::Fill),
+            parallelism: workers,
+        };
+        span.set("workers", workers);
+        span.set("feasible", stats.feasible);
+        span.set("fill_skipped", stats.fill_skipped);
+        span.set("floor_skipped", stats.floor_skipped);
+        span.set("bound_skipped", stats.bound_skipped);
+        span.set("partitions_run", stats.partitions_run);
+        span.set("schedules_built", stats.schedules_built);
+        span.set("fills_run", stats.fills_run);
+        span.set("dp_candidates", stats.dp.candidates);
+        span.set("dp_pruned", stats.dp.pruned);
+        stats
     }
 }
 
@@ -164,6 +203,8 @@ impl WorkerResult {
 /// throughput bound and the visit order.
 struct Search<'p> {
     global_batch: u32,
+    /// Simulated profiling wall time, which every candidate plan carries.
+    profiling_seconds: f64,
     backbones: Vec<ComponentId>,
     configs: Vec<HyperParams>,
     cost: CostModel,
@@ -407,15 +448,15 @@ impl Planner {
         root.set("world_size", self.cluster.world_size());
         root.set("global_batch", global_batch);
         let root_id = root.id();
-        let (search, profile_report) = self.prepare_search(global_batch, root_id)?;
+        let search = self.prepare_search(global_batch, root_id)?;
         let (configs, bounds, order) = (&search.configs, &search.bounds, &search.order);
 
         let mut search_span = self.tracer.child_span("config_search", root_id);
         let search_id = search_span.id();
         // `best_so_far` is this worker's best throughput: a config whose
         // post-schedule upper bound cannot beat it skips the filling pass.
-        let evaluate = |index: usize, best_so_far: f64| -> ConfigOutcome {
-            self.evaluate_config(&search, index, best_so_far, search_id)
+        let evaluate = |index: usize, best_so_far: f64, dp: &mut DpStats| {
+            self.evaluate_config(&search, index, best_so_far, dp, search_id)
         };
 
         let workers = self.parallelism.max(1).min(configs.len().max(1));
@@ -432,7 +473,7 @@ impl Planner {
             // another drains the skippable rest before it is scheduled.
             let cursor = AtomicUsize::new(workers);
             let (cursor, evaluate) = (&cursor, &evaluate);
-            let partials = std::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|first| {
                         scope.spawn(move || {
@@ -446,52 +487,22 @@ impl Planner {
                         })
                     })
                     .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(partial) => partial,
+                for handle in handles {
+                    match handle.join() {
+                        Ok(partial) => result.merge(partial),
                         Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .collect::<Vec<_>>()
+                    }
+                }
             });
-            for partial in partials {
-                result.merge(partial);
-            }
         }
-        search_span.set("workers", workers);
-        search_span.set("feasible", result.feasible);
-        search_span.set("fill_skipped", result.fill_skipped);
-        search_span.set("floor_skipped", result.floor_skipped);
-        search_span.set("bound_skipped", result.bound_skipped);
-        search_span.set("partitions_run", result.partitions_run);
-        search_span.set("schedules_built", result.schedules_built);
-        search_span.set("fills_run", result.fills_run);
-        search_span.set("dp_candidates", result.stats.candidates);
-        search_span.set("dp_pruned", result.stats.pruned);
+        let stats = result.stats(configs.len(), workers, &mut search_span);
         search_span.finish();
 
         let mut select_span = self.tracer.child_span("select", root_id);
-        let stats = PlanStats {
-            configs: configs.len(),
-            feasible: result.feasible,
-            dp: result.stats,
-            fill_skipped: result.fill_skipped,
-            floor_skipped: result.floor_skipped,
-            bound_skipped: result.bound_skipped,
-            partitions_run: result.partitions_run,
-            schedules_built: result.schedules_built,
-            fills_run: result.fills_run,
-            parallelism: workers,
-        };
         let (best_index, mut plan) = result.best.ok_or(PlanError::NoFeasibleConfig)?;
         // The same inputs `evaluate_config` merged, so the same bits.
         plan.bubble_ratio =
             CombinedIteration::new(&plan.schedule, &plan.bubbles, &plan.fill).bubble_ratio();
-        plan.preprocessing = PreprocessingReport {
-            profiling_seconds: profile_report.wall_time_seconds,
-            partition_seconds: result.partition_seconds,
-            fill_seconds: result.fill_seconds,
-        };
         select_span.set("best_config", best_index);
         select_span.set("throughput", plan.throughput);
         select_span.finish();
@@ -507,7 +518,7 @@ impl Planner {
         &self,
         global_batch: u32,
         root: Option<SpanId>,
-    ) -> Result<(Search<'_>, ProfilingReport), PlanError> {
+    ) -> Result<Search<'_>, PlanError> {
         let mut validate_span = self.tracer.child_span("validate", root);
         self.model
             .validate()
@@ -592,8 +603,9 @@ impl Planner {
         order.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]).then(a.cmp(&b)));
         prefix_span.finish();
 
-        let search = Search {
+        Ok(Search {
             global_batch,
+            profiling_seconds: profile_report.wall_time_seconds,
             backbones,
             configs,
             cost,
@@ -602,8 +614,7 @@ impl Planner {
             order,
             fill_cfg,
             mm: MemoryModel::new(&self.model),
-        };
-        Ok((search, profile_report))
+        })
     }
 
     /// Evaluates one (S, M, D) configuration end to end: partition,
@@ -660,178 +671,141 @@ impl Planner {
         search: &Search<'_>,
         index: usize,
         best_so_far: f64,
+        dp: &mut DpStats,
         search_span: Option<SpanId>,
-    ) -> ConfigOutcome {
+    ) -> Result<Plan, Loss> {
         let hp = search.configs[index];
         let mut span = self.tracer.child_span("config", search_span);
         span.set("index", index);
         span.set("stages", hp.num_stages);
         span.set("micro_batches", hp.num_micro_batches);
         span.set("group_size", hp.group_size);
-        let outcome = self.evaluate_config_inner(search, index, best_so_far, &mut span);
-        // DpStats for *this* config folded in as attributes (summed stats
-        // land on the `config_search` span and in `PlanStats`).
-        span.set("dp_candidates", outcome.stats.candidates);
-        span.set("dp_pruned", outcome.stats.pruned);
-        span.set("fill_skipped", outcome.fill_skipped);
-        span.set("floor_skipped", outcome.floor_skipped);
-        span.set("feasible", outcome.plan.is_some());
-        if let Some(plan) = &outcome.plan {
-            span.set("throughput", plan.throughput);
+        let before = *dp;
+        let outcome = self.evaluate_config_inner(search, index, best_so_far, dp, span.id());
+        // This config's own DP counters (the sums land on the
+        // `config_search` span and in `PlanStats`).
+        span.set("dp_candidates", dp.candidates - before.candidates);
+        span.set("dp_pruned", dp.pruned - before.pruned);
+        match &outcome {
+            Ok(plan) => {
+                span.set("outcome", "feasible");
+                span.set("throughput", plan.throughput);
+            }
+            Err(loss) => span.set("outcome", loss.name()),
         }
         outcome
     }
 
-    /// The body of [`Planner::evaluate_config`]; `span` is the config's
-    /// trace span, used only to parent the partition/schedule/fill child
-    /// spans (a no-op span when tracing is off).
+    /// The body of [`Planner::evaluate_config`]: the config's candidate
+    /// plan, or the step at which it was set aside. `parent` is the
+    /// config's span, which parents the partition, schedule and fill spans.
     fn evaluate_config_inner(
         &self,
         search: &Search<'_>,
         index: usize,
         best_so_far: f64,
-        span: &mut Span,
-    ) -> ConfigOutcome {
+        dp: &mut DpStats,
+        parent: Option<SpanId>,
+    ) -> Result<Plan, Loss> {
         let hp = search.configs[index];
         let (cost, backbones, prefixes) = (&search.cost, &search.backbones, &search.prefixes);
-        let fill_cfg = &search.fill_cfg;
-        let mut outcome = ConfigOutcome {
-            index,
-            plan: None,
-            partition_seconds: 0.0,
-            fill_seconds: 0.0,
-            stats: DpStats::default(),
-            fill_skipped: false,
-            floor_skipped: false,
-            partitioned: false,
-            scheduled: false,
-            filled: false,
-        };
         let world = self.cluster.world_size();
-        let Some(layout) = DataParallelLayout::new(&self.cluster, hp.group_size) else {
-            return outcome;
-        };
+        // `enumerate_configs` draws D from the group sizes that lay out, so
+        // this holds for every enumerated config.
+        let layout =
+            DataParallelLayout::new(&self.cluster, hp.group_size).ok_or(Loss::Partition)?;
         let cfg = PartitionConfig::new(
             hp.num_stages,
             hp.num_micro_batches,
             hp.group_batch(search.global_batch, world),
         );
-        let t0 = Instant::now();
-        let partition_span = self.tracer.child_span("partition", span.id());
+        let partition_span = self.tracer.child_span("partition", parent);
         // The levels are resolved once, inside the partition span, for the
         // DP and the stage times both.
         let part = Partitioner::for_stages(cost, &layout, hp.num_stages);
-        outcome.partitioned = true;
-        let partition = if backbones.len() == 1 {
-            match part.partition_single_with(backbones[0], &cfg, &prefixes[0], &mut outcome.stats) {
-                Ok(p) => BackbonePartition::Single(p),
-                Err(_) => return outcome,
-            }
+        let partition = if let [bb] = backbones[..] {
+            part.partition_single_with(bb, &cfg, &prefixes[0], dp)
+                .map(BackbonePartition::Single)
         } else {
-            match part.partition_bidirectional_with(
+            part.partition_bidirectional_with(
                 backbones[0],
                 backbones[1],
                 &cfg,
                 &prefixes[0],
                 &prefixes[1],
-                &mut outcome.stats,
-            ) {
-                Ok(p) => BackbonePartition::Bidirectional(p),
-                Err(_) => return outcome,
-            }
-        };
+                dp,
+            )
+            .map(BackbonePartition::Bidirectional)
+        }
+        .map_err(|_| Loss::Partition)?;
         partition_span.finish();
-        outcome.partition_seconds = t0.elapsed().as_secs_f64();
 
-        let t1 = Instant::now();
-        let schedule_span = self.tracer.child_span("schedule", span.id());
+        let schedule_span = self.tracer.child_span("schedule", parent);
         let builder = ScheduleBuilder::new(part.cost());
         let timed = match &partition {
             BackbonePartition::Single(p) => builder.time_single(p, self.schedule, &prefixes[0]),
             BackbonePartition::Bidirectional(p) => {
                 builder.time_bidirectional(p, &prefixes[0], &prefixes[1])
             }
-        };
-        let Ok(timed) = timed else {
-            return outcome;
-        };
+        }
+        .map_err(|_| Loss::Partition)?;
         let dp_groups = world / hp.group_size;
         let group_batch = timed.group_batch();
-        // The throughput upper bound when `makespan` is at most the
-        // schedule's `max(compute_end, sync_end)`; none unless positive.
-        let throughput_ub = |makespan: f64| {
-            (makespan > 0.0)
-                .then(|| dp_groups as f64 * group_batch / makespan * (1.0 + BOUND_MARGIN))
+        // Whether the throughput upper bound is strictly below
+        // `best_so_far`, when `makespan` is at most the schedule's
+        // `max(compute_end, sync_end)`; never unless `makespan` is positive.
+        let loses = |makespan: f64| {
+            makespan > 0.0
+                && dp_groups as f64 * group_batch / makespan * (1.0 + BOUND_MARGIN) < best_so_far
         };
-        if throughput_ub(timed.makespan_floor()).is_some_and(|ub| ub < best_so_far) {
-            // Floor skip: the span attribute lands on the config span via
-            // the wrapper.
-            outcome.floor_skipped = true;
-            return outcome;
+        if loses(timed.makespan_floor()) {
+            return Err(Loss::Floor);
         }
-        outcome.scheduled = true;
-        let schedule = timed.schedule();
+        let schedule = timed.schedule().map_err(|_| Loss::Schedule)?;
         schedule_span.finish();
-        let Ok(schedule) = schedule else {
-            return outcome;
-        };
-
-        if throughput_ub(schedule.compute_end().max(schedule.sync_end()))
-            .is_some_and(|ub| ub < best_so_far)
-        {
-            // Fill-skip upper-bound cut: the span attribute lands on the
-            // config span via the wrapper.
-            outcome.fill_skipped = true;
-            return outcome;
+        if loses(schedule.compute_end().max(schedule.sync_end())) {
+            return Err(Loss::FillSkip);
         }
 
-        let mut fill_span = self.tracer.child_span("fill", span.id());
-        outcome.filled = true;
-        let bubbles = schedule.bubbles(fill_cfg.min_bubble_seconds);
+        let mut fill_span = self.tracer.child_span("fill", parent);
+        let bubbles = schedule.bubbles(search.fill_cfg.min_bubble_seconds);
         // The frozen part runs data-parallel on every device; its tail is
-        // gated by the slowest device class.
+        // gated by the slowest device class. The no-fill ablation fills
+        // nothing, so the frozen part is a pure tail.
         let filler = Filler::new(
             cost.db_for(cost.class_map().slowest_class()),
-            fill_cfg.clone(),
+            search.fill_cfg.clone(),
         );
-        let fill = if self.options.bubble_filling {
-            match filler.fill(&bubbles, schedule.group_batch, hp.group_size) {
-                Ok(f) => f,
-                Err(_) => return outcome,
-            }
+        let fillable: &[Bubble] = if self.options.bubble_filling {
+            &bubbles
         } else {
-            // Ablation: nothing filled; the frozen part is a pure tail.
-            match filler.fill(&[], schedule.group_batch, hp.group_size) {
-                Ok(f) => f,
-                Err(_) => return outcome,
-            }
+            &[]
         };
+        let fill = filler
+            .fill(fillable, schedule.group_batch, hp.group_size)
+            .map_err(|_| Loss::Fill)?;
         let timing = IterationTiming::new(&schedule, &fill);
         fill_span.set("bubbles", bubbles.len());
         fill_span.finish();
-        outcome.fill_seconds = t1.elapsed().as_secs_f64();
 
-        let Some(peak) = self.check_memory(&search.mm, &partition, &layout, cost.class_map())
-        else {
-            return outcome;
-        };
-        let throughput = timing.cluster_throughput(dp_groups);
-        outcome.plan = Some(Plan {
+        let peak = self
+            .check_memory(&search.mm, &partition, &layout, cost.class_map())
+            .ok_or(Loss::Memory)?;
+        Ok(Plan {
             hyper: hp,
             partition,
             schedule,
             bubbles,
             fill,
             iteration_time: timing.iteration_time(),
-            throughput,
+            throughput: timing.cluster_throughput(dp_groups),
             // A candidate carries no meaningful ratio: selection reads only
             // throughput and index, so `plan_with_stats` computes the ratio
             // for the selected plan alone.
             bubble_ratio: f64::NAN,
             peak_memory_bytes: peak,
-            preprocessing: PreprocessingReport::default(),
-        });
-        outcome
+            profiling_seconds: search.profiling_seconds,
+        })
     }
 
     /// The pre-optimisation planning loop, kept as ground truth: a
@@ -873,8 +847,6 @@ impl Planner {
         let mm = MemoryModel::new(&self.model);
 
         let mut best: Option<Plan> = None;
-        let mut partition_seconds = 0.0;
-        let mut fill_seconds = 0.0;
         for hp in configs {
             let Some(layout) = DataParallelLayout::new(&self.cluster, hp.group_size) else {
                 continue;
@@ -885,7 +857,6 @@ impl Planner {
                 hp.group_batch(global_batch, world),
             );
             let part = Partitioner::new(&cost, &layout);
-            let t0 = Instant::now();
             let partition = if backbones.len() == 1 {
                 match part.partition_single_reference(backbones[0], &cfg) {
                     Ok(p) => BackbonePartition::Single(p),
@@ -897,9 +868,7 @@ impl Planner {
                     Err(_) => continue,
                 }
             };
-            partition_seconds += t0.elapsed().as_secs_f64();
 
-            let t1 = Instant::now();
             let builder = ScheduleBuilder::new(part.cost());
             let schedule = match &partition {
                 BackbonePartition::Single(p) => builder.build_single(p, self.schedule),
@@ -911,19 +880,15 @@ impl Planner {
                 cost.db_for(cost.class_map().slowest_class()),
                 fill_cfg.clone(),
             );
-            let fill = if self.options.bubble_filling {
-                match filler.fill(&bubbles, schedule.group_batch, hp.group_size) {
-                    Ok(f) => f,
-                    Err(_) => continue,
-                }
+            let fillable: &[Bubble] = if self.options.bubble_filling {
+                &bubbles
             } else {
-                match filler.fill(&[], schedule.group_batch, hp.group_size) {
-                    Ok(f) => f,
-                    Err(_) => continue,
-                }
+                &[]
+            };
+            let Ok(fill) = filler.fill(fillable, schedule.group_batch, hp.group_size) else {
+                continue;
             };
             let combined = CombinedIteration::new(&schedule, &bubbles, &fill);
-            fill_seconds += t1.elapsed().as_secs_f64();
 
             let Some(peak) = self.check_memory(&mm, &partition, &layout, cost.class_map()) else {
                 continue;
@@ -940,20 +905,14 @@ impl Planner {
                 throughput,
                 bubble_ratio: combined.bubble_ratio(),
                 peak_memory_bytes: peak,
-                preprocessing: PreprocessingReport::default(),
+                profiling_seconds: profile_report.wall_time_seconds,
             };
             let better = best.as_ref().is_none_or(|b| plan.throughput > b.throughput);
             if better {
                 best = Some(plan);
             }
         }
-        let mut plan = best.ok_or(PlanError::NoFeasibleConfig)?;
-        plan.preprocessing = PreprocessingReport {
-            profiling_seconds: profile_report.wall_time_seconds,
-            partition_seconds,
-            fill_seconds,
-        };
-        Ok(plan)
+        best.ok_or(PlanError::NoFeasibleConfig)
     }
 
     /// Convenience accessor for the profile database used during planning,
@@ -1129,16 +1088,14 @@ mod tests {
         assert!(plan.throughput > 0.0);
     }
 
+    /// §6.4's profiling cost is simulated, so it is part of the plan and
+    /// two plans of one spec are equal as whole values.
     #[test]
     fn plan_reports_preprocessing_costs() {
-        let model = zoo::stable_diffusion_v2_1();
-        let cluster = ClusterSpec::single_node(8);
-        let plan = Planner::new(model, cluster).plan(64).unwrap();
-        // §6.4: partitioning ~0.5 s, filling < 1 s, profiling tens of
-        // seconds (simulated). Wall times here just need to be sane.
-        assert!(plan.preprocessing.profiling_seconds > 0.0);
-        assert!(plan.preprocessing.partition_seconds < 30.0);
-        assert!(plan.preprocessing.fill_seconds < 30.0);
+        let planner = Planner::new(zoo::stable_diffusion_v2_1(), ClusterSpec::single_node(8));
+        let plan = planner.plan(64).unwrap();
+        assert!(plan.profiling_seconds > 0.0);
+        assert_eq!(plan, planner.plan(64).unwrap());
     }
 
     #[test]
@@ -1183,12 +1140,7 @@ mod tests {
                 .with_parallelism(workers)
                 .plan(256)
                 .unwrap();
-            assert_eq!(
-                parallel.summary(),
-                sequential.summary(),
-                "workers {workers}"
-            );
-            assert_eq!(parallel.partition, sequential.partition);
+            assert_eq!(parallel, sequential, "workers {workers}");
         }
     }
 
@@ -1198,10 +1150,7 @@ mod tests {
             let cluster = ClusterSpec::single_node(8);
             let planner = Planner::new(model, cluster).with_parallelism(2);
             let fast = planner.plan(128).unwrap();
-            let reference = planner.plan_reference(128).unwrap();
-            assert_eq!(fast.summary(), reference.summary());
-            assert_eq!(fast.partition, reference.partition);
-            assert_eq!(fast.fill, reference.fill);
+            assert_eq!(fast, planner.plan_reference(128).unwrap());
         }
     }
 
@@ -1216,9 +1165,7 @@ mod tests {
             let direct = Planner::new(zoo::stable_diffusion_v2_1(), cluster.clone())
                 .plan(256)
                 .unwrap();
-            assert_eq!(via_spec.summary(), direct.summary());
-            assert_eq!(via_spec.partition, direct.partition);
-            assert_eq!(via_spec.fill, direct.fill);
+            assert_eq!(via_spec, direct);
         }
     }
 
@@ -1253,9 +1200,7 @@ mod tests {
             .with_parallelism(2);
         let planner = Planner::from_spec(&spec).unwrap();
         let gpipe = planner.plan(128).unwrap();
-        let reference = planner.plan_reference(128).unwrap();
-        assert_eq!(gpipe.summary(), reference.summary());
-        assert_eq!(gpipe.partition, reference.partition);
+        assert_eq!(gpipe, planner.plan_reference(128).unwrap());
         // GPipe schedules differently than 1F1B for the same inputs.
         let fifo = Planner::plan_spec(&spec.clone().with_schedule(ScheduleKind::Fifo1F1B)).unwrap();
         assert!(gpipe.throughput > 0.0 && fifo.throughput > 0.0);
@@ -1287,10 +1232,12 @@ mod tests {
         let mut checked = 0;
         for spec in specs {
             let planner = Planner::from_spec(&spec).unwrap();
-            let (search, _) = planner.prepare_search(spec.global_batch, None).unwrap();
+            let search = planner.prepare_search(spec.global_batch, None).unwrap();
             for (index, bound) in search.bounds.iter().enumerate() {
-                let outcome = planner.evaluate_config(&search, index, f64::NEG_INFINITY, None);
-                if let Some(plan) = outcome.plan {
+                let mut dp = DpStats::default();
+                let outcome =
+                    planner.evaluate_config(&search, index, f64::NEG_INFINITY, &mut dp, None);
+                if let Ok(plan) = outcome {
                     assert!(
                         *bound >= plan.throughput,
                         "{} config {:?}: bound {bound} < throughput {}",
@@ -1344,7 +1291,7 @@ mod tests {
         let mut checked = [0usize; 2];
         for spec in specs {
             let planner = Planner::from_spec(&spec).unwrap();
-            let (search, _) = planner.prepare_search(spec.global_batch, None).unwrap();
+            let search = planner.prepare_search(spec.global_batch, None).unwrap();
             let (backbones, prefixes) = (&search.backbones, &search.prefixes);
             let world = planner.cluster.world_size();
             for hp in &search.configs {
@@ -1410,5 +1357,41 @@ mod tests {
         assert!(stats.dp.candidates > 0);
         assert!(stats.dp.pruned <= stats.dp.candidates);
         assert_eq!(stats.parallelism, 2);
+    }
+
+    /// Each worker counts the configs it visits, and the counts merge so
+    /// that every enumerated config is counted exactly once, at each step
+    /// it reached, whatever the worker count. Which step a config stops
+    /// at depends on each worker's incumbent, so the counts themselves
+    /// vary with the worker count.
+    #[test]
+    fn every_config_is_counted_once_at_any_worker_count() {
+        let specs = [
+            PlanSpec::zoo("sd", dpipe_spec::cluster_for_gpus(8), 256),
+            PlanSpec::zoo("cdm-lsun", dpipe_spec::cluster_for_gpus(16), 256),
+            PlanSpec::zoo("sdxl", dpipe_spec::cluster_for_gpus(64), 256),
+            PlanSpec::from_json(include_str!(
+                "../../../examples/specs/sd_mixed_a100_h100_b256.json"
+            ))
+            .unwrap(),
+        ];
+        for spec in specs {
+            for workers in [1, 2, 4] {
+                let (_, s) = Planner::from_spec(&spec)
+                    .unwrap()
+                    .with_parallelism(workers)
+                    .plan_with_stats(spec.global_batch)
+                    .unwrap();
+                let label = format!("{} at {workers} workers: {s:?}", spec.label());
+                assert_eq!(s.parallelism, workers, "{label}");
+                assert_eq!(s.bound_skipped + s.partitions_run, s.configs, "{label}");
+                assert!(
+                    s.partitions_run >= s.floor_skipped + s.schedules_built,
+                    "{label}"
+                );
+                assert!(s.schedules_built >= s.fill_skipped + s.fills_run, "{label}");
+                assert!(s.fills_run >= s.feasible && s.feasible >= 1, "{label}");
+            }
+        }
     }
 }

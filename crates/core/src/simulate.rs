@@ -15,11 +15,6 @@
 //! they are accounted analytically, shifting each sync by how much its
 //! stage's last backward slipped in the replay.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "lookup tables that are looked up and counted, never iterated into output"
-)]
-
 use crate::error::PlanError;
 use crate::instructions::{lower_plan, Lowered, StreamMeta};
 use crate::plan::{BackbonePartition, Plan};
@@ -29,7 +24,7 @@ use dpipe_sim::{FaultPlan, FaultSpec, FaultedRun, Instruction, InstructionSim};
 use dpipe_spec::json::JsonValue;
 use dpipe_spec::PlanSpec;
 use dpipe_trace::{SpanId, Tracer};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Global device ranks executing each chain slot, for one pipeline group.
 ///
@@ -77,7 +72,7 @@ fn run_group(plan: &Plan, lowered: &Lowered, fplan: &FaultPlan) -> Result<GroupE
     let mut compute_end = 0.0f64;
     let mut fill_end = 0.0f64;
     let mut slot_busy = vec![0.0f64; lowered.streams.len()];
-    let mut last_backward: HashMap<(usize, PipelineDirection), f64> = HashMap::new();
+    let mut last_backward: BTreeMap<(usize, PipelineDirection), f64> = BTreeMap::new();
     for t in &run.traces {
         match lowered.meta[t.device][t.index] {
             StreamMeta::Op { kind, direction } => {
@@ -315,7 +310,7 @@ impl MigrationDiff {
         // A layer is reassigned when the devices it runs on change (or it
         // has no owner on one side).
         let owners = |layouts: &[StageLayout]| {
-            let mut map: HashMap<(String, usize, usize), Vec<usize>> = HashMap::new();
+            let mut map: BTreeMap<(String, usize, usize), Vec<usize>> = BTreeMap::new();
             for l in layouts {
                 for layer in l.layer_start..l.layer_end {
                     map.insert(

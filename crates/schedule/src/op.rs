@@ -8,7 +8,7 @@ use std::ops::Deref;
 pub struct OpId(pub usize);
 
 /// Which pipeline a stage belongs to (bidirectional schedules run two).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PipelineDirection {
     /// Chain offset 0 → end (the only direction for single backbones).
     Down,

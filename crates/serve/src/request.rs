@@ -292,9 +292,8 @@ mod tests {
         let direct = Planner::new(r.model().clone(), r.cluster().clone())
             .plan(64)
             .unwrap();
-        assert_eq!(via_request.summary(), direct.summary());
+        assert_eq!(via_request, direct);
         // The spec path is the same plan again.
-        let via_spec = Planner::plan_spec(r.spec()).unwrap();
-        assert_eq!(via_spec.summary(), direct.summary());
+        assert_eq!(Planner::plan_spec(r.spec()).unwrap(), direct);
     }
 }

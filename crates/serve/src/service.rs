@@ -486,8 +486,7 @@ mod tests {
         let response = service.plan_one(request(64));
         assert!(!response.cache_hit);
         let served = response.outcome.unwrap();
-        let sequential = request(64).plan().unwrap();
-        assert_eq!(served.summary(), sequential.summary());
+        assert_eq!(*served, request(64).plan().unwrap());
     }
 
     #[test]

@@ -53,10 +53,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plan.fill.fill_ratio() * 100.0
     );
     println!(
-        "\npre-processing: profiling {:.1}s (simulated, parallel), partitioning {:.2}s, filling {:.2}s",
-        plan.preprocessing.profiling_seconds,
-        plan.preprocessing.partition_seconds,
-        plan.preprocessing.fill_seconds
+        "\npre-processing: profiling {:.1}s (simulated, parallel); \
+         `dpipe plan --trace-tree` times partitioning and filling",
+        plan.profiling_seconds
     );
     Ok(())
 }

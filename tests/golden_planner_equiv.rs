@@ -12,8 +12,8 @@
 //!   `tests/goldens/plan_summaries.txt`. Any drift in planner output
 //!   fails; regenerate deliberately with `DPIPE_UPDATE_GOLDENS=1`.
 //! * `fast_matches_reference_planner_end_to_end` re-derives a subset of
-//!   those plans through the reference loop and compares the full plan
-//!   structure, not just the summary.
+//!   those plans through the reference loop and compares whole plans,
+//!   not just the summary.
 //!
 //! The committed goldens were produced by the reference planner; the fast
 //! planner reproducing them *is* the optimisation's correctness proof.
@@ -115,8 +115,8 @@ fn golden_summaries_match_committed_file() {
 
 #[test]
 fn fast_matches_reference_planner_end_to_end() {
-    // Full-structure equality (partition, schedule, fill, metrics) on a
-    // cross-section: single-backbone small + large, bidirectional, and a
+    // Whole-plan equality (partition, schedule, bubbles, fill, metrics) on
+    // a cross-section: single-backbone small + large, bidirectional, and a
     // multi-node shape. The reference loop is slow, so the full grid is
     // covered by the summary goldens above instead.
     let cases: [(&str, ModelSpec, usize, u32); 4] = [
@@ -129,19 +129,7 @@ fn fast_matches_reference_planner_end_to_end() {
         let planner = Planner::new(model, cluster_for(gpus)).with_parallelism(3);
         let fast = planner.plan(batch).unwrap();
         let reference = planner.plan_reference(batch).unwrap();
-        assert_eq!(
-            fast.summary(),
-            reference.summary(),
-            "{name}@{gpus}/b{batch}"
-        );
-        assert_eq!(fast.hyper, reference.hyper, "{name}");
-        assert_eq!(fast.partition, reference.partition, "{name}");
-        assert_eq!(fast.schedule, reference.schedule, "{name}");
-        assert_eq!(fast.fill, reference.fill, "{name}");
-        assert_eq!(
-            fast.peak_memory_bytes, reference.peak_memory_bytes,
-            "{name}"
-        );
+        assert_eq!(fast, reference, "{name}@{gpus}/b{batch}");
     }
 }
 
@@ -149,7 +137,7 @@ fn fast_matches_reference_planner_end_to_end() {
 fn spec_path_is_byte_identical_to_builder_path() {
     // Cross-section of the golden grid, planned twice: once through the
     // declarative spec (zoo reference + JSON round trip) and once through
-    // the legacy builder. Full plan structure must match bit for bit.
+    // the legacy builder. Whole plans must match bit for bit.
     let cases: [(&str, ModelSpec, usize, u32); 3] = [
         ("sd", zoo::stable_diffusion_v2_1(), 8, 256),
         ("cdm-lsun", zoo::cdm_lsun(), 8, 64),
@@ -163,11 +151,7 @@ fn spec_path_is_byte_identical_to_builder_path() {
             .with_parallelism(2)
             .plan(batch)
             .unwrap();
-        assert_eq!(via_spec.summary(), via_builder.summary(), "{name}");
-        assert_eq!(via_spec.hyper, via_builder.hyper, "{name}");
-        assert_eq!(via_spec.partition, via_builder.partition, "{name}");
-        assert_eq!(via_spec.schedule, via_builder.schedule, "{name}");
-        assert_eq!(via_spec.fill, via_builder.fill, "{name}");
+        assert_eq!(via_spec, via_builder, "{name}");
     }
 }
 
@@ -183,7 +167,6 @@ fn parallelism_never_changes_the_selected_plan() {
             .with_parallelism(workers)
             .plan(128)
             .unwrap();
-        assert_eq!(plan.summary(), baseline.summary(), "workers={workers}");
-        assert_eq!(plan.partition, baseline.partition, "workers={workers}");
+        assert_eq!(plan, baseline, "workers={workers}");
     }
 }

@@ -103,12 +103,7 @@ fn tracing_never_changes_the_selected_plan() {
     let tracer = Tracer::new();
     let request = PlanRequest::from_spec(spec).expect("spec resolves");
     let traced = request.plan_traced(1, &tracer, None).expect("traced plan");
-    assert_eq!(traced.summary(), untraced.summary());
-    assert_eq!(traced.hyper, untraced.hyper);
-    assert_eq!(traced.partition, untraced.partition);
-    assert_eq!(traced.schedule, untraced.schedule);
-    assert_eq!(traced.fill, untraced.fill);
-    assert_eq!(traced.peak_memory_bytes, untraced.peak_memory_bytes);
+    assert_eq!(traced, untraced);
     // The trace really was recorded (it is not equality-by-no-op).
     assert!(tracer.take().len() > 10);
 }
