@@ -193,6 +193,7 @@ impl WorkerResult {
         span.set("fills_run", stats.fills_run);
         span.set("dp_candidates", stats.dp.candidates);
         span.set("dp_pruned", stats.dp.pruned);
+        span.set("dp_priced", stats.dp.priced);
         stats
     }
 }
@@ -686,6 +687,7 @@ impl Planner {
         // `config_search` span and in `PlanStats`).
         span.set("dp_candidates", dp.candidates - before.candidates);
         span.set("dp_pruned", dp.pruned - before.pruned);
+        span.set("dp_priced", dp.priced - before.priced);
         match &outcome {
             Ok(plan) => {
                 span.set("outcome", "feasible");

@@ -159,7 +159,8 @@ impl<'a> Partitioner<'a> {
         };
         let mut dt = vec![zero; (l_down + 1) * (l_down + 1)];
         let mut ut = vec![zero; (l_up + 1) * (l_up + 1)];
-        let fill_level = |s: usize, dt: &mut [StageTerms], ut: &mut [StageTerms]| {
+        let fill_level = |s: usize, dt: &mut [StageTerms], ut: &mut [StageTerms]| -> u64 {
+            let mut priced = 0;
             let left = s_total - s;
             let g = self.cost().level(s, r);
             let down_costs = &costs_down[g.class];
@@ -175,6 +176,7 @@ impl<'a> Partitioner<'a> {
                         BIDIR_COMM_SCALE,
                         g.shape,
                     );
+                    priced += 1;
                 }
             }
             for j in (s - 1)..(l_up - left) {
@@ -188,8 +190,10 @@ impl<'a> Partitioner<'a> {
                         BIDIR_COMM_SCALE,
                         g.shape,
                     );
+                    priced += 1;
                 }
             }
+            priced
         };
 
         // Branch-and-bound seed from the even split of both backbones,
@@ -219,6 +223,7 @@ impl<'a> Partitioner<'a> {
                     BIDIR_COMM_SCALE,
                     g.shape,
                 );
+                stats.priced += 2;
                 w_h = w_h.max(d.t0.max(u.t0));
                 y_h = y_h.max(d.sync_gap.max(u.sync_gap));
             }
@@ -254,7 +259,7 @@ impl<'a> Partitioner<'a> {
             // The backtrack reads only the final state, and the bound
             // tightens only there, so the last level builds nothing else.
             let last = left == 0;
-            fill_level(s, &mut dt, &mut ut);
+            stats.priced += fill_level(s, &mut dt, &mut ut);
             let mut cur = FrontArena::new(num_states);
             cur_rows.clear();
             cur_cols.clear();

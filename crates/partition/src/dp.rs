@@ -89,6 +89,8 @@ pub struct DpStats {
     pub candidates: u64,
     /// Candidates discarded by the branch-and-bound upper bound.
     pub pruned: u64,
+    /// Stage-term evaluations (one stage interval priced at one level).
+    pub priced: u64,
 }
 
 impl DpStats {
@@ -96,6 +98,7 @@ impl DpStats {
     pub fn merge(&mut self, other: &DpStats) {
         self.candidates += other.candidates;
         self.pruned += other.pruned;
+        self.priced += other.priced;
     }
 
     /// Fraction of candidates pruned (0 when nothing was evaluated).
@@ -262,13 +265,16 @@ mod tests {
         let mut a = DpStats {
             candidates: 10,
             pruned: 4,
+            priced: 3,
         };
         a.merge(&DpStats {
             candidates: 10,
             pruned: 0,
+            priced: 5,
         });
         assert_eq!(a.candidates, 20);
         assert_eq!(a.pruned, 4);
+        assert_eq!(a.priced, 8);
         assert!((a.prune_rate() - 0.2).abs() < 1e-12);
         assert_eq!(DpStats::default().prune_rate(), 0.0);
     }

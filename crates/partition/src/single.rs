@@ -218,6 +218,7 @@ impl<'a> Partitioner<'a> {
             for k in 1..=s_total {
                 let (l, l2) = ((k - 1) * num_layers / s_total, k * num_layers / s_total);
                 let terms = terms_at(&self.cost.level(k, r), l..l2);
+                stats.priced += 1;
                 w_h = w_h.max(terms.t0);
                 y_h = y_h.max(terms.sync_gap);
             }
@@ -262,6 +263,7 @@ impl<'a> Partitioner<'a> {
                         continue;
                     }
                     let terms = terms_at(g, l..l2);
+                    stats.priced += 1;
                     // Each point of this front costs at least this.
                     if coeff * terms.t0.max(ahead) + terms.sync_gap > bound {
                         continue;

@@ -20,12 +20,13 @@ const GOLDEN_PATH: &str = "tests/goldens/work_counters.txt";
 fn counter_line(label: &str, s: &PlanStats) -> String {
     format!(
         "{label}\tconfigs={} bound_skipped={} partitions={} dp_candidates={} dp_pruned={} \
-         floor_skipped={} schedules={} fills={} fill_skipped={} feasible={}",
+         dp_priced={} floor_skipped={} schedules={} fills={} fill_skipped={} feasible={}",
         s.configs,
         s.bound_skipped,
         s.partitions_run,
         s.dp.candidates,
         s.dp.pruned,
+        s.dp.priced,
         s.floor_skipped,
         s.schedules_built,
         s.fills_run,
