@@ -814,7 +814,8 @@ impl Planner {
     /// sequential walk over every configuration using the naive reference
     /// DPs ([`Partitioner::partition_single_reference`]) with per-candidate
     /// `ProfileDb` walks, no shared cost tables, no branch-and-bound and no
-    /// fill short-circuiting.
+    /// fill short-circuiting, and the filler as Algorithms 1 and 2 are
+    /// written ([`Filler::fill_reference`]).
     ///
     /// [`Planner::plan`] must return a byte-identical plan; the golden
     /// equivalence suite and the benchmark's `plan_cold` oracle assert
@@ -887,7 +888,8 @@ impl Planner {
             } else {
                 &[]
             };
-            let Ok(fill) = filler.fill(fillable, schedule.group_batch, hp.group_size) else {
+            let Ok(fill) = filler.fill_reference(fillable, schedule.group_batch, hp.group_size)
+            else {
                 continue;
             };
             let combined = CombinedIteration::new(&schedule, &bubbles, &fill);

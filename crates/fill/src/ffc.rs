@@ -1,7 +1,152 @@
 //! Algorithm 2 — FFC: full-batch layer bubble-filling candidates.
+//!
+//! [`for_each_candidate`] is the filler's enumeration: one recursion over
+//! one round's [`RoundPrices`] yields every candidate together with its
+//! full-batch time. [`ffc_candidates`] and [`candidate_time`] are the
+//! algorithm as written, kept for [`crate::Filler::fill_reference`].
 
 use crate::state::FrozenState;
 use dpipe_profile::ProfileDb;
+
+/// One round's item prices for the ready components, computed once per
+/// round: no candidate changes them.
+#[derive(Debug, Default)]
+pub(crate) struct RoundPrices {
+    /// Per priced item, its bubble time (`layer_time + setup`) and the
+    /// running sum from zero of its component's items through it.
+    items: Vec<(f64, f64)>,
+    /// Per ready component, the start of its items in `items`.
+    starts: Vec<usize>,
+}
+
+impl RoundPrices {
+    /// Prices each ready component's pending items, in order, up to and
+    /// including the first whose running sum exceeds `bubble_time`:
+    /// Algorithm 2 reads no further at any depth, where the time left is
+    /// never more than `bubble_time`.
+    pub(crate) fn price(
+        &mut self,
+        db: &ProfileDb,
+        state: &FrozenState,
+        ready: &[usize],
+        bubble_time: f64,
+        devices: usize,
+        setup_cost: f64,
+    ) {
+        self.items.clear();
+        self.starts.clear();
+        for &idx in ready {
+            self.starts.push(self.items.len());
+            let pending = state.progress[idx].num_layers - state.progress[idx].next_layer;
+            let mut t = 0.0;
+            for offset in 0..pending {
+                let lt = state.layer_time(db, idx, offset, devices) + setup_cost;
+                self.items.push((lt, t + lt));
+                if t + lt > bubble_time {
+                    break;
+                }
+                t += lt;
+            }
+        }
+    }
+
+    /// The number of ready components priced.
+    pub(crate) fn components(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// Component `comp`'s priced items, as `(time, running sum)`.
+    pub(crate) fn items(&self, comp: usize) -> &[(f64, f64)] {
+        let end = self
+            .starts
+            .get(comp + 1)
+            .copied()
+            .unwrap_or(self.items.len());
+        &self.items[self.starts[comp]..end]
+    }
+
+    /// The bubble time of component `comp`'s item `offset` past its front.
+    pub(crate) fn item(&self, comp: usize, offset: usize) -> f64 {
+        self.items(comp)[offset].0
+    }
+}
+
+/// Enumerates the candidates of Algorithm 2 in [`ffc_candidates`]' order
+/// and hands each to `visit` as its layer counts (by ready position) and
+/// its full-batch time.
+///
+/// The time is folded in [`candidate_time`]'s order — component by
+/// component, adding each item to the total of the earlier components —
+/// so it is the same float. Each component's `k0` still comes from its own
+/// running sum from zero, as the algorithm has it. `counts` and `folds`
+/// are scratch buffers, reused across calls.
+pub(crate) fn for_each_candidate(
+    prices: &RoundPrices,
+    bubble_time: f64,
+    counts: &mut Vec<usize>,
+    folds: &mut Vec<f64>,
+    visit: &mut impl FnMut(&[usize], f64),
+) {
+    counts.clear();
+    counts.resize(prices.components(), 0);
+    folds.clear();
+    walk(prices, bubble_time, 0, 0.0, counts, folds, visit);
+}
+
+/// One level of [`for_each_candidate`]: component `comp`'s choices within
+/// `time_left`, after earlier components that take `base` in total.
+fn walk(
+    prices: &RoundPrices,
+    time_left: f64,
+    comp: usize,
+    base: f64,
+    counts: &mut [usize],
+    folds: &mut Vec<f64>,
+    visit: &mut impl FnMut(&[usize], f64),
+) {
+    if comp == counts.len() {
+        visit(counts, base);
+        return;
+    }
+    let items = prices.items(comp);
+    // Lines 2–5: the largest k0 whose cumulative time fits.
+    let k0 = items
+        .iter()
+        .position(|&(_, cum)| cum > time_left)
+        .unwrap_or(items.len());
+    if comp == counts.len() - 1 {
+        // Last component: only the maximal k0 candidate (lines 6–7).
+        counts[comp] = k0;
+        let time = items[..k0].iter().fold(base, |t, &(lt, _)| t + lt);
+        visit(counts, time);
+        counts[comp] = 0;
+        return;
+    }
+    // The totals with `k` of this component's items, for `k` up to `k0`.
+    let mark = folds.len();
+    folds.push(base);
+    let mut t = base;
+    for &(lt, _) in &items[..k0] {
+        t += lt;
+        folds.push(t);
+    }
+    // Lines 9–13: try each k from k0 down to 0 and recurse.
+    for k in (0..=k0).rev() {
+        counts[comp] = k;
+        let cum = if k == 0 { 0.0 } else { items[k - 1].1 };
+        walk(
+            prices,
+            time_left - cum,
+            comp + 1,
+            folds[mark + k],
+            counts,
+            folds,
+            visit,
+        );
+    }
+    folds.truncate(mark);
+    counts[comp] = 0;
+}
 
 /// One full-batch candidate: for each *ready* component (by position in the
 /// ready list), how many layers starting at its front to execute in the
@@ -212,6 +357,66 @@ mod tests {
                 .unwrap()
         };
         assert!(max_layers(8) >= max_layers(1));
+    }
+
+    /// One recursion over a round's prices yields `ffc_candidates`'
+    /// candidates in order, each with `candidate_time`'s full-batch time
+    /// bit for bit, and prices the same items the candidates commit.
+    #[test]
+    fn one_recursion_matches_candidates_and_their_times() {
+        let models = [
+            zoo::stable_diffusion_v2_1(),
+            zoo::controlnet_v1_0(),
+            zoo::sdxl_base(),
+            zoo::cdm_lsun(),
+        ];
+        let (mut prices, mut counts, mut folds) = (RoundPrices::default(), Vec::new(), Vec::new());
+        let mut checked = 0;
+        for model in models {
+            let (db, _) = Profiler::new(DeviceModel::a100_like()).profile(&model, 64);
+            let fresh = FrozenState::new(db.model(), 64.0);
+            // A split front layer: offset 0 covers only its remaining samples.
+            let mut split = fresh.clone();
+            split.advance_partial(0, 16.0);
+            for state in [fresh, split] {
+                let ready = state.ready(db.model());
+                for devices in [1, 3, 8] {
+                    for tb in [0.0, 0.004, 0.03, 0.2, 1.5, 1e9] {
+                        for setup in [0.0, 0.0002, 0.003] {
+                            let want: Vec<(Vec<usize>, u64)> =
+                                ffc_candidates(&db, &state, &ready, tb, devices, setup)
+                                    .into_iter()
+                                    .map(|c| {
+                                        let t =
+                                            candidate_time(&db, &state, &ready, &c, devices, setup);
+                                        (c.counts, t.to_bits())
+                                    })
+                                    .collect();
+                            prices.price(&db, &state, &ready, tb, devices, setup);
+                            let mut got = Vec::new();
+                            for_each_candidate(
+                                &prices,
+                                tb,
+                                &mut counts,
+                                &mut folds,
+                                &mut |c, t| got.push((c.to_vec(), t.to_bits())),
+                            );
+                            assert_eq!(got, want, "{} d={devices} tb={tb}", model.name);
+                            for (c, _) in &got {
+                                for (ci, &k) in c.iter().enumerate() {
+                                    for offset in 0..k {
+                                        let lt = state.layer_time(&db, ready[ci], offset, devices);
+                                        assert_eq!(prices.item(ci, offset), lt + setup);
+                                    }
+                                }
+                            }
+                            checked += got.len();
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 1000, "{checked} candidates");
     }
 
     #[test]

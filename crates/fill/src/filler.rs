@@ -1,7 +1,7 @@
 //! Algorithm 1 — filling pipeline bubbles with frozen components.
 
 use crate::config::FillConfig;
-use crate::ffc::{candidate_time, ffc_candidates, Candidate};
+use crate::ffc::{candidate_time, ffc_candidates, for_each_candidate, Candidate, RoundPrices};
 use crate::plan::{BubbleFill, FillItem, FillPlan};
 use crate::state::FrozenState;
 use dpipe_profile::ProfileDb;
@@ -60,6 +60,12 @@ impl<'a> Filler<'a> {
     /// layer. `group_devices` is the pipeline group size (used for the
     /// leftover tail, which runs on all devices).
     ///
+    /// Each round of Algorithm 1 prices the ready components' items and
+    /// each (component, layers taken)'s partial-batch ladder once, and one
+    /// recursion yields Algorithm 2's candidates with their full-batch
+    /// times; the buffers are reused across the call. The plan equals
+    /// [`Filler::fill_reference`]'s.
+    ///
     /// # Errors
     ///
     /// Returns [`FillError`] on cyclic frozen graphs or degenerate inputs.
@@ -68,6 +74,45 @@ impl<'a> Filler<'a> {
         bubbles: &[Bubble],
         group_batch: f64,
         group_devices: usize,
+    ) -> Result<FillPlan, FillError> {
+        let mut scratch = Scratch::default();
+        self.fill_with(
+            bubbles,
+            group_batch,
+            group_devices,
+            |state, fill, time_left| self.fill_round(&mut scratch, state, fill, time_left),
+        )
+    }
+
+    /// [`Filler::fill`] as Algorithms 1 and 2 are written, kept as its
+    /// oracle: each round builds the list of Algorithm 2's candidates,
+    /// re-sums each one's layer times and scans the partial-batch ladder
+    /// per candidate.
+    ///
+    /// # Errors
+    ///
+    /// As [`Filler::fill`].
+    pub fn fill_reference(
+        &self,
+        bubbles: &[Bubble],
+        group_batch: f64,
+        group_devices: usize,
+    ) -> Result<FillPlan, FillError> {
+        self.fill_with(
+            bubbles,
+            group_batch,
+            group_devices,
+            |state, fill, time_left| self.fill_round_reference(state, fill, time_left),
+        )
+    }
+
+    /// The bubble walk both fills share, placing each round with `round`.
+    fn fill_with(
+        &self,
+        bubbles: &[Bubble],
+        group_batch: f64,
+        group_devices: usize,
+        mut round: impl FnMut(&mut FrozenState, &mut BubbleFill, f64) -> bool,
     ) -> Result<FillPlan, FillError> {
         if group_batch <= 0.0 || group_devices == 0 {
             return Err(FillError::DegenerateInput);
@@ -87,7 +132,7 @@ impl<'a> Filler<'a> {
             if state.all_complete() {
                 break;
             }
-            let fill = self.fill_one_bubble(&mut state, bi, bubble);
+            let fill = self.fill_one_bubble(&mut state, bi, bubble, &mut round);
             fills.push(fill);
         }
 
@@ -112,6 +157,7 @@ impl<'a> Filler<'a> {
         state: &mut FrozenState,
         bubble_index: usize,
         bubble: &Bubble,
+        round: &mut impl FnMut(&mut FrozenState, &mut BubbleFill, f64) -> bool,
     ) -> BubbleFill {
         let mut fill = BubbleFill {
             bubble_index,
@@ -124,7 +170,7 @@ impl<'a> Filler<'a> {
             if remaining < self.cfg.min_bubble_seconds {
                 break;
             }
-            let added = self.fill_round(state, &mut fill, remaining);
+            let added = round(state, &mut fill, remaining);
             if !added {
                 break;
             }
@@ -134,7 +180,142 @@ impl<'a> Filler<'a> {
 
     /// One round of Algorithm 1 over the currently ready components within
     /// `time_left` of the bubble. Returns true if any item was placed.
-    fn fill_round(&self, state: &mut FrozenState, fill: &mut BubbleFill, time_left: f64) -> bool {
+    fn fill_round(
+        &self,
+        scratch: &mut Scratch,
+        state: &mut FrozenState,
+        fill: &mut BubbleFill,
+        time_left: f64,
+    ) -> bool {
+        let d = fill.devices;
+        let tb = time_left;
+        let setup = self.cfg.item_setup_seconds;
+        let Scratch {
+            ready,
+            prices,
+            ladders,
+            counts,
+            folds,
+            best_counts,
+        } = scratch;
+        state.ready_into(self.db.model(), ready);
+        prices.price(self.db, state, ready, tb, d, setup);
+        ladders.reset(prices);
+
+        // Evaluate each candidate, enhanced with the best partial-batch
+        // layer it can still fit (lines 2–6 of Algorithm 1).
+        let mut best: Option<(f64, Option<Enhancement>)> = None;
+        let frozen = &*state;
+        for_each_candidate(prices, tb, counts, folds, &mut |cand, base_time| {
+            let mut enhanced: Option<Enhancement> = None;
+            if self.cfg.partial_batch {
+                for (ci, &idx) in ready.iter().enumerate() {
+                    let k = cand[ci];
+                    if frozen.progress[idx].next_layer + k >= frozen.progress[idx].num_layers {
+                        continue;
+                    }
+                    let ladder = ladders.get(ci, k, |out| {
+                        self.price_ladder(frozen, idx, k, d, out);
+                    });
+                    for &(samples, dur) in ladder {
+                        if base_time + dur <= tb + 1e-12 {
+                            let better = enhanced.is_none_or(|(_, _, pd)| dur > pd);
+                            if better {
+                                enhanced = Some((ci, samples, dur));
+                            }
+                            break; // ladder is descending: first fit is max
+                        }
+                    }
+                }
+            }
+            let total = base_time + enhanced.map_or(0.0, |(_, _, dur)| dur);
+            if total <= tb + 1e-12 {
+                let better = best.is_none_or(|(bt, _)| total > bt);
+                if better {
+                    best = Some((total, enhanced));
+                    best_counts.clear();
+                    best_counts.extend_from_slice(cand);
+                }
+            }
+        });
+
+        let Some((_, enhanced)) = best else {
+            return false;
+        };
+        let mut added = false;
+        // Commit full-batch layers, at the round's item prices.
+        for (ci, &idx) in ready.iter().enumerate() {
+            for offset in 0..best_counts[ci] {
+                fill.items.push(FillItem {
+                    component: state.progress[idx].component,
+                    layer: state.progress[idx].next_layer + offset,
+                    samples: state.layer_samples(idx, offset),
+                    duration: prices.item(ci, offset),
+                    partial: false,
+                });
+                added = true;
+            }
+        }
+        // Commit the partial-batch layer.
+        if let Some((ci, samples, dur)) = enhanced {
+            let idx = ready[ci];
+            let layer = state.progress[idx].next_layer + best_counts[ci];
+            fill.items.push(FillItem {
+                component: state.progress[idx].component,
+                layer,
+                samples,
+                duration: dur,
+                partial: true,
+            });
+            added = true;
+        }
+        // State updates: full layers first (indices shift as the front
+        // advances), then the partial consumption.
+        for (ci, &idx) in ready.iter().enumerate() {
+            state.advance_full(idx, best_counts[ci]);
+        }
+        if let Some((ci, samples, _)) = enhanced {
+            state.advance_partial(ready[ci], samples);
+        }
+        added
+    }
+
+    /// The partial-batch ladder of component `order[idx]` after `k` of its
+    /// layers are taken (getValidNumSamples): every ladder value, largest
+    /// first, whose samples fit the layer's remaining batch, with its
+    /// samples and its duration in the bubble, into `out`.
+    fn price_ladder(
+        &self,
+        state: &FrozenState,
+        idx: usize,
+        k: usize,
+        devices: usize,
+        out: &mut Vec<(f64, f64)>,
+    ) {
+        let progress = &state.progress[idx];
+        let avail = state.layer_samples(idx, k);
+        for &local in self.cfg.local_batch_candidates.iter().rev() {
+            let samples = (local as f64) * devices as f64;
+            if samples > avail + 1e-9 {
+                continue;
+            }
+            let dur = self.db.fwd_time(
+                progress.component,
+                dpipe_model::LayerId(progress.next_layer + k),
+                local as f64,
+            ) + self.cfg.item_setup_seconds;
+            out.push((samples, dur));
+        }
+    }
+
+    /// [`Filler::fill_round`] as Algorithm 1 is written, for
+    /// [`Filler::fill_reference`].
+    fn fill_round_reference(
+        &self,
+        state: &mut FrozenState,
+        fill: &mut BubbleFill,
+        time_left: f64,
+    ) -> bool {
         let model = self.db.model();
         let d = fill.devices;
         let tb = time_left;
@@ -227,6 +408,68 @@ impl<'a> Filler<'a> {
             }
         }
         added
+    }
+}
+
+/// The buffers one [`Filler::fill`] call reuses across its rounds.
+#[derive(Debug, Default)]
+struct Scratch {
+    ready: Vec<usize>,
+    prices: RoundPrices,
+    ladders: Ladders,
+    counts: Vec<usize>,
+    folds: Vec<f64>,
+    best_counts: Vec<usize>,
+}
+
+/// One round's partial-batch ladders, priced when a candidate first reads
+/// them: a ladder depends on the component and the layers taken, not on
+/// the candidate.
+#[derive(Debug, Default)]
+struct Ladders {
+    /// `(samples, duration)` of each ladder entry priced so far.
+    entries: Vec<(f64, f64)>,
+    /// Per (component, layers taken), its entries' `(start, len)`, or
+    /// `None` until priced; component `c`'s slots start at `slot_start[c]`.
+    spans: Vec<Option<(usize, usize)>>,
+    slot_start: Vec<usize>,
+}
+
+impl Ladders {
+    /// Forgets every ladder, making room for each component of a round
+    /// priced by `prices` to take up to all of its priced items.
+    fn reset(&mut self, prices: &RoundPrices) {
+        self.entries.clear();
+        self.slot_start.clear();
+        let mut slots = 0;
+        for comp in 0..prices.components() {
+            self.slot_start.push(slots);
+            slots += prices.items(comp).len() + 1;
+        }
+        self.spans.clear();
+        self.spans.resize(slots, None);
+    }
+
+    /// The ladder of component `comp` with `k` layers taken, priced into
+    /// the buffer by `price` on first read.
+    fn get(
+        &mut self,
+        comp: usize,
+        k: usize,
+        price: impl FnOnce(&mut Vec<(f64, f64)>),
+    ) -> &[(f64, f64)] {
+        let slot = self.slot_start[comp] + k;
+        let (start, len) = match self.spans[slot] {
+            Some(span) => span,
+            None => {
+                let start = self.entries.len();
+                price(&mut self.entries);
+                let span = (start, self.entries.len() - start);
+                self.spans[slot] = Some(span);
+                span
+            }
+        };
+        &self.entries[start..start + len]
     }
 }
 

@@ -20,6 +20,24 @@
 //! §3.2 — the bubbles of iteration `t` host the non-trainable work of
 //! iteration `t+1`.
 //!
+//! # One pass per round
+//!
+//! [`Filler::fill`] prices what no candidate changes once per round of
+//! Algorithm 1: each ready component's item times (`layer_time + setup`,
+//! up to the first item that no longer fits the bubble) and, when a
+//! candidate first reads it, the partial-batch ladder of each (component,
+//! layers taken). One recursion then yields Algorithm 2's candidates
+//! together with their full-batch times, folded in the order the algorithm
+//! sums a candidate — component by component, each item added to the total
+//! of the earlier components — so every time is the same float, while each
+//! component's `k0` still comes from its own running sum from zero. The
+//! candidate order, the strict `>` comparisons and the `1e-9` and `1e-12`
+//! slacks are those of the algorithm as written, and the round buffers are
+//! reused across the call. [`Filler::fill_reference`] keeps the algorithm
+//! as written (a candidate list, a re-summed time and a ladder scan per
+//! candidate) as the oracle: `tests/prop_fill.rs` compares whole plans of
+//! the two, and the planner's reference loop fills with it.
+//!
 //! # Example
 //!
 //! ```

@@ -70,6 +70,13 @@ impl FrozenState {
     /// Indices (into `order`) of components whose dependencies are complete
     /// and which still have work, preserving topological order.
     pub(crate) fn ready(&self, model: &ModelSpec) -> Vec<usize> {
+        let mut ready = Vec::new();
+        self.ready_into(model, &mut ready);
+        ready
+    }
+
+    /// [`FrozenState::ready`] into a reused buffer.
+    pub(crate) fn ready_into(&self, model: &ModelSpec, ready: &mut Vec<usize>) {
         let complete = |c: ComponentId| {
             self.progress
                 .iter()
@@ -79,15 +86,17 @@ impl FrozenState {
                 // in cross-iteration filling the frozen part runs first.
                 .unwrap_or(true)
         };
-        self.order
-            .iter()
-            .enumerate()
-            .filter(|&(i, &c)| {
-                !self.progress[i].is_complete()
-                    && model.component(c).deps.iter().all(|&d| complete(d))
-            })
-            .map(|(i, _)| i)
-            .collect()
+        ready.clear();
+        ready.extend(
+            self.order
+                .iter()
+                .enumerate()
+                .filter(|&(i, &c)| {
+                    !self.progress[i].is_complete()
+                        && model.component(c).deps.iter().all(|&d| complete(d))
+                })
+                .map(|(i, _)| i),
+        );
     }
 
     /// Wall time of running layer `offset` positions past the front of

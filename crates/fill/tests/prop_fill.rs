@@ -1,11 +1,13 @@
 //! Property tests for bubble filling: work conservation, capacity limits
-//! and dependency order under arbitrary bubble streams.
+//! and dependency order under arbitrary bubble streams, and the filler
+//! against Algorithms 1 and 2 as written ([`Filler::fill_reference`]).
 
 use dpipe_fill::{FillConfig, Filler};
 use dpipe_model::zoo;
 use dpipe_profile::{DeviceModel, ProfileDb, Profiler};
 use dpipe_schedule::Bubble;
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 fn db(batch: u32) -> ProfileDb {
     Profiler::new(DeviceModel::a100_like())
@@ -30,6 +32,87 @@ fn bubbles_strategy() -> impl Strategy<Value = Vec<Bubble>> {
             })
             .collect()
     })
+}
+
+/// One profile database per zoo model with frozen components of every
+/// shape: single encoders, parallel encoders joined by a frozen
+/// dependant, deep stacks and two backbones.
+fn zoo_dbs() -> &'static [ProfileDb] {
+    static DBS: OnceLock<Vec<ProfileDb>> = OnceLock::new();
+    DBS.get_or_init(|| {
+        [
+            zoo::stable_diffusion_v2_1(),
+            zoo::controlnet_v1_0(),
+            zoo::sdxl_base(),
+            zoo::imagen_base(),
+            zoo::dit_xl_2(),
+            zoo::cdm_lsun(),
+        ]
+        .iter()
+        .map(|model| Profiler::new(DeviceModel::a100_like()).profile(model, 64).0)
+        .collect()
+    })
+}
+
+/// Bubble streams of 0–30 bubbles, 5 ms to 2 s long (some below the
+/// 10 ms floor), on 1–16 idle devices.
+fn wide_bubbles_strategy() -> impl Strategy<Value = Vec<Bubble>> {
+    proptest::collection::vec((0.005f64..2.0, 1usize..17), 0..31).prop_map(|specs| {
+        let mut t = 0.0;
+        specs
+            .into_iter()
+            .map(|(dur, devices)| {
+                let b = Bubble {
+                    start: t,
+                    end: t + dur,
+                    slots: (0..devices).collect(),
+                    devices,
+                };
+                t += dur + 0.01;
+                b
+            })
+            .collect()
+    })
+}
+
+/// Group batches from one sample per device up to a few hundred.
+fn batch_strategy() -> impl Strategy<Value = f64> {
+    (0usize..4).prop_map(|i| [16.0, 64.0, 100.0, 256.0][i])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// The filler returns the reference filler's plan, whole, on every zoo
+    /// model, with partial-batch layers on and off and setup costs of 0,
+    /// 0.2 ms and 3 ms.
+    #[test]
+    fn fill_matches_reference(
+        bubbles in wide_bubbles_strategy(),
+        batch in batch_strategy(),
+        group_devices in 1usize..17,
+    ) {
+        for db in zoo_dbs() {
+            for partial_batch in [true, false] {
+                for item_setup_seconds in [0.0, 0.0002, 0.003] {
+                    let cfg = FillConfig {
+                        partial_batch,
+                        item_setup_seconds,
+                        ..FillConfig::default()
+                    };
+                    let filler = Filler::new(db, cfg);
+                    prop_assert_eq!(
+                        filler.fill(&bubbles, batch, group_devices),
+                        filler.fill_reference(&bubbles, batch, group_devices),
+                        "{} partial={} setup={}",
+                        db.model().name,
+                        partial_batch,
+                        item_setup_seconds
+                    );
+                }
+            }
+        }
+    }
 }
 
 proptest! {

@@ -20,9 +20,10 @@
 //! and insertion evicts newly-dominated points while preserving order — the
 //! tie-breaking behaviour the equivalence suite depends on.
 //!
-//! The module also holds the lookahead both DPs prune with
-//! ([`layer_work`], [`lookahead`]); the planner's config bound reuses
-//! [`layer_work`] and [`BOUND_MARGIN`].
+//! The module also holds the work bounds the DPs prune with
+//! ([`layer_work`], the single DP's [`lookahead`] and both DPs'
+//! [`outside_band`]); the planner's config bound reuses [`layer_work`] and
+//! [`BOUND_MARGIN`].
 
 use dpipe_profile::BatchCosts;
 
@@ -82,6 +83,24 @@ pub(crate) fn lookahead(remaining: f64, stages_left: usize) -> f64 {
     }
 }
 
+/// The interval band: whether a stage over the layers between two
+/// [`suffix_sums`] positions of [`layer_work`] (`rem_from` at its first
+/// layer, `rem_to` past its last) loses on its work alone.
+///
+/// The stage's `T0` is at least `(rem_from − rem_to)·(1 − BOUND_MARGIN)`
+/// (the slack covers summing in another order), so `coeff·T0`, and with it
+/// every test a DP makes on a candidate through the stage, is above
+/// `bound` whatever the stage's other terms; a DP need not price it. The
+/// test keeps `>`: a chain that costs nothing has bound 0, and only the
+/// strict test keeps its tied optimum. For a fixed end the work never
+/// grows as the first layer rises, so the stages outside the band are a
+/// prefix of the first layers, and the DPs binary search the first one
+/// inside.
+#[inline]
+pub(crate) fn outside_band(coeff: f64, rem_from: f64, rem_to: f64, bound: f64) -> bool {
+    coeff * ((rem_from - rem_to) * (1.0 - BOUND_MARGIN)) > bound
+}
+
 /// Counters describing one DP run (or several, summed).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DpStats {
@@ -139,6 +158,12 @@ impl FrontArena {
             points: Vec::new(),
             spans: vec![(u32::MAX, 0); num_states],
         }
+    }
+
+    /// Empties every front, keeping the arena's buffers.
+    pub(crate) fn clear(&mut self) {
+        self.points.clear();
+        self.spans.fill((u32::MAX, 0));
     }
 
     /// Marks the start of destination state construction; returns the

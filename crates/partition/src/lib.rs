@@ -83,7 +83,23 @@
 //!   any next stage `x`), so a pruned point's descendants would be pruned
 //!   as well. `R` sums work in a different order from the stage terms, so
 //!   it carries a `1 − 1e-9` margin: without it a perfectly balanced
-//!   optimum could be pruned by one ulp.
+//!   optimum could be pruned by one ulp. The bidirectional DP uses exact
+//!   suffix terms instead (below).
+//! * **Interval band.** Under the same premise a stage whose least work
+//!   alone puts `coeff·T0` above the bound fails every test a DP makes on
+//!   it, so neither DP prices it. [`DpStats::priced`] counts the stages
+//!   priced.
+//! * **Exact bidirectional seed.** A pair of levels costs
+//!   `(max(T0_d, T0_u), max(gap_d, gap_u))`, so the joint optimum is the
+//!   best pair of a down and an up partition from each backbone's own
+//!   Pareto front. A backward pass over each backbone's level terms
+//!   builds those fronts, so the joint DP starts with its bound at the
+//!   optimum's exact cost `t*`. The same pass gives, per (level, layers
+//!   placed), each backbone's least max-`T0` and least max-gap over its
+//!   completions, which replace `R` as the joint DP's lookahead; they are
+//!   built from the DP's own terms with `min` and `max`, so they need no
+//!   margin and never decrease along a path. See
+//!   `crates/partition/src/bidirectional.rs` for the argument.
 //! * **No unread work.** Both DPs build only what the backtrack or the
 //!   bound can read, keeping every floating-point expression and the
 //!   candidate order, so plans stay bit-identical:
@@ -91,20 +107,22 @@
 //!     `(L_down, L_up)`): the backtrack reads nothing else and the bound
 //!     tightens only there, so its front comes from the same candidates,
 //!     in the same order, under the same bound. Only [`DpStats`] changes.
-//!   - *Bidirectional level tables hold the level's read set.* Level `s`
-//!     of `S` reads down intervals `i..i2` with
+//!   - *Bidirectional term tables hold what a level reads, once per
+//!     geometry.* Level `s` of `S` reads down intervals `i..i2` with
 //!     `s − 1 ≤ i < i2 ≤ L_down − (S − s)` (only `i2 = L_down` at the last
-//!     level), and likewise for up. Two buffers allocated once per DP are
-//!     refilled with exactly those entries; the rest are stale from an
-//!     earlier level, whose link, sync shape and class may differ, and are
-//!     never read.
+//!     level) inside the band, and likewise for up. Levels of equal input
+//!     link, sync shape and class price an interval alike, so each
+//!     backbone keeps one banded table per distinct geometry, priced when
+//!     a level first reads an entry; no read reaches an entry no level of
+//!     its geometry priced.
 //!   - *Bidirectional predecessors are walked by rows.* Each level keeps
 //!     its non-empty states in state order, as rows of equal `i`; a
 //!     destination `(i2, j2)` walks the rows with `i < i2` and, within
 //!     one, the `j < j2`, so candidates arrive in the full walk's `(i, j)`
 //!     order.
 //!   - *A bidirectional row is skipped whole* when
-//!     `coeff·max(T0_down, R) + gap_down > bound`. Each pair's `t0` and
+//!     `coeff·max(T0_down, W) + max(gap_down, Y) > bound`, with `(W, Y)`
+//!     the destination's suffix terms. Each pair's `t0` and
 //!     `gap` are at least the down stage's, and `max`, IEEE `×` and `+` by
 //!     the positive `coeff` are monotone, so every pair of that row would
 //!     fail its own test. The test keeps `>`: `≥` would drop a tied

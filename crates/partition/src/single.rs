@@ -19,13 +19,24 @@
 //! work. A candidate is pruned when `coeff·max(W, R) + Y > bound`; a
 //! destination when `coeff·R > bound`; a whole predecessor front when
 //! `coeff·max(T0, R) + gap > bound`. The last level builds only the final
-//! state `L`, the one state the backtrack and the bound read. The output
-//! is bit-identical to the naive reference implementation in
+//! state `L`, the one state the backtrack and the bound read.
+//!
+//! **The interval band.** The same premise bounds one stage: stage
+//! `l..l2` has `T0 ≥ (rem(l) − rem(l2))·(1 − 1e-9)`, so when `coeff` times
+//! that exceeds the bound the front test above fails whatever the stage's
+//! other terms, and the stage is not priced
+//! ([`crate::dp::outside_band`]). The work grows as `l` falls, so for each
+//! destination the stages outside the band are the lowest `l`s: the walk
+//! binary searches the first `l` inside and goes up from there in the same
+//! order, and the front test sees the same rows. Candidates and prunes are
+//! unchanged; only the stages priced ([`DpStats::priced`]) fall.
+//!
+//! The output is bit-identical to the naive reference implementation in
 //! [`crate::reference`]; see the crate docs for the layout and the
 //! equivalence argument.
 
 use crate::config::PartitionConfig;
-use crate::dp::{layer_work, lookahead, suffix_sums, DpStats, FrontArena};
+use crate::dp::{layer_work, lookahead, outside_band, suffix_sums, DpStats, FrontArena};
 use crate::error::PartitionError;
 use crate::plan::{PartitionPlan, StagePlan};
 use crate::stage_cost::{CostModel, LevelGeometry, StageCost, StageTerms};
@@ -245,10 +256,6 @@ impl<'a> Partitioner<'a> {
             let l2_lo = if last { num_layers } else { s };
             let mut cur = FrontArena::new(num_layers + 1);
             let prev = &levels[s - 1];
-            #[expect(
-                clippy::needless_range_loop,
-                reason = "`l2` is a state coordinate, not a mere cursor into `rem`"
-            )]
             for l2 in l2_lo..=(num_layers - stages_left) {
                 // Every candidate into this layer count costs at least
                 // `coeff·R`; skip the destination when that already loses.
@@ -256,8 +263,15 @@ impl<'a> Partitioner<'a> {
                 if coeff * ahead > bound {
                     continue;
                 }
+                // The interval band: stages `l..l2` whose work alone loses
+                // start at the lowest `l`s, and the front test below would
+                // skip each of them, so the walk starts past them and sees
+                // the same rows in the same order.
+                let l_lo = (s - 1)
+                    + rem[s - 1..l2]
+                        .partition_point(|&from| outside_band(coeff, from, rem[l2], bound));
                 let seg = cur.begin_state();
-                for l in (s - 1)..l2 {
+                for l in l_lo..l2 {
                     let front = prev.front(l);
                     if front.is_empty() {
                         continue;
@@ -580,6 +594,38 @@ mod tests {
                     assert_eq!(sizes, vec![12 / s; s], "S={s} M={m} sc={self_cond}");
                 }
             }
+        }
+    }
+
+    /// A chain that costs nothing has bound 0, and so has every stage's
+    /// work: both DPs' strict tests keep the tied optimum.
+    #[test]
+    fn zero_cost_chain_keeps_its_tied_optimum() {
+        let mut model = zoo::synthetic_model(4, 0.0, &[1.0], false);
+        model
+            .components
+            .push(zoo::synthetic_backbone("bb2", 4, 10_000_000, 0.0));
+        for bb in model.components.iter_mut().filter(|c| c.is_trainable()) {
+            for layer in &mut bb.layers {
+                layer.overhead_us = 0.0;
+            }
+        }
+        let f = fixture(model, 1, 16);
+        let layout = DataParallelLayout::new(&f.cluster, 1).unwrap();
+        let p = Partitioner::new(&f.cost, &layout);
+        let mut bbs = f.cost.db().model().backbones().map(|(id, _)| id);
+        let (b0, b1) = (bbs.next().unwrap(), bbs.next().unwrap());
+        for m in [1usize, 4] {
+            let cfg = PartitionConfig::new(1, m, 16.0);
+            let single = p.partition_single(b0, &cfg).unwrap();
+            assert_eq!(single.t_max, 0.0);
+            assert_eq!(single, p.partition_single_reference(b0, &cfg).unwrap());
+            let both = p.partition_bidirectional(b0, b1, &cfg).unwrap();
+            assert_eq!(both.t_max, 0.0);
+            assert_eq!(
+                both,
+                p.partition_bidirectional_reference(b0, b1, &cfg).unwrap()
+            );
         }
     }
 

@@ -93,7 +93,7 @@ pub(crate) struct SyncShape {
 
 /// Where a stage sits on the chain: level `s` of a config with uniform
 /// replication `r` places its stage on chain offsets `(s − 1)·r..s·r`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct LevelGeometry {
     /// Link into the stage's first device (`None` at level 1).
     pub(crate) link: Option<LinkParams>,
