@@ -3,7 +3,7 @@
 //! training, DP partitioning vs. equal split, and the minimum-bubble
 //! threshold.
 //!
-//! Run with: `cargo run --release -p dpipe-bench --bin ablations`
+//! Run with: `cargo run --release -p dpipe_bench --bin ablations`
 
 use dpipe_bench::profile;
 use dpipe_cluster::{ClusterSpec, DataParallelLayout};

@@ -1,7 +1,7 @@
 //! Fig. 13: training throughput (samples/second) across cluster scales and
 //! batch sizes, DiffusionPipe vs all baselines.
 //!
-//! Run with: `cargo run --release -p dpipe-bench --bin fig13 [sd|controlnet|cdm-lsun|cdm-imagenet|all]`
+//! Run with: `cargo run --release -p dpipe_bench --bin fig13 [sd|controlnet|cdm-lsun|cdm-imagenet|all]`
 //!
 //! Single-backbone models sweep the paper's per-scale batch ladder in both
 //! the vanilla and self-conditioning cases; CDMs compare against the

@@ -1,6 +1,6 @@
 //! Fig. 14: pipeline bubble ratio on 8 GPUs — DiffusionPipe vs GPipe vs SPP.
 //!
-//! Run with: `cargo run --release -p dpipe-bench --bin fig14`
+//! Run with: `cargo run --release -p dpipe_bench --bin fig14`
 
 use diffusionpipe_core::Planner;
 use dpipe_baselines::{gpipe, spp};

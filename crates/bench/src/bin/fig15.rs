@@ -1,7 +1,7 @@
 //! Fig. 15: ablation study on 8 GPUs — DiffusionPipe with the partial-batch
 //! layer design disabled, and with bubble filling disabled entirely.
 //!
-//! Run with: `cargo run --release -p dpipe-bench --bin fig15`
+//! Run with: `cargo run --release -p dpipe_bench --bin fig15`
 
 use diffusionpipe_core::{PlanSpec, Planner, PlannerOptions};
 use dpipe_cluster::ClusterSpec;

@@ -2,7 +2,7 @@
 //! non-trainable execution time (lower) for FIFO-1F1B at batch 64, across
 //! stage counts 2–4 and micro-batch counts 1–4.
 //!
-//! Run with: `cargo run --release -p dpipe-bench --bin fig4`
+//! Run with: `cargo run --release -p dpipe_bench --bin fig4`
 
 use dpipe_bench::profile;
 use dpipe_cluster::{ClusterSpec, DataParallelLayout};

@@ -1,6 +1,6 @@
 //! Fig. 5: execution time of every non-trainable (frozen) layer at batch 64.
 //!
-//! Run with: `cargo run --release -p dpipe-bench --bin fig5`
+//! Run with: `cargo run --release -p dpipe_bench --bin fig5`
 
 use dpipe_bench::profile;
 use dpipe_cluster::ClusterSpec;

@@ -2,7 +2,7 @@
 //! size, compared to the longest pipeline bubble at 4 micro-batches for 2–4
 //! stages (batch 64, FIFO-1F1B).
 //!
-//! Run with: `cargo run --release -p dpipe-bench --bin fig6`
+//! Run with: `cargo run --release -p dpipe_bench --bin fig6`
 
 use dpipe_bench::profile;
 use dpipe_cluster::{ClusterSpec, DataParallelLayout};

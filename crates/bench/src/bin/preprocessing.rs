@@ -1,30 +1,30 @@
 //! §6.4: pre-processing overhead — profiling, partitioning and bubble
 //! filling costs of the offline planning pass. Profiling is simulated and
-//! comes with the plan; partitioning and filling are wall time, summed
-//! from the planner's `partition` spans and its `schedule` and `fill`
-//! spans.
+//! comes with the plan; partitioning and filling are wall time in
+//! milliseconds, summed from the planner's `partition` spans and its
+//! `schedule` and `fill` spans.
 //!
-//! Run with: `cargo run --release -p dpipe-bench --bin preprocessing`
+//! Run with: `cargo run --release -p dpipe_bench --bin preprocessing`
 
 use diffusionpipe_core::{Planner, Trace, Tracer};
 use dpipe_cluster::ClusterSpec;
 use dpipe_model::zoo;
 
-/// The summed wall time of the spans named `names`, seconds.
-fn seconds_in(trace: &Trace, names: &[&str]) -> f64 {
+/// The summed wall time of the spans named `names`, milliseconds.
+fn millis_in(trace: &Trace, names: &[&str]) -> f64 {
     let micros: u64 = names
         .iter()
         .flat_map(|name| trace.spans_named(name))
         .map(|span| span.duration_us())
         .sum();
-    micros as f64 / 1e6
+    micros as f64 / 1e3
 }
 
 fn main() {
     println!("§6.4: pre-processing overhead\n");
     println!(
         "{:<14} {:>6} {:>6} {:>18} {:>16} {:>12}",
-        "model", "gpus", "batch", "profiling (sim s)", "partition (s)", "fill (s)"
+        "model", "gpus", "batch", "profiling (sim s)", "partition (ms)", "fill (ms)"
     );
     for (model, name) in [
         (zoo::stable_diffusion_v2_1(), "sd-v2.1"),
@@ -46,8 +46,8 @@ fn main() {
                 world,
                 batch,
                 plan.profiling_seconds,
-                seconds_in(&trace, &["partition"]),
-                seconds_in(&trace, &["schedule", "fill"])
+                millis_in(&trace, &["partition"]),
+                millis_in(&trace, &["schedule", "fill"])
             );
         }
     }

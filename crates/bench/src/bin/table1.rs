@@ -1,7 +1,7 @@
 //! Table 1: ratio of the frozen (non-trainable) part's forward time to the
 //! trainable part's forward+backward time, per batch size.
 //!
-//! Run with: `cargo run --release -p dpipe-bench --bin table1`
+//! Run with: `cargo run --release -p dpipe_bench --bin table1`
 
 use dpipe_bench::{header, profile, row};
 use dpipe_cluster::ClusterSpec;

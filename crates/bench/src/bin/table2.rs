@@ -1,7 +1,7 @@
 //! Table 2: proportion of parameter synchronisation in DDP iteration time
 //! at local batch 8, versus cluster size.
 //!
-//! Run with: `cargo run --release -p dpipe-bench --bin table2`
+//! Run with: `cargo run --release -p dpipe_bench --bin table2`
 
 use dpipe_baselines::ddp;
 use dpipe_bench::{header, profile, row};

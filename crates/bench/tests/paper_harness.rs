@@ -28,21 +28,27 @@ const BINARIES: [(&str, &str); 10] = [
     ("table2", env!("CARGO_BIN_EXE_table2")),
 ];
 
-/// Masks the digits of the last two fields of a `preprocessing` data row
-/// (model, gpus, batch, profiling, partition, fill): the partition and fill
-/// seconds are measured wall time. Other lines pass through unchanged.
+/// Masks the last two fields of a `preprocessing` data row (model, gpus,
+/// batch, profiling, partition, fill): the partition and fill milliseconds
+/// are measured wall time. Each becomes one `#`, right-aligned in the
+/// field's width, so a value masks alike whatever its digit count. Other
+/// lines pass through unchanged.
 fn mask_wall_clock(line: &str) -> String {
+    let line = line.trim_end();
     let fields: Vec<&str> = line.split_whitespace().collect();
     let is_row = fields.len() == 6 && fields[1..].iter().all(|f| f.parse::<f64>().is_ok());
     if !is_row {
         return line.to_owned();
     }
-    let mut start = line.len();
+    let mut end = line.len();
+    let mut masked = String::new();
     for _ in 0..2 {
-        start = line[..start].trim_end().rfind(' ').map_or(0, |i| i + 1);
+        let token = line[..end].rfind(' ').map_or(0, |i| i + 1);
+        let field = line[..token].trim_end().len();
+        masked.insert_str(0, &format!("{:>width$}", "#", width = end - field));
+        end = field;
     }
-    let masked = line[start..].replace(|c: char| c.is_ascii_digit(), "#");
-    format!("{}{masked}", &line[..start])
+    format!("{}{masked}", &line[..end])
 }
 
 #[test]
@@ -94,13 +100,21 @@ fn paper_harness_output_matches_committed_file() {
 
 #[test]
 fn wall_clock_mask_covers_only_preprocessing_rows() {
+    let masked = "sd-v2.1            16    512                6.8                #            #";
     assert_eq!(
         mask_wall_clock(
-            "sd-v2.1            16    512                6.8            0.000        0.012"
+            "sd-v2.1            16    512                6.8            0.204        0.299"
         ),
-        "sd-v2.1            16    512                6.8            #.###        #.###"
+        masked
     );
-    let header = "model            gpus  batch  profiling (sim s)    partition (s)     fill (s)";
+    // A value with more digits masks alike.
+    assert_eq!(
+        mask_wall_clock(
+            "sd-v2.1            16    512                6.8         1234.567       12.012"
+        ),
+        masked
+    );
+    let header = "model            gpus  batch  profiling (sim s)   partition (ms)    fill (ms)";
     assert_eq!(mask_wall_clock(header), header);
     assert_eq!(mask_wall_clock(""), "");
 }
