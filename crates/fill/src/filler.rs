@@ -239,45 +239,16 @@ impl<'a> Filler<'a> {
             }
         });
 
-        let Some((_, enhanced)) = best else {
-            return false;
-        };
-        let mut added = false;
-        // Commit full-batch layers, at the round's item prices.
-        for (ci, &idx) in ready.iter().enumerate() {
-            for offset in 0..best_counts[ci] {
-                fill.items.push(FillItem {
-                    component: state.progress[idx].component,
-                    layer: state.progress[idx].next_layer + offset,
-                    samples: state.layer_samples(idx, offset),
-                    duration: prices.item(ci, offset),
-                    partial: false,
-                });
-                added = true;
-            }
-        }
-        // Commit the partial-batch layer.
-        if let Some((ci, samples, dur)) = enhanced {
-            let idx = ready[ci];
-            let layer = state.progress[idx].next_layer + best_counts[ci];
-            fill.items.push(FillItem {
-                component: state.progress[idx].component,
-                layer,
-                samples,
-                duration: dur,
-                partial: true,
-            });
-            added = true;
-        }
-        // State updates: full layers first (indices shift as the front
-        // advances), then the partial consumption.
-        for (ci, &idx) in ready.iter().enumerate() {
-            state.advance_full(idx, best_counts[ci]);
-        }
-        if let Some((ci, samples, _)) = enhanced {
-            state.advance_partial(ready[ci], samples);
-        }
-        added
+        best.is_some_and(|(_, enhanced)| {
+            commit(
+                state,
+                fill,
+                ready,
+                best_counts,
+                enhanced,
+                |_, ci, offset| prices.item(ci, offset),
+            )
+        })
     }
 
     /// The partial-batch ladder of component `order[idx]` after `k` of its
@@ -369,46 +340,67 @@ impl<'a> Filler<'a> {
             }
         }
 
-        let mut added = false;
-        if let Some((_, cand, enhanced)) = best {
-            // Commit full-batch layers.
-            for (ci, &idx) in ready.iter().enumerate() {
-                let k = cand.counts[ci];
-                for offset in 0..k {
-                    fill.items.push(FillItem {
-                        component: state.progress[idx].component,
-                        layer: state.progress[idx].next_layer + offset,
-                        samples: state.layer_samples(idx, offset),
-                        duration: state.layer_time(self.db, idx, offset, d) + setup,
-                        partial: false,
-                    });
-                    added = true;
-                }
-            }
-            // Commit the partial-batch layer.
-            if let Some((ci, samples, dur)) = enhanced {
-                let idx = ready[ci];
-                let layer = state.progress[idx].next_layer + cand.counts[ci];
-                fill.items.push(FillItem {
-                    component: state.progress[idx].component,
-                    layer,
-                    samples,
-                    duration: dur,
-                    partial: true,
-                });
-                added = true;
-            }
-            // State updates: full layers first (indices shift as the front
-            // advances), then the partial consumption.
-            for (ci, &idx) in ready.iter().enumerate() {
-                state.advance_full(idx, cand.counts[ci]);
-            }
-            if let Some((ci, samples, _)) = enhanced {
-                state.advance_partial(ready[ci], samples);
-            }
-        }
-        added
+        best.is_some_and(|(_, cand, enhanced)| {
+            commit(
+                state,
+                fill,
+                &ready,
+                &cand.counts,
+                enhanced,
+                |state, ci, offset| state.layer_time(self.db, ready[ci], offset, d) + setup,
+            )
+        })
     }
+}
+
+/// Commits a round's choice to the bubble and the state: `counts[ci]`
+/// full-batch layers of each ready component, the one at `offset` taking
+/// `item_time(state, ci, offset)`, then the partial-batch layer. Returns
+/// true if any item was placed.
+fn commit(
+    state: &mut FrozenState,
+    fill: &mut BubbleFill,
+    ready: &[usize],
+    counts: &[usize],
+    enhanced: Option<Enhancement>,
+    item_time: impl Fn(&FrozenState, usize, usize) -> f64,
+) -> bool {
+    let mut added = false;
+    // Commit full-batch layers.
+    for (ci, &idx) in ready.iter().enumerate() {
+        for offset in 0..counts[ci] {
+            fill.items.push(FillItem {
+                component: state.progress[idx].component,
+                layer: state.progress[idx].next_layer + offset,
+                samples: state.layer_samples(idx, offset),
+                duration: item_time(state, ci, offset),
+                partial: false,
+            });
+            added = true;
+        }
+    }
+    // Commit the partial-batch layer.
+    if let Some((ci, samples, dur)) = enhanced {
+        let idx = ready[ci];
+        let layer = state.progress[idx].next_layer + counts[ci];
+        fill.items.push(FillItem {
+            component: state.progress[idx].component,
+            layer,
+            samples,
+            duration: dur,
+            partial: true,
+        });
+        added = true;
+    }
+    // State updates: full layers first (indices shift as the front
+    // advances), then the partial consumption.
+    for (ci, &idx) in ready.iter().enumerate() {
+        state.advance_full(idx, counts[ci]);
+    }
+    if let Some((ci, samples, _)) = enhanced {
+        state.advance_partial(ready[ci], samples);
+    }
+    added
 }
 
 /// The buffers one [`Filler::fill`] call reuses across its rounds.
