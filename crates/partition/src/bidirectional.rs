@@ -241,7 +241,9 @@ impl Tails {
     fn new(layers: usize, stages: usize) -> Self {
         let mut suffix = vec![(f64::INFINITY, f64::INFINITY); (stages + 1) * (layers + 1)];
         suffix[stages * (layers + 1) + layers] = (0.0, 0.0);
-        let mut next = FrontArena::new(layers + 1);
+        // Room for a few points per state: the two arenas are reused for
+        // every level, so they seldom grow.
+        let mut next = FrontArena::with_capacity(layers + 1, 4 * (layers + 1));
         let seg = next.begin_state();
         next.insert(seg, 0.0, 0.0, 0, 0);
         next.end_state(layers, seg);
@@ -249,7 +251,7 @@ impl Tails {
             layers,
             suffix,
             next,
-            cur: FrontArena::new(layers + 1),
+            cur: FrontArena::with_capacity(layers + 1, 4 * (layers + 1)),
         }
     }
 

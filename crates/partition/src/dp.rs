@@ -154,8 +154,13 @@ pub(crate) struct FrontArena {
 impl FrontArena {
     /// An arena for `num_states` states with all fronts empty.
     pub(crate) fn new(num_states: usize) -> Self {
+        FrontArena::with_capacity(num_states, 0)
+    }
+
+    /// [`FrontArena::new`] with room for `points` points before it grows.
+    pub(crate) fn with_capacity(num_states: usize, points: usize) -> Self {
         FrontArena {
-            points: Vec::new(),
+            points: Vec::with_capacity(points),
             spans: vec![(u32::MAX, 0); num_states],
         }
     }
