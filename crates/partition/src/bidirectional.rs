@@ -563,10 +563,10 @@ impl<'a> Partitioner<'a> {
                 // the row test would skip each of them.
                 let first_row =
                     rows.partition_point(|&(i, _, _)| down_side.outside(i, i2, &c, bound));
+                let (w_d, y_d) = down_tails.suffix(s, i2);
                 for j2 in j2_lo..=(l_up - left) {
                     // Every candidate into this state costs at least its
                     // suffix terms; skip the destination when they lose.
-                    let (w_d, y_d) = down_tails.suffix(s, i2);
                     let (w_u, y_u) = up_tails.suffix(s, j2);
                     let (ahead_w, ahead_y) = (w_d.max(w_u), y_d.max(y_u));
                     if coeff * ahead_w + ahead_y > bound {
